@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import ConfigError, SpdcEtalonError
 from .simplified import SCHEMES
 from .spectra import (
     EnvelopeModel,
+    GainCurvePoint,
     compare_grids,
     detection_spectrum,
     frequency_angular_spectrum,
@@ -33,7 +35,14 @@ from .spectra import (
 __all__ = ["run", "main"]
 
 COMMANDS = ("spectrum", "compare", "gain-curve", "transmission", "detection")
-_FMT = "{:.9g}"
+
+# Cell spelling per numpy dtype kind: floats keep 9 significant digits
+# ('nan', 'inf', '-inf' and '-0' as printf writes them), integers and the
+# bool mask are written as integers, strings as they are.
+_CELL_SPECS = {"f": "%.9g", "i": "%d", "b": "%d", "U": "%s"}
+# Rows formatted per write: bounds the memory of the formatted text and of
+# the Python objects behind it, whatever the row count.
+_BLOCK_ROWS = 8192
 
 
 def _header_lines(config, command):
@@ -43,44 +52,59 @@ def _header_lines(config, command):
     return lines
 
 
-def _write_csv(path, config, command, columns, rows):
-    """Write one CSV atomically; remove partial output on failure."""
+def _write_csv(path, config, command, columns, data):
+    """Write one CSV atomically; remove partial output on failure.
+
+    `data` holds one array per name in `columns`; the arrays broadcast to
+    one shape, whose elements are the rows in C order.  A column smaller
+    than that shape (a grid axis) has each element formatted once.  Each
+    row is formatted by one printf template built from the column dtypes
+    (see `_CELL_SPECS`), about `_BLOCK_ROWS` rows per write.
+    """
+    if len(data) != len(columns):
+        raise ValueError("need one data column per column name")
+    data = [np.asarray(col) for col in data]
+    shape = np.broadcast_shapes(*(col.shape for col in data))
+    outer, inner = shape[0], math.prod(shape[1:])
+    specs = []
+    for k, col in enumerate(data):
+        spec = _CELL_SPECS[col.dtype.kind]
+        if col.size < outer * inner:
+            cells = [spec % v for v in col.ravel().tolist()]
+            col = np.array(cells, dtype=object).reshape(col.shape)
+            spec = "%s"
+        data[k] = np.broadcast_to(col, shape).reshape(outer, inner)
+        specs.append(spec)
+    template = ",".join(specs) + "\n"
+    step = max(1, _BLOCK_ROWS // inner)
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".part")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for line in _header_lines(config, command):
-                fh.write(line + "\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            fh.write("\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n")
+            for lo in range(0, outer, step):
+                cells = [col[lo : lo + step].ravel().tolist() for col in data]
+                fh.write("".join([template % row for row in zip(*cells)]))
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FMT.format(float(value))
-
-
-def _grid_rows(grid):
-    degrees = np.degrees(grid.internal_angles_rad)
-    schemes = list(grid.intensity)
-    for i, lam in enumerate(grid.signal_wavelengths_nm):
-        for j, theta in enumerate(degrees):
-            row = [lam, theta]
-            row.extend(grid.intensity[s][i, j] for s in schemes)
-            row.append(int(grid.mask[i, j]))
-            yield row
-
-
-def _grid_columns(grid):
-    return ["lambda_nm", "theta_deg", *grid.intensity.keys(), "masked"]
+def _write_grid(path, config, command, grid):
+    """Write a grid wavelength-major: one row per (wavelength, angle) pixel."""
+    _write_csv(
+        path,
+        config,
+        command,
+        ["lambda_nm", "theta_deg", *grid.intensity, "masked"],
+        [
+            grid.signal_wavelengths_nm[:, None],
+            np.degrees(grid.internal_angles_rad)[None, :],
+            *grid.intensity.values(),
+            grid.mask,
+        ],
+    )
 
 
 def _out_path(config, args, default_name):
@@ -105,7 +129,7 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
     """Execute one CLI command against a validated RunConfig."""
     if command == "spectrum":
         grid = frequency_angular_spectrum(config, model=model, threads=threads).normalized()
-        _write_csv(out_path, config, command, _grid_columns(grid), _grid_rows(grid))
+        _write_grid(out_path, config, command, grid)
         return [out_path]
 
     if command == "compare":
@@ -118,41 +142,27 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
             "summary": stem.with_name(stem.stem + "_summary.csv"),
         }
         for name, grid in (("simplified", simplified), ("rigorous", rigorous)):
-            shown = grid.normalized()
-            _write_csv(paths[name], config, command, _grid_columns(shown), _grid_rows(shown))
-        summary_rows = []
-        for s in config.schemes:
-            rr = compare_grids(simplified, rigorous, scheme=s)
-            summary_rows.append([s, rr])
+            _write_grid(paths[name], config, command, grid.normalized())
+        r2 = [compare_grids(simplified, rigorous, scheme=s) for s in config.schemes]
+        for s, rr in zip(config.schemes, r2):
             print(f"r_squared[{s}] = {rr:.12g}")
         _write_csv(
-            paths["summary"],
-            config,
-            command,
-            ["scheme", "r_squared"],
-            [[s, _FMT.format(v)] for s, v in summary_rows],
+            paths["summary"], config, command, ["scheme", "r_squared"], [config.schemes, r2]
         )
         return list(paths.values())
 
     if command == "gain-curve":
         points = gain_and_agreement_curve(config, threads=threads)
-        rows = [
-            [p.beta_scale, p.beta_plus_abs, p.beta_over_half_delta, p.re_gamma_plus, p.r_squared]
-            for p in points
-        ]
-        _write_csv(
-            out_path,
-            config,
-            command,
-            ["beta_scale", "beta_plus_abs", "beta_over_half_delta", "re_gamma_plus", "r_squared"],
-            rows,
-        )
+        columns = [f.name for f in fields(GainCurvePoint)]
+        data = [[getattr(p, c) for p in points] for c in columns]
+        _write_csv(out_path, config, command, columns, data)
         return [out_path]
 
     if command == "transmission":
         lams, trans, mask = transmission_curve(config)
-        rows = [[lam, t, int(m)] for lam, t, m in zip(lams, trans, mask)]
-        _write_csv(out_path, config, command, ["lambda_nm", "transmission", "masked"], rows)
+        _write_csv(
+            out_path, config, command, ["lambda_nm", "transmission", "masked"], [lams, trans, mask]
+        )
         return [out_path]
 
     if command == "detection":
@@ -162,8 +172,9 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
             envelope=_envelope_from(config),
             threads=threads,
         )
-        rows = [[lam, r, int(m)] for lam, r, m in zip(lams, rate, mask)]
-        _write_csv(out_path, config, command, ["lambda_nm", "relative_rate", "masked"], rows)
+        _write_csv(
+            out_path, config, command, ["lambda_nm", "relative_rate", "masked"], [lams, rate, mask]
+        )
         return [out_path]
 
     raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")

@@ -1,7 +1,10 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spdc_etalon import ConfigError, parse_config, serialize_config
+from spdc_etalon import ConfigError, cli, parse_config, serialize_config
 from spdc_etalon.cli import main
 from conftest import EXPERIMENT_CONFIG, config_text
 
@@ -259,6 +262,29 @@ def test_detection_command(tmp_path):
     assert np.all(data[:, 1] >= 0)
 
 
+# SHA-256 of every file each command writes for SMALL.  Output bytes are
+# part of the CLI contract: change these only with a change meant to
+# alter them.
+GOLDEN_SMALL = {
+    "spectrum.csv": "41b1c8ea5c570a0e168a0049ddcc03454dcd6bc4a016be3fbbb9945d149ae3c9",
+    "compare_simplified.csv": "fda780d69ce5f4ab889d8adf3d21e00d2959b59b9a3cfffb784bd30d9042b681",
+    "compare_rigorous.csv": "1a6b880f5a3b4ed2e3b464eab75a7c59e2525ea72d4b9b4d5441c4a82bb59ff5",
+    "compare_summary.csv": "c371c543f1a5aa63a743fd20ac67e6e5d0e47d7d7fbc82c784b75849607b9114",
+    "gain-curve.csv": "9a7c04c2d4463b4f1da7a781b86ad0ff66bb8684214dfe6398d4611b98f09bb4",
+    "transmission.csv": "e1118b260e1e44d7744ec3220d3b61def74cd699889a4b6c12e31c81c56825c5",
+    "detection.csv": "c7e0ffbcb83e4a0572dcb73bad2b4394c84456dc7946d27b3c913ada760de54b",
+}
+
+
+def test_every_command_golden_bytes(tmp_path):
+    cfg_path = write_config(tmp_path, SMALL)
+    for command in ("spectrum", "compare", "gain-curve", "transmission", "detection"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == GOLDEN_SMALL
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, config_text(lambda_count=1))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
@@ -285,6 +311,120 @@ def test_partial_file_removed_on_error(tmp_path):
     main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
     assert not out.exists()
     assert not out.with_suffix(".csv.part").exists()
+
+
+def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, SMALL)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
+    real_open = open
+    seen = []
+
+    class FailingFile:
+        """Passes the header and the first block through, then fails."""
+
+        def __init__(self, path, *args, **kwargs):
+            self.path = Path(path)
+            self.fh = real_open(path, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            seen.append(self.path.exists())
+            if len(seen) == 3:
+                raise OSError("no space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli, "open", FailingFile, raising=False)
+    fresh = tmp_path / "fresh.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    for out in (fresh, kept):
+        seen.clear()
+        with pytest.raises(OSError, match="no space"):
+            main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
+        assert seen == [True, True, True]
+        assert not out.with_suffix(".csv.part").exists()
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old bytes\n"
+
+
+# ---- CSV writer against the per-cell reference formatter ---------------------
+
+
+def format_cell_reference(value):
+    """The per-cell formatter the writer replaced, kept as its oracle."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "{:.9g}".format(float(value))
+
+
+def reference_lines(config, command, columns, rows):
+    """Lines of the CSV that the replaced row-by-row writer wrote."""
+    lines = [*cli._header_lines(config, command), ",".join(columns)]
+    return lines + [",".join(format_cell_reference(v) for v in row) for row in rows]
+
+
+def written_lines(path):
+    """Lines of a written CSV; a list, so a mismatch reports its first row."""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return text.split("\n")[:-1]
+
+
+SPECIAL_FLOATS = [
+    np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1
+]
+
+
+def random_doubles(rng, n):
+    """Doubles from random bit patterns: every exponent, subnormals, NaNs."""
+    return rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_writer_matches_reference_formatter(tmp_path, monkeypatch, rng, block_rows):
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    n = 2 * 8192 + 37
+    floats = random_doubles(rng, n)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    ints = list(range(-(n // 2), n - n // 2))
+    mask = rng.random(n) < 0.3
+    names = [f"s{k}" for k in range(n)]
+    columns = ["x", "k", "masked", "name"]
+    config = parse_config(SMALL)
+    out = tmp_path / "table.csv"
+    cli._write_csv(out, config, "table", columns, [floats, ints, mask, names])
+    expected = reference_lines(config, "table", columns, zip(floats, ints, mask, names))
+    assert written_lines(out) == expected
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_grid_writer_matches_reference_formatter(tmp_path, monkeypatch, rng, block_rows):
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    lams = np.concatenate([SPECIAL_FLOATS, random_doubles(rng, 131)])
+    thetas = random_doubles(rng, 93)
+    values = random_doubles(rng, (lams.size, thetas.size))
+    mask = rng.random(values.shape) < 0.3
+    columns = ["lambda", "theta", "v", "masked"]
+    config = parse_config(SMALL)
+    out = tmp_path / "grid.csv"
+    cli._write_csv(
+        out, config, "grid", columns, [lams[:, None], thetas[None, :], values, mask]
+    )
+    rows = (
+        [lam, theta, values[i, j], mask[i, j]]
+        for i, lam in enumerate(lams)
+        for j, theta in enumerate(thetas)
+    )
+    assert written_lines(out) == reference_lines(config, "grid", columns, rows)
 
 
 def test_scheme_flag_validation(tmp_path, capsys):
