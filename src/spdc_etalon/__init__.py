@@ -59,6 +59,7 @@ from .spectra import (
     SpectrumGrid,
     compare_grids,
     detection_spectrum,
+    frequency_angular_spectra,
     frequency_angular_spectrum,
     gain_and_agreement_curve,
     r_squared,
@@ -110,6 +111,7 @@ __all__ = [
     "SpectrumGrid",
     "compare_grids",
     "detection_spectrum",
+    "frequency_angular_spectra",
     "frequency_angular_spectrum",
     "gain_and_agreement_curve",
     "r_squared",

@@ -5,7 +5,8 @@ Every output file starts with '#'-prefixed header lines carrying the
 artifact version and the full resolved configuration, and contains no
 timestamps, so identical configs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error.
+Exit codes: 0 success, 2 configuration error or unreadable config /
+unwritable output, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .spectra import (
     GainCurvePoint,
     compare_grids,
     detection_spectrum,
+    frequency_angular_spectra,
     frequency_angular_spectrum,
     gain_and_agreement_curve,
     transmission_curve,
@@ -133,8 +135,8 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
         return [out_path]
 
     if command == "compare":
-        simplified = frequency_angular_spectrum(config, "simplified", threads=threads)
-        rigorous = frequency_angular_spectrum(config, "rigorous", threads=threads)
+        grids = frequency_angular_spectra(config, ("simplified", "rigorous"), threads=threads)
+        simplified, rigorous = grids["simplified"], grids["rigorous"]
         stem = Path(out_path)
         paths = {
             "simplified": stem.with_name(stem.stem + "_simplified.csv"),
@@ -250,6 +252,9 @@ def main(argv=None):
     except (SpdcEtalonError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(f"wrote {path}")
     return 0

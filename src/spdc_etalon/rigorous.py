@@ -229,7 +229,8 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     sweeps disable the check and mask bad pixels instead.
     """
     w = np.asarray(w, dtype=complex)
-    system = np.eye(4, dtype=complex) - np.asarray(rho, dtype=complex) @ w
+    system = np.asarray(rho, dtype=complex) @ w
+    np.subtract(np.eye(4, dtype=complex), system, out=system)
     if check_condition:
         cond = np.linalg.cond(system)
         if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
@@ -238,6 +239,7 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
                 f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
             )
     solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
+    del system
     return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)
 
 

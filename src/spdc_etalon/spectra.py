@@ -2,7 +2,9 @@
 1D detection spectra.
 
 Every sweep is a pure map over grid pixels followed by deterministic
-reductions, so results are bitwise independent of the worker count.
+reductions.  Pixels are evaluated in fixed-size chunks, each chunk by
+one worker, so results are bitwise independent of the worker count and
+memory is bounded by the chunk, not the grid.
 Pixels that cannot be evaluated (material range, grazing idler,
 resonance poles, non-finite intermediates) are collected in an error
 mask instead of aborting; masked pixels are excluded from
@@ -12,12 +14,13 @@ normalization and R-squared.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, ResonancePoleError, ZeroVarianceError
 from .layerstack import (
+    POLE_TOLERANCE,
     InterfaceCoeffs,
     coefficient_arrays,
     enhancement_arrays,
@@ -25,6 +28,7 @@ from .layerstack import (
 )
 from .materials import Mode, index_with_mask, refractive_index
 from .rigorous import (
+    SPEED_OF_LIGHT_M_S,
     InteractionParams,
     boundary_matrices,
     gain_term,
@@ -40,6 +44,7 @@ __all__ = [
     "GainCurvePoint",
     "solve_idler",
     "frequency_angular_spectrum",
+    "frequency_angular_spectra",
     "r_squared",
     "compare_grids",
     "gain_and_agreement_curve",
@@ -48,7 +53,10 @@ __all__ = [
 ]
 
 _KPAR_FLOOR = 1e-12
-_POLE_FLOOR = 1e-9
+# Pixels per kinematics batch.  Every sweep evaluates its pixels in
+# chunks of this size, whatever the thread count, so the working set of
+# the rigorous path (about 2.3 KB per pixel) is bounded by the chunk.
+_CHUNK_PIXELS = 32768
 
 
 @dataclass
@@ -154,12 +162,12 @@ def solve_idler(pump, signal, stack):
 
 @dataclass
 class _PixelBatch:
-    """Flat per-pixel arrays for one chunk of a sweep."""
+    """Flat per-pixel arrays for one chunk of a sweep.
 
-    lam_s: np.ndarray
-    theta_s: np.ndarray
-    lam_i: np.ndarray
-    theta_i: np.ndarray
+    `beta_p`/`beta_m` are the per-pixel strengths of the chi2/field
+    route, or None when the config sets a direct beta scale.
+    """
+
     delta: np.ndarray
     dk_par: np.ndarray
     dk_perp: np.ndarray
@@ -167,10 +175,14 @@ class _PixelBatch:
     phi_i: np.ndarray
     coeffs_s: tuple
     coeffs_i: tuple
-    beta_p: np.ndarray
-    beta_m: np.ndarray
+    beta_p: np.ndarray | None
+    beta_m: np.ndarray | None
     gauss: np.ndarray
     mask: np.ndarray
+    # Terms that do not depend on beta, computed by the first evaluator
+    # call on this batch and reused by every later job on it (all jobs
+    # on one batch request the same schemes).
+    shared: dict = field(default_factory=dict)
 
 
 def _pump_state(config, stack):
@@ -181,7 +193,7 @@ def _pump_state(config, stack):
     n_p = refractive_index(stack.film, lam_p)
     phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
     den = round_trip_denominator(r1, r2, phi_p)
-    if abs(den) < _POLE_FLOOR:
+    if abs(den) < POLE_TOLERANCE:
         raise ResonancePoleError("pump etalon sits exactly on a lossless resonance pole")
     e_fwd = t1 / den
     e_bwd = r2 * np.exp(1j * phi_p) * e_fwd
@@ -189,29 +201,30 @@ def _pump_state(config, stack):
     return e_fwd, e_bwd, kp_par
 
 
-def _beta_arrays(config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd):
-    """Forward/backward interaction strengths per pixel.
+def _field_betas(config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd):
+    """Forward/backward strengths of the chi2/field route, per pixel.
 
-    With a direct beta scale the strengths are constant across the
-    grid (scale times the pump enhancement).  With the chi2/field
-    route the full kinematic prefactor applies per pixel.
+    The full kinematic prefactor 2 pi w_s w_i chi2 L / (c^2 sqrt(ks ki))
+    times the pump field applies pixel by pixel.
     """
-    if config.beta_plus is not None:
-        scale = complex(config.beta_plus)
-        shape = np.shape(lam_s)
-        return (
-            np.full(shape, scale * e_fwd, dtype=complex),
-            np.full(shape, scale * e_bwd, dtype=complex),
-        )
-    c = 2.99792458e8
-    omega_s = 2.0 * np.pi * c / (lam_s * 1e-9)
-    omega_i = 2.0 * np.pi * c / (lam_i * 1e-9)
+    omega_s = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_s * 1e-9)
+    omega_i = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_i * 1e-9)
     chi2 = (stack.chi2_pm_per_v or 0.0) * 1e-12
     length_m = stack.thickness_nm * 1e-9
     k_prod = np.sqrt(np.maximum(ks_par, _KPAR_FLOOR) * np.maximum(ki_par, _KPAR_FLOOR)) * 1e9
-    pref = 2.0 * np.pi * omega_s * omega_i * chi2 * length_m / (c ** 2 * k_prod)
-    field = config.pump_field_v_per_m
-    return pref * field * e_fwd, pref * field * e_bwd
+    pref = 2.0 * np.pi * omega_s * omega_i * chi2 * length_m / (SPEED_OF_LIGHT_M_S ** 2 * k_prod)
+    pump_field = config.pump_field_v_per_m
+    return pref * pump_field * e_fwd, pref * pump_field * e_bwd
+
+
+def _uniform_betas(scale, e_fwd, e_bwd, shape):
+    """Strengths of a direct beta scale: the scale times the pump
+    enhancement, constant over the pixels."""
+    scale = complex(scale)
+    return (
+        np.full(shape, scale * e_fwd, dtype=complex),
+        np.full(shape, scale * e_bwd, dtype=complex),
+    )
 
 
 def _masked_indices(stack, lam):
@@ -271,20 +284,18 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
         round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s),
         round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i),
     ):
-        mask |= np.abs(den) < _POLE_FLOOR
+        mask |= np.abs(den) < POLE_TOLERANCE
 
-    beta_p, beta_m = _beta_arrays(
-        config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd
-    )
+    beta_p = beta_m = None
+    if config.beta_plus is None:
+        beta_p, beta_m = _field_betas(
+            config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd
+        )
 
     waist_nm = config.pump_waist_um * 1e3
     gauss = np.exp(-((dk_perp * waist_nm) ** 2) / 2.0)
 
     return _PixelBatch(
-        lam_s=lam_s,
-        theta_s=theta_s,
-        lam_i=lam_i,
-        theta_i=theta_i,
         delta=delta,
         dk_par=dk_par,
         dk_perp=dk_perp,
@@ -299,53 +310,63 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
     )
 
 
-def _eval_simplified(batch, schemes):
-    t1s, r1s, t2s, r2s = batch.coeffs_s
-    t1i, r1i, t2i, r2i = batch.coeffs_i
-    a1p, a1m, a3p, a3m = enhancement_arrays(t1s, r1s, t2s, r2s, batch.phi_s)
-    a2p, a2m, a4p, a4m = enhancement_arrays(t1i, r1i, t2i, r2i, batch.phi_i)
-    cb_p = np.conj(batch.beta_p)
-    cb_m = np.conj(batch.beta_m)
-    p = sinc(batch.delta / 2.0) ** 2 * batch.gauss
-    pairs = {
-        "ff": (a1p * a2p, a1m * a2m),
-        "bb": (a3p * a4p, a3m * a4m),
-        "fb": (a1p * a4p, a1m * a4m),
-        "bf": (a3p * a2p, a3m * a2m),
-    }
+def _phase_matching(batch):
+    """sinc^2(delta/2) times the transverse Gaussian; once per batch."""
+    if "p" not in batch.shared:
+        batch.shared["p"] = sinc(batch.delta / 2.0) ** 2 * batch.gauss
+    return batch.shared["p"]
+
+
+def _eval_simplified(batch, schemes, beta_p, beta_m):
+    p = _phase_matching(batch)
+    products = batch.shared.get("products")
+    if products is None:
+        a1p, a1m, a3p, a3m = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
+        a2p, a2m, a4p, a4m = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
+        factors = {
+            "ff": (a1p, a2p, a1m, a2m),
+            "bb": (a3p, a4p, a3m, a4m),
+            "fb": (a1p, a4p, a1m, a4m),
+            "bf": (a3p, a2p, a3m, a2m),
+        }
+        products = batch.shared["products"] = {}
+        for scheme in schemes:
+            sig_p, idl_p, sig_m, idl_m = factors[scheme]
+            products[scheme] = (sig_p * idl_p, sig_m * idl_m)
+    cb_p = np.conj(beta_p)
+    cb_m = np.conj(beta_m)
     out = {}
     for scheme in schemes:
-        plus, minus = pairs[scheme]
+        plus, minus = products[scheme]
         out[scheme] = p * np.abs(cb_p * plus + cb_m * minus) ** 2
     return out
 
 
-def _eval_rigorous(batch, schemes):
-    t1s, r1s, t2s, r2s = batch.coeffs_s
-    t1i, r1i, t2i, r2i = batch.coeffs_i
+def _eval_rigorous(batch, schemes, beta_p, beta_m):
+    boundary = batch.shared.get("boundary")
+    if boundary is None:
+        boundary = batch.shared["boundary"] = boundary_matrices(
+            InterfaceCoeffs(*batch.coeffs_s),
+            InterfaceCoeffs(*batch.coeffs_i),
+            batch.phi_s,
+            batch.phi_i,
+        )
     params = InteractionParams(
-        beta_plus=batch.beta_p,
-        beta_minus=batch.beta_m,
-        gamma_plus=gain_term(batch.beta_p, batch.delta),
-        gamma_minus=gain_term(batch.beta_m, batch.delta),
+        beta_plus=beta_p,
+        beta_minus=beta_m,
+        gamma_plus=gain_term(beta_p, batch.delta),
+        gamma_minus=gain_term(beta_m, batch.delta),
         delta=batch.delta,
         delta_k_par=batch.dk_par,
         delta_k_perp=batch.dk_perp,
     )
-    w = interaction_matrix(params)
-    tau1, tau2, rho = boundary_matrices(
-        InterfaceCoeffs(t1=t1s, r1=r1s, t2=t2s, r2=r2s),
-        InterfaceCoeffs(t1=t1i, r1=r1i, t2=t2i, r2=r2i),
-        batch.phi_s,
-        batch.phi_i,
-    )
-    u = scattering_matrix(w, tau1, tau2, rho, check_condition=False)
+    u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
     probs = pair_probabilities(u)
     return {scheme: getattr(probs, scheme) * batch.gauss for scheme in schemes}
 
 
-def _eval_nonresonant(batch, schemes):
-    p = sinc(batch.delta / 2.0) ** 2 * batch.gauss
+def _eval_nonresonant(batch, schemes, beta_p, beta_m):
+    p = _phase_matching(batch)
     zero = np.zeros_like(p)
     return {scheme: (p if scheme == "ff" else zero) for scheme in schemes}
 
@@ -357,40 +378,82 @@ _EVALUATORS = {
 }
 
 
-def _evaluate_pixels(config, stack, lam_flat, theta_flat, model, schemes, threads=1):
-    """Map the model over flat pixel arrays; deterministic in `threads`."""
+def _pixel_axes(lams, thetas, lo, hi):
+    """Signal wavelengths and angles of pixels lo..hi-1, wavelength-major."""
+    pixel = np.arange(lo, hi)
+    return lams[pixel // thetas.size], thetas[pixel % thetas.size]
+
+
+def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
+    """Evaluate every job on the pixel grid `lams` x `thetas`.
+
+    A job is a (model, beta scale) pair; a scale of None keeps the
+    config's interaction strengths.  Pixels run wavelength-major in
+    chunks of `_CHUNK_PIXELS`: each chunk's kinematics batch is built
+    once and shared by all jobs, and `threads` workers take whole
+    chunks, so the result is bitwise the same for any thread count.
+
+    Returns (values, mask): values[k][scheme] is job k's flat
+    intensity and mask[k] its flat error mask (intensity zero there).
+    """
     pump_state = _pump_state(config, stack)
-    evaluator = _EVALUATORS[model]
+    e_fwd, e_bwd, _ = pump_state
+    n = lams.size * thetas.size
+    out = np.zeros((len(jobs), len(schemes), n))
+    mask = np.zeros((len(jobs), n), dtype=bool)
 
-    def eval_range(lo, hi):
+    def eval_chunk(lo):
+        hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
-            batch = _build_batch(
-                config, stack, lam_flat[lo:hi], theta_flat[lo:hi], pump_state
-            )
-            values = evaluator(batch, schemes)
-        mask = batch.mask.copy()
-        for scheme in schemes:
-            arr = np.asarray(values[scheme], dtype=float)
-            mask |= ~np.isfinite(arr)
-        for scheme in schemes:
-            values[scheme] = np.where(mask, 0.0, np.asarray(values[scheme], dtype=float))
-        return values, mask
+            batch = _build_batch(config, stack, *_pixel_axes(lams, thetas, lo, hi), pump_state)
+            for k, (model, scale) in enumerate(jobs):
+                scale = config.beta_plus if scale is None else scale
+                if scale is None:  # chi2/field route
+                    betas = (batch.beta_p, batch.beta_m)
+                else:
+                    betas = _uniform_betas(scale, e_fwd, e_bwd, batch.mask.shape)
+                values = _EVALUATORS[model](batch, schemes, *betas)
+                job_mask = batch.mask.copy()
+                for scheme in schemes:
+                    job_mask |= ~np.isfinite(values[scheme])
+                mask[k, lo:hi] = job_mask
+                for j, scheme in enumerate(schemes):
+                    out[k, j, lo:hi] = np.where(job_mask, 0.0, values[scheme])
 
-    n = lam_flat.size
-    if threads <= 1 or n < 2048:
-        return eval_range(0, n)
+    starts = range(0, n, _CHUNK_PIXELS)
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        for lo in starts:
+            eval_chunk(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(eval_chunk, starts))
+    return [dict(zip(schemes, job)) for job in out], mask
 
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    jobs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    out = {scheme: np.zeros(n) for scheme in schemes}
-    mask = np.zeros(n, dtype=bool)
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        results = list(pool.map(lambda job: eval_range(*job), jobs))
-    for (lo, hi), (values, chunk_mask) in zip(jobs, results):
-        mask[lo:hi] = chunk_mask
-        for scheme in schemes:
-            out[scheme][lo:hi] = values[scheme]
-    return out, mask
+
+def frequency_angular_spectra(config, models, threads=1):
+    """{model: raw SpectrumGrid} for every model in `models`, from one
+    pass over the pixels: each pixel's kinematics serve all models."""
+    for model in models:
+        if model not in _EVALUATORS:
+            raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
+    stack = config.build_stack()
+    lams = config.signal_wavelengths()
+    thetas = config.internal_angles()
+    shape = (lams.size, thetas.size)
+    jobs = [(model, None) for model in models]
+    values, mask = _evaluate_pixels(
+        config, stack, lams, thetas, jobs, tuple(config.schemes), threads
+    )
+    return {
+        model: SpectrumGrid(
+            signal_wavelengths_nm=lams,
+            internal_angles_rad=thetas,
+            intensity={s: job[s].reshape(shape) for s in config.schemes},
+            mask=job_mask.reshape(shape),
+        )
+        for model, job, job_mask in zip(models, values, mask)
+    }
 
 
 def frequency_angular_spectrum(config, model=None, threads=1):
@@ -402,29 +465,7 @@ def frequency_angular_spectrum(config, model=None, threads=1):
     (unnormalized); call `.normalized()` for the unit-max version.
     """
     model = model or config.model
-    if model not in _EVALUATORS:
-        raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
-    stack = config.build_stack()
-    lams = config.signal_wavelengths()
-    thetas = config.internal_angles()
-    lam_grid, theta_grid = np.meshgrid(lams, thetas, indexing="ij")
-    shape = lam_grid.shape
-    values, mask = _evaluate_pixels(
-        config,
-        stack,
-        lam_grid.ravel(),
-        theta_grid.ravel(),
-        model,
-        tuple(config.schemes),
-        threads=threads,
-    )
-    intensity = {s: values[s].reshape(shape) for s in config.schemes}
-    return SpectrumGrid(
-        signal_wavelengths_nm=lams,
-        internal_angles_rad=thetas,
-        intensity=intensity,
-        mask=mask.reshape(shape),
-    )
+    return frequency_angular_spectra(config, (model,), threads=threads)[model]
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +534,15 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     half_delta = abs(delta_deg) / 2.0
 
     lams = config.signal_wavelengths()
-    thetas = np.zeros_like(lams)
+    # All rigorous jobs first: the simplified model's cached terms then
+    # never sit beside the rigorous working set.
+    count = beta_values.size
+    jobs = [(model, scale) for model in ("rigorous", "simplified") for scale in beta_values]
+    values, mask = _evaluate_pixels(config, stack, lams, np.zeros(1), jobs, ("ff",), threads)
     points = []
-    for scale in beta_values:
-        cfg = _with_beta(config, scale)
-        rig, mask_r = _evaluate_pixels(cfg, stack, lams, thetas, "rigorous", ("ff",), threads)
-        smp, mask_s = _evaluate_pixels(cfg, stack, lams, thetas, "simplified", ("ff",), threads)
-        rr = r_squared(smp["ff"], rig["ff"], mask=mask_r | mask_s)
+    for k, scale in enumerate(beta_values):
+        rig, smp = values[k]["ff"], values[count + k]["ff"]
+        rr = r_squared(smp, rig, mask=mask[k] | mask[count + k])
         beta_abs = abs(scale * e_fwd)
         gamma = gain_term(beta_abs, delta_deg)
         points.append(
@@ -512,12 +555,6 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
             )
         )
     return points
-
-
-def _with_beta(config, scale):
-    return replace(
-        config, beta_plus=complex(scale), chi2_pm_per_v=None, pump_field_v_per_m=None
-    )
 
 
 def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None, threads=1):
@@ -539,9 +576,10 @@ def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None
 
     stack = config.build_stack()
     lams = config.signal_wavelengths()
-    thetas = np.zeros_like(lams)
     schemes = tuple(sorted(set(needed[scheme] + ("ff",))))
-    values, mask = _evaluate_pixels(config, stack, lams, thetas, "simplified", schemes, threads)
+    (values,), (mask,) = _evaluate_pixels(
+        config, stack, lams, np.zeros(1), [("simplified", None)], schemes, threads
+    )
 
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
@@ -577,7 +615,7 @@ def transmission_curve(config, theta_rad=0.0):
     n_f = refractive_index(stack.film, lams)
     phi = stack.thickness_nm * 2.0 * np.pi * n_f / lams * np.cos(theta_rad)
     den = round_trip_denominator(r1, r2, phi)
-    mask = np.abs(den) < _POLE_FLOOR
+    mask = np.abs(den) < POLE_TOLERANCE
     with np.errstate(all="ignore"):
         amp = t1 * t2 * np.exp(1j * phi) / den
         trans = np.abs(amp) ** 2

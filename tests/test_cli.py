@@ -304,6 +304,32 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_exit_code_unwritable_output(tmp_path):
+    # Run as a separate process so a traceback on stderr would show.
+    import os
+    import subprocess
+    import sys
+
+    import spdc_etalon
+
+    cfg_path = write_config(tmp_path, SMALL)
+    out = tmp_path / "missing_dir" / "t.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(spdc_etalon.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdc_etalon.cli", "transmission",
+         "--config", str(cfg_path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: cannot write output:" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not out.exists()
+    assert not out.with_suffix(".csv.part").exists()
+
+
 def test_partial_file_removed_on_error(tmp_path):
     text = config_text(lambda_min_nm=800.0, lambda_max_nm=820.0)
     cfg_path = write_config(tmp_path, text)
@@ -313,7 +339,7 @@ def test_partial_file_removed_on_error(tmp_path):
     assert not out.with_suffix(".csv.part").exists()
 
 
-def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch):
+def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, SMALL)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
     real_open = open
@@ -344,8 +370,8 @@ def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch):
     kept.write_bytes(b"old bytes\n")
     for out in (fresh, kept):
         seen.clear()
-        with pytest.raises(OSError, match="no space"):
-            main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error: cannot write output: no space left on device" in capsys.readouterr().err
         assert seen == [True, True, True]
         assert not out.with_suffix(".csv.part").exists()
     assert not fresh.exists()

@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from spdc_etalon import spectra
 from spdc_etalon import (
     EnvelopeModel,
     GeometryError,
@@ -8,6 +12,7 @@ from spdc_etalon import (
     ZeroVarianceError,
     compare_grids,
     detection_spectrum,
+    frequency_angular_spectra,
     frequency_angular_spectrum,
     gain_and_agreement_curve,
     parse_config,
@@ -145,6 +150,84 @@ def test_grid_thread_count_does_not_change_bits(small_config):
         assert np.array_equal(base.mask, other.mask)
         for scheme in base.intensity:
             assert np.array_equal(base.intensity[scheme], other.intensity[scheme])
+
+
+GRID_MODELS = ("simplified", "rigorous", "nonresonant")
+
+
+def assert_grids_equal(grid, reference):
+    assert np.array_equal(grid.mask, reference.mask)
+    assert list(grid.intensity) == list(reference.intensity)
+    for scheme in reference.intensity:
+        assert np.array_equal(grid.intensity[scheme], reference.intensity[scheme])
+
+
+@pytest.mark.parametrize(
+    "chunk, counts",
+    [(1, (12, 8)), (7, (12, 8)), (4096, (96, 48)), (spectra._CHUNK_PIXELS, (96, 48))],
+)
+def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, counts):
+    # Chunk size 1 and 7 run on a tiny grid to keep the per-chunk
+    # overhead small; 4096 splits the small grid into two chunks.
+    cfg = parse_config(config_text(lambda_count=counts[0], theta_count=counts[1]))
+    reference = {m: frequency_angular_spectrum(cfg, m) for m in GRID_MODELS}
+    assert reference["rigorous"].mask.any() and not reference["rigorous"].mask.all()
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
+    for model in GRID_MODELS:
+        for threads in (1, 2, 3):
+            grid = frequency_angular_spectrum(cfg, model, threads=threads)
+            assert_grids_equal(grid, reference[model])
+
+
+@pytest.mark.parametrize("beta", ["1e-3", "1000"])
+def test_one_pass_grids_equal_single_model_grids(monkeypatch, beta):
+    # At beta = 1000 the rigorous model overflows at every pixel while
+    # the others do not: each model must keep its own mask.
+    cfg = parse_config(config_text(lambda_count=40, theta_count=12, beta_plus=beta))
+    reference = {m: frequency_angular_spectrum(cfg, m) for m in GRID_MODELS}
+    if beta == "1000":
+        assert reference["rigorous"].mask.all()
+        assert not reference["nonresonant"].mask.all()
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 37)
+    grids = frequency_angular_spectra(cfg, GRID_MODELS, threads=2)
+    assert list(grids) == list(GRID_MODELS)
+    for model in GRID_MODELS:
+        assert_grids_equal(grids[model], reference[model])
+
+
+def _traced_peak_bytes(fn):
+    """Peak bytes traced while `fn` runs, above what was live before."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_grid_memory_is_bounded_by_the_chunk(monkeypatch):
+    # Doubling the pixel count may only add the larger result arrays
+    # (four float intensities and the bool mask per pixel): nothing
+    # whole-grid of shape (n, 4, 4) may be held.
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 2048)
+    configs = [
+        parse_config(config_text(lambda_count=lam, theta_count=64)) for lam in (128, 256)
+    ]
+    pixels = [cfg.lambda_count * cfg.theta_count for cfg in configs]
+    assert pixels[0] >= 4 * spectra._CHUNK_PIXELS
+    frequency_angular_spectrum(configs[0], "rigorous")  # warm caches
+    peaks = [
+        _traced_peak_bytes(lambda cfg=cfg: frequency_angular_spectrum(cfg, "rigorous"))
+        for cfg in configs
+    ]
+    result_bytes_per_pixel = 4 * 8 + 1
+    extra_result_bytes = (pixels[1] - pixels[0]) * result_bytes_per_pixel
+    assert peaks[1] - peaks[0] <= 1.5 * extra_result_bytes
 
 
 def test_grid_engine_matches_op_composition(experiment_stack):
@@ -322,6 +405,57 @@ def test_gain_curve_golden_regression():
         assert point.beta_over_half_delta == pytest.approx(b_norm, rel=1e-9)
         assert point.re_gamma_plus == pytest.approx(re_g, rel=1e-9, abs=1e-12)
         assert point.r_squared == pytest.approx(rr, rel=1e-6)
+
+
+def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
+    """Reference gain sweep: one config, kinematics batch and model
+    evaluation per (beta, model), as the sweep ran before every beta
+    shared one batch."""
+    from spdc_etalon import GainCurvePoint, gain_term, refractive_index
+
+    stack = config.build_stack()
+    e_fwd, _e_bwd, kp_par = spectra._pump_state(config, stack)
+    lam_deg = 2.0 * config.pump_wavelength_nm
+    n_deg = refractive_index(stack.film, lam_deg)
+    ks_deg = 2.0 * np.pi * n_deg / lam_deg
+    delta_deg = stack.thickness_nm * (kp_par - 2.0 * ks_deg)
+    half_delta = abs(delta_deg) / 2.0
+
+    lams = config.signal_wavelengths()
+    points = []
+    for scale in np.asarray(beta_values, dtype=float):
+        cfg = replace(
+            config, beta_plus=complex(scale), chi2_pm_per_v=None, pump_field_v_per_m=None
+        )
+        curves = {}
+        for model in ("rigorous", "simplified"):
+            (values,), (mask,) = spectra._evaluate_pixels(
+                cfg, stack, lams, np.zeros(1), [(model, None)], ("ff",), threads
+            )
+            curves[model] = values["ff"], mask
+        (rig, mask_r), (smp, mask_s) = curves["rigorous"], curves["simplified"]
+        beta_abs = abs(scale * e_fwd)
+        points.append(
+            GainCurvePoint(
+                beta_scale=float(scale),
+                beta_plus_abs=float(beta_abs),
+                beta_over_half_delta=float(beta_abs / half_delta),
+                re_gamma_plus=float(np.real(gain_term(beta_abs, delta_deg))),
+                r_squared=r_squared(smp, rig, mask=mask_r | mask_s),
+            )
+        )
+    return points
+
+
+def test_gain_curve_equals_one_beta_per_call_reference(monkeypatch):
+    cfg = parse_config(config_text(lambda_count=128, theta_count=2))
+    betas = [1e-3, 0.1, 1.0, 2.0, 3.5]
+    reference = _gain_curve_one_beta_per_call(cfg, betas)
+    assert all(np.isfinite(p.r_squared) for p in reference)
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 37)
+    assert spectra._CHUNK_PIXELS < cfg.lambda_count
+    for threads in (1, 3):
+        assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
 
 
 def test_random_stacks_low_gain_equivalence(rng):
