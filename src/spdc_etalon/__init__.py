@@ -46,7 +46,6 @@ from .rigorous import (
     scattering_matrix,
 )
 from .simplified import (
-    PumpProfile,
     SCHEMES,
     filter_function,
     low_gain_interaction_matrix,
@@ -100,7 +99,6 @@ __all__ = [
     "interaction_params",
     "pair_probabilities",
     "scattering_matrix",
-    "PumpProfile",
     "SCHEMES",
     "filter_function",
     "low_gain_interaction_matrix",

@@ -38,13 +38,63 @@ __all__ = ["run", "main"]
 
 COMMANDS = ("spectrum", "compare", "gain-curve", "transmission", "detection")
 
-# Cell spelling per numpy dtype kind: floats keep 9 significant digits
-# ('nan', 'inf', '-inf' and '-0' as printf writes them), integers and the
-# bool mask are written as integers, strings as they are.
-_CELL_SPECS = {"f": "%.9g", "i": "%d", "b": "%d", "U": "%s"}
-# Rows formatted per write: bounds the memory of the formatted text and of
-# the Python objects behind it, whatever the row count.
+# Cell spelling: floats are printf '%.9g' (9 significant digits; 'nan',
+# 'inf', '-inf' and '-0' as printf writes them, see `_format_g9`), the bool
+# mask is 0/1, and integers and strings go through these printf specs.
+_CELL_SPECS = {"i": "%d", "U": "%s"}
+# Rows formatted per write: bounds the memory of the byte buffers behind
+# one write, whatever the row count.
 _BLOCK_ROWS = 8192
+
+# Tables of the '%.9g' kernel, one row per decimal exponent e at row
+# e + _E0; the fast path sees e in [-14, 15].
+_E0 = 14
+_EXPS = range(-_E0, 17)
+
+
+def _words(values):
+    """Little-endian uint64 words; a bytes value is spelled in its word."""
+    return np.array(
+        [int.from_bytes(v, "little") if isinstance(v, bytes) else v for v in values], "<u8"
+    )
+
+
+def _fixed(e):
+    """'%.9g' writes exponents -4..8 without 'e'."""
+    return -4 <= e < 9
+
+
+# 10**(8 - e) scales |x| in [10**e, 10**(e+1)) to its 9-digit significand:
+# an exact double for e <= 8, a correctly rounded reciprocal above.
+_SCALE = np.array([float(10 ** (8 - e)) if e <= 8 else 1 / float(10 ** (e - 8)) for e in _EXPS])
+# The decimal point follows digit _POINT of the run: after the integer
+# digits, after the first digit in exponent notation, after the leading 0
+# of 0.000ddd.  A 0 digit is inserted there into the 9-digit significand q,
+# which is split at _INSERT (0.000ddd needs no split: its leading 0 comes
+# from left-aligning), and the run is left-aligned in 14 digits by _ALIGN.
+_POINT = np.array([e if 0 <= e < 9 else 0 for e in _EXPS])
+_MIN_DIGITS = _POINT + 1  # digits kept even when they are trailing zeros
+_INSERT = np.array(
+    [1e9 if e < 0 and _fixed(e) else float(10 ** (8 - p)) for e, p in zip(_EXPS, _POINT.tolist())]
+)
+_ALIGN = np.array([float(10 ** (4 + e)) if e < 0 and _fixed(e) else 1e4 for e in _EXPS])
+# XOR turns the inserted '0' into '.'; bytes 0-7 and 8-13 of the run.
+_DOT_HI = _words([0x1E << 8 * (p + 1) if p < 7 else 0 for p in _POINT.tolist()])
+_DOT_LO = _words([0x1E << 8 * (p - 7) if p >= 7 else 0 for p in _POINT.tolist()])
+_SUFFIX = _words([b"\0\0\0" + (b"" if _fixed(e) else b"e%+03d" % e) for e in _EXPS])
+# AND keeps the first n bytes of the run.
+_KEEP_HI = _words([(1 << 8 * min(n, 8)) - 1 for n in range(15)])
+_KEEP_LO = _words([(1 << 8 * max(n - 8, 0)) - 1 for n in range(15)])
+_ASCII = np.arange(ord("0"), ord("9") + 1, dtype="<u8")
+_D4 = (  # the 4 ASCII digits of v, in the low bytes of word v
+    _ASCII[:, None, None, None]
+    | _ASCII[:, None, None] << np.uint64(8)
+    | _ASCII[:, None] << np.uint64(16)
+    | _ASCII << np.uint64(24)
+).ravel()
+_D4_HI = _D4 << np.uint64(32)
+_D2_HI = _D4[:100] << np.uint64(16)
+_SLOT = 16  # bytes per float cell: the longest '%.9g' of a double
 
 
 def _header_lines(config, command):
@@ -54,39 +104,152 @@ def _header_lines(config, command):
     return lines
 
 
+def _format_g9(x):
+    """'%.9g' of every element of `x` as (n, _SLOT) uint8, NUL-padded.
+
+    A cell's bytes appear in order, with NUL bytes between and after them.
+    For 1e-13 <= |x| < 1e15 the 9-digit significand is |x| times a
+    tabulated power of ten, rounded; that product is off by less than
+    2e-7, so the rounding is printf's wherever its fraction lies more
+    than 1e-6 from one half.  The digits, with a 0 inserted where the
+    decimal point goes and left-aligned in 14 digits (so 0.000ddd gets its
+    leading zeros), are looked up four at a time as ASCII and packed into
+    two 64-bit words with the sign and the 'e+XX' suffix; masks turn the
+    inserted 0 into '.' and drop trailing zeros.  Zeros become '0' or
+    '-0'.  The other cells (near-ties, nan, inf, tiny and huge values) are
+    formatted by printf itself.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-13) & (a < 1e15)
+    zero = a == 0
+    a[~fast] = 1.0
+    i = np.floor(np.log10(a)).astype(np.intp)
+    i += _E0
+    m = a * _SCALE[i]
+    q = np.rint(m)
+    m -= q
+    np.abs(m, out=m)
+    slow = m >= 0.5 - 1e-6
+    # log10 can be off by one only next to a power of ten, where q comes
+    # out as 1e8 or 1e9 (see `over`); anything else goes to printf.
+    slow |= q < 1e8
+    slow |= q > 1e9
+    slow |= ~fast & ~zero
+    over = q == 1e9
+    i[over] += 1
+    q[over] = 1e8
+    q[zero] = 0.0
+    p = _INSERT[i]
+    q += np.floor(q / p) * p * 9.0
+    q *= _ALIGN[i]
+    # ASCII of the 14-digit run, 4 + 4 | 4 + 2 digits at a time.
+    top = np.floor(q / 1e10)
+    q -= top * 1e10
+    mid = np.floor(q / 1e6)
+    q -= mid * 1e6
+    low = np.floor(q / 1e2)
+    q -= low * 1e2
+    run_hi = _D4[top.astype(np.intp)]
+    run_hi |= _D4_HI[mid.astype(np.intp)]
+    run_lo = _D4[low.astype(np.intp)]
+    run_lo |= _D2_HI[q.astype(np.intp)]
+    # Keep the run up to its last nonzero digit, found from the exponent of
+    # the digit values read as one float (highest set bit // 8).
+    f = (run_lo ^ np.uint64(0x303030303030)).astype(np.float64)
+    f *= 2.0**64
+    f += (run_hi ^ np.uint64(0x3030303030303030)).astype(np.float64)
+    keep = (f.view(np.int64) >> 52) - 1015 >> 3
+    np.maximum(keep, _MIN_DIGITS[i], out=keep)
+    run_hi ^= _DOT_HI[i]
+    run_hi &= _KEEP_HI[keep]
+    run_lo ^= _DOT_LO[i]
+    run_lo &= _KEEP_LO[keep]
+    # Cell bytes: the sign, the 14-byte run, the exponent suffix at 11-14.
+    out = np.empty((x.size, 2), "<u8")
+    word = run_hi << np.uint64(8)
+    word |= (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-"))
+    out[:, 0] = word
+    run_hi >>= np.uint64(56)
+    run_lo <<= np.uint64(8)
+    run_lo |= run_hi
+    np.bitwise_or(run_lo, _SUFFIX[i], out=out[:, 1])
+    if slow.any():
+        out[slow] = _text_cells("%.9g", x[slow], _SLOT).view("<u8")
+    return out.view(np.uint8)
+
+
+def _text_cells(spec, values, width=None):
+    """printf `spec` of each value as (n, width) uint8, NUL-padded."""
+    cells = [(spec % v).encode("utf-8") for v in values.tolist()]
+    if any(b"\0" in c for c in cells):
+        raise ValueError("a text cell contains a NUL byte")
+    slots = np.array(cells, dtype=f"S{width}" if width else bytes)
+    return slots.view(np.uint8).reshape(len(cells), slots.dtype.itemsize)
+
+
+def _cells(col):
+    """Bytes of the cells of `col` in C order, one NUL-padded row each."""
+    if col.dtype.kind == "f":
+        return _format_g9(col)
+    if col.dtype.kind == "b":
+        return col.reshape(-1, 1).view(np.uint8) + np.uint8(ord("0"))
+    return _text_cells(_CELL_SPECS[col.dtype.kind], col.ravel())
+
+
 def _write_csv(path, config, command, columns, data):
     """Write one CSV atomically; remove partial output on failure.
 
     `data` holds one array per name in `columns`; the arrays broadcast to
     one shape, whose elements are the rows in C order.  A column smaller
-    than that shape (a grid axis) has each element formatted once.  Each
-    row is formatted by one printf template built from the column dtypes
-    (see `_CELL_SPECS`), about `_BLOCK_ROWS` rows per write.
+    than that shape (a grid axis) has each element formatted once.  Rows
+    are written about `_BLOCK_ROWS` at a time: each block is one uint8
+    array with a NUL-padded slot per cell and ',' and '\\n' at fixed
+    columns, written without its NUL bytes.  Text cells must not contain
+    NUL.
     """
     if len(data) != len(columns):
         raise ValueError("need one data column per column name")
     data = [np.asarray(col) for col in data]
     shape = np.broadcast_shapes(*(col.shape for col in data))
     outer, inner = shape[0], math.prod(shape[1:])
-    specs = []
+    small = {}
     for k, col in enumerate(data):
-        spec = _CELL_SPECS[col.dtype.kind]
+        col = col.reshape((1,) * (len(shape) - col.ndim) + col.shape)
         if col.size < outer * inner:
-            cells = [spec % v for v in col.ravel().tolist()]
-            col = np.array(cells, dtype=object).reshape(col.shape)
-            spec = "%s"
-        data[k] = np.broadcast_to(col, shape).reshape(outer, inner)
-        specs.append(spec)
-    template = ",".join(specs) + "\n"
+            small[k] = _cells(col).reshape(*col.shape, -1)
+        data[k] = col
     step = max(1, _BLOCK_ROWS // inner)
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".part")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n")
+        with open(tmp, "wb") as fh:
+            header = "\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n"
+            fh.write(header.encode("utf-8"))
+            layout = None
             for lo in range(0, outer, step):
-                cells = [col[lo : lo + step].ravel().tolist() for col in data]
-                fh.write("".join([template % row for row in zip(*cells)]))
+                hi = min(lo + step, outer)
+                rows = (hi - lo) * inner
+                cells = []
+                for k, col in enumerate(data):
+                    if k in small:
+                        cells.append(small[k] if col.shape[0] == 1 else small[k][lo:hi])
+                        continue
+                    cells.append(_cells(col[lo:hi]).reshape(hi - lo, *shape[1:], -1))
+                widths = [c.shape[-1] for c in cells]
+                if layout != (rows, widths):
+                    # Reused while the layout holds: a fresh buffer per block
+                    # costs page faults and separator writes.
+                    layout = (rows, widths)
+                    buf = np.empty((rows, sum(widths) + len(widths)), np.uint8)
+                    ends = np.cumsum(widths) + np.arange(len(widths))
+                    buf[:, ends] = ord(",")
+                    buf[:, -1] = ord("\n")
+                grid = buf.reshape(hi - lo, *shape[1:], -1)
+                for c, end, w in zip(cells, ends, widths):
+                    # Copied as one V{w} item per cell, not byte by byte.
+                    grid[..., end - w : end].view(f"V{w}")[...] = c.view(f"V{w}")
+                fh.write(buf.tobytes().translate(None, b"\0"))
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,6 +8,7 @@ and `parse_config(serialize_config(cfg))` round-trips exactly.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import io
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .materials import MaterialModel, get_material, material_names
 from .layerstack import LayerStack
-from .simplified import SCHEMES, PumpProfile
+from .simplified import SCHEMES
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "material_from_spec"]
 
@@ -149,13 +150,6 @@ class RunConfig:
             chi2_pm_per_v=self.chi2_pm_per_v or 0.0,
         )
 
-    def pump_profile(self):
-        return PumpProfile(
-            wavelength_nm=self.pump_wavelength_nm,
-            waist_diameter_um=self.pump_waist_um,
-            beta_scale=self.beta_plus if self.beta_plus is not None else 0.0,
-        )
-
     def signal_wavelengths(self):
         return np.linspace(self.lambda_min_nm, self.lambda_max_nm, self.lambda_count)
 
@@ -216,9 +210,12 @@ def material_from_spec(spec):
 
 def _parse_number(section, key, raw, conv, what):
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: expected {what}, got {raw!r}") from None
+    if conv is not int and not cmath.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text):

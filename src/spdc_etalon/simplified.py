@@ -12,12 +12,9 @@ scattering-matrix model when the pump enhancement is complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PumpProfile",
     "SCHEMES",
     "sinc",
     "nonresonant_probability",
@@ -27,26 +24,6 @@ __all__ = [
 ]
 
 SCHEMES = ("ff", "bb", "fb", "bf")
-
-
-@dataclass(frozen=True)
-class PumpProfile:
-    """Pump beam description for the multiplicative model.
-
-    `beta_scale` is the bare dimensionless interaction strength of the
-    forward channel before etalon enhancement of the pump; the waist
-    is the 1/e^2 intensity diameter.
-    """
-
-    wavelength_nm: float
-    waist_diameter_um: float
-    beta_scale: complex = 0.0
-
-    def __post_init__(self):
-        if self.wavelength_nm <= 0:
-            raise ValueError("pump wavelength must be positive")
-        if self.waist_diameter_um <= 0:
-            raise ValueError("pump waist diameter must be positive")
 
 
 def sinc(x):

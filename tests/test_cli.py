@@ -1,4 +1,7 @@
+import configparser
 import hashlib
+import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,63 @@ def test_parse_missing_required_key():
 def test_parse_bad_number_reports_path():
     with pytest.raises(ConfigError, match="grid.theta_count"):
         parse_config(config_text(theta_count="many"))
+
+
+FLOAT_KEYS = [
+    ("stack", "thickness_um"),
+    ("stack", "chi2_pm_per_v"),
+    ("pump", "wavelength_nm"),
+    ("pump", "waist_um"),
+    ("pump", "beta_plus"),
+    ("pump", "field_v_per_m"),
+    ("grid", "lambda_min_nm"),
+    ("grid", "lambda_max_nm"),
+    ("grid", "theta_min_rad"),
+    ("grid", "theta_max_rad"),
+    ("detection", "envelope_center_nm"),
+    ("detection", "envelope_fwhm_nm"),
+    ("detection", "envelope_amplitude"),
+    ("detection", "efficiency_ratio"),
+    ("gain_curve", "beta_min"),
+    ("gain_curve", "beta_max"),
+]
+
+
+def test_float_keys_cover_the_schema():
+    from spdc_etalon.config import _SCHEMA
+
+    text_keys = {"superstrate", "film", "substrate", "kind", "schemes", "polarization",
+                 "scheme", "path"}
+    int_keys = {"lambda_count", "theta_count", "count"}
+    numeric = {(s, k) for s, keys in _SCHEMA.items() for k in keys if k not in text_keys | int_keys}
+    assert numeric == set(FLOAT_KEYS)
+
+
+NON_FINITE = [(s, k, raw) for s, k in FLOAT_KEYS for raw in ("nan", "inf", "-inf", "1e999")]
+NON_FINITE += [("pump", "beta_plus", "nan+1j"), ("pump", "beta_plus", "1+infj")]
+
+
+@pytest.mark.parametrize("section,key,raw", NON_FINITE)
+def test_parse_rejects_non_finite_numbers(section, key, raw):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(SMALL)
+    parser.setdefault(section, {})
+    parser[section][key] = raw
+    text = io.StringIO()
+    parser.write(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.getvalue())
+    assert str(err.value) == f"{section}.{key}: expected a finite number, got {raw!r}"
+
+
+def test_exit_code_non_finite_beta(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL.replace("beta_plus = 1e-3", "beta_plus = inf"))
+    out = tmp_path / "gain.csv"
+    assert main(["gain-curve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config error: pump.beta_plus: expected a finite number, got 'inf'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_inline_material_forms(tmp_path):
@@ -378,6 +438,16 @@ def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys)
     assert kept.read_bytes() == b"old bytes\n"
 
 
+def test_text_cell_with_nul_is_rejected(tmp_path):
+    # NUL pads the writer's byte slots, so it cannot be written as data.
+    out = tmp_path / "names.csv"
+    config = parse_config(SMALL)
+    with pytest.raises(ValueError, match="NUL"):
+        cli._write_csv(out, config, "table", ["name", "x"], [["ok", "b\0d"], [1.0, 2.0]])
+    assert not out.exists()
+    assert not out.with_suffix(".csv.part").exists()
+
+
 # ---- CSV writer against the per-cell reference formatter ---------------------
 
 
@@ -451,6 +521,83 @@ def test_grid_writer_matches_reference_formatter(tmp_path, monkeypatch, rng, blo
         for j, theta in enumerate(thetas)
     )
     assert written_lines(out) == reference_lines(config, "grid", columns, rows)
+
+
+def oracle_values(rng):
+    """Doubles that probe every branch of the '%.9g' kernel."""
+    parts = [random_doubles(rng, 150_000)]
+    scaled = rng.uniform(-1.0, 1.0, 10_000) * 10.0 ** rng.integers(-15, 17, 10_000)
+    parts += [np.round(scaled, d) for d in range(1, 12)]
+    # Ties of the 9th significant digit, exact in binary for j >= 0.
+    k = rng.integers(10**8, 10**9, 25_000)
+    parts.append((k + 0.5) * 10.0 ** rng.integers(-22, 7, k.size))
+    for j in range(-14, 17):
+        for base in (10.0**j, 9.9999999950 * 10.0**j):
+            up, down = [base], [base]
+            for _ in range(8):
+                up.append(np.nextafter(up[-1], np.inf))
+                down.append(np.nextafter(down[-1], -np.inf))
+            parts.append(np.array(up + down))
+    subnormal = np.arange(1, 2001, dtype=np.uint64).view(np.float64)
+    parts += [subnormal, 2.2250738585072014e-308 - subnormal, np.array(SPECIAL_FLOATS)]
+    x = np.concatenate(parts)
+    return np.concatenate([x, -x])
+
+
+def test_format_g9_matches_printf(rng):
+    x = oracle_values(rng)
+    assert x.size >= 500_000
+    slots = cli._format_g9(x)
+    assert slots.shape == (x.size, cli._SLOT)
+    rows = np.concatenate([slots, np.full((x.size, 1), ord("\n"), np.uint8)], axis=1)
+    got = rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    want = ["%.9g" % v for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want)
+    assert bad[:5] == []
+
+
+def test_format_g9_leaves_printf_to_near_ties(rng, monkeypatch):
+    # In 1e-13 <= |x| < 1e15 only values within 1e-6 of a rounding tie
+    # (2e-6 of uniform values) may reach printf; every exponent is probed.
+    x = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-13, 15, 100_000)
+    x[::2] *= -1
+    printed = []
+    text_cells = cli._text_cells
+
+    def counting(spec, values, width=None):
+        printed.append(values.size)
+        return text_cells(spec, values, width)
+
+    monkeypatch.setattr(cli, "_text_cells", counting)
+    cli._format_g9(x)
+    assert sum(printed) <= 5
+
+
+def test_writer_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
+    # Peak traced memory of a grid write with 4x the rows may grow by the
+    # axis slots only: nothing whole-grid, formatted or broadcast, is kept.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    config = parse_config(SMALL)
+    rng = np.random.default_rng(5)
+    columns = ["lambda", "theta", "ff", "bb", "fb", "bf", "masked"]
+
+    def peak(n_lams):
+        lams = np.linspace(1100.0, 2400.0, n_lams)[:, None]
+        thetas = np.linspace(-30.0, 30.0, 64)[None, :]
+        values = [rng.random((n_lams, 64)) for _ in range(4)]
+        mask = rng.random((n_lams, 64)) < 0.1
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "m.csv", config, "grid", columns, [lams, thetas, *values, mask])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The lambda slots grow by 192 * 16 B; a whole-grid copy of one float
+    # column's slots would add 196 KB.
+    block_buffer = 1024 * (6 * cli._SLOT + len(columns))
+    assert peak(256) - peak(64) <= block_buffer // 4
 
 
 def test_scheme_flag_validation(tmp_path, capsys):

@@ -573,3 +573,54 @@ def test_transmission_bounded_for_lossless_stack(small_config):
     assert np.all(trans <= 1.0 + 1e-12)
     assert np.all(trans >= 0.0)
     assert np.ptp(trans) > 0.1  # visible etalon fringes
+
+
+# ---- commutator preservation -------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 2.0])
+def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, beta):
+    # For a lossless stack the Bogoliubov map keeps the commutators of the
+    # signal and idler-dagger operators: U G U^dagger = G.  With a real
+    # beta on both pump branches this holds at every unmasked pixel; beta
+    # = 2 puts part of the grid above threshold (real gamma).
+    from spdc_etalon.layerstack import InterfaceCoeffs
+    from spdc_etalon.rigorous import (
+        InteractionParams,
+        boundary_matrices,
+        gain_term,
+        interaction_matrix,
+        scattering_matrix,
+    )
+
+    stack = small_config.build_stack()
+    lams = small_config.signal_wavelengths()
+    thetas = small_config.internal_angles()
+    with np.errstate(all="ignore"):
+        batch = spectra._build_batch(
+            small_config,
+            stack,
+            *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
+            spectra._pump_state(small_config, stack),
+        )
+        b = np.full(batch.delta.shape, beta, dtype=complex)
+        gamma = gain_term(b, batch.delta)
+        params = InteractionParams(b, b, gamma, gamma, batch.delta, batch.dk_par, batch.dk_perp)
+        u = scattering_matrix(
+            interaction_matrix(params),
+            *boundary_matrices(
+                InterfaceCoeffs(*batch.coeffs_s),
+                InterfaceCoeffs(*batch.coeffs_i),
+                batch.phi_s,
+                batch.phi_i,
+            ),
+            check_condition=False,
+        )
+    g = np.diag([1.0, -1.0, 1.0, -1.0])
+    live = ~batch.mask
+    assert live.mean() > 0.8
+    residual = np.abs(u[live] @ g @ np.conj(np.swapaxes(u[live], -1, -2)) - g)
+    assert residual.max() <= 1e-10
+    if beta == 2.0:
+        above = np.abs(gamma[live].real) > 0
+        assert 0 < above.mean() < 1
