@@ -50,7 +50,6 @@ from .simplified import (
     filter_function,
     low_gain_interaction_matrix,
     nonresonant_probability,
-    simplified_probability,
 )
 from .spectra import (
     EnvelopeModel,
@@ -103,7 +102,6 @@ __all__ = [
     "filter_function",
     "low_gain_interaction_matrix",
     "nonresonant_probability",
-    "simplified_probability",
     "EnvelopeModel",
     "GainCurvePoint",
     "SpectrumGrid",

@@ -41,7 +41,7 @@ COMMANDS = ("spectrum", "compare", "gain-curve", "transmission", "detection")
 # Cell spelling: floats are printf '%.9g' (9 significant digits; 'nan',
 # 'inf', '-inf' and '-0' as printf writes them, see `_format_g9`), the bool
 # mask is 0/1, and integers and strings go through these printf specs.
-_CELL_SPECS = {"i": "%d", "U": "%s"}
+_CELL_SPECS = {"i": "%d", "O": "%s"}
 # Rows formatted per write: bounds the memory of the byte buffers behind
 # one write, whatever the row count.
 _BLOCK_ROWS = 8192
@@ -197,6 +197,13 @@ def _cells(col):
     return _text_cells(_CELL_SPECS[col.dtype.kind], col.ravel())
 
 
+def _column(values):
+    """`values` as an array, text as str objects: numpy's str dtype would
+    drop a trailing NUL before `_text_cells` could reject it."""
+    col = np.asarray(values)
+    return np.asarray(values, dtype=object) if col.dtype.kind == "U" else col
+
+
 def _write_csv(path, config, command, columns, data):
     """Write one CSV atomically; remove partial output on failure.
 
@@ -210,7 +217,7 @@ def _write_csv(path, config, command, columns, data):
     """
     if len(data) != len(columns):
         raise ValueError("need one data column per column name")
-    data = [np.asarray(col) for col in data]
+    data = [_column(col) for col in data]
     shape = np.broadcast_shapes(*(col.shape for col in data))
     outer, inner = shape[0], math.prod(shape[1:])
     small = {}

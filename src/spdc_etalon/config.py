@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError("pump.waist_um: must be positive")
         if self.lambda_count < 2 or self.theta_count < 2:
             raise ConfigError("grid: lambda_count and theta_count must be >= 2")
+        if self.lambda_count * self.theta_count > np.iinfo(np.intp).max:
+            raise ConfigError("grid: lambda_count * theta_count pixels cannot be indexed")
         if not self.lambda_min_nm < self.lambda_max_nm:
             raise ConfigError("grid: lambda_min_nm must be < lambda_max_nm")
         if not self.theta_min_rad < self.theta_max_rad:

@@ -79,30 +79,14 @@ class FieldEnhancements:
 
     a1 (forward emission) and a3 (backward emission) carry the
     direct / once-reflected routing for the forward- and
-    backward-driven generation channels.  When the factors are
-    evaluated for an idler mode, read them through the a2/a4 aliases.
+    backward-driven generation channels.  Evaluated on an idler mode,
+    a1 and a3 play the role of the idler factors a2 and a4.
     """
 
     a1p: complex
     a1m: complex
     a3p: complex
     a3m: complex
-
-    @property
-    def a2p(self):
-        return self.a1p
-
-    @property
-    def a2m(self):
-        return self.a1m
-
-    @property
-    def a4p(self):
-        return self.a3p
-
-    @property
-    def a4m(self):
-        return self.a3m
 
 
 def _complex_cos(sin_sq):
@@ -190,8 +174,8 @@ def round_trip_denominator(r1, r2, phase):
     return 1.0 - r1 * r2 * np.exp(2j * np.asarray(phase, dtype=float))
 
 
-def _checked_denominator(r1, r2, phase):
-    den = round_trip_denominator(r1, r2, phase)
+def _check_pole(den):
+    """The round-trip denominator `den`, unless it vanishes anywhere."""
     if np.any(np.abs(den) < POLE_TOLERANCE):
         raise ResonancePoleError(
             "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
@@ -206,7 +190,7 @@ def pump_enhancement(coeffs, phase_p):
     The backward amplitude is exactly the forward one after one
     reflection at interface 2 plus a single-pass phase.
     """
-    den = _checked_denominator(coeffs.r1, coeffs.r2, phase_p)
+    den = _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_p))
     forward = coeffs.t1 / den
     backward = coeffs.r2 * np.exp(1j * phase_p) * forward
     return forward, backward
@@ -221,11 +205,26 @@ def enhancement_arrays(t1, r1, t2, r2, phase):
 
 def field_enhancements(coeffs, phase_mode):
     """Etalon enhancement factors of one down-converted film mode."""
-    _checked_denominator(coeffs.r1, coeffs.r2, phase_mode)
+    _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode))
     a1p, a1m, a3p, a3m = enhancement_arrays(
         coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode
     )
     return FieldEnhancements(a1p=a1p, a1m=a1m, a3p=a3p, a3m=a3m)
+
+
+def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization):
+    """Airy power transmittance |t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2.
+
+    Scalar or array wavelength/angle.  Returns (transmittance,
+    round-trip denominator), without pole checking.
+    """
+    t1, r1, t2, r2 = coefficient_arrays(stack, wavelength_nm, internal_angle_rad, polarization)
+    n = refractive_index(stack.film, wavelength_nm)
+    phi = stack.thickness_nm * 2.0 * np.pi * n / wavelength_nm * np.cos(internal_angle_rad)
+    den = round_trip_denominator(r1, r2, phi)
+    with np.errstate(all="ignore"):
+        trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
+    return trans, den
 
 
 def linear_transmission(stack, mode):
@@ -236,8 +235,8 @@ def linear_transmission(stack, mode):
     ratio (n_out cos / n_in cos).  Serves as a linear-optics check of
     the Fresnel and phase machinery.
     """
-    coeffs = interface_coeffs(stack, mode)
-    phi = propagation_phase(stack, mode)
-    den = _checked_denominator(coeffs.r1, coeffs.r2, phi)
-    amp = coeffs.t1 * coeffs.t2 * np.exp(1j * phi) / den
-    return float(np.abs(amp) ** 2)
+    trans, den = _airy_transmission(
+        stack, mode.vacuum_wavelength_nm, mode.internal_angle_rad, mode.polarization
+    )
+    _check_pole(den)
+    return float(trans)

@@ -103,11 +103,6 @@ class MaterialModel:
             name=name,
         )
 
-    @property
-    def bounds_nm(self):
-        """Validity range as (min, max), or None when unbounded."""
-        return self.valid_range_nm
-
 
 @dataclass(frozen=True)
 class Mode:
@@ -134,7 +129,7 @@ class Mode:
 
 
 def _check_range(model, wavelength_nm):
-    bounds = model.bounds_nm
+    bounds = model.valid_range_nm
     lam = np.asarray(wavelength_nm, dtype=float)
     if np.any(lam <= 0):
         raise MaterialRangeError(
@@ -194,7 +189,7 @@ def index_with_mask(model, wavelength_nm):
     """
     lam = np.asarray(wavelength_nm, dtype=float)
     valid = lam > 0
-    bounds = model.bounds_nm
+    bounds = model.valid_range_nm
     if bounds is not None:
         valid = valid & (lam >= bounds[0]) & (lam <= bounds[1])
         lam = np.clip(lam, bounds[0], bounds[1])

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT_M_S = 2.99792458e8
+# Smallest parallel wavevector (rad/nm) of a propagating signal or idler;
+# sweeps mask pixels at or below it.
+KPAR_FLOOR = 1e-12
 SINHC_SERIES_CUTOFF = 1e-4
 CONDITION_LIMIT = 1e12
 
@@ -84,7 +87,8 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     used for all three waves.
 
     Raises GeometryError when the signal or idler parallel wavevector
-    is not positive (mode at or past grazing).
+    is not above KPAR_FLOOR (mode at or past grazing), where sweeps
+    mask the pixel.
     """
     n_p = refractive_index(stack.film, pump_mode.vacuum_wavelength_nm)
     n_s = refractive_index(stack.film, signal_mode.vacuum_wavelength_nm)
@@ -92,22 +96,15 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     kp_par, kp_perp = wavevector_components(pump_mode, n_p)
     ks_par, ks_perp = wavevector_components(signal_mode, n_s)
     ki_par, ki_perp = wavevector_components(idler_mode, n_i)
-    if ks_par <= 0 or ki_par <= 0:
+    if ks_par <= KPAR_FLOOR or ki_par <= KPAR_FLOOR:
         raise GeometryError("signal/idler parallel wavevector must be positive")
 
     dk_par = kp_par - ks_par - ki_par
     dk_perp = kp_perp - ks_perp - ki_perp
     delta = stack.thickness_nm * dk_par
 
-    # Interaction strength in SI: 2 pi w_s w_i chi2 L E0 / (c^2 sqrt(ks ki)).
-    omega_s = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (signal_mode.vacuum_wavelength_nm * 1e-9)
-    omega_i = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (idler_mode.vacuum_wavelength_nm * 1e-9)
-    chi2_m_per_v = stack.chi2_pm_per_v * 1e-12
-    length_m = stack.thickness_nm * 1e-9
-    k_product = np.sqrt((ks_par * 1e9) * (ki_par * 1e9))
-    prefactor = (
-        2.0 * np.pi * omega_s * omega_i * chi2_m_per_v * length_m
-        / (SPEED_OF_LIGHT_M_S ** 2 * k_product)
+    prefactor = _coupling_prefactor(
+        stack, signal_mode.vacuum_wavelength_nm, idler_mode.vacuum_wavelength_nm, ks_par, ki_par
     )
     e_fwd, e_bwd = pump_field_amplitudes
     beta_plus = prefactor * e_fwd
@@ -121,6 +118,21 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
         delta_k_par=float(dk_par),
         delta_k_perp=float(dk_perp),
     )
+
+
+def _coupling_prefactor(stack, lam_s, lam_i, ks_par, ki_par):
+    """Interaction strength per unit pump field (m/V), SI:
+    2 pi w_s w_i chi2 L / (c^2 sqrt(ks ki)).
+
+    Wavelengths in nm, parallel wavevectors in rad/nm (floored at
+    KPAR_FLOOR); scalar or array.
+    """
+    omega_s = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_s * 1e-9)
+    omega_i = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_i * 1e-9)
+    chi2 = stack.chi2_pm_per_v * 1e-12
+    length_m = stack.thickness_nm * 1e-9
+    k_prod = np.sqrt(np.maximum(ks_par, KPAR_FLOOR) * np.maximum(ki_par, KPAR_FLOOR)) * 1e9
+    return 2.0 * np.pi * omega_s * omega_i * chi2 * length_m / (SPEED_OF_LIGHT_M_S ** 2 * k_prod)
 
 
 def _sinhc(gamma):
@@ -243,41 +255,29 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)
 
 
+# Rows of U per scheme: signal output row s, idler output row i, and
+# the rows (j, k) of the interference term Re(U_j0 U_k2 U*_k0 U*_j2),
+# whose product order is kept as the closed forms were first written.
+_SCHEME_ROWS = {"ff": (0, 1, 0, 1), "bb": (2, 3, 2, 3), "fb": (0, 3, 3, 0), "bf": (2, 1, 2, 1)}
+
+
 def pair_probabilities(u):
     """Relative pair-emission probabilities for the four schemes.
 
-    Vacuum moments of the output operators reduce to closed forms in
-    the scattering-matrix entries; these are implemented verbatim.
+    Vacuum moments of the output operators reduce to one closed form in
+    the scattering-matrix entries of the scheme's signal and idler rows.
     """
     u = np.asarray(u, dtype=complex)
     a = np.abs(u)
-
-    def row(i):
-        return a[..., i, 0], a[..., i, 1], a[..., i, 2], a[..., i, 3]
-
-    a10, a11, a12, a13 = row(0)
-    a30, a31, a32, a33 = row(2)
-
-    ff = (
-        a[..., 1, 0] ** 2 * (a10 ** 2 + a11 ** 2 + a13 ** 2)
-        + a[..., 1, 2] ** 2 * (a12 ** 2 + a11 ** 2 + a13 ** 2)
-        + 2.0 * np.real(u[..., 0, 0] * u[..., 1, 2] * np.conj(u[..., 1, 0]) * np.conj(u[..., 0, 2]))
-    )
-    bb = (
-        a[..., 3, 0] ** 2 * (a30 ** 2 + a31 ** 2 + a33 ** 2)
-        + a[..., 3, 2] ** 2 * (a32 ** 2 + a31 ** 2 + a33 ** 2)
-        + 2.0 * np.real(u[..., 2, 0] * u[..., 3, 2] * np.conj(u[..., 3, 0]) * np.conj(u[..., 2, 2]))
-    )
-    fb = (
-        a[..., 3, 0] ** 2 * (a10 ** 2 + a11 ** 2 + a13 ** 2)
-        + a[..., 3, 2] ** 2 * (a11 ** 2 + a12 ** 2 + a13 ** 2)
-        + 2.0 * np.real(u[..., 3, 0] * u[..., 0, 2] * np.conj(u[..., 0, 0]) * np.conj(u[..., 3, 2]))
-    )
-    bf = (
-        a[..., 1, 0] ** 2 * (a30 ** 2 + a31 ** 2 + a33 ** 2)
-        + a[..., 1, 2] ** 2 * (a32 ** 2 + a31 ** 2 + a33 ** 2)
-        + 2.0 * np.real(u[..., 2, 0] * u[..., 1, 2] * np.conj(u[..., 1, 0]) * np.conj(u[..., 2, 2]))
-    )
-    if ff.ndim == 0:
-        return PairProbabilities(ff=float(ff), bb=float(bb), fb=float(fb), bf=float(bf))
-    return PairProbabilities(ff=ff, bb=bb, fb=fb, bf=bf)
+    probs = {}
+    for scheme, (s, i, j, k) in _SCHEME_ROWS.items():
+        probs[scheme] = (
+            a[..., i, 0] ** 2 * (a[..., s, 0] ** 2 + a[..., s, 1] ** 2 + a[..., s, 3] ** 2)
+            + a[..., i, 2] ** 2 * (a[..., s, 2] ** 2 + a[..., s, 1] ** 2 + a[..., s, 3] ** 2)
+            + 2.0 * np.real(
+                u[..., j, 0] * u[..., k, 2] * np.conj(u[..., k, 0]) * np.conj(u[..., j, 2])
+            )
+        )
+    if probs["ff"].ndim == 0:
+        probs = {scheme: float(p) for scheme, p in probs.items()}
+    return PairProbabilities(**probs)

@@ -12,6 +12,8 @@ scattering-matrix model when the pump enhancement is complex.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
 __all__ = [
@@ -20,10 +22,13 @@ __all__ = [
     "nonresonant_probability",
     "low_gain_interaction_matrix",
     "filter_function",
-    "simplified_probability",
 ]
 
 SCHEMES = ("ff", "bb", "fb", "bf")
+# Per scheme, where the (signal, idler) pair is collected: 0 = forward
+# emission (a1+, a1-), 2 = backward emission (a3+, a3-), as offsets into
+# a mode's (a1+, a1-, a3+, a3-).  On the idler these are a2 and a4.
+_SCHEME_FACTORS = {"ff": (0, 0), "bb": (2, 2), "fb": (0, 2), "bf": (2, 0)}
 
 
 def sinc(x):
@@ -41,10 +46,18 @@ def nonresonant_probability(delta_k_par, delta_k_perp, thickness_nm, waist_um):
     """
     if thickness_nm <= 0 or waist_um <= 0:
         raise ValueError("thickness and waist must be positive")
-    half = np.asarray(delta_k_par, dtype=float) * thickness_nm / 2.0
-    waist_nm = waist_um * 1e3
-    gauss = np.exp(-(np.asarray(delta_k_perp, dtype=float) * waist_nm) ** 2 / 2.0)
-    return sinc(half) ** 2 * gauss
+    delta = thickness_nm * np.asarray(delta_k_par, dtype=float)
+    return _nonresonant(delta, _pump_profile(np.asarray(delta_k_perp, dtype=float), waist_um))
+
+
+def _pump_profile(delta_k_perp, waist_um):
+    """Transverse pump-overlap factor |F_p|^2 = exp(-(dk_perp w)^2 / 2)."""
+    return np.exp(-((delta_k_perp * (waist_um * 1e3)) ** 2) / 2.0)
+
+
+def _nonresonant(delta, profile):
+    """sinc^2(delta / 2) times the pump profile, delta = dk_par L."""
+    return sinc(delta / 2.0) ** 2 * profile
 
 
 def low_gain_interaction_matrix(params):
@@ -76,24 +89,21 @@ def filter_function(scheme, beta_plus, beta_minus, signal_enh, idler_enh):
     of the rigorous model (for real pump enhancement the conjugation
     is a no-op).
     """
-    if scheme == "ff":
-        plus = signal_enh.a1p * idler_enh.a2p
-        minus = signal_enh.a1m * idler_enh.a2m
-    elif scheme == "bb":
-        plus = signal_enh.a3p * idler_enh.a4p
-        minus = signal_enh.a3m * idler_enh.a4m
-    elif scheme == "fb":
-        plus = signal_enh.a1p * idler_enh.a4p
-        minus = signal_enh.a1m * idler_enh.a4m
-    elif scheme == "bf":
-        plus = signal_enh.a3p * idler_enh.a2p
-        minus = signal_enh.a3m * idler_enh.a2m
-    else:
+    if scheme not in _SCHEME_FACTORS:
         raise ValueError(f"scheme must be one of {SCHEMES}")
-    amp = np.conj(beta_plus) * plus + np.conj(beta_minus) * minus
-    return np.abs(amp) ** 2
+    products = _scheme_products(scheme, astuple(signal_enh), astuple(idler_enh))
+    return _filter_strength(beta_plus, beta_minus, *products)
 
 
-def simplified_probability(p, s):
-    """Resonant emission probability as the product P x S."""
-    return p * s
+def _scheme_products(scheme, signal, idler):
+    """(plus, minus) enhancement products of one scheme, per pump branch.
+
+    `signal` and `idler` are the (a1+, a1-, a3+, a3-) of each mode.
+    """
+    s, i = _SCHEME_FACTORS[scheme]
+    return signal[s] * idler[i], signal[s + 1] * idler[i + 1]
+
+
+def _filter_strength(beta_plus, beta_minus, plus, minus):
+    """|conj(beta+) plus + conj(beta-) minus|^2."""
+    return np.abs(np.conj(beta_plus) * plus + np.conj(beta_minus) * minus) ** 2

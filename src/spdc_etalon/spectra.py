@@ -18,25 +18,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ResonancePoleError, ZeroVarianceError
+from .errors import GeometryError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
     InterfaceCoeffs,
     coefficient_arrays,
     enhancement_arrays,
+    pump_enhancement,
     round_trip_denominator,
+    _airy_transmission,
 )
 from .materials import Mode, index_with_mask, refractive_index
 from .rigorous import (
-    SPEED_OF_LIGHT_M_S,
+    KPAR_FLOOR,
     InteractionParams,
     boundary_matrices,
     gain_term,
     interaction_matrix,
     pair_probabilities,
     scattering_matrix,
+    _coupling_prefactor,
 )
-from .simplified import sinc
+from .simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
 
 __all__ = [
     "SpectrumGrid",
@@ -52,7 +55,6 @@ __all__ = [
     "transmission_curve",
 ]
 
-_KPAR_FLOOR = 1e-12
 # Pixels per kinematics batch.  Every sweep evaluates its pixels in
 # chunks of this size, whatever the thread count, so the working set of
 # the rigorous path (about 2.3 KB per pixel) is bounded by the chunk.
@@ -132,17 +134,11 @@ def solve_idler(pump, signal, stack):
             "energy conservation requires the signal wavelength to exceed the "
             "pump wavelength"
         )
-    # Rational form of 1/lam_i = 1/lam_p - 1/lam_s; exact for the
-    # degenerate case in floating point.
-    lam_p = pump.vacuum_wavelength_nm
     lam_s = signal.vacuum_wavelength_nm
-    lam_i = lam_p * lam_s / (lam_s - lam_p)
-    n_s = refractive_index(stack.film, signal.vacuum_wavelength_nm)
-    n_i = refractive_index(stack.film, lam_i)
-    k_s = 2.0 * np.pi * n_s / signal.vacuum_wavelength_nm
-    k_i = 2.0 * np.pi * n_i / lam_i
-    ratio = np.clip(-k_s * np.sin(signal.internal_angle_rad) / k_i, -1.0, 1.0)
-    theta_i = float(np.arcsin(ratio))
+    lam_i = _idler_wavelength(pump.vacuum_wavelength_nm, lam_s)
+    k_s = 2.0 * np.pi * refractive_index(stack.film, lam_s) / lam_s
+    k_i = 2.0 * np.pi * refractive_index(stack.film, lam_i) / lam_i
+    theta_i = _idler_angle(k_s, k_i, signal.internal_angle_rad)
     # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
     # interval, the grazing pixel is masked downstream anyway.
     limit = np.pi / 2 - 1e-12
@@ -153,6 +149,18 @@ def solve_idler(pump, signal, stack):
         polarization=signal.polarization,
         role="idler",
     )
+
+
+def _idler_wavelength(lam_p, lam_s):
+    """Rational form of 1/lam_i = 1/lam_p - 1/lam_s; exact for the
+    degenerate case in floating point."""
+    return lam_p * lam_s / (lam_s - lam_p)
+
+
+def _idler_angle(k_s, k_i, theta_s):
+    """Idler angle zeroing the transverse mismatch k_s sin(theta_s) +
+    k_i sin(theta_i), clamped to grazing where no real angle does."""
+    return np.arcsin(np.clip(-k_s * np.sin(theta_s) / k_i, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +194,14 @@ class _PixelBatch:
 
 
 def _pump_state(config, stack):
-    """Pump-side constants: enhancement amplitudes and phase."""
-    pol = config.polarization
+    """Pump-side constants: enhancement amplitudes and parallel wavevector."""
     lam_p = config.pump_wavelength_nm
-    t1, r1, t2, r2 = coefficient_arrays(stack, lam_p, 0.0, pol)
+    coeffs = coefficient_arrays(stack, lam_p, 0.0, config.polarization)
     n_p = refractive_index(stack.film, lam_p)
+    # Keep this evaluation order of L k_p: the golden outputs pin its bits.
     phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
-    den = round_trip_denominator(r1, r2, phi_p)
-    if abs(den) < POLE_TOLERANCE:
-        raise ResonancePoleError("pump etalon sits exactly on a lossless resonance pole")
-    e_fwd = t1 / den
-    e_bwd = r2 * np.exp(1j * phi_p) * e_fwd
-    kp_par = 2.0 * np.pi * n_p / lam_p
-    return e_fwd, e_bwd, kp_par
-
-
-def _field_betas(config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd):
-    """Forward/backward strengths of the chi2/field route, per pixel.
-
-    The full kinematic prefactor 2 pi w_s w_i chi2 L / (c^2 sqrt(ks ki))
-    times the pump field applies pixel by pixel.
-    """
-    omega_s = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_s * 1e-9)
-    omega_i = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (lam_i * 1e-9)
-    chi2 = (stack.chi2_pm_per_v or 0.0) * 1e-12
-    length_m = stack.thickness_nm * 1e-9
-    k_prod = np.sqrt(np.maximum(ks_par, _KPAR_FLOOR) * np.maximum(ki_par, _KPAR_FLOOR)) * 1e9
-    pref = 2.0 * np.pi * omega_s * omega_i * chi2 * length_m / (SPEED_OF_LIGHT_M_S ** 2 * k_prod)
-    pump_field = config.pump_field_v_per_m
-    return pref * pump_field * e_fwd, pref * pump_field * e_bwd
+    e_fwd, e_bwd = pump_enhancement(InterfaceCoeffs(*coeffs), phi_p)
+    return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
 
 
 def _uniform_betas(scale, e_fwd, e_bwd, shape):
@@ -244,8 +231,7 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
     theta_s = np.asarray(theta_s, dtype=float)
     mask = ~np.isfinite(lam_s) | (lam_s <= lam_p)
 
-    lam_s_pos = np.where(mask, 2.0 * lam_p, lam_s)
-    lam_i = np.where(mask, 2.0 * lam_p, lam_p * lam_s_pos / (lam_s_pos - lam_p))
+    lam_i = _idler_wavelength(lam_p, np.where(mask, 2.0 * lam_p, lam_s))
 
     idx_s, ok_s = _masked_indices(stack, lam_s)
     idx_i, ok_i = _masked_indices(stack, lam_i)
@@ -255,12 +241,11 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
     n_i = idx_i[1]
     k_s = 2.0 * np.pi * n_s / np.where(lam_s > 0, lam_s, 1.0)
     k_i = 2.0 * np.pi * n_i / lam_i
-    ratio = np.clip(-k_s * np.sin(theta_s) / k_i, -1.0, 1.0)
-    theta_i = np.arcsin(ratio)
+    theta_i = _idler_angle(k_s, k_i, theta_s)
 
     ks_par = k_s * np.cos(theta_s)
     ki_par = k_i * np.cos(theta_i)
-    mask |= (ks_par <= _KPAR_FLOOR) | (ki_par <= _KPAR_FLOOR)
+    mask |= (ks_par <= KPAR_FLOOR) | (ki_par <= KPAR_FLOOR)
 
     # Beyond the critical angle of either photon at either outer
     # interface there is no propagating external channel; the boundary
@@ -287,13 +272,9 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
         mask |= np.abs(den) < POLE_TOLERANCE
 
     beta_p = beta_m = None
-    if config.beta_plus is None:
-        beta_p, beta_m = _field_betas(
-            config, stack, lam_s, lam_i, ks_par, ki_par, e_fwd, e_bwd
-        )
-
-    waist_nm = config.pump_waist_um * 1e3
-    gauss = np.exp(-((dk_perp * waist_nm) ** 2) / 2.0)
+    if config.beta_plus is None:  # chi2/field route
+        pref = _coupling_prefactor(stack, lam_s, lam_i, ks_par, ki_par) * config.pump_field_v_per_m
+        beta_p, beta_m = pref * e_fwd, pref * e_bwd
 
     return _PixelBatch(
         delta=delta,
@@ -305,7 +286,7 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
         coeffs_i=coeffs_i,
         beta_p=beta_p,
         beta_m=beta_m,
-        gauss=gauss,
+        gauss=_pump_profile(dk_perp, config.pump_waist_um),
         mask=mask,
     )
 
@@ -313,7 +294,7 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
 def _phase_matching(batch):
     """sinc^2(delta/2) times the transverse Gaussian; once per batch."""
     if "p" not in batch.shared:
-        batch.shared["p"] = sinc(batch.delta / 2.0) ** 2 * batch.gauss
+        batch.shared["p"] = _nonresonant(batch.delta, batch.gauss)
     return batch.shared["p"]
 
 
@@ -321,25 +302,12 @@ def _eval_simplified(batch, schemes, beta_p, beta_m):
     p = _phase_matching(batch)
     products = batch.shared.get("products")
     if products is None:
-        a1p, a1m, a3p, a3m = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
-        a2p, a2m, a4p, a4m = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
-        factors = {
-            "ff": (a1p, a2p, a1m, a2m),
-            "bb": (a3p, a4p, a3m, a4m),
-            "fb": (a1p, a4p, a1m, a4m),
-            "bf": (a3p, a2p, a3m, a2m),
+        signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
+        idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
+        products = batch.shared["products"] = {
+            scheme: _scheme_products(scheme, signal, idler) for scheme in schemes
         }
-        products = batch.shared["products"] = {}
-        for scheme in schemes:
-            sig_p, idl_p, sig_m, idl_m = factors[scheme]
-            products[scheme] = (sig_p * idl_p, sig_m * idl_m)
-    cb_p = np.conj(beta_p)
-    cb_m = np.conj(beta_m)
-    out = {}
-    for scheme in schemes:
-        plus, minus = products[scheme]
-        out[scheme] = p * np.abs(cb_p * plus + cb_m * minus) ** 2
-    return out
+    return {scheme: p * _filter_strength(beta_p, beta_m, *products[scheme]) for scheme in schemes}
 
 
 def _eval_rigorous(batch, schemes, beta_p, beta_m):
@@ -583,7 +551,7 @@ def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None
 
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
-        lam_i = np.where(lams > lam_p, lam_p * lams / (lams - lam_p), np.nan)
+        lam_i = np.where(lams > lam_p, _idler_wavelength(lam_p, lams), np.nan)
     if envelope is None:
         weight = np.ones_like(lams)
     else:
@@ -609,15 +577,8 @@ def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None
 
 def transmission_curve(config, theta_rad=0.0):
     """Linear Airy transmission over the configured wavelength axis."""
-    stack = config.build_stack()
     lams = config.signal_wavelengths()
-    t1, r1, t2, r2 = coefficient_arrays(stack, lams, theta_rad, config.polarization)
-    n_f = refractive_index(stack.film, lams)
-    phi = stack.thickness_nm * 2.0 * np.pi * n_f / lams * np.cos(theta_rad)
-    den = round_trip_denominator(r1, r2, phi)
+    trans, den = _airy_transmission(config.build_stack(), lams, theta_rad, config.polarization)
     mask = np.abs(den) < POLE_TOLERANCE
-    with np.errstate(all="ignore"):
-        amp = t1 * t2 * np.exp(1j * phi) / den
-        trans = np.abs(amp) ** 2
     trans = np.where(mask | ~np.isfinite(trans), 0.0, trans)
     return lams, trans, mask

@@ -1,0 +1,245 @@
+"""Independent oracles: the scalar formulas as first written.
+
+The library's scalar functions are thin wrappers over the array kernels
+of the sweep engine.  The bodies below are copies of the scalar
+implementations from before that merge, so tests that compare a sweep
+with a point-by-point composition still compare two separate
+implementations of each formula.  Do not route them through the
+library's kernels.
+
+One edit against the originals: `filter_function` reads the idler's
+forward/backward factors as `a1*`/`a3*`, because the `a2*`/`a4*` alias
+properties of `FieldEnhancements` were removed.
+"""
+
+import numpy as np
+
+from spdc_etalon import (
+    GeometryError,
+    InteractionParams,
+    Mode,
+    PairProbabilities,
+    ResonancePoleError,
+    gain_term,
+    interface_coeffs,
+    propagation_phase,
+    refractive_index,
+    wavevector_components,
+)
+from spdc_etalon.layerstack import POLE_TOLERANCE, round_trip_denominator
+from spdc_etalon.rigorous import SPEED_OF_LIGHT_M_S
+
+SCHEMES = ("ff", "bb", "fb", "bf")
+
+
+def solve_idler(pump, signal, stack):
+    """Idler mode from energy conservation and transverse matching.
+
+    The idler frequency satisfies 1/lam_i = 1/lam_p - 1/lam_s and its
+    internal angle zeroes the transverse wavevector mismatch whenever
+    a real angle allows it (clamped to grazing otherwise).
+    """
+    if signal.vacuum_wavelength_nm <= pump.vacuum_wavelength_nm:
+        raise GeometryError(
+            "energy conservation requires the signal wavelength to exceed the "
+            "pump wavelength"
+        )
+    # Rational form of 1/lam_i = 1/lam_p - 1/lam_s; exact for the
+    # degenerate case in floating point.
+    lam_p = pump.vacuum_wavelength_nm
+    lam_s = signal.vacuum_wavelength_nm
+    lam_i = lam_p * lam_s / (lam_s - lam_p)
+    n_s = refractive_index(stack.film, signal.vacuum_wavelength_nm)
+    n_i = refractive_index(stack.film, lam_i)
+    k_s = 2.0 * np.pi * n_s / signal.vacuum_wavelength_nm
+    k_i = 2.0 * np.pi * n_i / lam_i
+    ratio = np.clip(-k_s * np.sin(signal.internal_angle_rad) / k_i, -1.0, 1.0)
+    theta_i = float(np.arcsin(ratio))
+    # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
+    # interval, the grazing pixel is masked downstream anyway.
+    limit = np.pi / 2 - 1e-12
+    theta_i = float(np.clip(theta_i, -limit, limit))
+    return Mode(
+        vacuum_wavelength_nm=float(lam_i),
+        internal_angle_rad=theta_i,
+        polarization=signal.polarization,
+        role="idler",
+    )
+
+
+def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amplitudes):
+    """Interaction strengths for one (pump, signal, idler) triple.
+
+    `pump_field_amplitudes` is the (forward, backward) pump field
+    inside the film in V/m; the caller has already enforced energy
+    conservation between the three wavelengths.  The film index is
+    used for all three waves.
+
+    Raises GeometryError when the signal or idler parallel wavevector
+    is not positive (mode at or past grazing).
+    """
+    n_p = refractive_index(stack.film, pump_mode.vacuum_wavelength_nm)
+    n_s = refractive_index(stack.film, signal_mode.vacuum_wavelength_nm)
+    n_i = refractive_index(stack.film, idler_mode.vacuum_wavelength_nm)
+    kp_par, kp_perp = wavevector_components(pump_mode, n_p)
+    ks_par, ks_perp = wavevector_components(signal_mode, n_s)
+    ki_par, ki_perp = wavevector_components(idler_mode, n_i)
+    if ks_par <= 0 or ki_par <= 0:
+        raise GeometryError("signal/idler parallel wavevector must be positive")
+
+    dk_par = kp_par - ks_par - ki_par
+    dk_perp = kp_perp - ks_perp - ki_perp
+    delta = stack.thickness_nm * dk_par
+
+    # Interaction strength in SI: 2 pi w_s w_i chi2 L E0 / (c^2 sqrt(ks ki)).
+    omega_s = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (signal_mode.vacuum_wavelength_nm * 1e-9)
+    omega_i = 2.0 * np.pi * SPEED_OF_LIGHT_M_S / (idler_mode.vacuum_wavelength_nm * 1e-9)
+    chi2_m_per_v = stack.chi2_pm_per_v * 1e-12
+    length_m = stack.thickness_nm * 1e-9
+    k_product = np.sqrt((ks_par * 1e9) * (ki_par * 1e9))
+    prefactor = (
+        2.0 * np.pi * omega_s * omega_i * chi2_m_per_v * length_m
+        / (SPEED_OF_LIGHT_M_S ** 2 * k_product)
+    )
+    e_fwd, e_bwd = pump_field_amplitudes
+    beta_plus = prefactor * e_fwd
+    beta_minus = prefactor * e_bwd
+    return InteractionParams(
+        beta_plus=complex(beta_plus),
+        beta_minus=complex(beta_minus),
+        gamma_plus=complex(gain_term(beta_plus, delta)),
+        gamma_minus=complex(gain_term(beta_minus, delta)),
+        delta=float(delta),
+        delta_k_par=float(dk_par),
+        delta_k_perp=float(dk_perp),
+    )
+
+
+def _checked_denominator(r1, r2, phase):
+    den = round_trip_denominator(r1, r2, phase)
+    if np.any(np.abs(den) < POLE_TOLERANCE):
+        raise ResonancePoleError(
+            "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
+            f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
+        )
+    return den
+
+
+def pump_enhancement(coeffs, phase_p):
+    """Forward and backward pump amplitudes inside the film, per unit E0.
+
+    The backward amplitude is exactly the forward one after one
+    reflection at interface 2 plus a single-pass phase.
+    """
+    den = _checked_denominator(coeffs.r1, coeffs.r2, phase_p)
+    forward = coeffs.t1 / den
+    backward = coeffs.r2 * np.exp(1j * phase_p) * forward
+    return forward, backward
+
+
+def linear_transmission(stack, mode):
+    """Airy power transmittance of the slab for one mode.
+
+    Computed from the flux-normalized interface coefficients, which is
+    identical to the raw-amplitude formula times the external flux
+    ratio (n_out cos / n_in cos).  Serves as a linear-optics check of
+    the Fresnel and phase machinery.
+    """
+    coeffs = interface_coeffs(stack, mode)
+    phi = propagation_phase(stack, mode)
+    den = _checked_denominator(coeffs.r1, coeffs.r2, phi)
+    amp = coeffs.t1 * coeffs.t2 * np.exp(1j * phi) / den
+    return float(np.abs(amp) ** 2)
+
+
+def sinc(x):
+    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
+    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+
+
+def nonresonant_probability(delta_k_par, delta_k_perp, thickness_nm, waist_um):
+    """Pair probability of the bare film, |F_pm * F_p|^2.
+
+    F_pm = sinc(dk_par L / 2) e^{i dk_par L / 2} and
+    F_p = exp(-(dk_perp w / 2)^2) with w the 1/e^2 pump waist diameter,
+    so the probability is sinc^2(dk_par L / 2) exp(-(dk_perp w)^2 / 2).
+    Wavevectors in rad/nm, thickness in nm, waist in um.
+    """
+    if thickness_nm <= 0 or waist_um <= 0:
+        raise ValueError("thickness and waist must be positive")
+    half = np.asarray(delta_k_par, dtype=float) * thickness_nm / 2.0
+    waist_nm = waist_um * 1e3
+    gauss = np.exp(-(np.asarray(delta_k_perp, dtype=float) * waist_nm) ** 2 / 2.0)
+    return sinc(half) ** 2 * gauss
+
+
+def filter_function(scheme, beta_plus, beta_minus, signal_enh, idler_enh):
+    """Etalon filter S for one collection scheme.
+
+    `signal_enh` and `idler_enh` are FieldEnhancements evaluated on the
+    signal and idler mode respectively.  The forward/backward pump
+    amplitudes enter conjugated so that S matches the low-gain limit
+    of the rigorous model (for real pump enhancement the conjugation
+    is a no-op).
+    """
+    if scheme == "ff":
+        plus = signal_enh.a1p * idler_enh.a1p
+        minus = signal_enh.a1m * idler_enh.a1m
+    elif scheme == "bb":
+        plus = signal_enh.a3p * idler_enh.a3p
+        minus = signal_enh.a3m * idler_enh.a3m
+    elif scheme == "fb":
+        plus = signal_enh.a1p * idler_enh.a3p
+        minus = signal_enh.a1m * idler_enh.a3m
+    elif scheme == "bf":
+        plus = signal_enh.a3p * idler_enh.a1p
+        minus = signal_enh.a3m * idler_enh.a1m
+    else:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+    amp = np.conj(beta_plus) * plus + np.conj(beta_minus) * minus
+    return np.abs(amp) ** 2
+
+
+def simplified_probability(p, s):
+    """Resonant emission probability as the product P x S."""
+    return p * s
+
+
+def pair_probabilities(u):
+    """Relative pair-emission probabilities for the four schemes.
+
+    Vacuum moments of the output operators reduce to closed forms in
+    the scattering-matrix entries; these are implemented verbatim.
+    """
+    u = np.asarray(u, dtype=complex)
+    a = np.abs(u)
+
+    def row(i):
+        return a[..., i, 0], a[..., i, 1], a[..., i, 2], a[..., i, 3]
+
+    a10, a11, a12, a13 = row(0)
+    a30, a31, a32, a33 = row(2)
+
+    ff = (
+        a[..., 1, 0] ** 2 * (a10 ** 2 + a11 ** 2 + a13 ** 2)
+        + a[..., 1, 2] ** 2 * (a12 ** 2 + a11 ** 2 + a13 ** 2)
+        + 2.0 * np.real(u[..., 0, 0] * u[..., 1, 2] * np.conj(u[..., 1, 0]) * np.conj(u[..., 0, 2]))
+    )
+    bb = (
+        a[..., 3, 0] ** 2 * (a30 ** 2 + a31 ** 2 + a33 ** 2)
+        + a[..., 3, 2] ** 2 * (a32 ** 2 + a31 ** 2 + a33 ** 2)
+        + 2.0 * np.real(u[..., 2, 0] * u[..., 3, 2] * np.conj(u[..., 3, 0]) * np.conj(u[..., 2, 2]))
+    )
+    fb = (
+        a[..., 3, 0] ** 2 * (a10 ** 2 + a11 ** 2 + a13 ** 2)
+        + a[..., 3, 2] ** 2 * (a11 ** 2 + a12 ** 2 + a13 ** 2)
+        + 2.0 * np.real(u[..., 3, 0] * u[..., 0, 2] * np.conj(u[..., 0, 0]) * np.conj(u[..., 3, 2]))
+    )
+    bf = (
+        a[..., 1, 0] ** 2 * (a30 ** 2 + a31 ** 2 + a33 ** 2)
+        + a[..., 1, 2] ** 2 * (a32 ** 2 + a31 ** 2 + a33 ** 2)
+        + 2.0 * np.real(u[..., 2, 0] * u[..., 1, 2] * np.conj(u[..., 1, 0]) * np.conj(u[..., 2, 2]))
+    )
+    if ff.ndim == 0:
+        return PairProbabilities(ff=float(ff), bb=float(bb), fb=float(fb), bf=float(bf))
+    return PairProbabilities(ff=ff, bb=bb, fb=fb, bf=bf)

@@ -345,10 +345,100 @@ def test_every_command_golden_bytes(tmp_path):
     assert written == GOLDEN_SMALL
 
 
+# Routes GOLDEN_SMALL does not reach: the chi2/field interaction strength,
+# p polarization, and a 775 nm pump on a 5.1237 um film, where the pump
+# phase L 2 pi n / lam and L (2 pi n / lam cos 0), equal at 788 nm /
+# 10.15 um, differ in the last bit.  Recorded with the code before the
+# sweep kernels were shared with the scalar API.
+GOLDEN_ROUTES = {
+    "chi2-field": (
+        SMALL.replace("beta_plus = 1e-3", "field_v_per_m = 5e7").replace(
+            "thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0"
+        ),
+        {
+            "spectrum.csv": "ba33f0e10a3735d45a82879653c4fb5226e9fe1040d9a3b4ebcda8b79a0c6e31",
+            "compare_simplified.csv": "e49734ceec0e73d2be91bc9e03a2b57d9c74ce09e54c6fee3f79b19d5da22a4e",
+            "compare_rigorous.csv": "b81a03ccc1da41aee0d68c963afc7c65375fb6e4e83c8ed3f79f92254fff3e18",
+            "compare_summary.csv": "0d21f934334afbd231267ca083294d25bcef3f0547083251491fb93d154e2663",
+            "gain-curve.csv": "e267d096138a20b789fdb504c6eaf2de4a64c968715e01166e29da511bc2d23d",
+            "transmission.csv": "316b536749be281385525fe679c4998d3d04b23cb44623a8589f4348489eeb5b",
+            "detection.csv": "68f0636a071dc82c1af210fc6b845c87f32833c9ede42f3a886ffe0dbf9208ca",
+        },
+    ),
+    "p-polarization": (
+        SMALL.replace("[grid]", "[model]\npolarization = p\n\n[grid]"),
+        {
+            "spectrum.csv": "b8fd9239bdd9ee4710323a001ccf3f0e61abd1b12543d3969b7e0fe88575fb13",
+            "compare_simplified.csv": "53bbdebcf3fadda1acbdf2cec82ee289aa9a61011f5ccb2dfb64b166ad4fbe20",
+            "compare_rigorous.csv": "3b6d1c4ffeea6d40b3743b28689a8ce109f973d3aa32be75dcfc09c8101de676",
+            "compare_summary.csv": "7301a26ccfe82b6cdba14f59ac2d8539848a1e613a2c2735dd533e2e04de1977",
+            "gain-curve.csv": "bcbe3dbe7da8f2ea940cd9a78f5aa707edcb82f85b77bebf76f645b16b2528cb",
+            "transmission.csv": "be6074eafdcf7be90147fa119e36cb4de38b18d89b6add40128d4be19d43f2e0",
+            "detection.csv": "d701236e4f2b448f9dae50351f30d8f88459550006a8fab2e984118ef7d0c1a4",
+        },
+    ),
+    "775nm-thin-film": (
+        config_text(lambda_count=48, theta_count=8, wavelength_nm=775.0, thickness_um=5.1237),
+        {
+            "spectrum.csv": "1c60e9f769593149177e185aa21beb39d350064294e232e8ffb55df2be9c0093",
+            "compare_simplified.csv": "b8bd66a51dbe82cd215152d7987ab27dcca8e9b4d59066521ec742cb537d8e09",
+            "compare_rigorous.csv": "ded0ef55dd96fc939135df8ad46485e7e93ede6f65d8778f70db63b541378b64",
+            "compare_summary.csv": "8b9f5728d3fe904089efe73e1264b88dba92892ac5ac71291047c05f05369d37",
+            "gain-curve.csv": "6d3482f31734637554e2487c698d0c740977121093a10ae152bb9d7d17219671",
+            "transmission.csv": "9f567dee39c5c93f15fa9d05ec3f91544ea15a07cc48e56a78531962596bcac6",
+            "detection.csv": "3f3fb6361721f1fe96e70335455e3ac1f609c062333cda037753a487f418d225",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GOLDEN_ROUTES))
+def test_every_command_golden_bytes_on_other_routes(tmp_path, route):
+    text, golden = GOLDEN_ROUTES[route]
+    cfg_path = write_config(tmp_path, text)
+    for command in ("spectrum", "compare", "gain-curve", "transmission", "detection"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == golden
+
+
+def test_spectrum_golden_bytes_pin_the_pump_phase_order(tmp_path):
+    # On the 48x8 grid the two pump-phase orders give the same 9-digit
+    # cells; on this 512x64 grid some cells flip, so the hash (recorded
+    # with the same code as GOLDEN_ROUTES) pins the order the sweep uses.
+    text = config_text(lambda_count=512, theta_count=64, wavelength_nm=775.0, thickness_um=5.1237)
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "340423c15b86d027bc66c35447058f9d291e94803f49c793aaf0cf38fd2fd8ce"
+    )
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, config_text(lambda_count=1))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", [(10**30, 8), (2**32, 2**32)])
+def test_exit_code_grid_too_large(tmp_path, capsys, monkeypatch, counts):
+    # Pixel counts that do not fit an array index are a config error.
+    # The run itself is replaced, so no test can allocate the grid.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a config that large must not reach the run")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    cfg_path = write_config(
+        tmp_path, config_text(lambda_count=counts[0], theta_count=counts[1])
+    )
+    out = tmp_path / "out.csv"
+    for command in ("transmission", "spectrum"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid:") and "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".csv.part").exists()
 
 
 def test_exit_code_missing_file(tmp_path, capsys):
@@ -442,10 +532,11 @@ def test_text_cell_with_nul_is_rejected(tmp_path):
     # NUL pads the writer's byte slots, so it cannot be written as data.
     out = tmp_path / "names.csv"
     config = parse_config(SMALL)
-    with pytest.raises(ValueError, match="NUL"):
-        cli._write_csv(out, config, "table", ["name", "x"], [["ok", "b\0d"], [1.0, 2.0]])
-    assert not out.exists()
-    assert not out.with_suffix(".csv.part").exists()
+    for bad in ("b\0d", "bad\0"):
+        with pytest.raises(ValueError, match="NUL"):
+            cli._write_csv(out, config, "table", ["name", "x"], [["ok", bad], [1.0, 2.0]])
+        assert not out.exists()
+        assert not out.with_suffix(".csv.part").exists()
 
 
 # ---- CSV writer against the per-cell reference formatter ---------------------

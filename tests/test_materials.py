@@ -83,7 +83,7 @@ def test_range_error_names_model_and_bounds():
 def test_silicon_preset_is_tabulated_and_sane():
     si = get_material("silicon")
     assert si.kind == "tabulated"
-    assert si.bounds_nm == (650.0, 4000.0)
+    assert si.valid_range_nm == (650.0, 4000.0)
     n788 = refractive_index(si, 788.0)
     n1576 = refractive_index(si, 1576.0)
     assert 3.6 < n788 < 3.8

@@ -15,10 +15,7 @@ from spdc_etalon import (
     nonresonant_probability,
     pair_probabilities,
     propagation_phase,
-    pump_enhancement,
     scattering_matrix,
-    simplified_probability,
-    solve_idler,
 )
 
 
@@ -106,13 +103,16 @@ def test_filter_function_rejects_unknown_scheme():
         filter_function("xx", 1.0, 0.0, enh, enh)
 
 
-def test_simplified_probability_is_product():
-    assert simplified_probability(1.0, 0.0) == 0.0
-    assert simplified_probability(0.5, 2.0) == 1.0
-
-
 def _point_prediction(stack, lam_s, theta_s, beta_scale):
     """Simplified emission assembled op by op at one grid point."""
+    from reference import (
+        filter_function,
+        nonresonant_probability,
+        pump_enhancement,
+        simplified_probability,
+        solve_idler,
+    )
+
     pump = Mode(788.0, 0.0, role="pump", polarization="s")
     signal = Mode(lam_s, theta_s)
     idler = solve_idler(pump, signal, stack)

@@ -262,15 +262,18 @@ def test_chi2_route_matches_interaction_params_op(experiment_stack):
     # interaction-strength operation composed by hand.
     from dataclasses import replace
 
+    from reference import (
+        interaction_params,
+        pair_probabilities,
+        pump_enhancement,
+        solve_idler,
+    )
     from spdc_etalon import (
         Mode,
         boundary_matrices,
         interaction_matrix,
-        interaction_params,
         interface_coeffs,
-        pair_probabilities,
         propagation_phase,
-        pump_enhancement,
         scattering_matrix,
     )
 
