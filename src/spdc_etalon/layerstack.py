@@ -212,14 +212,17 @@ def field_enhancements(coeffs, phase_mode):
     return FieldEnhancements(a1p=a1p, a1m=a1m, a3p=a3p, a3m=a3m)
 
 
-def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization):
+def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices=None):
     """Airy power transmittance |t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2.
 
-    Scalar or array wavelength/angle.  Returns (transmittance,
-    round-trip denominator), without pole checking.
+    Scalar or array wavelength/angle; `indices` as in
+    `coefficient_arrays`.  Returns (transmittance, round-trip
+    denominator), without pole checking.
     """
-    t1, r1, t2, r2 = coefficient_arrays(stack, wavelength_nm, internal_angle_rad, polarization)
-    n = refractive_index(stack.film, wavelength_nm)
+    t1, r1, t2, r2 = coefficient_arrays(
+        stack, wavelength_nm, internal_angle_rad, polarization, indices=indices
+    )
+    n = refractive_index(stack.film, wavelength_nm) if indices is None else indices[1]
     phi = stack.thickness_nm * 2.0 * np.pi * n / wavelength_nm * np.cos(internal_angle_rad)
     den = round_trip_denominator(r1, r2, phi)
     with np.errstate(all="ignore"):

@@ -60,7 +60,8 @@ class InteractionParams:
 
 @dataclass(frozen=True)
 class PairProbabilities:
-    """Relative emission probabilities per collection scheme."""
+    """Relative emission probabilities per collection scheme (None for a
+    scheme that `pair_probabilities` was not asked for)."""
 
     ff: float
     bb: float
@@ -261,23 +262,28 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
 _SCHEME_ROWS = {"ff": (0, 1, 0, 1), "bb": (2, 3, 2, 3), "fb": (0, 3, 3, 0), "bf": (2, 1, 2, 1)}
 
 
-def pair_probabilities(u):
+def pair_probabilities(u, schemes=None):
     """Relative pair-emission probabilities for the four schemes.
 
     Vacuum moments of the output operators reduce to one closed form in
     the scattering-matrix entries of the scheme's signal and idler rows.
+    `schemes` limits the work to the named schemes; the others are None.
     """
     u = np.asarray(u, dtype=complex)
-    a = np.abs(u)
-    probs = {}
-    for scheme, (s, i, j, k) in _SCHEME_ROWS.items():
+    schemes = tuple(_SCHEME_ROWS) if schemes is None else schemes
+    # |U|^2 of the signal and idler rows the schemes read.
+    rows = {row for name in schemes for row in _SCHEME_ROWS[name][:2]}
+    sq = {row: np.abs(u[..., row, :]) ** 2 for row in rows}
+    probs = dict.fromkeys(_SCHEME_ROWS)
+    for scheme in schemes:
+        s, i, j, k = _SCHEME_ROWS[scheme]
         probs[scheme] = (
-            a[..., i, 0] ** 2 * (a[..., s, 0] ** 2 + a[..., s, 1] ** 2 + a[..., s, 3] ** 2)
-            + a[..., i, 2] ** 2 * (a[..., s, 2] ** 2 + a[..., s, 1] ** 2 + a[..., s, 3] ** 2)
+            sq[i][..., 0] * (sq[s][..., 0] + sq[s][..., 1] + sq[s][..., 3])
+            + sq[i][..., 2] * (sq[s][..., 2] + sq[s][..., 1] + sq[s][..., 3])
             + 2.0 * np.real(
                 u[..., j, 0] * u[..., k, 2] * np.conj(u[..., k, 0]) * np.conj(u[..., j, 2])
             )
         )
-    if probs["ff"].ndim == 0:
-        probs = {scheme: float(p) for scheme, p in probs.items()}
+    if u.ndim == 2:
+        probs = {scheme: None if p is None else float(p) for scheme, p in probs.items()}
     return PairProbabilities(**probs)

@@ -14,7 +14,7 @@ normalization and R-squared.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,13 @@ __all__ = [
 ]
 
 # Pixels per kinematics batch.  Every sweep evaluates its pixels in
-# chunks of this size, whatever the thread count, so the working set of
-# the rigorous path (about 2.3 KB per pixel) is bounded by the chunk.
+# chunks of this size, whatever the thread count, so memory is bounded
+# by the chunk, not the grid.
 _CHUNK_PIXELS = 32768
+# Unmasked pixels per rigorous solve.  The rigorous model's (n, 4, 4)
+# working set (about 2.3 KB per pixel) is bounded by this block, not by
+# the chunk.
+_RIGOROUS_BLOCK = 2048
 
 
 @dataclass
@@ -173,7 +177,8 @@ class _PixelBatch:
     """Flat per-pixel arrays for one chunk of a sweep.
 
     `beta_p`/`beta_m` are the per-pixel strengths of the chi2/field
-    route, or None when the config sets a direct beta scale.
+    route, or None when the config sets a direct beta scale;
+    `pump_amplitudes` are the forward and backward pump enhancements.
     """
 
     delta: np.ndarray
@@ -187,10 +192,17 @@ class _PixelBatch:
     beta_m: np.ndarray | None
     gauss: np.ndarray
     mask: np.ndarray
-    # Terms that do not depend on beta, computed by the first evaluator
-    # call on this batch and reused by every later job on it (all jobs
-    # on one batch request the same schemes).
-    shared: dict = field(default_factory=dict)
+    pump_amplitudes: tuple
+
+    def betas(self, scale, pixels=slice(None)):
+        """Per-pixel (beta+, beta-) at `pixels`: the chi2/field route's
+        strengths when `scale` is None, else `scale` times the pump
+        enhancement, constant over the pixels."""
+        if scale is None:
+            return self.beta_p[pixels], self.beta_m[pixels]
+        shape = self.mask[pixels].shape
+        scale = complex(scale)
+        return tuple(np.full(shape, scale * e, dtype=complex) for e in self.pump_amplitudes)
 
 
 def _pump_state(config, stack):
@@ -202,16 +214,6 @@ def _pump_state(config, stack):
     phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
     e_fwd, e_bwd = pump_enhancement(InterfaceCoeffs(*coeffs), phi_p)
     return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
-
-
-def _uniform_betas(scale, e_fwd, e_bwd, shape):
-    """Strengths of a direct beta scale: the scale times the pump
-    enhancement, constant over the pixels."""
-    scale = complex(scale)
-    return (
-        np.full(shape, scale * e_fwd, dtype=complex),
-        np.full(shape, scale * e_bwd, dtype=complex),
-    )
 
 
 def _masked_indices(stack, lam):
@@ -288,55 +290,60 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
         beta_m=beta_m,
         gauss=_pump_profile(dk_perp, config.pump_waist_um),
         mask=mask,
+        pump_amplitudes=(e_fwd, e_bwd),
     )
 
 
-def _phase_matching(batch):
-    """sinc^2(delta/2) times the transverse Gaussian; once per batch."""
-    if "p" not in batch.shared:
-        batch.shared["p"] = _nonresonant(batch.delta, batch.gauss)
-    return batch.shared["p"]
+# Model evaluators: each takes a batch, the schemes and the beta scales
+# of all of the batch's jobs of its model (None for the chi2/field
+# route), and returns their intensities as a (jobs, schemes, n) array.
 
 
-def _eval_simplified(batch, schemes, beta_p, beta_m):
-    p = _phase_matching(batch)
-    products = batch.shared.get("products")
-    if products is None:
-        signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
-        idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
-        products = batch.shared["products"] = {
-            scheme: _scheme_products(scheme, signal, idler) for scheme in schemes
-        }
-    return {scheme: p * _filter_strength(beta_p, beta_m, *products[scheme]) for scheme in schemes}
+def _eval_simplified(batch, schemes, scales):
+    p = _nonresonant(batch.delta, batch.gauss)
+    signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
+    idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
+    products = [_scheme_products(scheme, signal, idler) for scheme in schemes]
+    values = np.empty((len(scales), len(schemes), p.size))
+    for k, scale in enumerate(scales):
+        beta_p, beta_m = batch.betas(scale)
+        for j, pair in enumerate(products):
+            values[k, j] = p * _filter_strength(beta_p, beta_m, *pair)
+    return values
 
 
-def _eval_rigorous(batch, schemes, beta_p, beta_m):
-    boundary = batch.shared.get("boundary")
-    if boundary is None:
-        boundary = batch.shared["boundary"] = boundary_matrices(
-            InterfaceCoeffs(*batch.coeffs_s),
-            InterfaceCoeffs(*batch.coeffs_i),
-            batch.phi_s,
-            batch.phi_i,
+def _eval_rigorous(batch, schemes, scales):
+    """The rigorous model on the unmasked pixels only (zero elsewhere),
+    in blocks of `_RIGOROUS_BLOCK`; each block's boundary matrices
+    serve every job."""
+    values = np.zeros((len(scales), len(schemes), batch.mask.size))
+    live = np.flatnonzero(~batch.mask)
+    for lo in range(0, live.size, _RIGOROUS_BLOCK):
+        px = live[lo : lo + _RIGOROUS_BLOCK]
+        boundary = boundary_matrices(
+            InterfaceCoeffs(*(c[px] for c in batch.coeffs_s)),
+            InterfaceCoeffs(*(c[px] for c in batch.coeffs_i)),
+            batch.phi_s[px],
+            batch.phi_i[px],
         )
-    params = InteractionParams(
-        beta_plus=beta_p,
-        beta_minus=beta_m,
-        gamma_plus=gain_term(beta_p, batch.delta),
-        gamma_minus=gain_term(beta_m, batch.delta),
-        delta=batch.delta,
-        delta_k_par=batch.dk_par,
-        delta_k_perp=batch.dk_perp,
-    )
-    u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
-    probs = pair_probabilities(u)
-    return {scheme: getattr(probs, scheme) * batch.gauss for scheme in schemes}
+        delta = batch.delta[px]
+        gauss = batch.gauss[px]
+        for k, scale in enumerate(scales):
+            beta_p, beta_m = batch.betas(scale, px)
+            # interaction_matrix reads only the betas and delta.
+            params = InteractionParams(beta_p, beta_m, None, None, delta, None, None)
+            u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
+            probs = pair_probabilities(u, schemes)
+            for j, scheme in enumerate(schemes):
+                values[k, j, px] = getattr(probs, scheme) * gauss
+    return values
 
 
-def _eval_nonresonant(batch, schemes, beta_p, beta_m):
-    p = _phase_matching(batch)
-    zero = np.zeros_like(p)
-    return {scheme: (p if scheme == "ff" else zero) for scheme in schemes}
+def _eval_nonresonant(batch, schemes, scales):
+    values = np.zeros((len(scales), len(schemes), batch.mask.size))
+    if "ff" in schemes:
+        values[:, schemes.index("ff")] = _nonresonant(batch.delta, batch.gauss)
+    return values
 
 
 _EVALUATORS = {
@@ -358,35 +365,32 @@ def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     A job is a (model, beta scale) pair; a scale of None keeps the
     config's interaction strengths.  Pixels run wavelength-major in
     chunks of `_CHUNK_PIXELS`: each chunk's kinematics batch is built
-    once and shared by all jobs, and `threads` workers take whole
-    chunks, so the result is bitwise the same for any thread count.
+    once and shared by all jobs, each model evaluates all of its jobs
+    in one call, and `threads` workers take whole chunks, so the result
+    is bitwise the same for any thread count.
 
     Returns (values, mask): values[k][scheme] is job k's flat
     intensity and mask[k] its flat error mask (intensity zero there).
     """
     pump_state = _pump_state(config, stack)
-    e_fwd, e_bwd, _ = pump_state
     n = lams.size * thetas.size
     out = np.zeros((len(jobs), len(schemes), n))
     mask = np.zeros((len(jobs), n), dtype=bool)
+    groups = {}  # model -> indices of its jobs, in job order
+    for k, (model, _scale) in enumerate(jobs):
+        groups.setdefault(model, []).append(k)
+    scales = [config.beta_plus if scale is None else scale for _model, scale in jobs]
 
     def eval_chunk(lo):
         hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
             batch = _build_batch(config, stack, *_pixel_axes(lams, thetas, lo, hi), pump_state)
-            for k, (model, scale) in enumerate(jobs):
-                scale = config.beta_plus if scale is None else scale
-                if scale is None:  # chi2/field route
-                    betas = (batch.beta_p, batch.beta_m)
-                else:
-                    betas = _uniform_betas(scale, e_fwd, e_bwd, batch.mask.shape)
-                values = _EVALUATORS[model](batch, schemes, *betas)
-                job_mask = batch.mask.copy()
-                for scheme in schemes:
-                    job_mask |= ~np.isfinite(values[scheme])
-                mask[k, lo:hi] = job_mask
-                for j, scheme in enumerate(schemes):
-                    out[k, j, lo:hi] = np.where(job_mask, 0.0, values[scheme])
+            for model, ks in groups.items():
+                values = _EVALUATORS[model](batch, schemes, [scales[k] for k in ks])
+                for k, job_values in zip(ks, values):
+                    job_mask = batch.mask | ~np.isfinite(job_values).all(axis=0)
+                    mask[k, lo:hi] = job_mask
+                    out[k, :, lo:hi] = np.where(job_mask, 0.0, job_values)
 
     starts = range(0, n, _CHUNK_PIXELS)
     workers = min(threads, len(starts))
@@ -502,8 +506,6 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     half_delta = abs(delta_deg) / 2.0
 
     lams = config.signal_wavelengths()
-    # All rigorous jobs first: the simplified model's cached terms then
-    # never sit beside the rigorous working set.
     count = beta_values.size
     jobs = [(model, scale) for model in ("rigorous", "simplified") for scale in beta_values]
     values, mask = _evaluate_pixels(config, stack, lams, np.zeros(1), jobs, ("ff",), threads)
@@ -576,9 +578,17 @@ def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None
 
 
 def transmission_curve(config, theta_rad=0.0):
-    """Linear Airy transmission over the configured wavelength axis."""
+    """Linear Airy transmission over the configured wavelength axis.
+
+    Wavelengths outside a material's range, resonance poles and
+    non-finite values are masked (transmission zero there).
+    """
     lams = config.signal_wavelengths()
-    trans, den = _airy_transmission(config.build_stack(), lams, theta_rad, config.polarization)
-    mask = np.abs(den) < POLE_TOLERANCE
-    trans = np.where(mask | ~np.isfinite(trans), 0.0, trans)
-    return lams, trans, mask
+    stack = config.build_stack()
+    indices, ok = _masked_indices(stack, lams)
+    with np.errstate(all="ignore"):
+        trans, den = _airy_transmission(
+            stack, lams, theta_rad, config.polarization, indices=indices
+        )
+        mask = ~ok | (np.abs(den) < POLE_TOLERANCE) | ~np.isfinite(trans)
+    return lams, np.where(mask, 0.0, trans), mask

@@ -206,3 +206,17 @@ def test_pair_probabilities_match_oracle_bitwise(rng):
     assert one == reference.pair_probabilities(u[7])
     assert all(type(getattr(one, scheme)) is float for scheme in reference.SCHEMES)
 
+
+def test_pair_probabilities_subset_equals_full_call(rng):
+    u = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
+    full = pair_probabilities(u)
+    for subset in [(s,) for s in reference.SCHEMES] + [("bf", "ff"), reference.SCHEMES]:
+        part = pair_probabilities(u, subset)
+        for scheme in reference.SCHEMES:
+            if scheme in subset:
+                assert np.array_equal(getattr(part, scheme), getattr(full, scheme)), scheme
+            else:
+                assert getattr(part, scheme) is None
+    one = pair_probabilities(u[3], ("fb",))
+    assert one.fb == pair_probabilities(u[3]).fb and one.ff is None
+

@@ -309,6 +309,34 @@ def test_transmission_command(tmp_path):
     assert np.all(data[:, 1] <= 1.0 + 1e-12)
 
 
+def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
+    # Silicon ends at 4000 nm: those rows are masked like `spectrum` masks
+    # its pixels, the rest equal the range-checked Airy transmittance.
+    from spdc_etalon import MaterialRangeError, Mode, linear_transmission
+    from spdc_etalon.layerstack import POLE_TOLERANCE, _airy_transmission
+
+    cfg_path = write_config(tmp_path, config_text(lambda_max_nm=4500.0, lambda_count=301))
+    out = tmp_path / "trans.csv"
+    assert main(["transmission", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _cols, data = load_data(out)
+    trans, masked = data[:, 1], data[:, 2].astype(bool)
+
+    cfg = parse_config(cfg_path.read_text())
+    stack = cfg.build_stack()
+    lams = cfg.signal_wavelengths()
+    inside = lams <= 4000.0
+    ref, den = _airy_transmission(stack, lams[inside], 0.0, "s")
+    pole = np.abs(den) < POLE_TOLERANCE
+    expected = ~inside
+    expected[inside] = pole
+    assert np.array_equal(masked, expected)
+    assert masked.any() and not masked.all()
+    assert np.all(trans[masked] == 0.0)
+    assert np.array_equal(trans[~masked], np.array([float(f"{t:.9g}") for t in ref[~pole]]))
+    with pytest.raises(MaterialRangeError):
+        linear_transmission(stack, Mode(4500.0, 0.0))
+
+
 def test_detection_command(tmp_path):
     text = config_text(lambda_count=64, theta_count=2) + (
         "\n[detection]\nenvelope_center_nm = 1576.0\nenvelope_fwhm_nm = 400.0\n"

@@ -230,6 +230,153 @@ def test_grid_memory_is_bounded_by_the_chunk(monkeypatch):
     assert peaks[1] - peaks[0] <= 1.5 * extra_result_bytes
 
 
+def _unblocked_rigorous_grid(cfg):
+    """The rigorous grid from one solve over every pixel, masked or not,
+    as the sweep evaluated it before it solved unmasked blocks only."""
+    from spdc_etalon.layerstack import InterfaceCoeffs
+    from spdc_etalon.rigorous import (
+        InteractionParams,
+        boundary_matrices,
+        gain_term,
+        interaction_matrix,
+        pair_probabilities,
+        scattering_matrix,
+    )
+
+    stack = cfg.build_stack()
+    lams = cfg.signal_wavelengths()
+    thetas = cfg.internal_angles()
+    shape = (lams.size, thetas.size)
+    with np.errstate(all="ignore"):
+        batch = spectra._build_batch(
+            cfg,
+            stack,
+            *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
+            spectra._pump_state(cfg, stack),
+        )
+        bp, bm = batch.betas(cfg.beta_plus)
+        params = InteractionParams(
+            bp, bm, gain_term(bp, batch.delta), gain_term(bm, batch.delta),
+            batch.delta, batch.dk_par, batch.dk_perp,
+        )
+        boundary = boundary_matrices(
+            InterfaceCoeffs(*batch.coeffs_s),
+            InterfaceCoeffs(*batch.coeffs_i),
+            batch.phi_s,
+            batch.phi_i,
+        )
+        u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
+        probs = pair_probabilities(u)
+        values = {s: getattr(probs, s) * batch.gauss for s in cfg.schemes}
+    mask = batch.mask.copy()
+    for s in cfg.schemes:
+        mask |= ~np.isfinite(values[s])
+    return spectra.SpectrumGrid(
+        signal_wavelengths_nm=lams,
+        internal_angles_rad=thetas,
+        intensity={s: np.where(mask, 0.0, values[s]).reshape(shape) for s in cfg.schemes},
+        mask=mask.reshape(shape),
+    )
+
+
+# Configs for the block tests: the README grid's masking (14%); most
+# pixels masked; beta = 1000, where every pixel overflows, so the
+# rigorous mask is the whole grid while the batch mask is not; and a
+# large complex pump-enhanced beta.
+BLOCK_CONFIGS = {
+    "readme": {},
+    "heavily-masked": dict(lambda_max_nm=4500.0, theta_min_rad=-1.4, theta_max_rad=1.4),
+    "overflow": dict(beta_plus="1000"),
+    "complex-beta": dict(beta_plus="0.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "block, chunk, counts",
+    [
+        (1, None, (12, 8)),
+        (7, None, (12, 8)),
+        (None, None, (96, 48)),
+        (4096, 1000, (96, 48)),
+    ],
+)
+@pytest.mark.parametrize("name", list(BLOCK_CONFIGS))
+def test_rigorous_block_size_and_threads_do_not_change_bits(
+    monkeypatch, name, block, chunk, counts
+):
+    # The blocked solve over unmasked pixels gives the same bits as one
+    # solve over every pixel, for any block (1, 7, the default, larger
+    # than a chunk) and thread count.
+    cfg = parse_config(
+        config_text(lambda_count=counts[0], theta_count=counts[1], **BLOCK_CONFIGS[name])
+    )
+    reference = _unblocked_rigorous_grid(cfg)
+    batch_masked = frequency_angular_spectrum(cfg, "nonresonant").mask
+    assert batch_masked.any() and not batch_masked.all()
+    if name == "heavily-masked":
+        assert batch_masked.mean() > 0.5
+    assert reference.mask.all() == (name == "overflow")
+    if block is not None:
+        monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
+    if chunk is not None:
+        monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
+    for threads in (1, 2, 3):
+        grid = frequency_angular_spectrum(cfg, "rigorous", threads=threads)
+        assert_grids_equal(grid, reference)
+
+
+@pytest.mark.parametrize("block, chunk", [(1, None), (7, 37), (200, 37)])
+def test_gain_curve_does_not_depend_on_the_rigorous_block(monkeypatch, block, chunk):
+    cfg = parse_config(config_text(lambda_count=128, theta_count=2))
+    betas = [1e-3, 0.1, 1.0, 2.0, 3.5]
+    reference = gain_and_agreement_curve(cfg, betas)
+    monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
+    if chunk is not None:
+        monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
+    for threads in (1, 2):
+        assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
+
+
+def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
+    # One default chunk of pixels.  The rigorous working set is a few
+    # complex 4x4 matrices per pixel of a block; growing the chunk may
+    # only add the kinematics batch (a few hundred bytes per pixel).
+    cfg = parse_config(config_text(lambda_count=256, theta_count=128))
+    chunk = spectra._CHUNK_PIXELS
+    assert cfg.lambda_count * cfg.theta_count == chunk
+    matrix_bytes = 4 * 4 * 16
+
+    def grid():
+        frequency_angular_spectrum(cfg, "rigorous")
+
+    rows = []
+    for name in ("interaction_matrix", "boundary_matrices", "scattering_matrix"):
+        fn = getattr(spectra, name)
+
+        def recorded(*args, fn=fn, **kwargs):
+            result = fn(*args, **kwargs)
+            rows.extend(len(a) for a in (result if isinstance(result, tuple) else (result,)))
+            return result
+
+        monkeypatch.setattr(spectra, name, recorded)
+    grid()
+    assert max(rows) == spectra._RIGOROUS_BLOCK
+    monkeypatch.undo()
+
+    by_block = {}
+    for block in (4096, 8192):
+        monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
+        by_block[block] = _traced_peak_bytes(grid)
+    assert by_block[8192] - by_block[4096] >= 4096 * 4 * matrix_bytes
+    monkeypatch.undo()
+
+    by_chunk = {}
+    for size in (chunk // 4, chunk):
+        monkeypatch.setattr(spectra, "_CHUNK_PIXELS", size)
+        by_chunk[size] = _traced_peak_bytes(grid)
+    assert by_chunk[chunk] - by_chunk[chunk // 4] <= (chunk - chunk // 4) * 2 * matrix_bytes
+
+
 def test_grid_engine_matches_op_composition(experiment_stack):
     # Factorization consistency: the sweep engine's simplified pixels
     # equal the operation-by-operation product P x S.
