@@ -313,9 +313,11 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
             "rigorous": stem.with_name(stem.stem + "_rigorous.csv"),
             "summary": stem.with_name(stem.stem + "_summary.csv"),
         }
-        for name, grid in (("simplified", simplified), ("rigorous", rigorous)):
-            _write_grid(paths[name], config, command, grid.normalized())
+        # Every step that can raise runs before the first file is written.
         r2 = [compare_grids(simplified, rigorous, scheme=s) for s in config.schemes]
+        normalized = {name: grid.normalized() for name, grid in grids.items()}
+        for name, grid in normalized.items():
+            _write_grid(paths[name], config, command, grid)
         for s, rr in zip(config.schemes, r2):
             print(f"r_squared[{s}] = {rr:.12g}")
         _write_csv(

@@ -233,16 +233,89 @@ def _swap_conj_transpose(m):
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+# The entries w, tau2 and rho may hold (interaction_matrix and
+# boundary_matrices fill no others): w is block diagonal, tau2 diagonal,
+# and rho couples the forward and backward wave of each operator.
+_SUPPORT = {
+    "w": np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)),
+    "tau2": np.eye(4, dtype=bool),
+    "rho": np.eye(4, dtype=bool)[[2, 3, 0, 1]],
+}
+# w's eight entries (k, c), row-major, as flat indices 4 k + c, and where
+# their one-term products land: (tau2 w)[k, c] = tau2[k, k] w[k, c] and
+# (rho w)[j, c] = rho[j, k] w[k, c] with j = k ^ 2 (0 <-> 2, 1 <-> 3).
+# The factors are the one entry in row k of tau2 and in column k of rho.
+_W_ROWS, _W_COLS = np.nonzero(_SUPPORT["w"])
+_W_ENTRIES = 4 * _W_ROWS + _W_COLS
+_RHO_W_ENTRIES = 4 * (_W_ROWS ^ 2) + _W_COLS
+_FACTOR_ENTRIES = {
+    "tau2": 5 * np.arange(4),
+    "rho": 4 * (np.arange(4) ^ 2) + np.arange(4),
+}
+
+
+def _entries(name, m, entries):
+    """The flat `entries` of every matrix in `m` as rows (entries, pixels);
+    ValueError if `m` has a nonzero entry outside its structure."""
+    flat = m.reshape(-1, 16).T
+    if flat[np.flatnonzero(~_SUPPORT[name])].any():
+        raise ValueError(f"{name} has a nonzero entry outside its structure")
+    return flat[entries]
+
+
+def _products(w, tau2, rho):
+    """The nonzero entries of rho w and tau2 w, as (2, 4, 2, pixels):
+    [0] holds rho w and [1] tau2 w, laid out like w's two blocks.
+
+    BLAS forms an entry with one nonzero term as ar br - ai bi and
+    ar bi + ai br, each product rounded on its own; numpy's complex `*`
+    is FMA-contracted, so the parts are multiplied here one by one.
+    """
+    w_kc = _entries("w", w, _W_ENTRIES).reshape(4, 2, -1)
+    factors = np.stack(
+        [_entries(name, m, _FACTOR_ENTRIES[name]) for name, m in (("rho", rho), ("tau2", tau2))]
+    )[:, :, None, :]
+    out = np.empty((2,) + w_kc.shape, dtype=complex)
+    np.subtract(factors.real * w_kc.real, factors.imag * w_kc.imag, out=out.real)
+    np.add(factors.real * w_kc.imag, factors.imag * w_kc.real, out=out.imag)
+    return out
+
+
 def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
+
+    The inputs must have the structure that `interaction_matrix` and
+    `boundary_matrices` give them: w block diagonal with two 2x2 blocks,
+    tau2 diagonal, and rho nonzero only at (0, 2), (1, 3), (2, 0) and
+    (3, 1); a nonzero entry anywhere else raises ValueError.  Each entry
+    of rho w and tau2 w is then one product, formed elementwise with the
+    rounding of the generic BLAS product, so U is bit for bit the
+    generic formula's.  The zero terms that BLAS adds can turn inf into
+    nan, so matrices with a non-finite product go through BLAS.  They
+    can also flip the sign of a zero entry, which does not reach U:
+    I - rho w drops it, and BLAS sums (tau2 w) X from +0.
 
     Uses a direct linear solve rather than an explicit inverse.  With
     `check_condition` a condition number above 1e12 in (I - rho w)
     raises NearSingularError (parametric-oscillation threshold);
     sweeps disable the check and mask bad pixels instead.
     """
-    w = np.asarray(w, dtype=complex)
-    system = np.asarray(rho, dtype=complex) @ w
+    w, tau2, rho = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (w, tau2, rho)))
+    prods = _products(w, tau2, rho)
+    n = prods.shape[-1]
+    system = np.zeros((n, 16), dtype=complex)
+    system[:, _RHO_W_ENTRIES] = prods[0].reshape(8, n).T
+    tau2_w = np.zeros((n, 16), dtype=complex)
+    tau2_w[:, _W_ENTRIES] = prods[1].reshape(8, n).T
+    finite = np.isfinite(prods).all(axis=(0, 1, 2))
+    del prods
+    if not finite.all():
+        generic = ~finite
+        w_g, tau2_g, rho_g = (m.reshape(-1, 4, 4)[generic] for m in (w, tau2, rho))
+        system[generic] = (rho_g @ w_g).reshape(-1, 16)
+        tau2_w[generic] = (tau2_g @ w_g).reshape(-1, 16)
+    system = system.reshape(w.shape)
+    tau2_w = tau2_w.reshape(w.shape)
     np.subtract(np.eye(4, dtype=complex), system, out=system)
     if check_condition:
         cond = np.linalg.cond(system)
@@ -253,7 +326,9 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
             )
     solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
     del system
-    return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)
+    u = tau2_w @ solved
+    del tau2_w, solved
+    return np.subtract(u, _swap_conj_transpose(rho), out=u)
 
 
 # Rows of U per scheme: signal output row s, idler output row i, and

@@ -10,6 +10,10 @@ library's kernels.
 One edit against the originals: `filter_function` reads the idler's
 forward/backward factors as `a1*`/`a3*`, because the `a2*`/`a4*` alias
 properties of `FieldEnhancements` were removed.
+
+`scattering_matrix` is the generic form of the library's structured
+kernel: it multiplies the full 4x4 matrices through BLAS, so it is the
+oracle for the entries the library forms one product at a time.
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ from spdc_etalon import (
     GeometryError,
     InteractionParams,
     Mode,
+    NearSingularError,
     PairProbabilities,
     ResonancePoleError,
     gain_term,
@@ -27,7 +32,7 @@ from spdc_etalon import (
     wavevector_components,
 )
 from spdc_etalon.layerstack import POLE_TOLERANCE, round_trip_denominator
-from spdc_etalon.rigorous import SPEED_OF_LIGHT_M_S
+from spdc_etalon.rigorous import CONDITION_LIMIT, SPEED_OF_LIGHT_M_S
 
 SCHEMES = ("ff", "bb", "fb", "bf")
 
@@ -243,3 +248,30 @@ def pair_probabilities(u):
     if ff.ndim == 0:
         return PairProbabilities(ff=float(ff), bb=float(bb), fb=float(fb), bf=float(bf))
     return PairProbabilities(ff=ff, bb=bb, fb=fb, bf=bf)
+
+
+def _swap_conj_transpose(m):
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
+    """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
+
+    Uses a direct linear solve rather than an explicit inverse.  With
+    `check_condition` a condition number above 1e12 in (I - rho w)
+    raises NearSingularError (parametric-oscillation threshold);
+    sweeps disable the check and mask bad pixels instead.
+    """
+    w = np.asarray(w, dtype=complex)
+    system = np.asarray(rho, dtype=complex) @ w
+    np.subtract(np.eye(4, dtype=complex), system, out=system)
+    if check_condition:
+        cond = np.linalg.cond(system)
+        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
+            raise NearSingularError(
+                "(I - rho w) is near-singular (condition number "
+                f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
+            )
+    solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
+    del system
+    return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)

@@ -517,6 +517,18 @@ def test_partial_file_removed_on_error(tmp_path):
     assert not out.with_suffix(".csv.part").exists()
 
 
+def test_compare_numerical_error_writes_no_file(tmp_path, capsys):
+    # At beta = 1000 every rigorous pixel overflows: the simplified grid
+    # normalizes but the rigorous one cannot, so neither may be written.
+    text = config_text(lambda_count=32, theta_count=8, beta_plus="1000")
+    cfg_path = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir / "out.csv")]) == 3
+    assert "numerical error:" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, SMALL)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from spdc_etalon import (
     InteractionParams,
     InterfaceCoeffs,
@@ -240,6 +241,149 @@ def test_scattering_matrix_near_singular_error():
     tau1, tau2, rho = boundary_matrices(coeffs, coeffs, 0.0, 0.0)
     with pytest.raises(NearSingularError):
         scattering_matrix(w, tau1, tau2, rho)
+
+
+# ---- scattering_matrix against the generic BLAS oracle ---------------------
+#
+# scattering_matrix forms rho w and tau2 w from their nonzero entries;
+# reference.scattering_matrix multiplies the full matrices through BLAS.
+# U must agree bit for bit, so a BLAS that rounds a one-term entry some
+# other way fails here by name and not only on the golden hashes.
+
+# Parts mixed into the random entries: signed zeros, subnormals, products
+# that underflow or overflow, and non-finite values.
+SPECIAL_PARTS = np.array(
+    [0.0, -0.0, 5e-324, -3e-310, 1e-300, -1e-160, 1e300, -1e300, np.inf, -np.inf, np.nan]
+)
+RHO_ENTRIES = ((0, 2), (1, 3), (2, 0), (3, 1))
+
+
+def _random_structured(rng, n, special_frac, special=SPECIAL_PARTS):
+    """(w, tau1, tau2, rho) of shape (n, 4, 4) with the structure that
+    interaction_matrix and boundary_matrices give them; a fraction
+    `special_frac` of the real and imaginary parts is drawn from
+    `special`, the rest from a normal distribution."""
+
+    def entries(*shape):
+        parts = rng.normal(size=shape + (2,))
+        pick = rng.random(parts.shape) < special_frac
+        parts[pick] = rng.choice(special, pick.sum())
+        return parts.view(complex)[..., 0]
+
+    w, tau1, tau2, rho = (np.zeros((n, 4, 4), dtype=complex) for _ in range(4))
+    w[:, :2, :2] = entries(n, 2, 2)
+    w[:, 2:, 2:] = entries(n, 2, 2)
+    for tau in (tau1, tau2):
+        tau[:, range(4), range(4)] = entries(n, 4)
+    for i, j in RHO_ENTRIES:
+        rho[:, i, j] = entries(n)
+    return w, tau1, tau2, rho
+
+
+def assert_same_bits(u, expected):
+    assert u.shape == expected.shape
+    assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
+
+
+def _both_or_neither(inputs, check_condition=False):
+    """U from the library and from the oracle, or None when both raise
+    LinAlgError (an exactly singular I - rho w)."""
+    results = []
+    for fn in (scattering_matrix, reference.scattering_matrix):
+        try:
+            results.append(fn(*inputs, check_condition=check_condition))
+        except np.linalg.LinAlgError:
+            results.append(None)
+    assert (results[0] is None) == (results[1] is None)
+    return results
+
+
+@pytest.mark.parametrize(
+    "special_frac, special",
+    [(0.0, SPECIAL_PARTS), (0.05, SPECIAL_PARTS), (0.3, SPECIAL_PARTS), (0.5, [0.0, -0.0])],
+    ids=["normal", "few-special", "many-special", "signed-zeros"],
+)
+def test_scattering_matrix_bits_equal_oracle_on_random_structured_input(
+    rng, special_frac, special
+):
+    w, tau1, tau2, rho = _random_structured(rng, 4096, special_frac, special)
+    compared = []
+    with np.errstate(all="ignore"):
+        # Small batches, so an exactly singular matrix skips few others.
+        for lo in range(0, w.shape[0], 16):
+            batch = [m[lo : lo + 16] for m in (w, tau1, tau2, rho)]
+            u, expected = _both_or_neither(batch)
+            if u is not None:
+                assert_same_bits(u, expected)
+                compared.append(expected)
+    compared = np.concatenate(compared)
+    assert compared.shape[0] >= 0.9 * w.shape[0]
+    finite = np.isfinite(compared).all(axis=(-2, -1))
+    assert finite.any()
+    assert finite.all() == (np.isfinite(special).all() or special_frac == 0.0)
+
+
+def test_scattering_matrix_bits_equal_oracle_for_single_and_broadcast_w(rng):
+    w, tau1, tau2, rho = _random_structured(rng, 64, 0.0)
+    for k in range(8):
+        inputs = [m[k] for m in (w, tau1, tau2, rho)]
+        u, expected = _both_or_neither(inputs, check_condition=True)
+        assert u.shape == (4, 4)
+        assert_same_bits(u, expected)
+    # One (4, 4) w against (n, 4, 4) boundary matrices, and the reverse.
+    for inputs in ((w[0], tau1, tau2, rho), (w, tau1[0], tau2[0], rho[0])):
+        u, expected = _both_or_neither(inputs)
+        assert u.shape == (64, 4, 4)
+        assert_same_bits(u, expected)
+
+
+# Sweep configs: betas from low gain to overflow (every matrix non-finite
+# at 1000), the chi2/field route and p polarization.
+SWEEP_CONFIGS = {
+    "beta-1e-3": lambda text: text,
+    "beta-0.5": lambda text: text.replace("beta_plus = 1e-3", "beta_plus = 0.5"),
+    "beta-3.5": lambda text: text.replace("beta_plus = 1e-3", "beta_plus = 3.5"),
+    "beta-1000": lambda text: text.replace("beta_plus = 1e-3", "beta_plus = 1000"),
+    "chi2-field": lambda text: text.replace("beta_plus = 1e-3", "field_v_per_m = 5e7").replace(
+        "thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0"
+    ),
+    "p-polarization": lambda text: text.replace("[grid]", "[model]\npolarization = p\n\n[grid]"),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CONFIGS))
+def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
+    from conftest import config_text
+    from spdc_etalon import frequency_angular_spectrum, parse_config, spectra
+
+    cfg = parse_config(SWEEP_CONFIGS[name](config_text(lambda_count=64, theta_count=48)))
+    monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", 1000)
+    blocks = []
+
+    def checked(w, tau1, tau2, rho, check_condition=True):
+        u = scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
+        expected = reference.scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
+        assert_same_bits(u, expected)
+        blocks.append(np.isfinite(expected).all(axis=(-2, -1)))
+        return u
+
+    monkeypatch.setattr(spectra, "scattering_matrix", checked)
+    frequency_angular_spectrum(cfg, "rigorous")
+    finite = np.concatenate(blocks)
+    assert len(blocks) > 1
+    assert finite.any() == (name != "beta-1000")
+
+
+@pytest.mark.parametrize("argument", ["w", "tau2", "rho"])
+@pytest.mark.parametrize("value", [1e-300, np.nan])
+def test_scattering_matrix_rejects_entries_outside_the_structure(rng, argument, value):
+    inputs = dict(zip(("w", "tau1", "tau2", "rho"), _random_structured(rng, 3, 0.0)))
+    # A signed zero outside the structure is still zero.
+    inputs[argument][:, 0, 3] = -0.0
+    scattering_matrix(**inputs)
+    inputs[argument][1, 0, 3] = value
+    with pytest.raises(ValueError, match=f"{argument} has a nonzero entry outside"):
+        scattering_matrix(**inputs)
 
 
 # ---- pair_probabilities ---------------------------------------------------

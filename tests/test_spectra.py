@@ -232,7 +232,9 @@ def test_grid_memory_is_bounded_by_the_chunk(monkeypatch):
 
 def _unblocked_rigorous_grid(cfg):
     """The rigorous grid from one solve over every pixel, masked or not,
-    as the sweep evaluated it before it solved unmasked blocks only."""
+    as the sweep evaluated it before it solved unmasked blocks only, with
+    the generic BLAS scattering matrix of `reference`."""
+    from reference import scattering_matrix
     from spdc_etalon.layerstack import InterfaceCoeffs
     from spdc_etalon.rigorous import (
         InteractionParams,
@@ -240,7 +242,6 @@ def _unblocked_rigorous_grid(cfg):
         gain_term,
         interaction_matrix,
         pair_probabilities,
-        scattering_matrix,
     )
 
     stack = cfg.build_stack()
