@@ -2,8 +2,9 @@
 
 Commands: spectrum, compare, gain-curve, transmission, detection.
 Every output file starts with '#'-prefixed header lines carrying the
-artifact version and the full resolved configuration, and contains no
-timestamps, so identical configs produce byte-identical files.
+artifact version and the full resolved configuration (with the
+--model and --scheme overrides applied), and contains no timestamps, so
+identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error or unreadable config /
 unwritable output, 3 numerical error.
@@ -12,17 +13,19 @@ unwritable output, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import DETECTION_SCHEMES, MODELS, parse_config, serialize_config
+from .config import MODELS, parse_config, serialize_config
 from .errors import ConfigError, SpdcEtalonError
-from .simplified import SCHEMES
 from .spectra import (
     EnvelopeModel,
     GainCurvePoint,
@@ -204,6 +207,29 @@ def _column(values):
     return np.asarray(values, dtype=object) if col.dtype.kind == "U" else col
 
 
+@contextmanager
+def _staged(*paths):
+    """Yield a `<name>.part` path to write in the block for each path.
+
+    When the block succeeds, the parts are renamed over their paths;
+    when it fails, or a path is a directory, the parts are removed and
+    no path changes.
+    """
+    parts = [path.with_suffix(path.suffix + ".part") for path in paths]
+    try:
+        yield parts
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for part, path in zip(parts, paths):
+            part.replace(path)
+    except BaseException:
+        for part in parts:
+            with suppress(OSError):  # gone already, or a directory not ours
+                part.unlink()
+        raise
+
+
 def _write_csv(path, config, command, columns, data):
     """Write one CSV atomically; remove partial output on failure.
 
@@ -227,40 +253,33 @@ def _write_csv(path, config, command, columns, data):
             small[k] = _cells(col).reshape(*col.shape, -1)
         data[k] = col
     step = max(1, _BLOCK_ROWS // inner)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".part")
-    try:
-        with open(tmp, "wb") as fh:
-            header = "\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n"
-            fh.write(header.encode("utf-8"))
-            layout = None
-            for lo in range(0, outer, step):
-                hi = min(lo + step, outer)
-                rows = (hi - lo) * inner
-                cells = []
-                for k, col in enumerate(data):
-                    if k in small:
-                        cells.append(small[k] if col.shape[0] == 1 else small[k][lo:hi])
-                        continue
-                    cells.append(_cells(col[lo:hi]).reshape(hi - lo, *shape[1:], -1))
-                widths = [c.shape[-1] for c in cells]
-                if layout != (rows, widths):
-                    # Reused while the layout holds: a fresh buffer per block
-                    # costs page faults and separator writes.
-                    layout = (rows, widths)
-                    buf = np.empty((rows, sum(widths) + len(widths)), np.uint8)
-                    ends = np.cumsum(widths) + np.arange(len(widths))
-                    buf[:, ends] = ord(",")
-                    buf[:, -1] = ord("\n")
-                grid = buf.reshape(hi - lo, *shape[1:], -1)
-                for c, end, w in zip(cells, ends, widths):
-                    # Copied as one V{w} item per cell, not byte by byte.
-                    grid[..., end - w : end].view(f"V{w}")[...] = c.view(f"V{w}")
-                fh.write(buf.tobytes().translate(None, b"\0"))
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _staged(Path(path)) as (tmp,), open(tmp, "wb") as fh:
+        header = "\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n"
+        fh.write(header.encode("utf-8"))
+        layout = None
+        for lo in range(0, outer, step):
+            hi = min(lo + step, outer)
+            rows = (hi - lo) * inner
+            cells = []
+            for k, col in enumerate(data):
+                if k in small:
+                    cells.append(small[k] if col.shape[0] == 1 else small[k][lo:hi])
+                    continue
+                cells.append(_cells(col[lo:hi]).reshape(hi - lo, *shape[1:], -1))
+            widths = [c.shape[-1] for c in cells]
+            if layout != (rows, widths):
+                # Reused while the layout holds: a fresh buffer per block
+                # costs page faults and separator writes.
+                layout = (rows, widths)
+                buf = np.empty((rows, sum(widths) + len(widths)), np.uint8)
+                ends = np.cumsum(widths) + np.arange(len(widths))
+                buf[:, ends] = ord(",")
+                buf[:, -1] = ord("\n")
+            grid = buf.reshape(hi - lo, *shape[1:], -1)
+            for c, end, w in zip(cells, ends, widths):
+                # Copied as one V{w} item per cell, not byte by byte.
+                grid[..., end - w : end].view(f"V{w}")[...] = c.view(f"V{w}")
+            fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _write_grid(path, config, command, grid):
@@ -297,10 +316,10 @@ def _envelope_from(config):
     )
 
 
-def run(command, config, out_path, threads=1, model=None, scheme=None):
+def run(command, config, out_path, threads=1):
     """Execute one CLI command against a validated RunConfig."""
     if command == "spectrum":
-        grid = frequency_angular_spectrum(config, model=model, threads=threads).normalized()
+        grid = frequency_angular_spectrum(config, threads=threads).normalized()
         _write_grid(out_path, config, command, grid)
         return [out_path]
 
@@ -313,16 +332,19 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
             "rigorous": stem.with_name(stem.stem + "_rigorous.csv"),
             "summary": stem.with_name(stem.stem + "_summary.csv"),
         }
-        # Every step that can raise runs before the first file is written.
+        # Every step that can raise runs before the first file is written,
+        # and the three files replace their paths together.
         r2 = [compare_grids(simplified, rigorous, scheme=s) for s in config.schemes]
         normalized = {name: grid.normalized() for name, grid in grids.items()}
-        for name, grid in normalized.items():
-            _write_grid(paths[name], config, command, grid)
+        with _staged(*paths.values()) as parts:
+            staged = dict(zip(paths, parts))
+            for name, grid in normalized.items():
+                _write_grid(staged[name], config, command, grid)
+            _write_csv(
+                staged["summary"], config, command, ["scheme", "r_squared"], [config.schemes, r2]
+            )
         for s, rr in zip(config.schemes, r2):
             print(f"r_squared[{s}] = {rr:.12g}")
-        _write_csv(
-            paths["summary"], config, command, ["scheme", "r_squared"], [config.schemes, r2]
-        )
         return list(paths.values())
 
     if command == "gain-curve":
@@ -341,10 +363,7 @@ def run(command, config, out_path, threads=1, model=None, scheme=None):
 
     if command == "detection":
         lams, rate, mask = detection_spectrum(
-            config,
-            scheme=scheme,
-            envelope=_envelope_from(config),
-            threads=threads,
+            config, envelope=_envelope_from(config), threads=threads
         )
         _write_csv(
             out_path, config, command, ["lambda_nm", "relative_rate", "masked"], [lams, rate, mask]
@@ -389,19 +408,20 @@ def main(argv=None):
 
     try:
         config = parse_config(text)
-        detection_scheme = None
-        if args.scheme:
+        # The flags override the config before the run, so the header
+        # records what ran.  argparse already restricts --model.
+        overrides = {"model": args.model} if args.model else {}
+        if args.scheme is not None:
             if args.command == "detection":
-                if args.scheme not in DETECTION_SCHEMES:
-                    raise ConfigError(
-                        f"--scheme: must be one of {DETECTION_SCHEMES} for detection"
-                    )
-                detection_scheme = args.scheme
+                overrides["detection_scheme"] = args.scheme
             else:
-                schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
-                if any(s not in SCHEMES for s in schemes):
-                    raise ConfigError(f"--scheme: entries must be among {SCHEMES}")
-                config = replace(config, schemes=schemes)
+                schemes = (s.strip() for s in args.scheme.split(","))
+                overrides["schemes"] = tuple(s for s in schemes if s)
+        if overrides:
+            try:
+                config = replace(config, **overrides).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"--scheme: {exc}") from None
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
     except ConfigError as exc:
@@ -410,14 +430,7 @@ def main(argv=None):
 
     out_path = _out_path(config, args, f"{args.command.replace('-', '_')}.csv")
     try:
-        written = run(
-            args.command,
-            config,
-            out_path,
-            threads=args.threads,
-            model=args.model,
-            scheme=detection_scheme,
-        )
+        written = run(args.command, config, out_path, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 """Run configuration: INI-style parsing, validation, serialization.
 
-The config format is key-value pairs in named sections.  Unknown
-sections or keys are hard errors; every diagnostic carries the
-offending key path.  Parsing is seed-free and fully deterministic,
-and `parse_config(serialize_config(cfg))` round-trips exactly.
+The config format is key-value pairs in named sections.  The key table
+`_KEYS` is the schema: it maps each section and key to its `RunConfig`
+field and kind, and parsing, required keys and serialization all read
+it; defaults live only on `RunConfig`.  Unknown sections or keys are
+hard errors; every diagnostic carries the offending key path.  Parsing
+is seed-free and fully deterministic, and
+`parse_config(serialize_config(cfg))` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -24,34 +27,6 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "material_from_spec"
 
 MODELS = ("rigorous", "simplified", "nonresonant")
 DETECTION_SCHEMES = ("forward", "backward", "forward_backward")
-
-_SCHEMA = {
-    "stack": {"superstrate", "film", "substrate", "thickness_um", "chi2_pm_per_v"},
-    "pump": {"wavelength_nm", "waist_um", "beta_plus", "field_v_per_m"},
-    "grid": {
-        "lambda_min_nm",
-        "lambda_max_nm",
-        "lambda_count",
-        "theta_min_rad",
-        "theta_max_rad",
-        "theta_count",
-    },
-    "model": {"kind", "schemes", "polarization"},
-    "detection": {
-        "envelope_center_nm",
-        "envelope_fwhm_nm",
-        "envelope_amplitude",
-        "efficiency_ratio",
-        "scheme",
-    },
-    "gain_curve": {"beta_min", "beta_max", "count"},
-    "output": {"path"},
-}
-_REQUIRED = {
-    "stack": {"superstrate", "film", "substrate", "thickness_um"},
-    "pump": {"wavelength_nm", "waist_um"},
-    "grid": _SCHEMA["grid"],
-}
 
 
 @dataclass(frozen=True)
@@ -210,6 +185,49 @@ def material_from_spec(spec):
     raise ConfigError(f"unknown material form {kind!r} in {spec!r}")
 
 
+# The schema: one row per config key, (section, key, RunConfig field,
+# kind), in the order `serialize_config` writes them.  A key is required
+# when its field has no default; a missing optional key takes the default.
+_KEYS = (
+    ("stack", "superstrate", "superstrate", "text"),
+    ("stack", "film", "film", "text"),
+    ("stack", "substrate", "substrate", "text"),
+    ("stack", "thickness_um", "thickness_um", "float"),
+    ("stack", "chi2_pm_per_v", "chi2_pm_per_v", "float"),
+    ("pump", "wavelength_nm", "pump_wavelength_nm", "float"),
+    ("pump", "waist_um", "pump_waist_um", "float"),
+    ("pump", "beta_plus", "beta_plus", "complex"),
+    ("pump", "field_v_per_m", "pump_field_v_per_m", "float"),
+    ("grid", "lambda_min_nm", "lambda_min_nm", "float"),
+    ("grid", "lambda_max_nm", "lambda_max_nm", "float"),
+    ("grid", "lambda_count", "lambda_count", "int"),
+    ("grid", "theta_min_rad", "theta_min_rad", "float"),
+    ("grid", "theta_max_rad", "theta_max_rad", "float"),
+    ("grid", "theta_count", "theta_count", "int"),
+    ("model", "kind", "model", "text"),
+    ("model", "schemes", "schemes", "schemes"),
+    ("model", "polarization", "polarization", "text"),
+    ("detection", "envelope_center_nm", "envelope_center_nm", "float"),
+    ("detection", "envelope_fwhm_nm", "envelope_fwhm_nm", "float"),
+    ("detection", "envelope_amplitude", "envelope_amplitude", "float"),
+    ("detection", "efficiency_ratio", "efficiency_ratio", "float"),
+    ("detection", "scheme", "detection_scheme", "text"),
+    ("gain_curve", "beta_min", "gain_beta_min", "float"),
+    ("gain_curve", "beta_max", "gain_beta_max", "float"),
+    ("gain_curve", "count", "gain_beta_count", "int"),
+    ("output", "path", "output_path", "text"),
+)
+_SCHEMA = {section: {k for s, k, _, _ in _KEYS if s == section} for section, *_ in _KEYS}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_REQUIRED = [(s, k) for s, k, field, _ in _KEYS if _DEFAULTS[field] is MISSING]
+# Numeric kinds: the converter and what the error message expects.
+_NUMBERS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "complex": (complex, "a number"),
+}
+
+
 def _parse_number(section, key, raw, conv, what):
     try:
         value = conv(raw)
@@ -218,6 +236,14 @@ def _parse_number(section, key, raw, conv, what):
     if conv is not int and not cmath.isfinite(value):
         raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
     return value
+
+
+def _parse_value(section, key, kind, raw):
+    if kind == "text":
+        return raw
+    if kind == "schemes":
+        return tuple(s.strip() for s in raw.split(",") if s.strip())
+    return _parse_number(section, key, raw, *_NUMBERS[kind])
 
 
 def parse_config(text):
@@ -234,70 +260,17 @@ def parse_config(text):
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-    for section, keys in _REQUIRED.items():
+    for section, key in _REQUIRED:
         if section not in parser:
             raise ConfigError(f"missing required section [{section}]")
-        for key in keys:
-            if key not in parser[section]:
-                raise ConfigError(f"missing required key {section}.{key}")
+        if key not in parser[section]:
+            raise ConfigError(f"missing required key {section}.{key}")
 
-    def get(section, key, default=None):
+    values = {}
+    for section, key, field, kind in _KEYS:
         if section in parser and key in parser[section]:
-            return parser[section][key].strip()
-        return default
-
-    def fnum(section, key, default=None):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        return _parse_number(section, key, raw, float, "a number")
-
-    def inum(section, key, default=None):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        return _parse_number(section, key, raw, int, "an integer")
-
-    beta_raw = get("pump", "beta_plus")
-    beta_plus = None
-    if beta_raw is not None:
-        beta_plus = _parse_number("pump", "beta_plus", beta_raw, complex, "a number")
-
-    schemes_raw = get("model", "schemes")
-    schemes = SCHEMES
-    if schemes_raw is not None:
-        schemes = tuple(s.strip() for s in schemes_raw.split(",") if s.strip())
-
-    cfg = RunConfig(
-        superstrate=get("stack", "superstrate"),
-        film=get("stack", "film"),
-        substrate=get("stack", "substrate"),
-        thickness_um=fnum("stack", "thickness_um"),
-        chi2_pm_per_v=fnum("stack", "chi2_pm_per_v"),
-        pump_wavelength_nm=fnum("pump", "wavelength_nm"),
-        pump_waist_um=fnum("pump", "waist_um"),
-        beta_plus=beta_plus,
-        pump_field_v_per_m=fnum("pump", "field_v_per_m"),
-        lambda_min_nm=fnum("grid", "lambda_min_nm"),
-        lambda_max_nm=fnum("grid", "lambda_max_nm"),
-        lambda_count=inum("grid", "lambda_count"),
-        theta_min_rad=fnum("grid", "theta_min_rad"),
-        theta_max_rad=fnum("grid", "theta_max_rad"),
-        theta_count=inum("grid", "theta_count"),
-        model=get("model", "kind", "simplified"),
-        schemes=schemes,
-        polarization=get("model", "polarization", "s"),
-        envelope_center_nm=fnum("detection", "envelope_center_nm"),
-        envelope_fwhm_nm=fnum("detection", "envelope_fwhm_nm"),
-        envelope_amplitude=fnum("detection", "envelope_amplitude", 1.0),
-        efficiency_ratio=fnum("detection", "efficiency_ratio", 1.0),
-        detection_scheme=get("detection", "scheme", "forward"),
-        gain_beta_min=fnum("gain_curve", "beta_min", 1e-2),
-        gain_beta_max=fnum("gain_curve", "beta_max", 4.0),
-        gain_beta_count=inum("gain_curve", "count", 21),
-        output_path=get("output", "path"),
-    )
-    return cfg.validate()
+            values[field] = _parse_value(section, key, kind, parser[section][key].strip())
+    return RunConfig(**values).validate()
 
 
 def _fmt(value):
@@ -311,53 +284,19 @@ def _fmt(value):
 
 
 def serialize_config(config):
-    """Canonical INI text for a RunConfig; parse_config round-trips it."""
+    """Canonical INI text for a RunConfig; parse_config round-trips it.
+
+    Every field that is not None is written, in table order; a section
+    with no such field is left out.
+    """
+    sections = {}
+    for section, key, field, kind in _KEYS:
+        value = getattr(config, field)
+        if value is not None:
+            text = ",".join(value) if kind == "schemes" else _fmt(value)
+            sections.setdefault(section, {})[key] = text
     parser = configparser.ConfigParser(interpolation=None)
-    parser["stack"] = {
-        "superstrate": config.superstrate,
-        "film": config.film,
-        "substrate": config.substrate,
-        "thickness_um": _fmt(config.thickness_um),
-    }
-    if config.chi2_pm_per_v is not None:
-        parser["stack"]["chi2_pm_per_v"] = _fmt(config.chi2_pm_per_v)
-    parser["pump"] = {
-        "wavelength_nm": _fmt(config.pump_wavelength_nm),
-        "waist_um": _fmt(config.pump_waist_um),
-    }
-    if config.beta_plus is not None:
-        parser["pump"]["beta_plus"] = _fmt(config.beta_plus)
-    if config.pump_field_v_per_m is not None:
-        parser["pump"]["field_v_per_m"] = _fmt(config.pump_field_v_per_m)
-    parser["grid"] = {
-        "lambda_min_nm": _fmt(config.lambda_min_nm),
-        "lambda_max_nm": _fmt(config.lambda_max_nm),
-        "lambda_count": str(config.lambda_count),
-        "theta_min_rad": _fmt(config.theta_min_rad),
-        "theta_max_rad": _fmt(config.theta_max_rad),
-        "theta_count": str(config.theta_count),
-    }
-    parser["model"] = {
-        "kind": config.model,
-        "schemes": ",".join(config.schemes),
-        "polarization": config.polarization,
-    }
-    detection = {}
-    if config.envelope_center_nm is not None:
-        detection["envelope_center_nm"] = _fmt(config.envelope_center_nm)
-    if config.envelope_fwhm_nm is not None:
-        detection["envelope_fwhm_nm"] = _fmt(config.envelope_fwhm_nm)
-    detection["envelope_amplitude"] = _fmt(config.envelope_amplitude)
-    detection["efficiency_ratio"] = _fmt(config.efficiency_ratio)
-    detection["scheme"] = config.detection_scheme
-    parser["detection"] = detection
-    parser["gain_curve"] = {
-        "beta_min": _fmt(config.gain_beta_min),
-        "beta_max": _fmt(config.gain_beta_max),
-        "count": str(config.gain_beta_count),
-    }
-    if config.output_path is not None:
-        parser["output"] = {"path": config.output_path}
+    parser.read_dict(sections)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

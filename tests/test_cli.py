@@ -183,9 +183,26 @@ def test_round_trip_exact():
         SMALL
         + "\n[detection]\nenvelope_center_nm = 1576.0\nenvelope_fwhm_nm = 250.0\nscheme = backward\n",
         SMALL + "\n[output]\npath = out/spectrum.csv\n",
+        # Every optional key set.
+        SMALL.replace("beta_plus = 1e-3", "beta_plus = 1e-3-2.5e-4j")
+        + "\n[model]\nkind = rigorous\nschemes = bb, fb\npolarization = p\n"
+        + "\n[detection]\nenvelope_center_nm = 1576.0\nenvelope_fwhm_nm = 250.0\n"
+        + "envelope_amplitude = 2.5\nefficiency_ratio = 0.4\nscheme = forward_backward\n"
+        + "\n[gain_curve]\nbeta_min = 0.05\nbeta_max = 3.0\ncount = 7\n"
+        + "\n[output]\npath = out/all.csv\n",
     ):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_key_table_names_every_field_once():
+    from dataclasses import fields
+
+    from spdc_etalon.config import _KEYS, RunConfig
+
+    table_fields = [field for _, _, field, _ in _KEYS]
+    assert sorted(table_fields) == sorted(f.name for f in fields(RunConfig))
+    assert len({(section, key) for section, key, _, _ in _KEYS}) == len(_KEYS)
 
 
 # ---- CLI commands -------------------------------------------------------------
@@ -568,6 +585,25 @@ def test_failure_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys)
     assert kept.read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("older", [False, True])
+@pytest.mark.parametrize("obstacle", ["out_rigorous.csv.part", "out_summary.csv"])
+def test_compare_write_failure_leaves_every_path_as_it_was(tmp_path, capsys, obstacle, older):
+    # A directory where the rigorous file's .part goes fails the second
+    # write, one named like the summary fails its rename: the files before
+    # it must not appear or change either.
+    cfg_path = write_config(tmp_path, config_text(lambda_count=32, theta_count=8))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / obstacle).mkdir()
+    if older:
+        for name in ("out_simplified.csv", "out_rigorous.csv"):
+            (out_dir / name).write_bytes(b"old " + name.encode() + b"\n")
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out_dir.iterdir()}
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out_dir / "out.csv")]) == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_text_cell_with_nul_is_rejected(tmp_path):
     # NUL pads the writer's byte slots, so it cannot be written as data.
     out = tmp_path / "names.csv"
@@ -733,8 +769,27 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
 
 def test_scheme_flag_validation(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL)
-    assert main(["spectrum", "--config", str(cfg_path), "--scheme", "zz"]) == 2
-    assert main(["detection", "--config", str(cfg_path), "--scheme", "sideways"]) == 2
+    out = tmp_path / "out.csv"
+    for command, scheme in (("spectrum", "zz"), ("detection", "sideways"), ("spectrum", ",")):
+        argv = [command, "--config", str(cfg_path), "--out", str(out), "--scheme", scheme]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --scheme: ")
+        assert not out.exists()
+
+
+def test_model_and_scheme_flags_are_recorded_in_the_header(tmp_path):
+    # SMALL has no [model] section, so the header's kind can only come
+    # from --model, and its detection scheme only from --scheme.
+    cfg_path = write_config(tmp_path, SMALL)
+    runs = (
+        ("spectrum", "--model", "rigorous", "kind = rigorous"),
+        ("detection", "--scheme", "backward", "scheme = backward"),
+    )
+    for command, flag, value, line in runs:
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), flag, value]) == 0
+        header = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        assert f"# {line}" in header
 
 
 def test_scheme_subset_columns(tmp_path):
