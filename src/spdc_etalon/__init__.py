@@ -29,10 +29,8 @@ from .layerstack import (
     InterfaceCoeffs,
     LayerStack,
     field_enhancements,
-    fresnel,
     interface_coeffs,
     linear_transmission,
-    propagation_phase,
     pump_enhancement,
 )
 from .rigorous import (
@@ -48,7 +46,6 @@ from .rigorous import (
 from .simplified import (
     SCHEMES,
     filter_function,
-    low_gain_interaction_matrix,
     nonresonant_probability,
 )
 from .spectra import (
@@ -85,10 +82,8 @@ __all__ = [
     "InterfaceCoeffs",
     "LayerStack",
     "field_enhancements",
-    "fresnel",
     "interface_coeffs",
     "linear_transmission",
-    "propagation_phase",
     "pump_enhancement",
     "InteractionParams",
     "PairProbabilities",
@@ -100,7 +95,6 @@ __all__ = [
     "scattering_matrix",
     "SCHEMES",
     "filter_function",
-    "low_gain_interaction_matrix",
     "nonresonant_probability",
     "EnvelopeModel",
     "GainCurvePoint",

@@ -27,7 +27,6 @@ from . import __version__
 from .config import MODELS, parse_config, serialize_config
 from .errors import ConfigError, SpdcEtalonError
 from .spectra import (
-    EnvelopeModel,
     GainCurvePoint,
     compare_grids,
     detection_spectrum,
@@ -306,16 +305,6 @@ def _out_path(config, args, default_name):
     return Path(default_name)
 
 
-def _envelope_from(config):
-    if config.envelope_center_nm is None or config.envelope_fwhm_nm is None:
-        return None
-    return EnvelopeModel(
-        center_nm=config.envelope_center_nm,
-        fwhm_nm=config.envelope_fwhm_nm,
-        amplitude=config.envelope_amplitude,
-    )
-
-
 def run(command, config, out_path, threads=1):
     """Execute one CLI command against a validated RunConfig."""
     if command == "spectrum":
@@ -362,9 +351,7 @@ def run(command, config, out_path, threads=1):
         return [out_path]
 
     if command == "detection":
-        lams, rate, mask = detection_spectrum(
-            config, envelope=_envelope_from(config), threads=threads
-        )
+        lams, rate, mask = detection_spectrum(config, threads=threads)
         _write_csv(
             out_path, config, command, ["lambda_nm", "relative_rate", "masked"], [lams, rate, mask]
         )

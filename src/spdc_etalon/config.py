@@ -15,6 +15,7 @@ import cmath
 import configparser
 import io
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,27 +106,28 @@ class RunConfig:
             raise ConfigError("gain_curve: need 0 < beta_min < beta_max")
         if self.gain_beta_count < 2:
             raise ConfigError("gain_curve.count: must be >= 2")
-        # Materials must resolve.
-        for key, spec in (
-            ("stack.superstrate", self.superstrate),
-            ("stack.film", self.film),
-            ("stack.substrate", self.substrate),
-        ):
-            try:
-                material_from_spec(spec)
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+        self.build_stack()  # the materials must resolve
         return self
 
     # -- derived objects -------------------------------------------------
-    def build_stack(self):
+    @cached_property
+    def _stack(self):
+        materials = {}
+        for key in ("superstrate", "film", "substrate"):
+            try:
+                materials[key] = material_from_spec(getattr(self, key))
+            except ConfigError as exc:
+                raise ConfigError(f"stack.{key}: {exc}") from None
         return LayerStack(
-            superstrate=material_from_spec(self.superstrate),
-            film=material_from_spec(self.film),
-            substrate=material_from_spec(self.substrate),
+            **materials,
             thickness_nm=self.thickness_um * 1e3,
             chi2_pm_per_v=self.chi2_pm_per_v or 0.0,
         )
+
+    def build_stack(self):
+        """The LayerStack, resolved once per config: a `tabulated:` table
+        is read once, and the run uses the table that `validate` checked."""
+        return self._stack
 
     def signal_wavelengths(self):
         return np.linspace(self.lambda_min_nm, self.lambda_max_nm, self.lambda_count)

@@ -5,8 +5,6 @@ symmetric slab reaches unit Airy transmission exactly on its
 half-wave resonances, and so that the zero-gain scattering matrix of
 a lossless stack is unitary):
 
-* `fresnel` returns the textbook single-interface amplitude
-  coefficients for a wave incident from `n_in`.
 * `interface_coeffs` returns the coefficients the etalon formulas
   consume: r1, r2 are the reflections of the *internal* film wave at
   interface 1 (film -> superstrate) and interface 2 (film ->
@@ -32,9 +30,7 @@ __all__ = [
     "LayerStack",
     "InterfaceCoeffs",
     "FieldEnhancements",
-    "fresnel",
     "interface_coeffs",
-    "propagation_phase",
     "pump_enhancement",
     "field_enhancements",
     "linear_transmission",
@@ -94,31 +90,6 @@ def _complex_cos(sin_sq):
     return np.sqrt((1.0 + 0j) - sin_sq)
 
 
-def fresnel(n_in, n_out, incidence_angle, polarization="s"):
-    """Single-interface amplitude coefficients (r, t) from the n_in side.
-
-    Beyond the critical angle r is complex with |r| = 1; no error is
-    raised.
-    """
-    if np.any(np.asarray(n_in) <= 0) or np.any(np.asarray(n_out) <= 0):
-        raise ValueError("refractive indices must be positive")
-    ci = np.cos(incidence_angle)
-    si = np.sin(incidence_angle)
-    st = n_in * si / n_out
-    ct = _complex_cos(st ** 2)
-    if polarization == "s":
-        den = n_in * ci + n_out * ct
-        r = (n_in * ci - n_out * ct) / den
-        t = 2.0 * n_in * ci / den
-    elif polarization == "p":
-        den = n_out * ci + n_in * ct
-        r = (n_out * ci - n_in * ct) / den
-        t = 2.0 * n_in * ci / den
-    else:
-        raise ValueError("polarization must be 's' or 'p'")
-    return r, t
-
-
 def coefficient_arrays(stack, wavelength_nm, internal_angle_rad, polarization="s", indices=None):
     """Vector-friendly core of `interface_coeffs`.
 
@@ -160,13 +131,6 @@ def interface_coeffs(stack, mode):
         stack, mode.vacuum_wavelength_nm, mode.internal_angle_rad, mode.polarization
     )
     return InterfaceCoeffs(t1=complex(t1), r1=complex(r1), t2=complex(t2), r2=complex(r2))
-
-
-def propagation_phase(stack, mode):
-    """Single-pass propagation phase L * k_parallel of a film mode."""
-    n = refractive_index(stack.film, mode.vacuum_wavelength_nm)
-    k_par = 2.0 * np.pi * n / mode.vacuum_wavelength_nm * np.cos(mode.internal_angle_rad)
-    return stack.thickness_nm * k_par
 
 
 def round_trip_denominator(r1, r2, phase):

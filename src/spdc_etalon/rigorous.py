@@ -45,17 +45,13 @@ class InteractionParams:
     """Dimensionless interaction strengths and phase mismatch.
 
     `delta` is the film thickness times the longitudinal wavevector
-    mismatch; the gain terms satisfy gamma^2 = beta^2 - delta^2/4 on
-    each pump branch.
+    mismatch; `interaction_matrix` derives the gain term of each pump
+    branch from it as `gain_term(beta, delta)`.
     """
 
     beta_plus: complex
     beta_minus: complex
-    gamma_plus: complex
-    gamma_minus: complex
     delta: float
-    delta_k_par: float
-    delta_k_perp: float
 
 
 @dataclass(frozen=True)
@@ -94,30 +90,20 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     n_p = refractive_index(stack.film, pump_mode.vacuum_wavelength_nm)
     n_s = refractive_index(stack.film, signal_mode.vacuum_wavelength_nm)
     n_i = refractive_index(stack.film, idler_mode.vacuum_wavelength_nm)
-    kp_par, kp_perp = wavevector_components(pump_mode, n_p)
-    ks_par, ks_perp = wavevector_components(signal_mode, n_s)
-    ki_par, ki_perp = wavevector_components(idler_mode, n_i)
+    kp_par, _ = wavevector_components(pump_mode, n_p)
+    ks_par, _ = wavevector_components(signal_mode, n_s)
+    ki_par, _ = wavevector_components(idler_mode, n_i)
     if ks_par <= KPAR_FLOOR or ki_par <= KPAR_FLOOR:
         raise GeometryError("signal/idler parallel wavevector must be positive")
-
-    dk_par = kp_par - ks_par - ki_par
-    dk_perp = kp_perp - ks_perp - ki_perp
-    delta = stack.thickness_nm * dk_par
 
     prefactor = _coupling_prefactor(
         stack, signal_mode.vacuum_wavelength_nm, idler_mode.vacuum_wavelength_nm, ks_par, ki_par
     )
     e_fwd, e_bwd = pump_field_amplitudes
-    beta_plus = prefactor * e_fwd
-    beta_minus = prefactor * e_bwd
     return InteractionParams(
-        beta_plus=complex(beta_plus),
-        beta_minus=complex(beta_minus),
-        gamma_plus=complex(gain_term(beta_plus, delta)),
-        gamma_minus=complex(gain_term(beta_minus, delta)),
-        delta=float(delta),
-        delta_k_par=float(dk_par),
-        delta_k_perp=float(dk_perp),
+        beta_plus=complex(prefactor * e_fwd),
+        beta_minus=complex(prefactor * e_bwd),
+        delta=float(stack.thickness_nm * (kp_par - ks_par - ki_par)),
     )
 
 
@@ -298,7 +284,10 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     Uses a direct linear solve rather than an explicit inverse.  With
     `check_condition` a condition number above 1e12 in (I - rho w)
     raises NearSingularError (parametric-oscillation threshold);
-    sweeps disable the check and mask bad pixels instead.
+    sweeps disable the check and mask bad pixels instead.  Without the
+    check, one (I - rho w) that LAPACK finds exactly singular raises
+    numpy.linalg.LinAlgError for the whole batch; the CLI reports it as
+    a numerical error (exit code 3).
     """
     w, tau2, rho = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (w, tau2, rho)))
     prods = _products(w, tau2, rho)

@@ -18,9 +18,7 @@ import numpy as np
 
 __all__ = [
     "SCHEMES",
-    "sinc",
     "nonresonant_probability",
-    "low_gain_interaction_matrix",
     "filter_function",
 ]
 
@@ -58,26 +56,6 @@ def _pump_profile(delta_k_perp, waist_um):
 def _nonresonant(delta, profile):
     """sinc^2(delta / 2) times the pump profile, delta = dk_par L."""
     return sinc(delta / 2.0) ** 2 * profile
-
-
-def low_gain_interaction_matrix(params):
-    """First-order interaction matrix: identity plus sinc-weighted coupling.
-
-    Valid diagnostic for |beta|^2 << 1; off-diagonals are -/+ beta
-    sinc(delta/2) on each pump branch.
-    """
-    s = sinc(np.asarray(params.delta, dtype=float) / 2.0)
-    bp = np.asarray(params.beta_plus, dtype=complex)
-    bm = np.asarray(params.beta_minus, dtype=complex)
-    shape = np.broadcast_shapes(np.shape(s), np.shape(bp), np.shape(bm))
-    w = np.zeros(shape + (4, 4), dtype=complex)
-    for i in range(4):
-        w[..., i, i] = 1.0
-    w[..., 0, 1] = -bp * s
-    w[..., 1, 0] = bp * s
-    w[..., 2, 3] = -bm * s
-    w[..., 3, 2] = bm * s
-    return w
 
 
 def filter_function(scheme, beta_plus, beta_minus, signal_enh, idler_enh):

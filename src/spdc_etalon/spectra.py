@@ -182,8 +182,6 @@ class _PixelBatch:
     """
 
     delta: np.ndarray
-    dk_par: np.ndarray
-    dk_perp: np.ndarray
     phi_s: np.ndarray
     phi_i: np.ndarray
     coeffs_s: tuple
@@ -280,8 +278,6 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
 
     return _PixelBatch(
         delta=delta,
-        dk_par=dk_par,
-        dk_perp=dk_perp,
         phi_s=phi_s,
         phi_i=phi_i,
         coeffs_s=coeffs_s,
@@ -329,9 +325,7 @@ def _eval_rigorous(batch, schemes, scales):
         delta = batch.delta[px]
         gauss = batch.gauss[px]
         for k, scale in enumerate(scales):
-            beta_p, beta_m = batch.betas(scale, px)
-            # interaction_matrix reads only the betas and delta.
-            params = InteractionParams(beta_p, beta_m, None, None, delta, None, None)
+            params = InteractionParams(*batch.betas(scale, px), delta)
             u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
             probs = pair_probabilities(u, schemes)
             for j, scheme in enumerate(schemes):
@@ -527,11 +521,12 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     return points
 
 
-def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None, threads=1):
+def detection_spectrum(config, scheme=None, efficiency_ratio=None, threads=1):
     """1D detected-rate spectrum at normal emission with envelope weighting.
 
     The simplified model is evaluated at theta = 0; each pixel is
-    weighted by the envelope at the signal wavelength and at the
+    weighted by the config's detection envelope (flat when its center or
+    width is unset) at the signal wavelength and at the
     energy-conserving idler wavelength.  The forward scheme fixes the
     normalization maximum; the backward scheme is multiplied by the
     scheme efficiency ratio and the split scheme by its square root.
@@ -554,9 +549,12 @@ def detection_spectrum(config, scheme=None, envelope=None, efficiency_ratio=None
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
         lam_i = np.where(lams > lam_p, _idler_wavelength(lam_p, lams), np.nan)
-    if envelope is None:
+    if config.envelope_center_nm is None or config.envelope_fwhm_nm is None:
         weight = np.ones_like(lams)
     else:
+        envelope = EnvelopeModel(
+            config.envelope_center_nm, config.envelope_fwhm_nm, config.envelope_amplitude
+        )
         weight = envelope(lams) * envelope(lam_i)
     weight = np.where(np.isfinite(weight), weight, 0.0)
 

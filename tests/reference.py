@@ -14,20 +14,29 @@ properties of `FieldEnhancements` were removed.
 `scattering_matrix` is the generic form of the library's structured
 kernel: it multiplies the full 4x4 matrices through BLAS, so it is the
 oracle for the entries the library forms one product at a time.
+
+`fresnel`, `propagation_phase` and `low_gain_interaction_matrix` were
+public library functions that no model ran; they live on here as
+independent references (textbook single-interface coefficients, the
+single-pass phase L k_parallel, and the first-order interaction
+matrix).  `interface_coeffs` is written here from `fresnel`.
+`interaction_params` keeps the full record the library's
+`InteractionParams` once carried, as an `InteractionRecord`.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 from spdc_etalon import (
     GeometryError,
-    InteractionParams,
+    InterfaceCoeffs,
     Mode,
     NearSingularError,
     PairProbabilities,
     ResonancePoleError,
     gain_term,
     interface_coeffs,
-    propagation_phase,
     refractive_index,
     wavevector_components,
 )
@@ -35,6 +44,63 @@ from spdc_etalon.layerstack import POLE_TOLERANCE, round_trip_denominator
 from spdc_etalon.rigorous import CONDITION_LIMIT, SPEED_OF_LIGHT_M_S
 
 SCHEMES = ("ff", "bb", "fb", "bf")
+
+InteractionRecord = namedtuple(
+    "InteractionRecord",
+    "beta_plus beta_minus gamma_plus gamma_minus delta delta_k_par delta_k_perp",
+)
+
+
+def _complex_cos(sin_sq):
+    """cos(theta) from sin^2(theta), continued to +i decay above TIR."""
+    return np.sqrt((1.0 + 0j) - sin_sq)
+
+
+def fresnel(n_in, n_out, incidence_angle, polarization="s"):
+    """Single-interface amplitude coefficients (r, t) from the n_in side.
+
+    Beyond the critical angle r is complex with |r| = 1; no error is
+    raised.
+    """
+    if np.any(np.asarray(n_in) <= 0) or np.any(np.asarray(n_out) <= 0):
+        raise ValueError("refractive indices must be positive")
+    ci = np.cos(incidence_angle)
+    si = np.sin(incidence_angle)
+    st = n_in * si / n_out
+    ct = _complex_cos(st ** 2)
+    if polarization == "s":
+        den = n_in * ci + n_out * ct
+        r = (n_in * ci - n_out * ct) / den
+        t = 2.0 * n_in * ci / den
+    elif polarization == "p":
+        den = n_out * ci + n_in * ct
+        r = (n_out * ci - n_in * ct) / den
+        t = 2.0 * n_in * ci / den
+    else:
+        raise ValueError("polarization must be 's' or 'p'")
+    return r, t
+
+
+def interface_coeffs(stack, mode):
+    """Film-side (t1, r1, t2, r2) from the textbook `fresnel`, with each
+    transmission scaled to flux normalization by sqrt(n_out c_out / n c)."""
+    lam = mode.vacuum_wavelength_nm
+    n = refractive_index(stack.film, lam)
+    theta = mode.internal_angle_rad
+    coeffs = []
+    for outer in (stack.superstrate, stack.substrate):
+        n_out = refractive_index(outer, lam)
+        r, t = fresnel(n, n_out, theta, mode.polarization)
+        c_out = _complex_cos((n * np.sin(theta) / n_out) ** 2)
+        coeffs += [t * np.sqrt(n_out * c_out / (n * np.cos(theta))), r]
+    return InterfaceCoeffs(*(complex(c) for c in coeffs))
+
+
+def propagation_phase(stack, mode):
+    """Single-pass propagation phase L * k_parallel of a film mode."""
+    n = refractive_index(stack.film, mode.vacuum_wavelength_nm)
+    k_par = 2.0 * np.pi * n / mode.vacuum_wavelength_nm * np.cos(mode.internal_angle_rad)
+    return stack.thickness_nm * k_par
 
 
 def solve_idler(pump, signal, stack):
@@ -109,7 +175,7 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     e_fwd, e_bwd = pump_field_amplitudes
     beta_plus = prefactor * e_fwd
     beta_minus = prefactor * e_bwd
-    return InteractionParams(
+    return InteractionRecord(
         beta_plus=complex(beta_plus),
         beta_minus=complex(beta_minus),
         gamma_plus=complex(gain_term(beta_plus, delta)),
@@ -176,6 +242,26 @@ def nonresonant_probability(delta_k_par, delta_k_perp, thickness_nm, waist_um):
     waist_nm = waist_um * 1e3
     gauss = np.exp(-(np.asarray(delta_k_perp, dtype=float) * waist_nm) ** 2 / 2.0)
     return sinc(half) ** 2 * gauss
+
+
+def low_gain_interaction_matrix(params):
+    """First-order interaction matrix: identity plus sinc-weighted coupling.
+
+    Valid diagnostic for |beta|^2 << 1; off-diagonals are -/+ beta
+    sinc(delta/2) on each pump branch.
+    """
+    s = sinc(np.asarray(params.delta, dtype=float) / 2.0)
+    bp = np.asarray(params.beta_plus, dtype=complex)
+    bm = np.asarray(params.beta_minus, dtype=complex)
+    shape = np.broadcast_shapes(np.shape(s), np.shape(bp), np.shape(bm))
+    w = np.zeros(shape + (4, 4), dtype=complex)
+    for i in range(4):
+        w[..., i, i] = 1.0
+    w[..., 0, 1] = -bp * s
+    w[..., 1, 0] = bp * s
+    w[..., 2, 3] = -bm * s
+    w[..., 3, 2] = bm * s
+    return w
 
 
 def filter_function(scheme, beta_plus, beta_minus, signal_enh, idler_enh):

@@ -182,15 +182,7 @@ def test_criterion_5_analytic_identities_suite(rng):
     # determinant of each interaction block == 1 (relative to entry scale)
     betas = (rng.normal(size=n_draws) + 1j * rng.normal(size=n_draws)) * 5.0
     deltas = rng.uniform(-50.0, 50.0, n_draws)
-    params = InteractionParams(
-        beta_plus=betas,
-        beta_minus=betas * (0.5 + 0.1j),
-        gamma_plus=gain_term(betas, deltas),
-        gamma_minus=gain_term(betas * (0.5 + 0.1j), deltas),
-        delta=deltas,
-        delta_k_par=deltas,
-        delta_k_perp=np.zeros(n_draws),
-    )
+    params = InteractionParams(beta_plus=betas, beta_minus=betas * (0.5 + 0.1j), delta=deltas)
     w = interaction_matrix(params)
     for rows in (slice(0, 2), slice(2, 4)):
         blk = w[:, rows, rows]
@@ -200,13 +192,7 @@ def test_criterion_5_analytic_identities_suite(rng):
 
     # zero-gain collapse: exact identity and probabilities below 1e-20
     zero = InteractionParams(
-        beta_plus=np.zeros(n_draws, complex),
-        beta_minus=np.zeros(n_draws, complex),
-        gamma_plus=gain_term(np.zeros(n_draws), deltas),
-        gamma_minus=gain_term(np.zeros(n_draws), deltas),
-        delta=deltas,
-        delta_k_par=deltas,
-        delta_k_perp=np.zeros(n_draws),
+        beta_plus=np.zeros(n_draws, complex), beta_minus=np.zeros(n_draws, complex), delta=deltas
     )
     w0 = interaction_matrix(zero)
     assert np.array_equal(w0, np.broadcast_to(np.eye(4, dtype=complex), w0.shape))
@@ -234,7 +220,7 @@ def test_criterion_5_analytic_identities_suite(rng):
     assert np.max(np.abs(bwd - coeffs.r2 * np.exp(1j * phi) * fwd)) < 1e-12
 
     # interface power conservation, raw amplitudes, both polarizations
-    from spdc_etalon import fresnel
+    from reference import fresnel
 
     n_in = rng.uniform(1.0, 4.0, n_draws)
     n_out = rng.uniform(1.0, 4.0, n_draws)
@@ -314,11 +300,11 @@ def test_criterion_7_degeneracy_bookkeeping(experiment_stack):
 def test_criterion_8_detection_spectrum_plumbing():
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
 
-    _, forward, mask = detection_spectrum(cfg, "forward", envelope=None, efficiency_ratio=0.4)
+    _, forward, mask = detection_spectrum(cfg, "forward", efficiency_ratio=0.4)
     assert np.max(forward[~mask]) == 1.0
 
-    _, unscaled, _ = detection_spectrum(cfg, "backward", envelope=None, efficiency_ratio=1.0)
-    _, scaled, _ = detection_spectrum(cfg, "backward", envelope=None, efficiency_ratio=0.4)
+    _, unscaled, _ = detection_spectrum(cfg, "backward", efficiency_ratio=1.0)
+    _, scaled, _ = detection_spectrum(cfg, "backward", efficiency_ratio=0.4)
     assert np.array_equal(scaled, 0.4 * unscaled)
     report(
         8,

@@ -1,25 +1,32 @@
 """The public surface, and the scalar API against the independent oracles."""
 
+import dataclasses
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import reference
 import spdc_etalon
+from conftest import config_text
 from spdc_etalon import (
     FieldEnhancements,
     GeometryError,
+    InteractionParams,
     LayerStack,
     MaterialModel,
     Mode,
     field_enhancements,
     filter_function,
+    gain_term,
     get_material,
     interaction_params,
     interface_coeffs,
     linear_transmission,
     nonresonant_probability,
     pair_probabilities,
-    propagation_phase,
     pump_enhancement,
     solve_idler,
 )
@@ -53,7 +60,6 @@ PUBLIC_NAMES = [
     "filter_function",
     "frequency_angular_spectra",
     "frequency_angular_spectrum",
-    "fresnel",
     "gain_and_agreement_curve",
     "gain_term",
     "get_material",
@@ -61,13 +67,11 @@ PUBLIC_NAMES = [
     "interaction_params",
     "interface_coeffs",
     "linear_transmission",
-    "low_gain_interaction_matrix",
     "material_from_spec",
     "material_names",
     "nonresonant_probability",
     "pair_probabilities",
     "parse_config",
-    "propagation_phase",
     "pump_enhancement",
     "r_squared",
     "refractive_index",
@@ -84,10 +88,39 @@ REL = 1e-13
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(spdc_etalon.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdc_etalon, name) is not None
+    assert [f.name for f in dataclasses.fields(InteractionParams)] == [
+        "beta_plus",
+        "beta_minus",
+        "delta",
+    ]
+
+
+# The command-line module is an entry point, not library surface.
+LIBRARY_MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(spdc_etalon.__path__) if m.name != "cli"
+)
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_submodule_names_are_package_names(module):
+    names = getattr(importlib.import_module(f"spdc_etalon.{module}"), "__all__", [])
+    assert set(names) <= set(spdc_etalon.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.ini").write_text(
+        config_text(lambda_count=24, theta_count=6), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def _stacks():
@@ -129,20 +162,29 @@ def test_interaction_params_matches_oracle(rng):
             continue
         mine = interaction_params(stack, pump, signal, idler, fields)
         ref = reference.interaction_params(stack, pump, signal, idler, fields)
-        for key in ("beta_plus", "beta_minus", "gamma_plus", "gamma_minus"):
+        for key in ("beta_plus", "beta_minus"):
             assert getattr(mine, key) == pytest.approx(getattr(ref, key), rel=REL)
-        assert (mine.delta, mine.delta_k_par, mine.delta_k_perp) == (
-            ref.delta,
-            ref.delta_k_par,
-            ref.delta_k_perp,
-        )
+        # The library carries no gain terms or wavevector mismatches:
+        # gamma is gain_term(beta, delta), and delta is L dk_par.
+        assert gain_term(mine.beta_plus, mine.delta) == pytest.approx(ref.gamma_plus, rel=REL)
+        assert gain_term(mine.beta_minus, mine.delta) == pytest.approx(ref.gamma_minus, rel=REL)
+        assert mine.delta == ref.delta == stack.thickness_nm * ref.delta_k_par
     assert 0 < grazing < 20
+
+
+def test_interface_coeffs_match_fresnel_oracle(rng):
+    for stack, pump, signal in _pixels(rng):
+        for mode in (pump, signal):
+            mine = interface_coeffs(stack, mode)
+            ref = reference.interface_coeffs(stack, mode)
+            for key in ("t1", "r1", "t2", "r2"):
+                assert getattr(mine, key) == pytest.approx(getattr(ref, key), rel=REL)
 
 
 def test_etalon_scalars_match_oracles(rng):
     for stack, pump, signal in _pixels(rng):
         coeffs = interface_coeffs(stack, pump)
-        phi = propagation_phase(stack, pump)
+        phi = reference.propagation_phase(stack, pump)
         for mine, ref in zip(
             pump_enhancement(coeffs, phi), reference.pump_enhancement(coeffs, phi)
         ):
@@ -167,7 +209,9 @@ def test_filter_function_matches_oracle(rng):
         if abs(idler.internal_angle_rad) > 0.4:
             continue  # beyond the critical angle: |r| = 1 can hit a pole
         enh_s, enh_i = (
-            field_enhancements(interface_coeffs(stack, mode), propagation_phase(stack, mode))
+            field_enhancements(
+                interface_coeffs(stack, mode), reference.propagation_phase(stack, mode)
+            )
             for mode in (signal, idler)
         )
         beta_p, beta_m = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))

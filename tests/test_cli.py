@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdc_etalon import ConfigError, cli, parse_config, serialize_config
-from spdc_etalon.cli import main
+from spdc_etalon import ConfigError, cli, detection_spectrum, parse_config, serialize_config
+from spdc_etalon.cli import COMMANDS, main
 from conftest import EXPERIMENT_CONFIG, config_text
 
 SMALL = config_text(lambda_count=48, theta_count=8)
@@ -367,6 +367,54 @@ def test_detection_command(tmp_path):
     assert np.all(data[:, 1] >= 0)
 
 
+@pytest.mark.parametrize("scheme", ["forward", "backward", "forward_backward"])
+def test_detection_library_equals_cli(tmp_path, scheme):
+    # The library call takes the envelope from the config, as the CLI does.
+    text = config_text(lambda_count=32, theta_count=2) + (
+        "\n[detection]\nenvelope_center_nm = 1576.0\nenvelope_fwhm_nm = 250.0\n"
+        f"efficiency_ratio = 0.4\nscheme = {scheme}\n"
+    )
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "det.csv"
+    assert main(["detection", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    lams, rate, mask = detection_spectrum(parse_config(text))
+    assert rows == [["%.9g" % x, "%.9g" % r, "%d" % m] for x, r, m in zip(lams, rate, mask)]
+
+
+def test_tabulated_material_read_once_per_command(tmp_path, monkeypatch, capsys):
+    # The config resolves its material specs once: validation and the run
+    # share one read of the table.
+    table = tmp_path / "n.csv"
+    table.write_text("# lam_nm, n\n700,3.6\n3000,3.4\n", encoding="utf-8")
+    cfg_path = write_config(
+        tmp_path, config_text(lambda_count=32, theta_count=8, substrate=f"tabulated:{table}")
+    )
+    reads = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        reads.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    for command in COMMANDS:
+        reads.clear()
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert reads == [str(table)], command
+
+    # A missing or malformed table is still a config error naming its key.
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    for content, message in ((None, "cannot read"), ("1000,2.0\n", "bad material table")):
+        table.unlink(missing_ok=True)
+        if content is not None:
+            table.write_text(content, encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: stack.substrate: {message}")
+
+
 # SHA-256 of every file each command writes for SMALL.  Output bytes are
 # part of the CLI contract: change these only with a change meant to
 # alter them.
@@ -394,7 +442,8 @@ def test_every_command_golden_bytes(tmp_path):
 # p polarization, and a 775 nm pump on a 5.1237 um film, where the pump
 # phase L 2 pi n / lam and L (2 pi n / lam cos 0), equal at 788 nm /
 # 10.15 um, differ in the last bit.  Recorded with the code before the
-# sweep kernels were shared with the scalar API.
+# sweep kernels were shared with the scalar API.  The detection envelope
+# was recorded when the CLI still built it outside `detection_spectrum`.
 GOLDEN_ROUTES = {
     "chi2-field": (
         SMALL.replace("beta_plus = 1e-3", "field_v_per_m = 5e7").replace(
@@ -432,6 +481,18 @@ GOLDEN_ROUTES = {
             "gain-curve.csv": "6d3482f31734637554e2487c698d0c740977121093a10ae152bb9d7d17219671",
             "transmission.csv": "9f567dee39c5c93f15fa9d05ec3f91544ea15a07cc48e56a78531962596bcac6",
             "detection.csv": "3f3fb6361721f1fe96e70335455e3ac1f609c062333cda037753a487f418d225",
+        },
+    ),
+    "detection-envelope": (
+        SMALL + "\n[detection]\nenvelope_center_nm = 1576.0\nenvelope_fwhm_nm = 250.0\n",
+        {
+            "spectrum.csv": "5e51c74ef394378da6cd9896f1111ef1b10762026dd96c083fb6021d04ccdf4f",
+            "compare_simplified.csv": "f5a14fd1214728def33152aeec0c7a9e8a1ab1afa9acbd847aae3373505ed758",
+            "compare_rigorous.csv": "73e1a87dfdd14c1390f786e4296d8935f45bdf9d7ba8c02b858fe2fa88759408",
+            "compare_summary.csv": "5dc34dc596f904b91b0ffc1b4f5bda3605b2817e4ee250af3a056dbead1ce695",
+            "gain-curve.csv": "9045041c7772b546c8aea93b272f277cd070ff9372efdde61b7d93cd7d16e025",
+            "transmission.csv": "80a7a5f0bb22da0bd98e8435e1dd583db4be681b70b60db921f86f329ac3c56c",
+            "detection.csv": "0909780026c2b8cbf4d0d77050769bc37c269ca5cec681afa8f8777af559cf82",
         },
     ),
 }

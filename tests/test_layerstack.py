@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import fresnel, propagation_phase
 from spdc_etalon import (
     InterfaceCoeffs,
     LayerStack,
@@ -8,11 +9,9 @@ from spdc_etalon import (
     Mode,
     ResonancePoleError,
     field_enhancements,
-    fresnel,
     get_material,
     interface_coeffs,
     linear_transmission,
-    propagation_phase,
     pump_enhancement,
     refractive_index,
 )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import low_gain_interaction_matrix, propagation_phase
 from spdc_etalon import (
     FieldEnhancements,
     InteractionParams,
@@ -8,27 +9,16 @@ from spdc_etalon import (
     boundary_matrices,
     field_enhancements,
     filter_function,
-    gain_term,
     interaction_matrix,
     interface_coeffs,
-    low_gain_interaction_matrix,
     nonresonant_probability,
     pair_probabilities,
-    propagation_phase,
     scattering_matrix,
 )
 
 
 def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
-    return InteractionParams(
-        beta_plus=beta_plus,
-        beta_minus=beta_minus,
-        gamma_plus=complex(gain_term(beta_plus, delta)),
-        gamma_minus=complex(gain_term(beta_minus, delta)),
-        delta=delta,
-        delta_k_par=0.0,
-        delta_k_perp=0.0,
-    )
+    return InteractionParams(beta_plus=beta_plus, beta_minus=beta_minus, delta=delta)
 
 
 def test_nonresonant_perfect_phase_matching():
@@ -143,16 +133,7 @@ def _point_prediction(stack, lam_s, theta_s, beta_scale):
 
 
 def _rigorous_point(stack, signal, idler, beta_p, beta_m, phi_s, phi_i, delta):
-    p = InteractionParams(
-        beta_plus=beta_p,
-        beta_minus=beta_m,
-        gamma_plus=complex(gain_term(beta_p, delta)),
-        gamma_minus=complex(gain_term(beta_m, delta)),
-        delta=delta,
-        delta_k_par=delta / stack.thickness_nm,
-        delta_k_perp=0.0,
-    )
-    w = interaction_matrix(p)
+    w = interaction_matrix(InteractionParams(beta_plus=beta_p, beta_minus=beta_m, delta=delta))
     tau1, tau2, rho = boundary_matrices(
         interface_coeffs(stack, signal), interface_coeffs(stack, idler), phi_s, phi_i
     )

@@ -239,7 +239,6 @@ def _unblocked_rigorous_grid(cfg):
     from spdc_etalon.rigorous import (
         InteractionParams,
         boundary_matrices,
-        gain_term,
         interaction_matrix,
         pair_probabilities,
     )
@@ -255,11 +254,7 @@ def _unblocked_rigorous_grid(cfg):
             *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
             spectra._pump_state(cfg, stack),
         )
-        bp, bm = batch.betas(cfg.beta_plus)
-        params = InteractionParams(
-            bp, bm, gain_term(bp, batch.delta), gain_term(bm, batch.delta),
-            batch.delta, batch.dk_par, batch.dk_perp,
-        )
+        params = InteractionParams(*batch.betas(cfg.beta_plus), batch.delta)
         boundary = boundary_matrices(
             InterfaceCoeffs(*batch.coeffs_s),
             InterfaceCoeffs(*batch.coeffs_i),
@@ -421,9 +416,9 @@ def test_chi2_route_matches_interaction_params_op(experiment_stack):
         boundary_matrices,
         interaction_matrix,
         interface_coeffs,
-        propagation_phase,
         scattering_matrix,
     )
+    from reference import propagation_phase
 
     text = config_text(
         lambda_min_nm=1500.0,
@@ -656,7 +651,7 @@ def test_gain_curve_normalization_reference():
 
 
 def test_detection_flat_envelope_recovers_bare_spectrum(small_config):
-    lams, rate, mask = detection_spectrum(small_config, "forward", envelope=None)
+    lams, rate, mask = detection_spectrum(small_config, "forward")
     grid_cfg = parse_config(
         config_text(lambda_count=96, theta_count=2, theta_min_rad=0.0, theta_max_rad=0.1)
     )
@@ -695,8 +690,8 @@ def test_detection_envelope_weighting_symmetric_about_degeneracy():
     cfg = parse_config(
         config_text(lambda_min_nm=lam_lo, lambda_max_nm=repr(lam_hi), lambda_count=3)
     )
-    env = EnvelopeModel(center_nm=1576.0, fwhm_nm=300.0)
-    _, rate, mask = detection_spectrum(cfg, "forward", envelope=env)
+    cfg = replace(cfg, envelope_center_nm=1576.0, envelope_fwhm_nm=300.0)
+    _, rate, mask = detection_spectrum(cfg, "forward")
     assert not mask[0] and not mask[-1]
     assert rate[0] == pytest.approx(rate[-1], rel=1e-9)
 
@@ -756,7 +751,7 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
         )
         b = np.full(batch.delta.shape, beta, dtype=complex)
         gamma = gain_term(b, batch.delta)
-        params = InteractionParams(b, b, gamma, gamma, batch.delta, batch.dk_par, batch.dk_perp)
+        params = InteractionParams(b, b, batch.delta)
         u = scattering_matrix(
             interaction_matrix(params),
             *boundary_matrices(
