@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -406,7 +406,7 @@ def main(argv=None):
                 overrides["schemes"] = tuple(s for s in schemes if s)
         if overrides:
             try:
-                config = replace(config, **overrides).validate()
+                config = config._replace_keeping_stack(**overrides)
             except ConfigError as exc:
                 raise ConfigError(f"--scheme: {exc}") from None
         if args.threads < 1:

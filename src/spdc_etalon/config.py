@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import io
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -129,11 +129,26 @@ class RunConfig:
         is read once, and the run uses the table that `validate` checked."""
         return self._stack
 
+    def _replace_keeping_stack(self, **changes):
+        """`replace(self, **changes).validate()` for changes that leave the
+        stack's fields alone: the copy takes over the resolved stack, so
+        a `tabulated:` table is not read again."""
+        if changes.keys() & _STACK_FIELDS:
+            raise ValueError(f"cannot keep the stack when changing {sorted(changes)}")
+        config = replace(self, **changes)
+        # Where `cached_property` keeps `_stack`.
+        config.__dict__["_stack"] = self._stack
+        return config.validate()
+
     def signal_wavelengths(self):
         return np.linspace(self.lambda_min_nm, self.lambda_max_nm, self.lambda_count)
 
     def internal_angles(self):
         return np.linspace(self.theta_min_rad, self.theta_max_rad, self.theta_count)
+
+
+# The fields `_stack` reads.
+_STACK_FIELDS = {"superstrate", "film", "substrate", "thickness_um", "chi2_pm_per_v"}
 
 
 def material_from_spec(spec):

@@ -9,7 +9,11 @@ operator algebra is materialized.
 
 All matrix routines accept leading batch dimensions: a FourMatrix is
 any complex ndarray of shape (..., 4, 4), so a full spectral grid can
-be evaluated in one vectorized call.
+be evaluated in one vectorized call.  The batch axes broadcast: a sweep
+puts its beta jobs on a leading axis, (jobs, pixels), against per-pixel
+delta and boundary matrices of shape (1, pixels) or (pixels,), so the
+work that does not depend on beta runs once per pixel.  The structure
+check of `scattering_matrix` runs on each argument as given.
 """
 
 from __future__ import annotations
@@ -126,6 +130,8 @@ def _sinhc(gamma):
     """sinh(gamma)/gamma, by series below the cutoff to avoid 0/0."""
     gamma = np.asarray(gamma, dtype=complex)
     small = np.abs(gamma) < SINHC_SERIES_CUTOFF
+    if not small.any():
+        return np.sinh(gamma) / gamma
     g_safe = np.where(small, 1.0, gamma)
     direct = np.sinh(g_safe) / g_safe
     g2 = gamma ** 2
@@ -133,25 +139,25 @@ def _sinhc(gamma):
     return np.where(small, series, direct)
 
 
-def _interaction_block(beta, delta):
-    """One 2x2 block of the interaction matrix; exact identity at beta = 0."""
+def _interaction_block(beta, half, quarter_sq, phases):
+    """One 2x2 block of the interaction matrix; exact identity at beta = 0.
+
+    `half` = delta/2, `quarter_sq` = delta^2/4 and `phases` =
+    (e^{-i delta/2}, e^{i delta/2}) depend on delta alone, so both
+    blocks and every beta of a job axis share them.
+    """
     beta = np.asarray(beta, dtype=complex)
-    delta = np.asarray(delta, dtype=float)
-    beta_b, delta_b = np.broadcast_arrays(beta, delta)
-    gamma = gain_term(beta_b, delta_b)
+    beta = np.broadcast_to(beta, np.broadcast_shapes(beta.shape, half.shape))
+    gamma = np.sqrt(beta ** 2 - quarter_sq)  # gain_term(beta, delta)
     shc = _sinhc(gamma)
     ch = np.cosh(gamma)
-    half = delta_b / 2.0
-    w11 = np.exp(-1j * half) * (ch + 1j * half * shc)
-    w22 = np.exp(1j * half) * (ch - 1j * half * shc)
-    w12 = -1j * beta_b * shc
-    w21 = 1j * beta_b * shc
-    block = np.empty(beta_b.shape + (2, 2), dtype=complex)
-    block[..., 0, 0] = w11
-    block[..., 0, 1] = w12
-    block[..., 1, 0] = w21
-    block[..., 1, 1] = w22
-    zero = beta_b == 0
+    ihs = 1j * half * shc
+    block = np.empty(beta.shape + (2, 2), dtype=complex)
+    block[..., 0, 0] = phases[0] * (ch + ihs)
+    block[..., 0, 1] = -1j * beta * shc
+    block[..., 1, 0] = 1j * beta * shc
+    block[..., 1, 1] = phases[1] * (ch - ihs)
+    zero = beta == 0
     if block.ndim == 2:
         if zero:
             block = np.eye(2, dtype=complex)
@@ -167,9 +173,18 @@ def interaction_matrix(params):
     forward pump branch, the lower block the backward pair through the
     backward branch.  Each block has unit determinant, is even in the
     gain term, and collapses to the exact identity at zero gain.
+
+    The strengths and delta broadcast: with (jobs, pixels) strengths and
+    a (1, pixels) delta, the terms of delta alone are formed once per
+    pixel and serve every job.  Keep such a per-pixel operand at an
+    explicit leading axis of 1: numpy's complex product can round a
+    one-element (1,) * (1, 1) product differently from (1,) * (1,).
     """
-    upper = _interaction_block(params.beta_plus, params.delta)
-    lower = _interaction_block(params.beta_minus, params.delta)
+    delta = np.asarray(params.delta, dtype=float)
+    half = delta / 2.0
+    terms = (half, delta ** 2 / 4.0, (np.exp(-1j * half), np.exp(1j * half)))
+    upper = _interaction_block(params.beta_plus, *terms)
+    lower = _interaction_block(params.beta_minus, *terms)
     shape = np.broadcast_shapes(upper.shape[:-2], lower.shape[:-2])
     w = np.zeros(shape + (4, 4), dtype=complex)
     w[..., 0:2, 0:2] = upper
@@ -241,29 +256,25 @@ _FACTOR_ENTRIES = {
 
 
 def _entries(name, m, entries):
-    """The flat `entries` of every matrix in `m` as rows (entries, pixels);
-    ValueError if `m` has a nonzero entry outside its structure."""
+    """The flat `entries` of every matrix in `m` as an (entries, *batch)
+    array; ValueError if `m` has a nonzero entry outside its structure."""
     flat = m.reshape(-1, 16).T
     if flat[np.flatnonzero(~_SUPPORT[name])].any():
         raise ValueError(f"{name} has a nonzero entry outside its structure")
-    return flat[entries]
+    return flat[entries].reshape((len(entries),) + m.shape[:-2])
 
 
-def _products(w, tau2, rho):
-    """The nonzero entries of rho w and tau2 w, as (2, 4, 2, pixels):
-    [0] holds rho w and [1] tau2 w, laid out like w's two blocks.
+def _product(factor, w_kc):
+    """factor[k] w[k, c] over w's nonzero entries (k, c), as (4, 2, *batch).
 
     BLAS forms an entry with one nonzero term as ar br - ai bi and
     ar bi + ai br, each product rounded on its own; numpy's complex `*`
     is FMA-contracted, so the parts are multiplied here one by one.
     """
-    w_kc = _entries("w", w, _W_ENTRIES).reshape(4, 2, -1)
-    factors = np.stack(
-        [_entries(name, m, _FACTOR_ENTRIES[name]) for name, m in (("rho", rho), ("tau2", tau2))]
-    )[:, :, None, :]
-    out = np.empty((2,) + w_kc.shape, dtype=complex)
-    np.subtract(factors.real * w_kc.real, factors.imag * w_kc.imag, out=out.real)
-    np.add(factors.real * w_kc.imag, factors.imag * w_kc.real, out=out.imag)
+    factor = factor[:, None]
+    out = np.empty(np.broadcast_shapes(factor.shape, w_kc.shape), dtype=complex)
+    np.subtract(factor.real * w_kc.real, factor.imag * w_kc.imag, out=out.real)
+    np.add(factor.real * w_kc.imag, factor.imag * w_kc.real, out=out.imag)
     return out
 
 
@@ -273,7 +284,8 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     The inputs must have the structure that `interaction_matrix` and
     `boundary_matrices` give them: w block diagonal with two 2x2 blocks,
     tau2 diagonal, and rho nonzero only at (0, 2), (1, 3), (2, 0) and
-    (3, 1); a nonzero entry anywhere else raises ValueError.  Each entry
+    (3, 1); a nonzero entry anywhere else raises ValueError.  Each
+    argument is checked and gathered at its own shape.  Each entry
     of rho w and tau2 w is then one product, formed elementwise with the
     rounding of the generic BLAS product, so U is bit for bit the
     generic formula's.  The zero terms that BLAS adds can turn inf into
@@ -281,30 +293,47 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     can also flip the sign of a zero entry, which does not reach U:
     I - rho w drops it, and BLAS sums (tau2 w) X from +0.
 
+    The batch axes broadcast: a (jobs, pixels, 4, 4) w from
+    (jobs, pixels) strengths meets the (pixels, 4, 4) boundary matrices,
+    which are read and conjugated once per pixel, not once per job.
+
     Uses a direct linear solve rather than an explicit inverse.  With
     `check_condition` a condition number above 1e12 in (I - rho w)
     raises NearSingularError (parametric-oscillation threshold);
     sweeps disable the check and mask bad pixels instead.  Without the
     check, one (I - rho w) that LAPACK finds exactly singular raises
-    numpy.linalg.LinAlgError for the whole batch; the CLI reports it as
-    a numerical error (exit code 3).
+    numpy.linalg.LinAlgError for the whole call, every job of it
+    included; the CLI reports it as a numerical error (exit code 3).
     """
-    w, tau2, rho = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in (w, tau2, rho)))
-    prods = _products(w, tau2, rho)
-    n = prods.shape[-1]
-    system = np.zeros((n, 16), dtype=complex)
-    system[:, _RHO_W_ENTRIES] = prods[0].reshape(8, n).T
-    tau2_w = np.zeros((n, 16), dtype=complex)
-    tau2_w[:, _W_ENTRIES] = prods[1].reshape(8, n).T
-    finite = np.isfinite(prods).all(axis=(0, 1, 2))
-    del prods
+    args = [np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho)]
+    shape = np.broadcast_shapes(*(m.shape for m in args))
+    # At least one batch axis, and the same number on every argument: a
+    # per-pixel argument gets explicit leading axes of 1.
+    ndim = max(len(shape), 3)
+    w, tau1, tau2, rho = (m.reshape((1,) * (ndim - m.ndim) + m.shape) for m in args)
+    batch = np.broadcast_shapes(w.shape, tau2.shape, rho.shape)[:-2]
+    w_kc = _entries("w", w, _W_ENTRIES).reshape((4, 2) + w.shape[:-2])
+    # One zeroed buffer for rho w and tau2 w, and U later overwrites
+    # I - rho w: fewer large allocations per call, so glibc keeps the
+    # block's memory instead of trimming and faulting it in again.
+    system, tau2_w = np.zeros((2,) + batch + (16,), dtype=complex)
+    finite = np.ones(batch, dtype=bool)
+    for name, m, out, entries in (
+        ("rho", rho, system, _RHO_W_ENTRIES),
+        ("tau2", tau2, tau2_w, _W_ENTRIES),
+    ):
+        prod = _product(_entries(name, m, _FACTOR_ENTRIES[name]), w_kc)
+        finite &= np.isfinite(prod).all(axis=(0, 1))
+        out[..., entries] = np.moveaxis(prod.reshape((8,) + prod.shape[2:]), 0, -1)
+        del prod
+    del w_kc
     if not finite.all():
-        generic = ~finite
-        w_g, tau2_g, rho_g = (m.reshape(-1, 4, 4)[generic] for m in (w, tau2, rho))
+        generic = np.nonzero(~finite)
+        w_g, tau2_g, rho_g = (np.broadcast_to(m, batch + (4, 4))[generic] for m in (w, tau2, rho))
         system[generic] = (rho_g @ w_g).reshape(-1, 16)
         tau2_w[generic] = (tau2_g @ w_g).reshape(-1, 16)
-    system = system.reshape(w.shape)
-    tau2_w = tau2_w.reshape(w.shape)
+    system = system.reshape(batch + (4, 4))
+    tau2_w = tau2_w.reshape(batch + (4, 4))
     np.subtract(np.eye(4, dtype=complex), system, out=system)
     if check_condition:
         cond = np.linalg.cond(system)
@@ -313,11 +342,11 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
                 "(I - rho w) is near-singular (condition number "
                 f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
             )
-    solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
-    del system
-    u = tau2_w @ solved
+    solved = np.linalg.solve(system, tau1)
+    u = np.matmul(tau2_w, solved, out=system)
     del tau2_w, solved
-    return np.subtract(u, _swap_conj_transpose(rho), out=u)
+    np.subtract(u, _swap_conj_transpose(rho), out=u)
+    return u.reshape(shape)
 
 
 # Rows of U per scheme: signal output row s, idler output row i, and

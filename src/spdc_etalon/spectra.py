@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -192,15 +193,18 @@ class _PixelBatch:
     mask: np.ndarray
     pump_amplitudes: tuple
 
-    def betas(self, scale, pixels=slice(None)):
-        """Per-pixel (beta+, beta-) at `pixels`: the chi2/field route's
-        strengths when `scale` is None, else `scale` times the pump
-        enhancement, constant over the pixels."""
-        if scale is None:
-            return self.beta_p[pixels], self.beta_m[pixels]
-        shape = self.mask[pixels].shape
-        scale = complex(scale)
-        return tuple(np.full(shape, scale * e, dtype=complex) for e in self.pump_amplitudes)
+    def betas(self, scales, pixels=slice(None)):
+        """(beta+, beta-) of each job at `pixels`, as two (jobs, pixels)
+        arrays: a job's row holds the chi2/field route's strengths when
+        its scale is None, else the scale times the pump enhancement."""
+        shape = (len(scales),) + self.mask[pixels].shape
+        beta_p, beta_m = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for k, scale in enumerate(scales):
+            if scale is None:
+                beta_p[k], beta_m[k] = self.beta_p[pixels], self.beta_m[pixels]
+            else:
+                beta_p[k], beta_m[k] = (complex(scale) * e for e in self.pump_amplitudes)
+        return beta_p, beta_m
 
 
 def _pump_state(config, stack):
@@ -290,54 +294,55 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
     )
 
 
-# Model evaluators: each takes a batch, the schemes and the beta scales
-# of all of the batch's jobs of its model (None for the chi2/field
-# route), and returns their intensities as a (jobs, schemes, n) array.
+# Model evaluators: each takes a batch, the schemes, the beta scales of
+# a run of the batch's jobs of its model (None for the chi2/field route)
+# and their zeroed (jobs, schemes, n) slice of the result, which it fills
+# with their intensities.
 
 
-def _eval_simplified(batch, schemes, scales):
+def _eval_simplified(batch, schemes, scales, values):
     p = _nonresonant(batch.delta, batch.gauss)
     signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
     idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
     products = [_scheme_products(scheme, signal, idler) for scheme in schemes]
-    values = np.empty((len(scales), len(schemes), p.size))
     for k, scale in enumerate(scales):
-        beta_p, beta_m = batch.betas(scale)
+        (beta_p,), (beta_m,) = batch.betas([scale])
         for j, pair in enumerate(products):
             values[k, j] = p * _filter_strength(beta_p, beta_m, *pair)
-    return values
 
 
-def _eval_rigorous(batch, schemes, scales):
-    """The rigorous model on the unmasked pixels only (zero elsewhere),
-    in blocks of `_RIGOROUS_BLOCK`; each block's boundary matrices
-    serve every job."""
-    values = np.zeros((len(scales), len(schemes), batch.mask.size))
+def _eval_rigorous(batch, schemes, scales, values):
+    """The rigorous model on the unmasked pixels only (the others keep their zeros).
+
+    All jobs run together: each block of pixels makes one call per
+    rigorous step on (jobs, pixels) strengths, so a block holds
+    `_RIGOROUS_BLOCK` // jobs pixels (at least one) and every call at
+    most max(`_RIGOROUS_BLOCK`, jobs) matrices.  The block's boundary
+    matrices and the terms of delta alone serve every job.
+    """
     live = np.flatnonzero(~batch.mask)
-    for lo in range(0, live.size, _RIGOROUS_BLOCK):
-        px = live[lo : lo + _RIGOROUS_BLOCK]
+    step = max(1, _RIGOROUS_BLOCK // len(scales))
+    for lo in range(0, live.size, step):
+        px = live[lo : lo + step]
         boundary = boundary_matrices(
             InterfaceCoeffs(*(c[px] for c in batch.coeffs_s)),
             InterfaceCoeffs(*(c[px] for c in batch.coeffs_i)),
             batch.phi_s[px],
             batch.phi_i[px],
         )
-        delta = batch.delta[px]
+        # delta keeps an explicit job axis of 1; see `interaction_matrix`.
+        params = InteractionParams(*batch.betas(scales, px), batch.delta[px][None])
+        u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
+        probs = pair_probabilities(u, schemes)
+        del u  # before the next block allocates: two live U raise the peak RSS
         gauss = batch.gauss[px]
-        for k, scale in enumerate(scales):
-            params = InteractionParams(*batch.betas(scale, px), delta)
-            u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
-            probs = pair_probabilities(u, schemes)
-            for j, scheme in enumerate(schemes):
-                values[k, j, px] = getattr(probs, scheme) * gauss
-    return values
+        for j, scheme in enumerate(schemes):
+            values[:, j, px] = getattr(probs, scheme) * gauss
 
 
-def _eval_nonresonant(batch, schemes, scales):
-    values = np.zeros((len(scales), len(schemes), batch.mask.size))
+def _eval_nonresonant(batch, schemes, scales, values):
     if "ff" in schemes:
         values[:, schemes.index("ff")] = _nonresonant(batch.delta, batch.gauss)
-    return values
 
 
 _EVALUATORS = {
@@ -359,9 +364,10 @@ def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     A job is a (model, beta scale) pair; a scale of None keeps the
     config's interaction strengths.  Pixels run wavelength-major in
     chunks of `_CHUNK_PIXELS`: each chunk's kinematics batch is built
-    once and shared by all jobs, each model evaluates all of its jobs
-    in one call, and `threads` workers take whole chunks, so the result
-    is bitwise the same for any thread count.
+    once and shared by all jobs, each run of consecutive jobs of one
+    model is evaluated in one call that writes straight into the
+    result, and `threads` workers take whole chunks, so the result is
+    bitwise the same for any thread count.
 
     Returns (values, mask): values[k][scheme] is job k's flat
     intensity and mask[k] its flat error mask (intensity zero there).
@@ -370,21 +376,23 @@ def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     n = lams.size * thetas.size
     out = np.zeros((len(jobs), len(schemes), n))
     mask = np.zeros((len(jobs), n), dtype=bool)
-    groups = {}  # model -> indices of its jobs, in job order
-    for k, (model, _scale) in enumerate(jobs):
-        groups.setdefault(model, []).append(k)
+    runs = [  # (model, indices of a run of consecutive jobs of that model)
+        (model, [k for k, _job in run])
+        for model, run in groupby(enumerate(jobs), key=lambda item: item[1][0])
+    ]
     scales = [config.beta_plus if scale is None else scale for _model, scale in jobs]
 
     def eval_chunk(lo):
         hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
             batch = _build_batch(config, stack, *_pixel_axes(lams, thetas, lo, hi), pump_state)
-            for model, ks in groups.items():
-                values = _EVALUATORS[model](batch, schemes, [scales[k] for k in ks])
+            for model, ks in runs:
+                values = out[ks[0] : ks[-1] + 1, :, lo:hi]
+                _EVALUATORS[model](batch, schemes, [scales[k] for k in ks], values)
                 for k, job_values in zip(ks, values):
                     job_mask = batch.mask | ~np.isfinite(job_values).all(axis=0)
                     mask[k, lo:hi] = job_mask
-                    out[k, :, lo:hi] = np.where(job_mask, 0.0, job_values)
+                    job_values[:, job_mask] = 0.0
 
     starts = range(0, n, _CHUNK_PIXELS)
     workers = min(threads, len(starts))

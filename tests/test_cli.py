@@ -398,11 +398,16 @@ def test_tabulated_material_read_once_per_command(tmp_path, monkeypatch, capsys)
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-    for command in COMMANDS:
+    # --model and --scheme override the parsed config; its table serves the run.
+    runs = [[command] for command in COMMANDS] + [
+        ["spectrum", "--model", "rigorous"],
+        ["detection", "--scheme", "backward"],
+    ]
+    for args in runs:
         reads.clear()
-        out = tmp_path / f"{command}.csv"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert reads == [str(table)], command
+        out = tmp_path / f"{args[0]}.csv"
+        assert main([*args, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert reads == [str(table)], args
 
     # A missing or malformed table is still a config error naming its key.
     out = tmp_path / "x.csv"

@@ -353,7 +353,7 @@ def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
         u = scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
         expected = reference.scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
         assert_same_bits(u, expected)
-        blocks.append(np.isfinite(expected).all(axis=(-2, -1)))
+        blocks.append(np.isfinite(expected).all(axis=(-2, -1)).ravel())
         return u
 
     monkeypatch.setattr(spectra, "scattering_matrix", checked)
@@ -373,6 +373,77 @@ def test_scattering_matrix_rejects_entries_outside_the_structure(rng, argument, 
     inputs[argument][1, 0, 3] = value
     with pytest.raises(ValueError, match=f"{argument} has a nonzero entry outside"):
         scattering_matrix(**inputs)
+
+
+@pytest.mark.parametrize("argument", ["w", "tau2", "rho"])
+def test_scattering_matrix_checks_each_argument_at_its_own_shape(rng, argument):
+    # A (jobs, n) w against (n, 4, 4) boundary matrices, as a sweep block
+    # passes them: the last matrix of any argument can break its structure.
+    w, tau1, tau2, rho = _random_structured(rng, 5, 0.0)
+    inputs = {"w": np.stack([w, w[::-1], w]), "tau1": tau1, "tau2": tau2, "rho": rho}
+    assert scattering_matrix(**inputs).shape == (3, 5, 4, 4)
+    bad = inputs[argument]
+    bad[(-1,) * (bad.ndim - 2) + (0, 3)] = 1e-300
+    with pytest.raises(ValueError, match=f"{argument} has a nonzero entry outside"):
+        scattering_matrix(**inputs)
+
+
+# Beta scales of the jobs of one block: from threshold down to low gain,
+# and overflow, where every matrix takes the BLAS route.
+JOB_SCALES = {
+    "gain": lambda jobs: np.geomspace(4.0, 1e-2, jobs),
+    "overflow": lambda jobs: 1000.0 * np.arange(1, jobs + 1),
+}
+
+
+def _sweep_block(m, scales):
+    """(beta+, beta-) as (jobs, m), delta as (m,) and the (m, 4, 4)
+    boundary matrices of the first m unmasked pixels of a gain-curve
+    batch, as `_eval_rigorous` forms them."""
+    from conftest import config_text
+    from spdc_etalon import parse_config, spectra
+
+    cfg = parse_config(config_text(lambda_count=128, theta_count=2))
+    stack = cfg.build_stack()
+    lams = cfg.signal_wavelengths()
+    with np.errstate(all="ignore"):
+        batch = spectra._build_batch(
+            cfg,
+            stack,
+            *spectra._pixel_axes(lams, np.zeros(1), 0, lams.size),
+            spectra._pump_state(cfg, stack),
+        )
+    px = np.flatnonzero(~batch.mask)[:m]
+    assert px.size == m
+    boundary = boundary_matrices(
+        InterfaceCoeffs(*(c[px] for c in batch.coeffs_s)),
+        InterfaceCoeffs(*(c[px] for c in batch.coeffs_i)),
+        batch.phi_s[px],
+        batch.phi_i[px],
+    )
+    return (*batch.betas(list(scales), px), batch.delta[px], boundary)
+
+
+@pytest.mark.parametrize("scales", list(JOB_SCALES))
+@pytest.mark.parametrize("jobs", [1, 2, 21])
+@pytest.mark.parametrize("m", [1, 2, 7, 97])
+def test_job_axis_bits_equal_one_job_per_call_and_oracle(m, jobs, scales):
+    # (jobs, m) strengths and a (1, m) delta against (m, 4, 4) boundary
+    # matrices give, bit for bit, the oracle's U on broadcast copies and
+    # each job's w and U from a call of its own.
+    beta_p, beta_m, delta, boundary = _sweep_block(m, JOB_SCALES[scales](jobs))
+    with np.errstate(all="ignore"):
+        w = interaction_matrix(params(beta_p, beta_m, delta[None]))
+        u = scattering_matrix(w, *boundary, check_condition=False)
+        copies = [np.broadcast_to(b, w.shape).copy() for b in boundary]
+        expected = reference.scattering_matrix(w, *copies, check_condition=False)
+        assert_same_bits(u, expected)
+        for k in range(jobs):
+            w_k = interaction_matrix(params(beta_p[k], beta_m[k], delta))
+            assert_same_bits(w[k], w_k)
+            assert_same_bits(u[k], scattering_matrix(w_k, *boundary, check_condition=False))
+    finite = np.isfinite(expected).all(axis=(-2, -1))
+    assert finite.all() if scales == "gain" else not finite.any()
 
 
 # ---- pair_probabilities ---------------------------------------------------

@@ -254,7 +254,8 @@ def _unblocked_rigorous_grid(cfg):
             *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
             spectra._pump_state(cfg, stack),
         )
-        params = InteractionParams(*batch.betas(cfg.beta_plus), batch.delta)
+        (beta_p,), (beta_m,) = batch.betas([cfg.beta_plus])
+        params = InteractionParams(beta_p, beta_m, batch.delta)
         boundary = boundary_matrices(
             InterfaceCoeffs(*batch.coeffs_s),
             InterfaceCoeffs(*batch.coeffs_i),
@@ -333,6 +334,39 @@ def test_gain_curve_does_not_depend_on_the_rigorous_block(monkeypatch, block, ch
         assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
 
 
+@pytest.mark.parametrize("block", [None, 7])
+def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
+    # Each rigorous call serves all betas of a gain curve, and none holds
+    # more than max(_RIGOROUS_BLOCK, jobs) matrices (or probabilities).
+    cfg = parse_config(config_text(lambda_count=1024, theta_count=2))
+    betas = np.geomspace(1e-2, 4.0, 21)
+    if block is not None:
+        monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
+    per_call = max(1, spectra._RIGOROUS_BLOCK // betas.size) * betas.size
+    calls = {}
+    steps = ("interaction_matrix", "boundary_matrices", "scattering_matrix", "pair_probabilities")
+    for name in steps:
+        fn = getattr(spectra, name)
+
+        def recorded(*args, fn=fn, name=name, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "pair_probabilities":
+                sizes = [result.ff.size]
+            else:
+                arrays = result if isinstance(result, tuple) else (result,)
+                sizes = [a.size // 16 for a in arrays]
+            calls.setdefault(name, []).append(sizes)
+            return result
+
+        monkeypatch.setattr(spectra, name, recorded)
+    gain_and_agreement_curve(cfg, betas)
+    assert len({len(c) for c in calls.values()}) == 1  # one of each per block
+    assert len(calls["scattering_matrix"]) > 1
+    sizes = [size for c in calls.values() for sizes in c for size in sizes]
+    assert max(sizes) == per_call <= max(spectra._RIGOROUS_BLOCK, betas.size)
+    assert max(s for (s,) in calls["interaction_matrix"]) == per_call
+
+
 def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
     # One default chunk of pixels.  The rigorous working set is a few
     # complex 4x4 matrices per pixel of a block; growing the chunk may
@@ -351,7 +385,7 @@ def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
 
         def recorded(*args, fn=fn, **kwargs):
             result = fn(*args, **kwargs)
-            rows.extend(len(a) for a in (result if isinstance(result, tuple) else (result,)))
+            rows.extend(a.size // 16 for a in (result if isinstance(result, tuple) else (result,)))
             return result
 
         monkeypatch.setattr(spectra, name, recorded)
