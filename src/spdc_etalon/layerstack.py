@@ -90,13 +90,17 @@ def _complex_cos(sin_sq):
     return np.sqrt((1.0 + 0j) - sin_sq)
 
 
-def coefficient_arrays(stack, wavelength_nm, internal_angle_rad, polarization="s", indices=None):
+def coefficient_arrays(
+    stack, wavelength_nm, internal_angle_rad, polarization="s", indices=None, trig=None
+):
     """Vector-friendly core of `interface_coeffs`.
 
     Accepts scalar or array wavelength/angle and returns
     flux-normalized (t1, r1, t2, r2) for the film mode.  `indices`
     may carry precomputed (n1, n2, n3) to skip the range-checked
-    material lookups (sweep engines mask invalid pixels instead).
+    material lookups (sweep engines mask invalid pixels instead), and
+    `trig` the precomputed (cos, sin) of the internal angle; the
+    wavelength or angle is not read when they are given.
     """
     if indices is not None:
         n1, n2, n3 = indices
@@ -104,8 +108,11 @@ def coefficient_arrays(stack, wavelength_nm, internal_angle_rad, polarization="s
         n1 = refractive_index(stack.superstrate, wavelength_nm)
         n2 = refractive_index(stack.film, wavelength_nm)
         n3 = refractive_index(stack.substrate, wavelength_nm)
-    c2 = np.cos(internal_angle_rad)
-    s2 = np.sin(internal_angle_rad)
+    if trig is not None:
+        c2, s2 = trig
+    else:
+        c2 = np.cos(internal_angle_rad)
+        s2 = np.sin(internal_angle_rad)
     c1 = _complex_cos((n2 * s2 / n1) ** 2)
     c3 = _complex_cos((n2 * s2 / n3) ** 2)
     if polarization == "s":
@@ -160,9 +167,13 @@ def pump_enhancement(coeffs, phase_p):
     return forward, backward
 
 
-def enhancement_arrays(t1, r1, t2, r2, phase):
-    """(a1+, a1-, a3+, a3-) without pole checking, for sweep engines."""
-    den = round_trip_denominator(r1, r2, phase)
+def enhancement_arrays(t1, r1, t2, r2, phase, den=None):
+    """(a1+, a1-, a3+, a3-) without pole checking, for sweep engines.
+
+    `den` may carry the precomputed `round_trip_denominator(r1, r2, phase)`.
+    """
+    if den is None:
+        den = round_trip_denominator(r1, r2, phase)
     ph = np.exp(1j * np.asarray(phase, dtype=float))
     return t2 / den, r1 * t2 * ph / den, r2 * t1 * ph / den, t1 / den
 

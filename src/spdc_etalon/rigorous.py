@@ -278,6 +278,37 @@ def _product(factor, w_kc):
     return out
 
 
+def _solve(system, rhs):
+    """`np.linalg.solve(system, rhs)`, nan for each exactly singular matrix.
+
+    Where the batched call raises LinAlgError, the matrices are solved
+    again in halves, and each half that raises in halves again, until
+    every singular matrix stands alone.  LAPACK solves the matrices of a
+    batched call one by one, so each other matrix keeps the bits the
+    whole call gives it.
+    """
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    shape = np.broadcast_shapes(system.shape, rhs.shape)
+    system = np.broadcast_to(system, shape).reshape((-1,) + shape[-2:])
+    rhs = np.broadcast_to(rhs, shape).reshape(system.shape)
+    solved = np.full(system.shape, np.nan, dtype=complex)
+
+    def halves(lo, hi):
+        mid = (lo + hi) // 2
+        for a, b in ((lo, mid), (mid, hi)):
+            try:
+                solved[a:b] = np.linalg.solve(system[a:b], rhs[a:b])
+            except np.linalg.LinAlgError:
+                if b - a > 1:
+                    halves(a, b)
+
+    halves(0, len(system))
+    return solved.reshape(shape)
+
+
 def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
 
@@ -301,9 +332,9 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     `check_condition` a condition number above 1e12 in (I - rho w)
     raises NearSingularError (parametric-oscillation threshold);
     sweeps disable the check and mask bad pixels instead.  Without the
-    check, one (I - rho w) that LAPACK finds exactly singular raises
-    numpy.linalg.LinAlgError for the whole call, every job of it
-    included; the CLI reports it as a numerical error (exit code 3).
+    check, each (I - rho w) that LAPACK finds exactly singular gets a nan
+    U, which sweeps mask, and every other matrix keeps the bits of the
+    batched solve (see `_solve`).
     """
     args = [np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho)]
     shape = np.broadcast_shapes(*(m.shape for m in args))
@@ -342,7 +373,7 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
                 "(I - rho w) is near-singular (condition number "
                 f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
             )
-    solved = np.linalg.solve(system, tau1)
+    solved = _solve(system, tau1)
     u = np.matmul(tau2_w, solved, out=system)
     del tau2_w, solved
     np.subtract(u, _swap_conj_transpose(rho), out=u)

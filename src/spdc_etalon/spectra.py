@@ -1,14 +1,16 @@
 """Sweep engines: frequency-angular grids, gain/agreement curves, and
 1D detection spectra.
 
-Every sweep is a pure map over grid pixels followed by deterministic
-reductions.  Pixels are evaluated in fixed-size chunks, each chunk by
-one worker, so results are bitwise independent of the worker count and
-memory is bounded by the chunk, not the grid.
+Every sweep evaluates its pixels in fixed-size chunks, each chunk by one
+worker, then runs deterministic reductions, so results are bitwise
+independent of the worker count and memory is bounded by the chunk, not
+the grid.  Within a chunk each kinematic term is computed at the
+resolution it varies on (per wavelength, per angle or per pixel) and
+gathered per pixel, with the bits of evaluating every pixel on its own.
 Pixels that cannot be evaluated (material range, grazing idler,
-resonance poles, non-finite intermediates) are collected in an error
-mask instead of aborting; masked pixels are excluded from
-normalization and R-squared.
+resonance poles, exactly singular rigorous systems, non-finite
+intermediates) are collected in an error mask instead of aborting;
+masked pixels are excluded from normalization and R-squared.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def solve_idler(pump, signal, stack):
     lam_i = _idler_wavelength(pump.vacuum_wavelength_nm, lam_s)
     k_s = 2.0 * np.pi * refractive_index(stack.film, lam_s) / lam_s
     k_i = 2.0 * np.pi * refractive_index(stack.film, lam_i) / lam_i
-    theta_i = _idler_angle(k_s, k_i, signal.internal_angle_rad)
+    theta_i = _idler_angle(-k_s * np.sin(signal.internal_angle_rad), k_i)
     # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
     # interval, the grazing pixel is masked downstream anyway.
     limit = np.pi / 2 - 1e-12
@@ -162,10 +164,11 @@ def _idler_wavelength(lam_p, lam_s):
     return lam_p * lam_s / (lam_s - lam_p)
 
 
-def _idler_angle(k_s, k_i, theta_s):
-    """Idler angle zeroing the transverse mismatch k_s sin(theta_s) +
-    k_i sin(theta_i), clamped to grazing where no real angle does."""
-    return np.arcsin(np.clip(-k_s * np.sin(theta_s) / k_i, -1.0, 1.0))
+def _idler_angle(kt_s, k_i):
+    """Idler angle zeroing the transverse mismatch k_i sin(theta_i) - kt_s,
+    with kt_s = -k_s sin(theta_s), clamped to grazing where no real angle
+    does."""
+    return np.arcsin(np.clip(kt_s / k_i, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +180,9 @@ def _idler_angle(k_s, k_i, theta_s):
 class _PixelBatch:
     """Flat per-pixel arrays for one chunk of a sweep.
 
-    `beta_p`/`beta_m` are the per-pixel strengths of the chi2/field
-    route, or None when the config sets a direct beta scale;
+    `den_s`/`den_i` are the round-trip denominators of the signal and
+    idler; `beta_p`/`beta_m` are the per-pixel strengths of the
+    chi2/field route, or None when the config sets a direct beta scale;
     `pump_amplitudes` are the forward and backward pump enhancements.
     """
 
@@ -187,23 +191,32 @@ class _PixelBatch:
     phi_i: np.ndarray
     coeffs_s: tuple
     coeffs_i: tuple
+    den_s: np.ndarray
+    den_i: np.ndarray
     beta_p: np.ndarray | None
     beta_m: np.ndarray | None
     gauss: np.ndarray
     mask: np.ndarray
     pump_amplitudes: tuple
 
+    def strengths(self, scale):
+        """(beta+, beta-) of one job: the chi2/field route's per-pixel
+        strengths when `scale` is None, else two scalars, the scale
+        times the pump enhancement."""
+        if scale is None:
+            return self.beta_p, self.beta_m
+        return tuple(complex(scale) * e for e in self.pump_amplitudes)
+
     def betas(self, scales, pixels=slice(None)):
         """(beta+, beta-) of each job at `pixels`, as two (jobs, pixels)
-        arrays: a job's row holds the chi2/field route's strengths when
-        its scale is None, else the scale times the pump enhancement."""
+        arrays of `strengths`."""
         shape = (len(scales),) + self.mask[pixels].shape
         beta_p, beta_m = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         for k, scale in enumerate(scales):
+            b_p, b_m = self.strengths(scale)
             if scale is None:
-                beta_p[k], beta_m[k] = self.beta_p[pixels], self.beta_m[pixels]
-            else:
-                beta_p[k], beta_m[k] = (complex(scale) * e for e in self.pump_amplitudes)
+                b_p, b_m = b_p[pixels], b_m[pixels]
+            beta_p[k], beta_m[k] = b_p, b_m
         return beta_p, beta_m
 
 
@@ -226,58 +239,81 @@ def _masked_indices(stack, lam):
     return (n1, n2, n3), ok1 & ok2 & ok3
 
 
-def _build_batch(config, stack, lam_s, theta_s, pump_state):
-    """Kinematics, interface coefficients, and error mask for a chunk."""
+def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
+    """Kinematics, interface coefficients, and error mask for pixels
+    lo..hi-1 of the grid `lams` x `thetas` (wavelength-major).
+
+    Each term is computed at the resolution it varies on and gathered
+    per pixel: the material indices, the idler wavelength, k_s, k_i and
+    their masks once per wavelength of the chunk's run, sin and cos of
+    the signal angle once per angle, and the idler angle's sin and cos
+    and the round-trip denominators once per pixel, each shared by
+    every term that reads it.  Every expression is the per-pixel one,
+    so the bits are those of evaluating each pixel on its own.
+    """
     e_fwd, e_bwd, kp_par = pump_state
     pol = config.polarization
     lam_p = config.pump_wavelength_nm
-    lam_s = np.asarray(lam_s, dtype=float)
-    theta_s = np.asarray(theta_s, dtype=float)
-    mask = ~np.isfinite(lam_s) | (lam_s <= lam_p)
+    pixel = np.arange(lo, hi)
+    first = lo // thetas.size
+    # With one angle a chunk's wavelengths are its pixels.
+    row = None if thetas.size == 1 else pixel // thetas.size - first
 
-    lam_i = _idler_wavelength(lam_p, np.where(mask, 2.0 * lam_p, lam_s))
+    def per_pixel(x):
+        """Per-wavelength term `x` gathered to the chunk's pixels."""
+        return x if row is None else x[row]
 
-    idx_s, ok_s = _masked_indices(stack, lam_s)
-    idx_i, ok_i = _masked_indices(stack, lam_i)
-    mask |= ~ok_s | ~ok_i
+    # Per wavelength.
+    lam_w = np.asarray(lams[first : (hi - 1) // thetas.size + 1], dtype=float)
+    mask_w = ~np.isfinite(lam_w) | (lam_w <= lam_p)
+    lam_i_w = _idler_wavelength(lam_p, np.where(mask_w, 2.0 * lam_p, lam_w))
+    idx_s_w, ok_s = _masked_indices(stack, lam_w)
+    idx_i_w, ok_i = _masked_indices(stack, lam_i_w)
+    mask_w |= ~ok_s | ~ok_i
+    k_s = per_pixel(2.0 * np.pi * idx_s_w[1] / np.where(lam_w > 0, lam_w, 1.0))
+    k_i = per_pixel(2.0 * np.pi * idx_i_w[1] / lam_i_w)
+    idx_s = tuple(per_pixel(n) for n in idx_s_w)
+    idx_i = tuple(per_pixel(n) for n in idx_i_w)
+    mask = per_pixel(mask_w)
 
-    n_s = idx_s[1]
-    n_i = idx_i[1]
-    k_s = 2.0 * np.pi * n_s / np.where(lam_s > 0, lam_s, 1.0)
-    k_i = 2.0 * np.pi * n_i / lam_i
-    theta_i = _idler_angle(k_s, k_i, theta_s)
+    # Per angle.
+    col = pixel % thetas.size
+    trig_s = (np.cos(thetas)[col], np.sin(thetas)[col])
 
-    ks_par = k_s * np.cos(theta_s)
-    ki_par = k_i * np.cos(theta_i)
+    # Per pixel.
+    kt_s = -k_s * trig_s[1]  # -k_s sin(theta_s)
+    theta_i = _idler_angle(kt_s, k_i)
+    trig_i = (np.cos(theta_i), np.sin(theta_i))
+    gauss = _pump_profile(kt_s - k_i * trig_i[1], config.pump_waist_um)
+
+    ks_par = k_s * trig_s[0]
+    ki_par = k_i * trig_i[0]
     mask |= (ks_par <= KPAR_FLOOR) | (ki_par <= KPAR_FLOOR)
 
     # Beyond the critical angle of either photon at either outer
     # interface there is no propagating external channel; the boundary
     # formalism (flux-normalized coefficients, Stokes bookkeeping) does
     # not apply and the pixel is reported as unevaluated.
-    sin_s = np.abs(n_s * np.sin(theta_s))
-    sin_i = np.abs(n_i * np.sin(theta_i))
+    sin_s = np.abs(idx_s[1] * trig_s[1])
+    sin_i = np.abs(idx_i[1] * trig_i[1])
     for outer_idx in (0, 2):
         mask |= sin_s >= np.abs(idx_s[outer_idx])
         mask |= sin_i >= np.abs(idx_i[outer_idx])
 
-    dk_par = kp_par - ks_par - ki_par
-    dk_perp = -k_s * np.sin(theta_s) - k_i * np.sin(theta_i)
-    delta = stack.thickness_nm * dk_par
+    delta = stack.thickness_nm * (kp_par - ks_par - ki_par)
     phi_s = stack.thickness_nm * ks_par
     phi_i = stack.thickness_nm * ki_par
 
-    coeffs_s = coefficient_arrays(stack, lam_s, theta_s, pol, indices=idx_s)
-    coeffs_i = coefficient_arrays(stack, lam_i, theta_i, pol, indices=idx_i)
-    for den in (
-        round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s),
-        round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i),
-    ):
-        mask |= np.abs(den) < POLE_TOLERANCE
+    coeffs_s = coefficient_arrays(stack, None, None, pol, indices=idx_s, trig=trig_s)
+    coeffs_i = coefficient_arrays(stack, None, None, pol, indices=idx_i, trig=trig_i)
+    den_s = round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s)
+    den_i = round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i)
+    mask |= (np.abs(den_s) < POLE_TOLERANCE) | (np.abs(den_i) < POLE_TOLERANCE)
 
     beta_p = beta_m = None
     if config.beta_plus is None:  # chi2/field route
-        pref = _coupling_prefactor(stack, lam_s, lam_i, ks_par, ki_par) * config.pump_field_v_per_m
+        pref = _coupling_prefactor(stack, per_pixel(lam_w), per_pixel(lam_i_w), ks_par, ki_par)
+        pref = pref * config.pump_field_v_per_m
         beta_p, beta_m = pref * e_fwd, pref * e_bwd
 
     return _PixelBatch(
@@ -286,9 +322,11 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
         phi_i=phi_i,
         coeffs_s=coeffs_s,
         coeffs_i=coeffs_i,
+        den_s=den_s,
+        den_i=den_i,
         beta_p=beta_p,
         beta_m=beta_m,
-        gauss=_pump_profile(dk_perp, config.pump_waist_um),
+        gauss=gauss,
         mask=mask,
         pump_amplitudes=(e_fwd, e_bwd),
     )
@@ -302,11 +340,11 @@ def _build_batch(config, stack, lam_s, theta_s, pump_state):
 
 def _eval_simplified(batch, schemes, scales, values):
     p = _nonresonant(batch.delta, batch.gauss)
-    signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s)
-    idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i)
+    signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s, den=batch.den_s)
+    idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i, den=batch.den_i)
     products = [_scheme_products(scheme, signal, idler) for scheme in schemes]
     for k, scale in enumerate(scales):
-        (beta_p,), (beta_m,) = batch.betas([scale])
+        beta_p, beta_m = batch.strengths(scale)
         for j, pair in enumerate(products):
             values[k, j] = p * _filter_strength(beta_p, beta_m, *pair)
 
@@ -352,12 +390,6 @@ _EVALUATORS = {
 }
 
 
-def _pixel_axes(lams, thetas, lo, hi):
-    """Signal wavelengths and angles of pixels lo..hi-1, wavelength-major."""
-    pixel = np.arange(lo, hi)
-    return lams[pixel // thetas.size], thetas[pixel % thetas.size]
-
-
 def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     """Evaluate every job on the pixel grid `lams` x `thetas`.
 
@@ -385,7 +417,7 @@ def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     def eval_chunk(lo):
         hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
-            batch = _build_batch(config, stack, *_pixel_axes(lams, thetas, lo, hi), pump_state)
+            batch = _build_batch(config, stack, lams, thetas, lo, hi, pump_state)
             for model, ks in runs:
                 values = out[ks[0] : ks[-1] + 1, :, lo:hi]
                 _EVALUATORS[model](batch, schemes, [scales[k] for k in ks], values)
@@ -489,7 +521,9 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     (signal wavelength at normal emission) are compared by R-squared;
     the gain term is reported as Re sqrt(|beta+|^2 - (delta/2)^2) at
     the degenerate collinear operating point, so the threshold sits
-    exactly at |beta+| = |delta/2|.
+    exactly at |beta+| = |delta/2|.  A scale at which every pixel is
+    masked (far past threshold the rigorous model overflows) raises
+    ZeroVarianceError naming the first such scale.
     """
     if beta_values is None:
         beta_values = np.geomspace(
@@ -514,7 +548,13 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     points = []
     for k, scale in enumerate(beta_values):
         rig, smp = values[k]["ff"], values[count + k]["ff"]
-        rr = r_squared(smp, rig, mask=mask[k] | mask[count + k])
+        job_mask = mask[k] | mask[count + k]
+        if job_mask.all():
+            raise ZeroVarianceError(
+                f"every pixel of the gain curve is masked at beta_scale {scale:.9g}; "
+                "no R-squared can be formed there"
+            )
+        rr = r_squared(smp, rig, mask=job_mask)
         beta_abs = abs(scale * e_fwd)
         gamma = gain_term(beta_abs, delta_deg)
         points.append(

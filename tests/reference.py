@@ -22,6 +22,12 @@ single-pass phase L k_parallel, and the first-order interaction
 matrix).  `interface_coeffs` is written here from `fresnel`.
 `interaction_params` keeps the full record the library's
 `InteractionParams` once carried, as an `InteractionRecord`.
+
+`build_batch` is the sweep's chunk kinematics as first written: every
+term, material indices and trigonometry included, evaluated once per
+pixel.  The library evaluates each term once per wavelength, angle or
+pixel and gathers it; the tests check that every batch field keeps its
+bits.
 """
 
 from collections import namedtuple
@@ -40,8 +46,10 @@ from spdc_etalon import (
     refractive_index,
     wavevector_components,
 )
-from spdc_etalon.layerstack import POLE_TOLERANCE, round_trip_denominator
-from spdc_etalon.rigorous import CONDITION_LIMIT, SPEED_OF_LIGHT_M_S
+from spdc_etalon.layerstack import POLE_TOLERANCE, coefficient_arrays, round_trip_denominator
+from spdc_etalon.rigorous import CONDITION_LIMIT, KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
+from spdc_etalon.simplified import _pump_profile
+from spdc_etalon.spectra import _idler_wavelength, _masked_indices, _PixelBatch
 
 SCHEMES = ("ff", "bb", "fb", "bf")
 
@@ -361,3 +369,85 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
     del system
     return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)
+
+
+def pixel_axes(lams, thetas, lo, hi):
+    """Signal wavelengths and angles of pixels lo..hi-1, wavelength-major."""
+    pixel = np.arange(lo, hi)
+    return lams[pixel // thetas.size], thetas[pixel % thetas.size]
+
+
+def build_batch(config, stack, lams, thetas, lo, hi, pump_state, reasons=None):
+    """The library's `_PixelBatch` for pixels lo..hi-1 of `lams` x
+    `thetas`, from per-pixel kinematics throughout.
+
+    A `reasons` dict receives one boolean array per mask reason.
+    """
+    e_fwd, e_bwd, kp_par = pump_state
+    pol = config.polarization
+    lam_p = config.pump_wavelength_nm
+    lam_s, theta_s = pixel_axes(lams, thetas, lo, hi)
+    lam_s = np.asarray(lam_s, dtype=float)
+    theta_s = np.asarray(theta_s, dtype=float)
+    mask = ~np.isfinite(lam_s) | (lam_s <= lam_p)
+    reasons = {} if reasons is None else reasons
+    reasons["signal <= pump"] = mask.copy()
+
+    lam_i = _idler_wavelength(lam_p, np.where(mask, 2.0 * lam_p, lam_s))
+
+    idx_s, ok_s = _masked_indices(stack, lam_s)
+    idx_i, ok_i = _masked_indices(stack, lam_i)
+    reasons["material range"] = ~ok_s | ~ok_i
+    mask |= reasons["material range"]
+
+    n_s = idx_s[1]
+    n_i = idx_i[1]
+    k_s = 2.0 * np.pi * n_s / np.where(lam_s > 0, lam_s, 1.0)
+    k_i = 2.0 * np.pi * n_i / lam_i
+    theta_i = np.arcsin(np.clip(-k_s * np.sin(theta_s) / k_i, -1.0, 1.0))
+
+    ks_par = k_s * np.cos(theta_s)
+    ki_par = k_i * np.cos(theta_i)
+    reasons["grazing"] = (ks_par <= KPAR_FLOOR) | (ki_par <= KPAR_FLOOR)
+    mask |= reasons["grazing"]
+
+    sin_s = np.abs(n_s * np.sin(theta_s))
+    sin_i = np.abs(n_i * np.sin(theta_i))
+    reasons["critical angle"] = np.zeros_like(mask)
+    for outer_idx in (0, 2):
+        reasons["critical angle"] |= sin_s >= np.abs(idx_s[outer_idx])
+        reasons["critical angle"] |= sin_i >= np.abs(idx_i[outer_idx])
+    mask |= reasons["critical angle"]
+
+    dk_par = kp_par - ks_par - ki_par
+    dk_perp = -k_s * np.sin(theta_s) - k_i * np.sin(theta_i)
+    delta = stack.thickness_nm * dk_par
+    phi_s = stack.thickness_nm * ks_par
+    phi_i = stack.thickness_nm * ki_par
+
+    coeffs_s = coefficient_arrays(stack, lam_s, theta_s, pol, indices=idx_s)
+    coeffs_i = coefficient_arrays(stack, lam_i, theta_i, pol, indices=idx_i)
+    den_s = round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s)
+    den_i = round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i)
+    reasons["pole"] = (np.abs(den_s) < POLE_TOLERANCE) | (np.abs(den_i) < POLE_TOLERANCE)
+    mask |= reasons["pole"]
+
+    beta_p = beta_m = None
+    if config.beta_plus is None:  # chi2/field route
+        pref = _coupling_prefactor(stack, lam_s, lam_i, ks_par, ki_par) * config.pump_field_v_per_m
+        beta_p, beta_m = pref * e_fwd, pref * e_bwd
+
+    return _PixelBatch(
+        delta=delta,
+        phi_s=phi_s,
+        phi_i=phi_i,
+        coeffs_s=coeffs_s,
+        coeffs_i=coeffs_i,
+        den_s=den_s,
+        den_i=den_i,
+        beta_p=beta_p,
+        beta_m=beta_m,
+        gauss=_pump_profile(dk_perp, config.pump_waist_um),
+        mask=mask,
+        pump_amplitudes=(e_fwd, e_bwd),
+    )

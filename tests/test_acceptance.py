@@ -5,6 +5,7 @@ with its measured figures (run with `pytest -s` to see them inline).
 import time
 
 import numpy as np
+import pytest
 
 from spdc_etalon import (
     LayerStack,
@@ -91,6 +92,69 @@ def test_criterion_2_beta_fourth_order_accuracy():
     ratio = dev_hi / dev_lo
     assert 8.0 <= ratio <= 32.0  # 16x within a factor of two
     report(2, f"model deviation scales as beta^2 (ratio {ratio:.2f} for 4x beta, expect 16)")
+
+
+# P x S is the pointwise low-gain limit of the rigorous model: the
+# rigorous probability over beta^2 is P S / beta^2 + O(beta^2), so its
+# Richardson extrapolation from beta and 2 beta removes the beta^2 term
+# and leaves P S / beta^2 to O(beta^4).  Without extrapolation the error
+# at beta = 1e-4 is 1e-9 to 2e-8 of the peak; with it, at most 7e-15.
+LOW_GAIN_BOUND = 1e-13
+
+
+def _low_gain_limit_error(configs, scales, strength, scheme):
+    """Max |extrapolated rigorous - P S| / peak(P S), each divided by the
+    squared strength, over the pixels no run masked.
+
+    `configs` and `scales` give the two runs, at `strength` and twice
+    it: the config and job scale of each (one config and two beta
+    scales on the direct route; two fields and None on the chi2 route).
+    P S comes from the first run.
+    """
+    from spdc_etalon import spectra
+
+    stack = configs[0].build_stack()
+    lams = configs[0].signal_wavelengths()[::8]
+    thetas = configs[0].internal_angles()[::8]
+    (rig, ps), mask = spectra._evaluate_pixels(
+        configs[0], stack, lams, thetas, [("rigorous", scales[0]), ("simplified", scales[0])], (scheme,)
+    )
+    (rig_2,), mask_2 = spectra._evaluate_pixels(
+        configs[1], stack, lams, thetas, [("rigorous", scales[1])], (scheme,)
+    )
+    keep = ~(mask.any(axis=0) | mask_2[0])
+    assert keep.mean() > 0.8
+    limit = ps[scheme][keep] / strength ** 2
+    extrapolated = (
+        4.0 * rig[scheme][keep] / strength ** 2 - rig_2[scheme][keep] / (2.0 * strength) ** 2
+    ) / 3.0
+    return np.max(np.abs(extrapolated - limit)) / np.max(limit)
+
+
+@pytest.mark.parametrize("polarization", ["s", "p"])
+@pytest.mark.parametrize("scheme", ["ff", "bb", "fb", "bf"])
+def test_low_gain_limit_is_pointwise_p_times_s(scheme, polarization):
+    # README grid, every 8th wavelength and angle; a direct beta scale,
+    # so beta+ is 1e-4 times the complex pump enhancement.
+    cfg = parse_config(EXPERIMENT_CONFIG)._replace_keeping_stack(polarization=polarization)
+    beta = 1e-4
+    err = _low_gain_limit_error((cfg, cfg), (beta, 2.0 * beta), beta, scheme)
+    assert err <= LOW_GAIN_BOUND
+    report("1b", f"{scheme}/{polarization}: Richardson limit of rigorous = P x S to {err:.1e}")
+
+
+def test_low_gain_limit_is_pointwise_p_times_s_on_the_chi2_route():
+    # The field route: beta is per pixel, proportional to the pump field,
+    # so the field takes the place of the scale (|beta| about 1e-4 at 3e4 V/m).
+    text = EXPERIMENT_CONFIG.replace("beta_plus = 1e-3", "field_v_per_m = 3e4").replace(
+        "thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0"
+    )
+    cfg = parse_config(text)
+    cfg_2 = cfg._replace_keeping_stack(pump_field_v_per_m=6e4)
+    for scheme in ("ff", "bb", "fb", "bf"):
+        err = _low_gain_limit_error((cfg, cfg_2), (None, None), 3e4, scheme)
+        assert err <= LOW_GAIN_BOUND
+        report("1b", f"chi2 route, {scheme}: Richardson limit of rigorous = P x S to {err:.1e}")
 
 
 def test_criterion_3_high_gain_breakdown():

@@ -317,6 +317,34 @@ def test_gain_curve_command(tmp_path):
     assert len(lines) == 6
 
 
+def test_gain_curve_survives_exactly_singular_matrices(tmp_path):
+    # Far past threshold LAPACK finds some I - rho w exactly singular (10
+    # of the 512 wavelengths at beta_scale 200 on the README grid).  The
+    # curve is still written; `test_spectra` checks which pixels it masks.
+    text = EXPERIMENT_CONFIG + "\n[gain_curve]\nbeta_min = 1\nbeta_max = 200\ncount = 5\n"
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "gain.csv"
+    assert main(["gain-curve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _cols, data = load_data(out)
+    assert data.shape == (5, 5)
+    assert data[-1, 0] == 200.0
+    assert np.isfinite(data).all()
+
+
+def test_gain_curve_fully_masked_beta_names_the_first_such_scale(tmp_path, capsys):
+    # From beta_scale 1000 on the rigorous model overflows at every pixel.
+    text = (
+        config_text(lambda_count=32, theta_count=2)
+        + "\n[gain_curve]\nbeta_min = 1\nbeta_max = 10000\ncount = 5\n"
+    )
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "gain.csv"
+    assert main(["gain-curve", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: every pixel of the gain curve is masked at beta_scale 1000;" in err
+    assert not out.exists()
+
+
 def test_transmission_command(tmp_path):
     cfg_path = write_config(tmp_path, config_text(lambda_count=256, theta_count=2))
     out = tmp_path / "trans.csv"

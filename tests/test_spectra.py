@@ -20,7 +20,7 @@ from spdc_etalon import (
     solve_idler,
     transmission_curve,
 )
-from conftest import config_text
+from conftest import EXPERIMENT_CONFIG, config_text
 
 MATCHED_OVERRIDES = dict(superstrate="linbo3_e", substrate="linbo3_e")
 
@@ -195,6 +195,116 @@ def test_one_pass_grids_equal_single_model_grids(monkeypatch, beta):
         assert_grids_equal(grids[model], reference[model])
 
 
+# A 300 x 131 grid from 700 to 4500 nm and from -pi/2 to pi/2 hits every
+# mask reason: signals at or below the 788 nm pump, silicon's 4000 nm
+# range edge (and idlers past it near the pump), grazing and pole pixels
+# at +-pi/2 (where r1 r2 e^{2 i phi} -> 1), and critical angles beyond
+# about 0.5 rad.  131 angles do not divide `_CHUNK_PIXELS`, so a chunk
+# boundary falls inside a wavelength's row; 39300 pixels make two chunks.
+WIDE_GRID = dict(
+    lambda_min_nm=700.0,
+    lambda_max_nm=4500.0,
+    lambda_count=300,
+    theta_min_rad=repr(-np.pi / 2),
+    theta_max_rad=repr(np.pi / 2),
+    theta_count=131,
+)
+
+
+def _wide_config(tmp_path, route):
+    text = config_text(**WIDE_GRID)
+    if route == "p":
+        text = text.replace("[grid]", "[model]\npolarization = p\n\n[grid]")
+    elif route == "chi2":
+        text = text.replace("beta_plus = 1e-3", "field_v_per_m = 5e7").replace(
+            "thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0"
+        )
+    elif route == "tabulated":
+        table = tmp_path / "n.csv"
+        table.write_text("# lam_nm, n\n700,3.6\n3000,3.4\n", encoding="utf-8")
+        text = text.replace("substrate = silicon", f"substrate = tabulated:{table}")
+    return parse_config(text)
+
+
+def _assert_same_bits(a, b, name):
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), name
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_same_bits(x, y, f"{name}[{k}]")
+        return
+    if a is None or b is None:
+        assert a is None and b is None, name
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+    assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("angles", ["grid", "one"])
+@pytest.mark.parametrize("route", ["s", "p", "chi2", "tabulated"])
+def test_build_batch_keeps_the_bits_of_per_pixel_kinematics(tmp_path, route, angles):
+    # Terms evaluated per wavelength or per angle and gathered give every
+    # batch field the bits of the per-pixel oracle, in the sweep's chunks
+    # and in 1000-pixel chunks that start mid-row.  "one" is the single
+    # normal-emission angle of the gain curve and the detection spectrum.
+    from dataclasses import fields
+
+    from reference import build_batch
+
+    cfg = _wide_config(tmp_path, route)
+    stack = cfg.build_stack()
+    lams = cfg.signal_wavelengths()
+    thetas = cfg.internal_angles() if angles == "grid" else np.zeros(1)
+    n = lams.size * thetas.size
+    pump_state = spectra._pump_state(cfg, stack)
+    hit = {}
+    for chunk in (spectra._CHUNK_PIXELS, 1000):
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            reasons = {}
+            with np.errstate(all="ignore"):
+                batch = spectra._build_batch(cfg, stack, lams, thetas, lo, hi, pump_state)
+                oracle = build_batch(cfg, stack, lams, thetas, lo, hi, pump_state, reasons)
+            for field in fields(batch):
+                _assert_same_bits(getattr(batch, field.name), getattr(oracle, field.name), field.name)
+            for reason, where in reasons.items():
+                hit[reason] = hit.get(reason, False) or bool(where.any())
+    expected = {"signal <= pump", "material range", "grazing", "critical angle", "pole"}
+    if angles == "one":
+        expected -= {"grazing", "critical angle", "pole"}
+    assert {reason for reason, any_hit in hit.items() if any_hit} >= expected
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+def test_material_lookups_scale_with_wavelengths_not_pixels(tmp_path, monkeypatch, command):
+    # Each chunk looks up its run of wavelengths once per material, for
+    # the signal and for the idler; a run shares at most one wavelength
+    # with the previous chunk.  The pump's index is one more point.
+    from spdc_etalon import cli
+
+    cfg = _wide_config(tmp_path, "s")
+    cfg_path = tmp_path / "wide.ini"
+    cfg_path.write_text(config_text(**WIDE_GRID), encoding="utf-8")
+    points = {"index_with_mask": 0, "refractive_index": 0}
+    for name in points:
+        lookup = getattr(spectra, name)
+
+        def counting(model, wavelength_nm, _lookup=lookup, _name=name):
+            points[_name] += np.size(wavelength_nm)
+            return _lookup(model, wavelength_nm)
+
+        monkeypatch.setattr(spectra, name, counting)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    n_lam, n_theta = cfg.lambda_count, cfg.theta_count
+    chunks = -(-n_lam * n_theta // spectra._CHUNK_PIXELS)
+    assert chunks == 2
+    # Three materials, signal and idler: 6 lookups per wavelength.
+    assert 6 * n_lam <= points["index_with_mask"] <= 6 * (n_lam + chunks - 1)
+    assert points["refractive_index"] == 1
+    assert points["index_with_mask"] < n_lam * n_theta / 20
+
+
 def _traced_peak_bytes(fn):
     """Peak bytes traced while `fn` runs, above what was live before."""
     was_tracing = tracemalloc.is_tracing()
@@ -251,7 +361,10 @@ def _unblocked_rigorous_grid(cfg):
         batch = spectra._build_batch(
             cfg,
             stack,
-            *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
+            lams,
+            thetas,
+            0,
+            lams.size * thetas.size,
             spectra._pump_state(cfg, stack),
         )
         (beta_p,), (beta_m,) = batch.betas([cfg.beta_plus])
@@ -320,6 +433,53 @@ def test_rigorous_block_size_and_threads_do_not_change_bits(
     for threads in (1, 2, 3):
         grid = frequency_angular_spectrum(cfg, "rigorous", threads=threads)
         assert_grids_equal(grid, reference)
+
+
+def test_singular_matrices_mask_only_their_pixels():
+    # README config, beta scales 1 to 200: at 200, LAPACK finds I - rho w
+    # exactly singular at some wavelengths.  Those pixels, and only those,
+    # are masked.  A call that meets one is solved again in halves, so
+    # every job keeps the bits it has when it runs alone.
+    from numpy.linalg import LinAlgError
+
+    from spdc_etalon.layerstack import InterfaceCoeffs
+    from spdc_etalon.rigorous import InteractionParams, boundary_matrices, interaction_matrix
+
+    cfg = parse_config(EXPERIMENT_CONFIG)
+    stack = cfg.build_stack()
+    lams = cfg.signal_wavelengths()
+    one = np.zeros(1)
+    scales = np.geomspace(1.0, 200.0, 5)
+    values, mask = spectra._evaluate_pixels(
+        cfg, stack, lams, one, [("rigorous", b) for b in scales], ("ff",)
+    )
+
+    with np.errstate(all="ignore"):
+        batch = spectra._build_batch(cfg, stack, lams, one, 0, lams.size, spectra._pump_state(cfg, stack))
+        live = np.flatnonzero(~batch.mask)
+        tau1, _tau2, rho = boundary_matrices(
+            InterfaceCoeffs(*(c[live] for c in batch.coeffs_s)),
+            InterfaceCoeffs(*(c[live] for c in batch.coeffs_i)),
+            batch.phi_s[live],
+            batch.phi_i[live],
+        )
+        params = InteractionParams(*batch.betas(list(scales), live), batch.delta[live][None])
+        system = np.eye(4) - rho @ interaction_matrix(params)
+    singular = np.zeros(mask.shape, dtype=bool)
+    for k, j in np.ndindex(system.shape[:2]):
+        try:
+            np.linalg.solve(system[k, j], tau1[j])
+        except LinAlgError:
+            singular[k, live[j]] = True
+    assert singular[-1].any() and not singular[:-1].any()
+    assert np.array_equal(mask, batch.mask | singular)
+
+    for k, scale in enumerate(scales):
+        (alone,), (alone_mask,) = spectra._evaluate_pixels(
+            cfg, stack, lams, one, [("rigorous", scale)], ("ff",)
+        )
+        assert np.array_equal(alone_mask, mask[k])
+        assert alone["ff"].tobytes() == values[k]["ff"].tobytes()
 
 
 @pytest.mark.parametrize("block, chunk", [(1, None), (7, 37), (200, 37)])
@@ -780,7 +940,10 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
         batch = spectra._build_batch(
             small_config,
             stack,
-            *spectra._pixel_axes(lams, thetas, 0, lams.size * thetas.size),
+            lams,
+            thetas,
+            0,
+            lams.size * thetas.size,
             spectra._pump_state(small_config, stack),
         )
         b = np.full(batch.delta.shape, beta, dtype=complex)
