@@ -230,7 +230,8 @@ def _staged(*paths):
 
 
 def _write_csv(path, config, command, columns, data):
-    """Write one CSV atomically; remove partial output on failure.
+    """Write one CSV to `path`, as it stands: `run` passes the `.part`
+    path of a `_staged` block, which removes it if anything fails.
 
     `data` holds one array per name in `columns`; the arrays broadcast to
     one shape, whose elements are the rows in C order.  A column smaller
@@ -252,7 +253,7 @@ def _write_csv(path, config, command, columns, data):
             small[k] = _cells(col).reshape(*col.shape, -1)
         data[k] = col
     step = max(1, _BLOCK_ROWS // inner)
-    with _staged(Path(path)) as (tmp,), open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         header = "\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n"
         fh.write(header.encode("utf-8"))
         layout = None
@@ -281,12 +282,10 @@ def _write_csv(path, config, command, columns, data):
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-def _write_grid(path, config, command, grid):
-    """Write a grid wavelength-major: one row per (wavelength, angle) pixel."""
-    _write_csv(
-        path,
-        config,
-        command,
+def _grid_table(grid):
+    """(columns, data) of a grid, wavelength-major: one row per
+    (wavelength, angle) pixel."""
+    return (
         ["lambda_nm", "theta_deg", *grid.intensity, "masked"],
         [
             grid.signal_wavelengths_nm[:, None],
@@ -306,58 +305,49 @@ def _out_path(config, args, default_name):
 
 
 def run(command, config, out_path, threads=1):
-    """Execute one CLI command against a validated RunConfig."""
+    """Execute one CLI command against a validated RunConfig.
+
+    The command computes every file's table first, as {path: (columns,
+    data)}; then one `_staged` block writes them all, so they replace
+    their paths together, and none changes when anything fails.
+    `compare` prints its R-squared lines after its files are in place.
+    Returns the written paths.
+    """
+    out_path = Path(out_path)
+    lines = []
     if command == "spectrum":
         grid = frequency_angular_spectrum(config, threads=threads).normalized()
-        _write_grid(out_path, config, command, grid)
-        return [out_path]
-
-    if command == "compare":
+        tables = {out_path: _grid_table(grid)}
+    elif command == "compare":
         grids = frequency_angular_spectra(config, ("simplified", "rigorous"), threads=threads)
         simplified, rigorous = grids["simplified"], grids["rigorous"]
-        stem = Path(out_path)
-        paths = {
-            "simplified": stem.with_name(stem.stem + "_simplified.csv"),
-            "rigorous": stem.with_name(stem.stem + "_rigorous.csv"),
-            "summary": stem.with_name(stem.stem + "_summary.csv"),
-        }
-        # Every step that can raise runs before the first file is written,
-        # and the three files replace their paths together.
         r2 = [compare_grids(simplified, rigorous, scheme=s) for s in config.schemes]
-        normalized = {name: grid.normalized() for name, grid in grids.items()}
-        with _staged(*paths.values()) as parts:
-            staged = dict(zip(paths, parts))
-            for name, grid in normalized.items():
-                _write_grid(staged[name], config, command, grid)
-            _write_csv(
-                staged["summary"], config, command, ["scheme", "r_squared"], [config.schemes, r2]
-            )
-        for s, rr in zip(config.schemes, r2):
-            print(f"r_squared[{s}] = {rr:.12g}")
-        return list(paths.values())
-
-    if command == "gain-curve":
+        tables = {
+            out_path.with_name(f"{out_path.stem}_{name}.csv"): _grid_table(grid.normalized())
+            for name, grid in grids.items()
+        }
+        summary = out_path.with_name(out_path.stem + "_summary.csv")
+        tables[summary] = (["scheme", "r_squared"], [config.schemes, r2])
+        lines = [f"r_squared[{s}] = {rr:.12g}" for s, rr in zip(config.schemes, r2)]
+    elif command == "gain-curve":
         points = gain_and_agreement_curve(config, threads=threads)
         columns = [f.name for f in fields(GainCurvePoint)]
-        data = [[getattr(p, c) for p in points] for c in columns]
-        _write_csv(out_path, config, command, columns, data)
-        return [out_path]
-
-    if command == "transmission":
+        tables = {out_path: (columns, [[getattr(p, c) for p in points] for c in columns])}
+    elif command == "transmission":
         lams, trans, mask = transmission_curve(config)
-        _write_csv(
-            out_path, config, command, ["lambda_nm", "transmission", "masked"], [lams, trans, mask]
-        )
-        return [out_path]
-
-    if command == "detection":
+        tables = {out_path: (["lambda_nm", "transmission", "masked"], [lams, trans, mask])}
+    elif command == "detection":
         lams, rate, mask = detection_spectrum(config, threads=threads)
-        _write_csv(
-            out_path, config, command, ["lambda_nm", "relative_rate", "masked"], [lams, rate, mask]
-        )
-        return [out_path]
+        tables = {out_path: (["lambda_nm", "relative_rate", "masked"], [lams, rate, mask])}
+    else:
+        raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
 
-    raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+    with _staged(*tables) as parts:
+        for part, (columns, data) in zip(parts, tables.values()):
+            _write_csv(part, config, command, columns, data)
+    for line in lines:
+        print(line)
+    return list(tables)
 
 
 def _build_parser():

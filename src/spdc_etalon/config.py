@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError("model.polarization: must be 's' or 'p'")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ConfigError(f"model.schemes: entries must be among {SCHEMES}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("model.schemes: each scheme may appear only once")
         if self.detection_scheme not in DETECTION_SCHEMES:
             raise ConfigError(f"detection.scheme: must be one of {DETECTION_SCHEMES}")
         has_beta = self.beta_plus is not None

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SpdcEtalonError",
+    "MaterialRangeError",
+    "GeometryError",
+    "ResonancePoleError",
+    "NearSingularError",
+    "ZeroVarianceError",
+    "ConfigError",
+]
+
 
 class SpdcEtalonError(Exception):
     """Base class for all errors raised by this package."""

@@ -90,29 +90,23 @@ def _complex_cos(sin_sq):
     return np.sqrt((1.0 + 0j) - sin_sq)
 
 
-def coefficient_arrays(
-    stack, wavelength_nm, internal_angle_rad, polarization="s", indices=None, trig=None
-):
-    """Vector-friendly core of `interface_coeffs`.
+def _indices(stack, wavelength_nm):
+    """Range-checked (n1, n2, n3) of the stack's three regions."""
+    regions = (stack.superstrate, stack.film, stack.substrate)
+    return tuple(refractive_index(m, wavelength_nm) for m in regions)
 
-    Accepts scalar or array wavelength/angle and returns
-    flux-normalized (t1, r1, t2, r2) for the film mode.  `indices`
-    may carry precomputed (n1, n2, n3) to skip the range-checked
-    material lookups (sweep engines mask invalid pixels instead), and
-    `trig` the precomputed (cos, sin) of the internal angle; the
-    wavelength or angle is not read when they are given.
+
+def coefficient_arrays(indices, trig, polarization):
+    """Flux-normalized (t1, r1, t2, r2) of the film mode: the array
+    kernel of `interface_coeffs`.
+
+    `indices` holds (n1, n2, n3) and `trig` the (cos, sin) of the
+    internal angle, scalars or arrays that broadcast.  Nothing is range
+    checked here: `interface_coeffs` resolves checked indices, and the
+    sweep engines mask the pixels whose indices are invalid.
     """
-    if indices is not None:
-        n1, n2, n3 = indices
-    else:
-        n1 = refractive_index(stack.superstrate, wavelength_nm)
-        n2 = refractive_index(stack.film, wavelength_nm)
-        n3 = refractive_index(stack.substrate, wavelength_nm)
-    if trig is not None:
-        c2, s2 = trig
-    else:
-        c2 = np.cos(internal_angle_rad)
-        s2 = np.sin(internal_angle_rad)
+    n1, n2, n3 = indices
+    c2, s2 = trig
     c1 = _complex_cos((n2 * s2 / n1) ** 2)
     c3 = _complex_cos((n2 * s2 / n3) ** 2)
     if polarization == "s":
@@ -134,8 +128,10 @@ def coefficient_arrays(
 
 def interface_coeffs(stack, mode):
     """Flux-normalized interface coefficients for one film mode."""
+    indices = _indices(stack, mode.vacuum_wavelength_nm)
+    theta = mode.internal_angle_rad
     t1, r1, t2, r2 = coefficient_arrays(
-        stack, mode.vacuum_wavelength_nm, mode.internal_angle_rad, mode.polarization
+        indices, (np.cos(theta), np.sin(theta)), mode.polarization
     )
     return InterfaceCoeffs(t1=complex(t1), r1=complex(r1), t2=complex(t2), r2=complex(r2))
 
@@ -167,38 +163,32 @@ def pump_enhancement(coeffs, phase_p):
     return forward, backward
 
 
-def enhancement_arrays(t1, r1, t2, r2, phase, den=None):
-    """(a1+, a1-, a3+, a3-) without pole checking, for sweep engines.
-
-    `den` may carry the precomputed `round_trip_denominator(r1, r2, phase)`.
-    """
-    if den is None:
-        den = round_trip_denominator(r1, r2, phase)
+def enhancement_arrays(t1, r1, t2, r2, phase, den):
+    """(a1+, a1-, a3+, a3-) without pole checking, for sweep engines;
+    `den` is `round_trip_denominator(r1, r2, phase)`."""
     ph = np.exp(1j * np.asarray(phase, dtype=float))
     return t2 / den, r1 * t2 * ph / den, r2 * t1 * ph / den, t1 / den
 
 
 def field_enhancements(coeffs, phase_mode):
     """Etalon enhancement factors of one down-converted film mode."""
-    _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode))
+    den = _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode))
     a1p, a1m, a3p, a3m = enhancement_arrays(
-        coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode
+        coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode, den
     )
     return FieldEnhancements(a1p=a1p, a1m=a1m, a3p=a3p, a3m=a3m)
 
 
-def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices=None):
+def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices):
     """Airy power transmittance |t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2.
 
-    Scalar or array wavelength/angle; `indices` as in
-    `coefficient_arrays`.  Returns (transmittance, round-trip
+    Scalar or array wavelength/angle, with `indices` the (n1, n2, n3)
+    at those wavelengths.  Returns (transmittance, round-trip
     denominator), without pole checking.
     """
-    t1, r1, t2, r2 = coefficient_arrays(
-        stack, wavelength_nm, internal_angle_rad, polarization, indices=indices
-    )
-    n = refractive_index(stack.film, wavelength_nm) if indices is None else indices[1]
-    phi = stack.thickness_nm * 2.0 * np.pi * n / wavelength_nm * np.cos(internal_angle_rad)
+    cos = np.cos(internal_angle_rad)
+    t1, r1, t2, r2 = coefficient_arrays(indices, (cos, np.sin(internal_angle_rad)), polarization)
+    phi = stack.thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm * cos
     den = round_trip_denominator(r1, r2, phi)
     with np.errstate(all="ignore"):
         trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
@@ -213,8 +203,9 @@ def linear_transmission(stack, mode):
     ratio (n_out cos / n_in cos).  Serves as a linear-optics check of
     the Fresnel and phase machinery.
     """
+    lam = mode.vacuum_wavelength_nm
     trans, den = _airy_transmission(
-        stack, mode.vacuum_wavelength_nm, mode.internal_angle_rad, mode.polarization
+        stack, lam, mode.internal_angle_rad, mode.polarization, _indices(stack, lam)
     )
     _check_pole(den)
     return float(trans)

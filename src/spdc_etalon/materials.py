@@ -128,21 +128,6 @@ class Mode:
             raise ValueError(f"role must be one of {ROLES}")
 
 
-def _check_range(model, wavelength_nm):
-    bounds = model.valid_range_nm
-    lam = np.asarray(wavelength_nm, dtype=float)
-    if np.any(lam <= 0):
-        raise MaterialRangeError(
-            f"material {model.name or model.kind!r}: wavelength must be positive"
-        )
-    if bounds is not None and (np.any(lam < bounds[0]) or np.any(lam > bounds[1])):
-        raise MaterialRangeError(
-            f"material {model.name or model.kind!r}: wavelength "
-            f"{np.min(lam):g}-{np.max(lam):g} nm outside validity range "
-            f"{bounds[0]:g}-{bounds[1]:g} nm"
-        )
-
-
 def _evaluate(model, wavelength_nm):
     """Evaluate the index without range checking (inputs already vetted)."""
     lam = np.asarray(wavelength_nm, dtype=float)
@@ -167,17 +152,25 @@ def refractive_index(model, wavelength_nm):
     """Real refractive index of `model` at a vacuum wavelength in nm.
 
     Accepts scalars or arrays.  Raises MaterialRangeError when any
-    query falls outside the model's validity range; tabulated models
-    never extrapolate.
+    query is not positive, falls outside the model's validity range or
+    gets a non-physical index; tabulated models never extrapolate.
     """
-    _check_range(model, wavelength_nm)
-    n = _evaluate(model, wavelength_nm)
-    if np.any(~np.isfinite(n)) or np.any(np.asarray(n) <= 0):
+    n, valid = index_with_mask(model, wavelength_nm)
+    if np.all(valid):
+        return n
+    lam = np.asarray(wavelength_nm, dtype=float)
+    bounds = model.valid_range_nm
+    what = f"material {model.name or model.kind!r}"
+    if np.any(lam <= 0):
+        raise MaterialRangeError(f"{what}: wavelength must be positive")
+    if bounds is not None and (np.any(lam < bounds[0]) or np.any(lam > bounds[1])):
         raise MaterialRangeError(
-            f"material {model.name or model.kind!r}: model produced a "
-            "non-physical index inside its declared validity range"
+            f"{what}: wavelength {np.min(lam):g}-{np.max(lam):g} nm outside validity "
+            f"range {bounds[0]:g}-{bounds[1]:g} nm"
         )
-    return n
+    raise MaterialRangeError(
+        f"{what}: model produced a non-physical index inside its declared validity range"
+    )
 
 
 def index_with_mask(model, wavelength_nm):
@@ -185,7 +178,8 @@ def index_with_mask(model, wavelength_nm):
 
     Returns (n, valid) where invalid entries were evaluated at a
     clipped wavelength and must be discarded by the caller.  Used by
-    the sweep engines, which report bad pixels in an error mask.
+    the sweep engines, which report bad pixels in an error mask, and by
+    `refractive_index`, which raises instead.
     """
     lam = np.asarray(wavelength_nm, dtype=float)
     valid = lam > 0

@@ -158,10 +158,7 @@ def _interaction_block(beta, half, quarter_sq, phases):
     block[..., 1, 0] = 1j * beta * shc
     block[..., 1, 1] = phases[1] * (ch - ihs)
     zero = beta == 0
-    if block.ndim == 2:
-        if zero:
-            block = np.eye(2, dtype=complex)
-    elif np.any(zero):
+    if np.any(zero):
         block[zero] = np.eye(2, dtype=complex)
     return block
 

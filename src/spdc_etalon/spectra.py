@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .layerstack import (
     InterfaceCoeffs,
     coefficient_arrays,
     enhancement_arrays,
+    interface_coeffs,
     pump_enhancement,
     round_trip_denominator,
     _airy_transmission,
@@ -200,16 +200,16 @@ class _PixelBatch:
     pump_amplitudes: tuple
 
     def strengths(self, scale):
-        """(beta+, beta-) of one job: the chi2/field route's per-pixel
-        strengths when `scale` is None, else two scalars, the scale
-        times the pump enhancement."""
+        """(beta+, beta-) at one beta scale: the chi2/field route's
+        per-pixel strengths when `scale` is None, else two scalars, the
+        scale times the pump enhancement."""
         if scale is None:
             return self.beta_p, self.beta_m
         return tuple(complex(scale) * e for e in self.pump_amplitudes)
 
     def betas(self, scales, pixels=slice(None)):
-        """(beta+, beta-) of each job at `pixels`, as two (jobs, pixels)
-        arrays of `strengths`."""
+        """(beta+, beta-) of each scale at `pixels`, as two
+        (scales, pixels) arrays of `strengths`."""
         shape = (len(scales),) + self.mask[pixels].shape
         beta_p, beta_m = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         for k, scale in enumerate(scales):
@@ -223,11 +223,11 @@ class _PixelBatch:
 def _pump_state(config, stack):
     """Pump-side constants: enhancement amplitudes and parallel wavevector."""
     lam_p = config.pump_wavelength_nm
-    coeffs = coefficient_arrays(stack, lam_p, 0.0, config.polarization)
+    coeffs = interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
     n_p = refractive_index(stack.film, lam_p)
     # Keep this evaluation order of L k_p: the golden outputs pin its bits.
     phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
-    e_fwd, e_bwd = pump_enhancement(InterfaceCoeffs(*coeffs), phi_p)
+    e_fwd, e_bwd = pump_enhancement(coeffs, phi_p)
     return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
 
 
@@ -304,8 +304,8 @@ def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
     phi_s = stack.thickness_nm * ks_par
     phi_i = stack.thickness_nm * ki_par
 
-    coeffs_s = coefficient_arrays(stack, None, None, pol, indices=idx_s, trig=trig_s)
-    coeffs_i = coefficient_arrays(stack, None, None, pol, indices=idx_i, trig=trig_i)
+    coeffs_s = coefficient_arrays(idx_s, trig_s, pol)
+    coeffs_i = coefficient_arrays(idx_i, trig_i, pol)
     den_s = round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s)
     den_i = round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i)
     mask |= (np.abs(den_s) < POLE_TOLERANCE) | (np.abs(den_i) < POLE_TOLERANCE)
@@ -332,16 +332,16 @@ def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
     )
 
 
-# Model evaluators: each takes a batch, the schemes, the beta scales of
-# a run of the batch's jobs of its model (None for the chi2/field route)
-# and their zeroed (jobs, schemes, n) slice of the result, which it fills
-# with their intensities.
+# Model evaluators: each takes a batch, the schemes, the beta scales
+# (None for the chi2/field route's per-pixel strengths) and its model's
+# zeroed (scales, schemes, n) slice of the result, which it fills with
+# the intensities.
 
 
 def _eval_simplified(batch, schemes, scales, values):
     p = _nonresonant(batch.delta, batch.gauss)
-    signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s, den=batch.den_s)
-    idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i, den=batch.den_i)
+    signal = enhancement_arrays(*batch.coeffs_s, batch.phi_s, batch.den_s)
+    idler = enhancement_arrays(*batch.coeffs_i, batch.phi_i, batch.den_i)
     products = [_scheme_products(scheme, signal, idler) for scheme in schemes]
     for k, scale in enumerate(scales):
         beta_p, beta_m = batch.strengths(scale)
@@ -352,11 +352,11 @@ def _eval_simplified(batch, schemes, scales, values):
 def _eval_rigorous(batch, schemes, scales, values):
     """The rigorous model on the unmasked pixels only (the others keep their zeros).
 
-    All jobs run together: each block of pixels makes one call per
-    rigorous step on (jobs, pixels) strengths, so a block holds
-    `_RIGOROUS_BLOCK` // jobs pixels (at least one) and every call at
-    most max(`_RIGOROUS_BLOCK`, jobs) matrices.  The block's boundary
-    matrices and the terms of delta alone serve every job.
+    All scales run together: each block of pixels makes one call per
+    rigorous step on (scales, pixels) strengths, so a block holds
+    `_RIGOROUS_BLOCK` // scales pixels (at least one) and every call at
+    most max(`_RIGOROUS_BLOCK`, scales) matrices.  The block's boundary
+    matrices and the terms of delta alone serve every scale.
     """
     live = np.flatnonzero(~batch.mask)
     step = max(1, _RIGOROUS_BLOCK // len(scales))
@@ -368,7 +368,7 @@ def _eval_rigorous(batch, schemes, scales, values):
             batch.phi_s[px],
             batch.phi_i[px],
         )
-        # delta keeps an explicit job axis of 1; see `interaction_matrix`.
+        # delta keeps an explicit scale axis of 1; see `interaction_matrix`.
         params = InteractionParams(*batch.betas(scales, px), batch.delta[px][None])
         u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
         probs = pair_probabilities(u, schemes)
@@ -390,41 +390,39 @@ _EVALUATORS = {
 }
 
 
-def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
-    """Evaluate every job on the pixel grid `lams` x `thetas`.
+def _evaluate_pixels(config, stack, lams, thetas, models, scales, schemes, threads):
+    """Evaluate every model at every beta scale on the pixel grid `lams` x `thetas`.
 
-    A job is a (model, beta scale) pair; a scale of None keeps the
-    config's interaction strengths.  Pixels run wavelength-major in
-    chunks of `_CHUNK_PIXELS`: each chunk's kinematics batch is built
-    once and shared by all jobs, each run of consecutive jobs of one
-    model is evaluated in one call that writes straight into the
-    result, and `threads` workers take whole chunks, so the result is
-    bitwise the same for any thread count.
+    A scale of None takes the chi2/field route's per-pixel strengths;
+    the front-ends pass `config.beta_plus` for the config's own
+    strengths.  Pixels run wavelength-major in chunks of
+    `_CHUNK_PIXELS`: each chunk's kinematics batch is built once and
+    serves the whole model x scale grid, each model is evaluated at all
+    scales in one call that writes straight into the result, and
+    `threads` workers take whole chunks, so the result is bitwise the
+    same for any thread count.
 
-    Returns (values, mask): values[k][scheme] is job k's flat
-    intensity and mask[k] its flat error mask (intensity zero there).
+    Returns (values, mask): values[m, k, j] is the flat intensity of
+    model m at scale k for scheme j, shape (models, scales, schemes, n),
+    and mask[m, k] its flat error mask (intensity zero there), shape
+    (models, scales, n).
     """
     pump_state = _pump_state(config, stack)
     n = lams.size * thetas.size
-    out = np.zeros((len(jobs), len(schemes), n))
-    mask = np.zeros((len(jobs), n), dtype=bool)
-    runs = [  # (model, indices of a run of consecutive jobs of that model)
-        (model, [k for k, _job in run])
-        for model, run in groupby(enumerate(jobs), key=lambda item: item[1][0])
-    ]
-    scales = [config.beta_plus if scale is None else scale for _model, scale in jobs]
+    out = np.zeros((len(models), len(scales), len(schemes), n))
+    mask = np.zeros((len(models), len(scales), n), dtype=bool)
 
     def eval_chunk(lo):
         hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
             batch = _build_batch(config, stack, lams, thetas, lo, hi, pump_state)
-            for model, ks in runs:
-                values = out[ks[0] : ks[-1] + 1, :, lo:hi]
-                _EVALUATORS[model](batch, schemes, [scales[k] for k in ks], values)
-                for k, job_values in zip(ks, values):
-                    job_mask = batch.mask | ~np.isfinite(job_values).all(axis=0)
-                    mask[k, lo:hi] = job_mask
-                    job_values[:, job_mask] = 0.0
+            for m, model in enumerate(models):
+                values = out[m, :, :, lo:hi]
+                _EVALUATORS[model](batch, schemes, scales, values)
+                for k, scale_values in enumerate(values):
+                    scale_mask = batch.mask | ~np.isfinite(scale_values).all(axis=0)
+                    mask[m, k, lo:hi] = scale_mask
+                    scale_values[:, scale_mask] = 0.0
 
     starts = range(0, n, _CHUNK_PIXELS)
     workers = min(threads, len(starts))
@@ -434,7 +432,7 @@ def _evaluate_pixels(config, stack, lams, thetas, jobs, schemes, threads=1):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(eval_chunk, starts))
-    return [dict(zip(schemes, job)) for job in out], mask
+    return out, mask
 
 
 def frequency_angular_spectra(config, models, threads=1):
@@ -447,18 +445,17 @@ def frequency_angular_spectra(config, models, threads=1):
     lams = config.signal_wavelengths()
     thetas = config.internal_angles()
     shape = (lams.size, thetas.size)
-    jobs = [(model, None) for model in models]
     values, mask = _evaluate_pixels(
-        config, stack, lams, thetas, jobs, tuple(config.schemes), threads
+        config, stack, lams, thetas, models, (config.beta_plus,), config.schemes, threads
     )
     return {
         model: SpectrumGrid(
             signal_wavelengths_nm=lams,
             internal_angles_rad=thetas,
-            intensity={s: job[s].reshape(shape) for s in config.schemes},
-            mask=job_mask.reshape(shape),
+            intensity={s: v.reshape(shape) for s, v in zip(config.schemes, values[m, 0])},
+            mask=mask[m, 0].reshape(shape),
         )
-        for model, job, job_mask in zip(models, values, mask)
+        for m, model in enumerate(models)
     }
 
 
@@ -530,8 +527,9 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
             config.gain_beta_min, config.gain_beta_max, config.gain_beta_count
         )
     beta_values = np.asarray(beta_values, dtype=float)
-    if np.any(beta_values <= 0):
-        raise ValueError("beta values must be positive")
+    finite_positive = np.isfinite(beta_values) & (beta_values > 0)
+    if beta_values.ndim != 1 or not beta_values.size or not finite_positive.all():
+        raise ValueError("beta values must be a nonempty 1-D array of finite positive numbers")
 
     stack = config.build_stack()
     e_fwd, e_bwd, kp_par = _pump_state(config, stack)
@@ -542,19 +540,18 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     half_delta = abs(delta_deg) / 2.0
 
     lams = config.signal_wavelengths()
-    count = beta_values.size
-    jobs = [(model, scale) for model in ("rigorous", "simplified") for scale in beta_values]
-    values, mask = _evaluate_pixels(config, stack, lams, np.zeros(1), jobs, ("ff",), threads)
+    (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
+        config, stack, lams, np.zeros(1), ("rigorous", "simplified"), beta_values, ("ff",), threads
+    )
     points = []
     for k, scale in enumerate(beta_values):
-        rig, smp = values[k]["ff"], values[count + k]["ff"]
-        job_mask = mask[k] | mask[count + k]
-        if job_mask.all():
+        scale_mask = rig_mask[k] | smp_mask[k]
+        if scale_mask.all():
             raise ZeroVarianceError(
                 f"every pixel of the gain curve is masked at beta_scale {scale:.9g}; "
                 "no R-squared can be formed there"
             )
-        rr = r_squared(smp, rig, mask=job_mask)
+        rr = r_squared(smp[k, 0], rig[k, 0], mask=scale_mask)
         beta_abs = abs(scale * e_fwd)
         gamma = gain_term(beta_abs, delta_deg)
         points.append(
@@ -569,30 +566,28 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     return points
 
 
-def detection_spectrum(config, scheme=None, efficiency_ratio=None, threads=1):
+def detection_spectrum(config, threads=1):
     """1D detected-rate spectrum at normal emission with envelope weighting.
 
     The simplified model is evaluated at theta = 0; each pixel is
     weighted by the config's detection envelope (flat when its center or
     width is unset) at the signal wavelength and at the
-    energy-conserving idler wavelength.  The forward scheme fixes the
-    normalization maximum; the backward scheme is multiplied by the
-    scheme efficiency ratio and the split scheme by its square root.
-    Returns (wavelengths_nm, rates, mask).
+    energy-conserving idler wavelength.  The config's detection scheme
+    is reported; the forward scheme fixes the normalization maximum,
+    the backward scheme is multiplied by the config's efficiency ratio
+    and the split scheme by its square root.  Returns (wavelengths_nm,
+    rates, mask).
     """
-    scheme = scheme or config.detection_scheme
-    if efficiency_ratio is None:
-        efficiency_ratio = config.efficiency_ratio
-    needed = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}
-    if scheme not in needed:
-        raise ValueError(f"scheme must be one of {sorted(needed)}")
-
+    scheme = config.detection_scheme
+    needed = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}[scheme]
     stack = config.build_stack()
     lams = config.signal_wavelengths()
-    schemes = tuple(sorted(set(needed[scheme] + ("ff",))))
-    (values,), (mask,) = _evaluate_pixels(
-        config, stack, lams, np.zeros(1), [("simplified", None)], schemes, threads
+    schemes = tuple(sorted(set(needed + ("ff",))))
+    values, mask = _evaluate_pixels(
+        config, stack, lams, np.zeros(1), ("simplified",), (config.beta_plus,), schemes, threads
     )
+    values = dict(zip(schemes, values[0, 0]))
+    mask = mask[0, 0]
 
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
@@ -612,19 +607,20 @@ def detection_spectrum(config, scheme=None, efficiency_ratio=None, threads=1):
         raise ZeroVarianceError("forward spectrum is empty; cannot normalize")
 
     base = np.zeros_like(forward)
-    for s in needed[scheme]:
+    for s in needed:
         base = base + values[s] * weight
     rate = base / peak
     if scheme == "backward":
-        rate = rate * efficiency_ratio
+        rate = rate * config.efficiency_ratio
     elif scheme == "forward_backward":
-        rate = rate * float(np.sqrt(efficiency_ratio))
+        rate = rate * float(np.sqrt(config.efficiency_ratio))
     rate = np.where(mask, 0.0, rate)
     return lams, rate, mask
 
 
-def transmission_curve(config, theta_rad=0.0):
-    """Linear Airy transmission over the configured wavelength axis.
+def transmission_curve(config):
+    """Linear Airy transmission at normal incidence over the configured
+    wavelength axis.
 
     Wavelengths outside a material's range, resonance poles and
     non-finite values are masked (transmission zero there).
@@ -633,8 +629,6 @@ def transmission_curve(config, theta_rad=0.0):
     stack = config.build_stack()
     indices, ok = _masked_indices(stack, lams)
     with np.errstate(all="ignore"):
-        trans, den = _airy_transmission(
-            stack, lams, theta_rad, config.polarization, indices=indices
-        )
+        trans, den = _airy_transmission(stack, lams, 0.0, config.polarization, indices)
         mask = ~ok | (np.abs(den) < POLE_TOLERANCE) | ~np.isfinite(trans)
     return lams, np.where(mask, 0.0, trans), mask

@@ -425,8 +425,8 @@ def build_batch(config, stack, lams, thetas, lo, hi, pump_state, reasons=None):
     phi_s = stack.thickness_nm * ks_par
     phi_i = stack.thickness_nm * ki_par
 
-    coeffs_s = coefficient_arrays(stack, lam_s, theta_s, pol, indices=idx_s)
-    coeffs_i = coefficient_arrays(stack, lam_i, theta_i, pol, indices=idx_i)
+    coeffs_s = coefficient_arrays(idx_s, (np.cos(theta_s), np.sin(theta_s)), pol)
+    coeffs_i = coefficient_arrays(idx_i, (np.cos(theta_i), np.sin(theta_i)), pol)
     den_s = round_trip_denominator(coeffs_s[1], coeffs_s[3], phi_s)
     den_i = round_trip_denominator(coeffs_i[1], coeffs_i[3], phi_i)
     reasons["pole"] = (np.abs(den_s) < POLE_TOLERANCE) | (np.abs(den_i) < POLE_TOLERANCE)

@@ -116,17 +116,18 @@ def _low_gain_limit_error(configs, scales, strength, scheme):
     stack = configs[0].build_stack()
     lams = configs[0].signal_wavelengths()[::8]
     thetas = configs[0].internal_angles()[::8]
-    (rig, ps), mask = spectra._evaluate_pixels(
-        configs[0], stack, lams, thetas, [("rigorous", scales[0]), ("simplified", scales[0])], (scheme,)
+    values, mask = spectra._evaluate_pixels(
+        configs[0], stack, lams, thetas, ("rigorous", "simplified"), scales[:1], (scheme,), 1
     )
-    (rig_2,), mask_2 = spectra._evaluate_pixels(
-        configs[1], stack, lams, thetas, [("rigorous", scales[1])], (scheme,)
+    values_2, mask_2 = spectra._evaluate_pixels(
+        configs[1], stack, lams, thetas, ("rigorous",), scales[1:], (scheme,), 1
     )
-    keep = ~(mask.any(axis=0) | mask_2[0])
+    (rig, ps), (rig_2,) = values[:, 0, 0], values_2[:, 0, 0]
+    keep = ~(mask.any(axis=(0, 1)) | mask_2[0, 0])
     assert keep.mean() > 0.8
-    limit = ps[scheme][keep] / strength ** 2
+    limit = ps[keep] / strength ** 2
     extrapolated = (
-        4.0 * rig[scheme][keep] / strength ** 2 - rig_2[scheme][keep] / (2.0 * strength) ** 2
+        4.0 * rig[keep] / strength ** 2 - rig_2[keep] / (2.0 * strength) ** 2
     ) / 3.0
     return np.max(np.abs(extrapolated - limit)) / np.max(limit)
 
@@ -364,11 +365,12 @@ def test_criterion_7_degeneracy_bookkeeping(experiment_stack):
 def test_criterion_8_detection_spectrum_plumbing():
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
 
-    _, forward, mask = detection_spectrum(cfg, "forward", efficiency_ratio=0.4)
+    _, forward, mask = detection_spectrum(cfg._replace_keeping_stack(efficiency_ratio=0.4))
     assert np.max(forward[~mask]) == 1.0
 
-    _, unscaled, _ = detection_spectrum(cfg, "backward", efficiency_ratio=1.0)
-    _, scaled, _ = detection_spectrum(cfg, "backward", efficiency_ratio=0.4)
+    backward = cfg._replace_keeping_stack(detection_scheme="backward")
+    _, unscaled, _ = detection_spectrum(backward)
+    _, scaled, _ = detection_spectrum(backward._replace_keeping_stack(efficiency_ratio=0.4))
     assert np.array_equal(scaled, 0.4 * unscaled)
     report(
         8,

@@ -358,7 +358,7 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     # Silicon ends at 4000 nm: those rows are masked like `spectrum` masks
     # its pixels, the rest equal the range-checked Airy transmittance.
     from spdc_etalon import MaterialRangeError, Mode, linear_transmission
-    from spdc_etalon.layerstack import POLE_TOLERANCE, _airy_transmission
+    from spdc_etalon.layerstack import POLE_TOLERANCE, _airy_transmission, _indices
 
     cfg_path = write_config(tmp_path, config_text(lambda_max_nm=4500.0, lambda_count=301))
     out = tmp_path / "trans.csv"
@@ -370,7 +370,7 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     stack = cfg.build_stack()
     lams = cfg.signal_wavelengths()
     inside = lams <= 4000.0
-    ref, den = _airy_transmission(stack, lams[inside], 0.0, "s")
+    ref, den = _airy_transmission(stack, lams[inside], 0.0, "s", _indices(stack, lams[inside]))
     pole = np.abs(den) < POLE_TOLERANCE
     expected = ~inside
     expected[inside] = pole
@@ -619,6 +619,20 @@ def test_exit_code_unwritable_output(tmp_path):
     assert not out.with_suffix(".csv.part").exists()
 
 
+def test_compare_into_a_missing_directory_writes_and_prints_nothing(tmp_path, capsys):
+    # Every file is staged once: the error names the first `.part` path,
+    # and the R-squared lines wait until the files are in place.
+    cfg_path = write_config(tmp_path, config_text(lambda_count=32, theta_count=8))
+    out = tmp_path / "missing_dir" / "c.csv"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no r_squared line
+    assert "error: cannot write output:" in captured.err
+    assert "c_simplified.csv.part" in captured.err and ".part.part" not in captured.err
+    assert not out.parent.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
 def test_partial_file_removed_on_error(tmp_path):
     text = config_text(lambda_min_nm=800.0, lambda_max_nm=820.0)
     cfg_path = write_config(tmp_path, text)
@@ -703,8 +717,8 @@ def test_text_cell_with_nul_is_rejected(tmp_path):
     out = tmp_path / "names.csv"
     config = parse_config(SMALL)
     for bad in ("b\0d", "bad\0"):
-        with pytest.raises(ValueError, match="NUL"):
-            cli._write_csv(out, config, "table", ["name", "x"], [["ok", bad], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="NUL"), cli._staged(out) as (part,):
+            cli._write_csv(part, config, "table", ["name", "x"], [["ok", bad], [1.0, 2.0]])
         assert not out.exists()
         assert not out.with_suffix(".csv.part").exists()
 
@@ -869,6 +883,22 @@ def test_scheme_flag_validation(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: --scheme: ")
         assert not out.exists()
+
+
+def test_repeated_scheme_is_rejected(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out.csv"
+    for command in ("spectrum", "compare"):
+        argv = [command, "--config", str(cfg_path), "--out", str(out), "--scheme", "ff,ff"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --scheme: model.schemes: ")
+    text = SMALL + "\n[model]\nschemes = ff,bb,ff\n"
+    with pytest.raises(ConfigError, match="^model.schemes: "):
+        parse_config(text)
+    repeated = write_config(tmp_path, text, name="repeated.ini")
+    assert main(["spectrum", "--config", str(repeated), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: model.schemes: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["repeated.ini", "run.ini"]
 
 
 def test_model_and_scheme_flags_are_recorded_in_the_header(tmp_path):

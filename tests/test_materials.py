@@ -80,6 +80,21 @@ def test_range_error_names_model_and_bounds():
         refractive_index(ln, 9000.0)
 
 
+def test_refractive_index_keeps_each_range_message():
+    ln = get_material("linbo3_e")
+    for lam in (0.0, -1.0, np.array([788.0, -5.0])):
+        with pytest.raises(MaterialRangeError, match="linbo3_e.*wavelength must be positive"):
+            refractive_index(ln, lam)
+    with pytest.raises(MaterialRangeError, match="300-788 nm outside validity range 400-5000"):
+        refractive_index(ln, np.array([788.0, 300.0]))
+    # n^2 = -1 inside an unbounded range: the index itself is not physical.
+    imaginary = MaterialModel.sellmeier((), (), offset=-1.0, name="imaginary")
+    with np.errstate(invalid="ignore"):
+        for lam in (1000.0, np.array([900.0, 1000.0])):
+            with pytest.raises(MaterialRangeError, match="imaginary.*non-physical index"):
+                refractive_index(imaginary, lam)
+
+
 def test_silicon_preset_is_tabulated_and_sane():
     si = get_material("silicon")
     assert si.kind == "tabulated"

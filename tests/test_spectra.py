@@ -439,7 +439,8 @@ def test_singular_matrices_mask_only_their_pixels():
     # README config, beta scales 1 to 200: at 200, LAPACK finds I - rho w
     # exactly singular at some wavelengths.  Those pixels, and only those,
     # are masked.  A call that meets one is solved again in halves, so
-    # every job keeps the bits it has when it runs alone.
+    # every (model, scale) cell of the grid keeps the bits it has when it
+    # runs alone.
     from numpy.linalg import LinAlgError
 
     from spdc_etalon.layerstack import InterfaceCoeffs
@@ -450,9 +451,10 @@ def test_singular_matrices_mask_only_their_pixels():
     lams = cfg.signal_wavelengths()
     one = np.zeros(1)
     scales = np.geomspace(1.0, 200.0, 5)
-    values, mask = spectra._evaluate_pixels(
-        cfg, stack, lams, one, [("rigorous", b) for b in scales], ("ff",)
-    )
+    models = ("rigorous", "simplified")
+    values, mask = spectra._evaluate_pixels(cfg, stack, lams, one, models, scales, ("ff",), 1)
+    assert values.shape == (2, scales.size, 1, lams.size)
+    assert mask.shape == (2, scales.size, lams.size)
 
     with np.errstate(all="ignore"):
         batch = spectra._build_batch(cfg, stack, lams, one, 0, lams.size, spectra._pump_state(cfg, stack))
@@ -465,21 +467,29 @@ def test_singular_matrices_mask_only_their_pixels():
         )
         params = InteractionParams(*batch.betas(list(scales), live), batch.delta[live][None])
         system = np.eye(4) - rho @ interaction_matrix(params)
-    singular = np.zeros(mask.shape, dtype=bool)
+    singular = np.zeros(mask.shape[1:], dtype=bool)
     for k, j in np.ndindex(system.shape[:2]):
         try:
             np.linalg.solve(system[k, j], tau1[j])
         except LinAlgError:
             singular[k, live[j]] = True
     assert singular[-1].any() and not singular[:-1].any()
-    assert np.array_equal(mask, batch.mask | singular)
+    assert np.array_equal(mask[0], batch.mask | singular)
 
-    for k, scale in enumerate(scales):
-        (alone,), (alone_mask,) = spectra._evaluate_pixels(
-            cfg, stack, lams, one, [("rigorous", scale)], ("ff",)
-        )
-        assert np.array_equal(alone_mask, mask[k])
-        assert alone["ff"].tobytes() == values[k]["ff"].tobytes()
+    for m, model in enumerate(models):
+        for k, scale in enumerate(scales):
+            alone, alone_mask = spectra._evaluate_pixels(
+                cfg, stack, lams, one, (model,), (scale,), ("ff",), 1
+            )
+            assert np.array_equal(alone_mask[0, 0], mask[m, k])
+            assert alone[0, 0].tobytes() == values[m, k].tobytes()
+
+
+@pytest.mark.parametrize("betas", [[np.nan], [np.inf], [0.1, -np.inf], [0.0], [[0.1, 0.2]], []])
+def test_gain_curve_rejects_bad_betas(betas):
+    cfg = parse_config(config_text(lambda_count=16, theta_count=2))
+    with pytest.raises(ValueError, match="beta values must be"):
+        gain_and_agreement_curve(cfg, betas)
 
 
 @pytest.mark.parametrize("block, chunk", [(1, None), (7, 37), (200, 37)])
@@ -497,7 +507,7 @@ def test_gain_curve_does_not_depend_on_the_rigorous_block(monkeypatch, block, ch
 @pytest.mark.parametrize("block", [None, 7])
 def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
     # Each rigorous call serves all betas of a gain curve, and none holds
-    # more than max(_RIGOROUS_BLOCK, jobs) matrices (or probabilities).
+    # more than max(_RIGOROUS_BLOCK, betas) matrices (or probabilities).
     cfg = parse_config(config_text(lambda_count=1024, theta_count=2))
     betas = np.geomspace(1e-2, 4.0, 21)
     if block is not None:
@@ -769,10 +779,10 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
         )
         curves = {}
         for model in ("rigorous", "simplified"):
-            (values,), (mask,) = spectra._evaluate_pixels(
-                cfg, stack, lams, np.zeros(1), [(model, None)], ("ff",), threads
+            values, mask = spectra._evaluate_pixels(
+                cfg, stack, lams, np.zeros(1), (model,), (cfg.beta_plus,), ("ff",), threads
             )
-            curves[model] = values["ff"], mask
+            curves[model] = values[0, 0, 0], mask[0, 0]
         (rig, mask_r), (smp, mask_s) = curves["rigorous"], curves["simplified"]
         beta_abs = abs(scale * e_fwd)
         points.append(
@@ -845,7 +855,7 @@ def test_gain_curve_normalization_reference():
 
 
 def test_detection_flat_envelope_recovers_bare_spectrum(small_config):
-    lams, rate, mask = detection_spectrum(small_config, "forward")
+    lams, rate, mask = detection_spectrum(small_config)
     grid_cfg = parse_config(
         config_text(lambda_count=96, theta_count=2, theta_min_rad=0.0, theta_max_rad=0.1)
     )
@@ -860,18 +870,16 @@ def test_detection_flat_envelope_recovers_bare_spectrum(small_config):
 
 
 def test_detection_backward_efficiency_bitwise(small_config):
-    _, unscaled, _ = detection_spectrum(small_config, "backward", efficiency_ratio=1.0)
-    _, scaled, _ = detection_spectrum(small_config, "backward", efficiency_ratio=0.4)
+    backward = small_config._replace_keeping_stack(detection_scheme="backward")
+    _, unscaled, _ = detection_spectrum(backward)
+    _, scaled, _ = detection_spectrum(backward._replace_keeping_stack(efficiency_ratio=0.4))
     assert np.array_equal(scaled, 0.4 * unscaled)
 
 
 def test_detection_split_scheme_scaling(small_config):
-    _, unscaled, _ = detection_spectrum(
-        small_config, "forward_backward", efficiency_ratio=1.0
-    )
-    _, scaled, _ = detection_spectrum(
-        small_config, "forward_backward", efficiency_ratio=0.25
-    )
+    split = small_config._replace_keeping_stack(detection_scheme="forward_backward")
+    _, unscaled, _ = detection_spectrum(split)
+    _, scaled, _ = detection_spectrum(split._replace_keeping_stack(efficiency_ratio=0.25))
     assert np.array_equal(scaled, 0.5 * unscaled)
 
 
@@ -885,7 +893,7 @@ def test_detection_envelope_weighting_symmetric_about_degeneracy():
         config_text(lambda_min_nm=lam_lo, lambda_max_nm=repr(lam_hi), lambda_count=3)
     )
     cfg = replace(cfg, envelope_center_nm=1576.0, envelope_fwhm_nm=300.0)
-    _, rate, mask = detection_spectrum(cfg, "forward")
+    _, rate, mask = detection_spectrum(cfg)
     assert not mask[0] and not mask[-1]
     assert rate[0] == pytest.approx(rate[-1], rel=1e-9)
 
