@@ -13,6 +13,7 @@ unwritable output, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import errno
 import math
 import os
@@ -316,6 +317,11 @@ def run(command, config, out_path, threads=1):
     out_path = Path(out_path)
     lines = []
     if command == "spectrum":
+        if config.model == "nonresonant" and config.schemes != ("ff",):
+            # The bare film has no interfaces, so no backward emission:
+            # its other columns would be zeros that read as intensities.
+            other = ",".join(s for s in config.schemes if s != "ff")
+            raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")
         grid = frequency_angular_spectrum(config, threads=threads).normalized()
         tables = {out_path: _grid_table(grid)}
     elif command == "compare":
@@ -375,7 +381,40 @@ def _build_parser():
     return parser
 
 
+# The (param, value) pairs `main` passes to glibc's mallopt (malloc.h).
+# Arrays below 32 MiB (glibc's own ceiling for its dynamic threshold)
+# come from the heap, which is not trimmed until 64 MiB (twice the
+# threshold, as glibc keeps it) are free at its top; and with one arena,
+# what the sweep's workers free, the writer reuses.
+_ALLOCATOR_POLICY = (
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD
+    (-1, 64 << 20),  # M_TRIM_THRESHOLD
+    (-8, 1),  # M_ARENA_MAX
+)
+
+
+def _pin_allocator_policy():
+    """Keep freed sweep memory for reuse instead of returning it to the OS.
+
+    Each chunk of a sweep frees temporaries that the next chunk needs
+    again; by default glibc unmaps or trims them, and the next chunk
+    faults every page back in.  `main` applies it on glibc only
+    (elsewhere this does nothing); library callers keep their own
+    allocator settings.  No arithmetic changes, so no output byte does.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _ALLOCATOR_POLICY:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    _pin_allocator_policy()
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")

@@ -107,22 +107,20 @@ def coefficient_arrays(indices, trig, polarization):
     """
     n1, n2, n3 = indices
     c2, s2 = trig
-    c1 = _complex_cos((n2 * s2 / n1) ** 2)
-    c3 = _complex_cos((n2 * s2 / n3) ** 2)
-    if polarization == "s":
-        den1 = n2 * c2 + n1 * c1
-        den2 = n2 * c2 + n3 * c3
-        r1 = (n2 * c2 - n1 * c1) / den1
-        r2 = (n2 * c2 - n3 * c3) / den2
-    elif polarization == "p":
-        den1 = n1 * c2 + n2 * c1
-        den2 = n3 * c2 + n2 * c3
-        r1 = (n1 * c2 - n2 * c1) / den1
-        r2 = (n3 * c2 - n2 * c3) / den2
-    else:
+    if polarization not in ("s", "p"):
         raise ValueError("polarization must be 's' or 'p'")
-    t1 = 2.0 * np.sqrt((n1 * c1 + 0j) * (n2 * c2)) / den1
-    t2 = 2.0 * np.sqrt((n3 * c3 + 0j) * (n2 * c2)) / den2
+    n2c2, n2s2 = n2 * c2, n2 * s2
+
+    def interface(n):
+        """(t, r) where the film meets the region of index n; each
+        product is formed once, and r = (a - b) / (a + b)."""
+        c = _complex_cos((n2s2 / n) ** 2)
+        nc = n * c
+        a, b = (n2c2, nc) if polarization == "s" else (n * c2, n2 * c)
+        den = a + b
+        return 2.0 * np.sqrt((nc + 0j) * n2c2) / den, (a - b) / den
+
+    (t1, r1), (t2, r2) = interface(n1), interface(n3)
     return t1, r1, t2, r2
 
 

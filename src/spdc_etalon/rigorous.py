@@ -342,8 +342,9 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     batch = np.broadcast_shapes(w.shape, tau2.shape, rho.shape)[:-2]
     w_kc = _entries("w", w, _W_ENTRIES).reshape((4, 2) + w.shape[:-2])
     # One zeroed buffer for rho w and tau2 w, and U later overwrites
-    # I - rho w: fewer large allocations per call, so glibc keeps the
-    # block's memory instead of trimming and faulting it in again.
+    # I - rho w: fewer large allocations per call.  Keeping a block's
+    # freed memory for the next block is left to the allocator policy
+    # of `cli._pin_allocator_policy`.
     system, tau2_w = np.zeros((2,) + batch + (16,), dtype=complex)
     finite = np.ones(batch, dtype=bool)
     for name, m, out, entries in (

@@ -372,7 +372,10 @@ def _eval_rigorous(batch, schemes, scales, values):
         params = InteractionParams(*batch.betas(scales, px), batch.delta[px][None])
         u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
         probs = pair_probabilities(u, schemes)
-        del u  # before the next block allocates: two live U raise the peak RSS
+        # Freed before the next block allocates, so that block can reuse
+        # it (kept, not trimmed, under `cli._pin_allocator_policy`): two
+        # live U raise the peak RSS.
+        del u
         gauss = batch.gauss[px]
         for j, scheme in enumerate(schemes):
             values[:, j, px] = getattr(probs, scheme) * gauss

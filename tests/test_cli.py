@@ -261,6 +261,22 @@ def test_spectrum_nonresonant_model_flag(tmp_path):
     assert np.all(live[:, 2] >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [((), "not bb,fb,bf"), (("--scheme", "bb"), "not bb"), (("--scheme", "ff,fb"), "not fb")],
+)
+def test_spectrum_nonresonant_model_has_only_ff(tmp_path, capsys, flags, named):
+    # Its other columns would be zeros that read as intensities, and a
+    # lone other scheme an all-zero grid that cannot be normalized.
+    cfg_path = write_config(tmp_path, config_text(lambda_count=96, theta_count=24))
+    out = tmp_path / "nr.csv"
+    args = ["spectrum", "--config", str(cfg_path), "--out", str(out), "--model", "nonresonant"]
+    assert main([*args, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: model.schemes: the nonresonant model has only ff, {named}\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_spectrum_rerun_is_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path, SMALL)
     out1 = tmp_path / "a.csv"
