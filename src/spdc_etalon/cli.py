@@ -317,11 +317,6 @@ def run(command, config, out_path, threads=1):
     out_path = Path(out_path)
     lines = []
     if command == "spectrum":
-        if config.model == "nonresonant" and config.schemes != ("ff",):
-            # The bare film has no interfaces, so no backward emission:
-            # its other columns would be zeros that read as intensities.
-            other = ",".join(s for s in config.schemes if s != "ff")
-            raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")
         grid = frequency_angular_spectrum(config, threads=threads).normalized()
         tables = {out_path: _grid_table(grid)}
     elif command == "compare":
@@ -418,7 +413,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 

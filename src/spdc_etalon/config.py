@@ -23,10 +23,11 @@ from .errors import ConfigError
 from .materials import MaterialModel, get_material, material_names
 from .layerstack import LayerStack
 from .simplified import SCHEMES
+from .spectra import _EVALUATORS
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "material_from_spec"]
 
-MODELS = ("rigorous", "simplified", "nonresonant")
+MODELS = tuple(_EVALUATORS)
 DETECTION_SCHEMES = ("forward", "backward", "forward_backward")
 
 
@@ -100,7 +101,13 @@ class RunConfig:
             )
         if self.efficiency_ratio <= 0:
             raise ConfigError("detection.efficiency_ratio: must be positive")
-        if self.envelope_fwhm_nm is not None and self.envelope_fwhm_nm <= 0:
+        center, fwhm = self.envelope_center_nm, self.envelope_fwhm_nm
+        if (center is None) != (fwhm is None):
+            unset, given = ("fwhm", "center") if fwhm is None else ("center", "fwhm")
+            raise ConfigError(
+                f"detection.envelope_{unset}_nm: required when envelope_{given}_nm is set"
+            )
+        if fwhm is not None and fwhm <= 0:
             raise ConfigError("detection.envelope_fwhm_nm: must be positive")
         if self.envelope_amplitude <= 0:
             raise ConfigError("detection.envelope_amplitude: must be positive")

@@ -18,6 +18,7 @@ check of `scattering_matrix` runs on each argument as given.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ class InteractionParams:
     """Dimensionless interaction strengths and phase mismatch.
 
     `delta` is the film thickness times the longitudinal wavevector
-    mismatch; `interaction_matrix` derives the gain term of each pump
-    branch from it as `gain_term(beta, delta)`.
+    mismatch.  `gain_term(beta, delta)` is the one formula for the gain
+    term of a pump branch: `interaction_matrix` forms each block from
+    it, and the gain curve reports it.
     """
 
     beta_plus: complex
@@ -139,16 +141,16 @@ def _sinhc(gamma):
     return np.where(small, series, direct)
 
 
-def _interaction_block(beta, half, quarter_sq, phases):
+def _interaction_block(beta, delta, half, phases):
     """One 2x2 block of the interaction matrix; exact identity at beta = 0.
 
-    `half` = delta/2, `quarter_sq` = delta^2/4 and `phases` =
-    (e^{-i delta/2}, e^{i delta/2}) depend on delta alone, so both
-    blocks and every beta of a job axis share them.
+    `half` = delta/2 and `phases` = (e^{-i delta/2}, e^{i delta/2})
+    depend on delta alone, so both blocks and every beta of a job axis
+    share them.
     """
     beta = np.asarray(beta, dtype=complex)
     beta = np.broadcast_to(beta, np.broadcast_shapes(beta.shape, half.shape))
-    gamma = np.sqrt(beta ** 2 - quarter_sq)  # gain_term(beta, delta)
+    gamma = gain_term(beta, delta)
     shc = _sinhc(gamma)
     ch = np.cosh(gamma)
     ihs = 1j * half * shc
@@ -179,7 +181,7 @@ def interaction_matrix(params):
     """
     delta = np.asarray(params.delta, dtype=float)
     half = delta / 2.0
-    terms = (half, delta ** 2 / 4.0, (np.exp(-1j * half), np.exp(1j * half)))
+    terms = (delta, half, (np.exp(-1j * half), np.exp(1j * half)))
     upper = _interaction_block(params.beta_plus, *terms)
     lower = _interaction_block(params.beta_minus, *terms)
     shape = np.broadcast_shapes(upper.shape[:-2], lower.shape[:-2])
@@ -202,29 +204,22 @@ def boundary_matrices(signal_coeffs, idler_coeffs, phase_s, phase_i):
     r1i, r2i = np.conj(idler_coeffs.r1), np.conj(idler_coeffs.r2)
     ph_s = np.exp(1j * np.asarray(phase_s, dtype=float))
     ph_i = np.exp(-1j * np.asarray(phase_i, dtype=float))
-
-    shape = np.broadcast_shapes(
-        *(np.shape(x) for x in (t1s, t1i, r1s, r1i, ph_s, ph_i))
+    # Per operator k (forward signal, forward idler, backward signal,
+    # backward idler): tau1[k, k], tau2[k, k] and rho[k, k ^ 2].
+    operators = (
+        (t1s, t2s, r1s * ph_s),
+        (t1i, t2i, r1i * ph_i),
+        (t2s, t1s, r2s * ph_s),
+        (t2i, t1i, r2i * ph_i),
     )
-    tau1 = np.zeros(shape + (4, 4), dtype=complex)
-    tau2 = np.zeros(shape + (4, 4), dtype=complex)
-    rho = np.zeros(shape + (4, 4), dtype=complex)
-
-    tau1[..., 0, 0] = t1s
-    tau1[..., 1, 1] = t1i
-    tau1[..., 2, 2] = t2s
-    tau1[..., 3, 3] = t2i
-
-    tau2[..., 0, 0] = t2s
-    tau2[..., 1, 1] = t2i
-    tau2[..., 2, 2] = t1s
-    tau2[..., 3, 3] = t1i
-
-    rho[..., 0, 2] = r1s * ph_s
-    rho[..., 1, 3] = r1i * ph_i
-    rho[..., 2, 0] = r2s * ph_s
-    rho[..., 3, 1] = r2i * ph_i
-    return tau1, tau2, rho
+    shape = np.broadcast_shapes(*(np.shape(x) for op in operators for x in op))
+    matrices = []
+    for flip, entries in zip((0, 0, 2), zip(*operators)):
+        m = np.zeros(shape + (4, 4), dtype=complex)
+        for k, entry in enumerate(entries):
+            m[..., k, k ^ flip] = entry
+        matrices.append(m)
+    return tuple(matrices)
 
 
 def _swap_conj_transpose(m):
@@ -278,11 +273,10 @@ def _product(factor, w_kc):
 def _solve(system, rhs):
     """`np.linalg.solve(system, rhs)`, nan for each exactly singular matrix.
 
-    Where the batched call raises LinAlgError, the matrices are solved
-    again in halves, and each half that raises in halves again, until
-    every singular matrix stands alone.  LAPACK solves the matrices of a
-    batched call one by one, so each other matrix keeps the bits the
-    whole call gives it.
+    Where the batched call raises LinAlgError, each matrix is solved
+    again on its own, and a matrix that raises keeps a nan solution.
+    LAPACK solves the matrices of a batched call one by one, so each
+    other matrix keeps the bits the whole call gives it.
     """
     try:
         return np.linalg.solve(system, rhs)
@@ -292,17 +286,9 @@ def _solve(system, rhs):
     system = np.broadcast_to(system, shape).reshape((-1,) + shape[-2:])
     rhs = np.broadcast_to(rhs, shape).reshape(system.shape)
     solved = np.full(system.shape, np.nan, dtype=complex)
-
-    def halves(lo, hi):
-        mid = (lo + hi) // 2
-        for a, b in ((lo, mid), (mid, hi)):
-            try:
-                solved[a:b] = np.linalg.solve(system[a:b], rhs[a:b])
-            except np.linalg.LinAlgError:
-                if b - a > 1:
-                    halves(a, b)
-
-    halves(0, len(system))
+    for k in range(len(system)):
+        with suppress(np.linalg.LinAlgError):
+            solved[k] = np.linalg.solve(system[k], rhs[k])
     return solved.reshape(shape)
 
 

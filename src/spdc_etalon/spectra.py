@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ZeroVarianceError
+from .errors import ConfigError, GeometryError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
     InterfaceCoeffs,
@@ -220,8 +220,9 @@ class _PixelBatch:
         return beta_p, beta_m
 
 
-def _pump_state(config, stack):
+def _pump_state(config):
     """Pump-side constants: enhancement amplitudes and parallel wavevector."""
+    stack = config.build_stack()
     lam_p = config.pump_wavelength_nm
     coeffs = interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
     n_p = refractive_index(stack.film, lam_p)
@@ -239,7 +240,7 @@ def _masked_indices(stack, lam):
     return (n1, n2, n3), ok1 & ok2 & ok3
 
 
-def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
+def _build_batch(config, lams, thetas, lo, hi, pump_state):
     """Kinematics, interface coefficients, and error mask for pixels
     lo..hi-1 of the grid `lams` x `thetas` (wavelength-major).
 
@@ -252,16 +253,14 @@ def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
     so the bits are those of evaluating each pixel on its own.
     """
     e_fwd, e_bwd, kp_par = pump_state
+    stack = config.build_stack()
     pol = config.polarization
     lam_p = config.pump_wavelength_nm
     pixel = np.arange(lo, hi)
     first = lo // thetas.size
-    # With one angle a chunk's wavelengths are its pixels.
-    row = None if thetas.size == 1 else pixel // thetas.size - first
-
-    def per_pixel(x):
-        """Per-wavelength term `x` gathered to the chunk's pixels."""
-        return x if row is None else x[row]
+    # Each pixel's wavelength in the chunk's run: x[row] gathers a
+    # per-wavelength term x to the pixels.
+    row = pixel // thetas.size - first
 
     # Per wavelength.
     lam_w = np.asarray(lams[first : (hi - 1) // thetas.size + 1], dtype=float)
@@ -270,11 +269,11 @@ def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
     idx_s_w, ok_s = _masked_indices(stack, lam_w)
     idx_i_w, ok_i = _masked_indices(stack, lam_i_w)
     mask_w |= ~ok_s | ~ok_i
-    k_s = per_pixel(2.0 * np.pi * idx_s_w[1] / np.where(lam_w > 0, lam_w, 1.0))
-    k_i = per_pixel(2.0 * np.pi * idx_i_w[1] / lam_i_w)
-    idx_s = tuple(per_pixel(n) for n in idx_s_w)
-    idx_i = tuple(per_pixel(n) for n in idx_i_w)
-    mask = per_pixel(mask_w)
+    k_s = (2.0 * np.pi * idx_s_w[1] / np.where(lam_w > 0, lam_w, 1.0))[row]
+    k_i = (2.0 * np.pi * idx_i_w[1] / lam_i_w)[row]
+    idx_s = tuple(n[row] for n in idx_s_w)
+    idx_i = tuple(n[row] for n in idx_i_w)
+    mask = mask_w[row]
 
     # Per angle.
     col = pixel % thetas.size
@@ -312,7 +311,7 @@ def _build_batch(config, stack, lams, thetas, lo, hi, pump_state):
 
     beta_p = beta_m = None
     if config.beta_plus is None:  # chi2/field route
-        pref = _coupling_prefactor(stack, per_pixel(lam_w), per_pixel(lam_i_w), ks_par, ki_par)
+        pref = _coupling_prefactor(stack, lam_w[row], lam_i_w[row], ks_par, ki_par)
         pref = pref * config.pump_field_v_per_m
         beta_p, beta_m = pref * e_fwd, pref * e_bwd
 
@@ -382,23 +381,29 @@ def _eval_rigorous(batch, schemes, scales, values):
 
 
 def _eval_nonresonant(batch, schemes, scales, values):
-    if "ff" in schemes:
-        values[:, schemes.index("ff")] = _nonresonant(batch.delta, batch.gauss)
+    """The bare film: its one scheme is ff (`_evaluate_pixels` checks)."""
+    values[...] = _nonresonant(batch.delta, batch.gauss)
 
 
+# `config.MODELS` is these keys in this order, as config errors and the
+# CLI's --model choices list them.
 _EVALUATORS = {
-    "simplified": _eval_simplified,
     "rigorous": _eval_rigorous,
+    "simplified": _eval_simplified,
     "nonresonant": _eval_nonresonant,
 }
 
 
-def _evaluate_pixels(config, stack, lams, thetas, models, scales, schemes, threads):
+def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
     """Evaluate every model at every beta scale on the pixel grid `lams` x `thetas`.
 
-    A scale of None takes the chi2/field route's per-pixel strengths;
-    the front-ends pass `config.beta_plus` for the config's own
-    strengths.  Pixels run wavelength-major in chunks of
+    The stack is `config.build_stack()`.  A scale of None takes the
+    chi2/field route's per-pixel strengths; the front-ends pass
+    `config.beta_plus` for the config's own strengths.  The bare film
+    has no interfaces, so no backward emission: with the nonresonant
+    model among `models`, a scheme other than ff raises ConfigError
+    before any pixel is evaluated, so no caller gets zeros that read as
+    intensities.  Pixels run wavelength-major in chunks of
     `_CHUNK_PIXELS`: each chunk's kinematics batch is built once and
     serves the whole model x scale grid, each model is evaluated at all
     scales in one call that writes straight into the result, and
@@ -410,7 +415,10 @@ def _evaluate_pixels(config, stack, lams, thetas, models, scales, schemes, threa
     and mask[m, k] its flat error mask (intensity zero there), shape
     (models, scales, n).
     """
-    pump_state = _pump_state(config, stack)
+    other = ",".join(s for s in schemes if s != "ff")
+    if "nonresonant" in models and other:
+        raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")
+    pump_state = _pump_state(config)
     n = lams.size * thetas.size
     out = np.zeros((len(models), len(scales), len(schemes), n))
     mask = np.zeros((len(models), len(scales), n), dtype=bool)
@@ -418,7 +426,7 @@ def _evaluate_pixels(config, stack, lams, thetas, models, scales, schemes, threa
     def eval_chunk(lo):
         hi = min(lo + _CHUNK_PIXELS, n)
         with np.errstate(all="ignore"):
-            batch = _build_batch(config, stack, lams, thetas, lo, hi, pump_state)
+            batch = _build_batch(config, lams, thetas, lo, hi, pump_state)
             for m, model in enumerate(models):
                 values = out[m, :, :, lo:hi]
                 _EVALUATORS[model](batch, schemes, scales, values)
@@ -444,12 +452,11 @@ def frequency_angular_spectra(config, models, threads=1):
     for model in models:
         if model not in _EVALUATORS:
             raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
-    stack = config.build_stack()
     lams = config.signal_wavelengths()
     thetas = config.internal_angles()
     shape = (lams.size, thetas.size)
     values, mask = _evaluate_pixels(
-        config, stack, lams, thetas, models, (config.beta_plus,), config.schemes, threads
+        config, lams, thetas, models, (config.beta_plus,), config.schemes, threads
     )
     return {
         model: SpectrumGrid(
@@ -535,7 +542,7 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
         raise ValueError("beta values must be a nonempty 1-D array of finite positive numbers")
 
     stack = config.build_stack()
-    e_fwd, e_bwd, kp_par = _pump_state(config, stack)
+    e_fwd, e_bwd, kp_par = _pump_state(config)
     lam_deg = 2.0 * config.pump_wavelength_nm
     n_deg = refractive_index(stack.film, lam_deg)
     ks_deg = 2.0 * np.pi * n_deg / lam_deg
@@ -544,7 +551,7 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
 
     lams = config.signal_wavelengths()
     (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
-        config, stack, lams, np.zeros(1), ("rigorous", "simplified"), beta_values, ("ff",), threads
+        config, lams, np.zeros(1), ("rigorous", "simplified"), beta_values, ("ff",), threads
     )
     points = []
     for k, scale in enumerate(beta_values):
@@ -573,9 +580,10 @@ def detection_spectrum(config, threads=1):
     """1D detected-rate spectrum at normal emission with envelope weighting.
 
     The simplified model is evaluated at theta = 0; each pixel is
-    weighted by the config's detection envelope (flat when its center or
-    width is unset) at the signal wavelength and at the
-    energy-conserving idler wavelength.  The config's detection scheme
+    weighted by the config's detection envelope (flat when its center
+    and width are unset; `RunConfig.validate` sets them as a pair) at
+    the signal wavelength and at the energy-conserving idler
+    wavelength.  The config's detection scheme
     is reported; the forward scheme fixes the normalization maximum,
     the backward scheme is multiplied by the config's efficiency ratio
     and the split scheme by its square root.  Returns (wavelengths_nm,
@@ -583,11 +591,10 @@ def detection_spectrum(config, threads=1):
     """
     scheme = config.detection_scheme
     needed = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}[scheme]
-    stack = config.build_stack()
     lams = config.signal_wavelengths()
     schemes = tuple(sorted(set(needed + ("ff",))))
     values, mask = _evaluate_pixels(
-        config, stack, lams, np.zeros(1), ("simplified",), (config.beta_plus,), schemes, threads
+        config, lams, np.zeros(1), ("simplified",), (config.beta_plus,), schemes, threads
     )
     values = dict(zip(schemes, values[0, 0]))
     mask = mask[0, 0]
@@ -595,7 +602,7 @@ def detection_spectrum(config, threads=1):
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
         lam_i = np.where(lams > lam_p, _idler_wavelength(lam_p, lams), np.nan)
-    if config.envelope_center_nm is None or config.envelope_fwhm_nm is None:
+    if config.envelope_center_nm is None:
         weight = np.ones_like(lams)
     else:
         envelope = EnvelopeModel(

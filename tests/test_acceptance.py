@@ -113,14 +113,13 @@ def _low_gain_limit_error(configs, scales, strength, scheme):
     """
     from spdc_etalon import spectra
 
-    stack = configs[0].build_stack()
     lams = configs[0].signal_wavelengths()[::8]
     thetas = configs[0].internal_angles()[::8]
     values, mask = spectra._evaluate_pixels(
-        configs[0], stack, lams, thetas, ("rigorous", "simplified"), scales[:1], (scheme,), 1
+        configs[0], lams, thetas, ("rigorous", "simplified"), scales[:1], (scheme,), 1
     )
     values_2, mask_2 = spectra._evaluate_pixels(
-        configs[1], stack, lams, thetas, ("rigorous",), scales[1:], (scheme,), 1
+        configs[1], lams, thetas, ("rigorous",), scales[1:], (scheme,), 1
     )
     (rig, ps), (rig_2,) = values[:, 0, 0], values_2[:, 0, 0]
     keep = ~(mask.any(axis=(0, 1)) | mask_2[0, 0])

@@ -411,6 +411,21 @@ def test_detection_command(tmp_path):
     assert np.all(data[:, 1] >= 0)
 
 
+@pytest.mark.parametrize("given, unset", [("center", "fwhm"), ("fwhm", "center")])
+def test_detection_envelope_keys_are_set_as_a_pair(tmp_path, capsys, given, unset):
+    # One envelope key alone would leave the envelope silently flat.
+    value = {"center": "1576.0", "fwhm": "250.0"}[given]
+    text = SMALL + f"\n[detection]\nenvelope_{given}_nm = {value}\n"
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "det.csv"
+    assert main(["detection", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: detection.envelope_{unset}_nm: required when "
+        f"envelope_{given}_nm is set\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scheme", ["forward", "backward", "forward_backward"])
 def test_detection_library_equals_cli(tmp_path, scheme):
     # The library call takes the envelope from the config, as the CLI does.
@@ -598,6 +613,18 @@ def test_exit_code_grid_too_large(tmp_path, capsys, monkeypatch, counts):
 
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_exit_code_config_not_utf8(tmp_path, capsys):
+    # A Latin-1 comment ("µm" as byte 0xb5) cannot be decoded as UTF-8.
+    cfg_path = tmp_path / "latin1.ini"
+    cfg_path.write_bytes(("; thickness in \u00b5m\n" + SMALL).encode("latin-1"))
+    out = tmp_path / "out.csv"
+    assert main(["transmission", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xb5")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

@@ -323,6 +323,22 @@ def test_scattering_matrix_bits_equal_oracle_on_random_structured_input(
     assert finite.all() == (np.isfinite(special).all() or special_frac == 0.0)
 
 
+@pytest.mark.parametrize("singular_at", [[0], [-1], [0, -1], slice(None)])
+def test_scattering_matrix_is_nan_only_where_singular(rng, singular_at):
+    # With w = I and rho[0, 2] = rho[2, 0] = 1, rows 0 and 2 of I - rho w
+    # cancel exactly.  Singular matrices at either end of a call, or in
+    # every place, are nan, and the others keep the oracle's bits.
+    w, tau1, tau2, rho = _random_structured(rng, 16, 0.0)
+    w[singular_at] = np.eye(4)
+    rho[singular_at, 0, 2] = rho[singular_at, 2, 0] = 1.0
+    expected_singular = np.zeros(16, dtype=bool)
+    expected_singular[singular_at] = True
+    u, expected, singular = _library_and_oracle((w, tau1, tau2, rho))
+    assert np.array_equal(singular, expected_singular)
+    assert np.isnan(u[singular]).all()
+    assert_same_bits(u[~singular], expected[~singular])
+
+
 def test_scattering_matrix_bits_equal_oracle_for_single_and_broadcast_w(rng):
     w, tau1, tau2, rho = _random_structured(rng, 64, 0.0)
     for k in range(8):
@@ -415,17 +431,10 @@ def _sweep_block(m, scales):
     from spdc_etalon import parse_config, spectra
 
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
-    stack = cfg.build_stack()
     lams = cfg.signal_wavelengths()
     with np.errstate(all="ignore"):
         batch = spectra._build_batch(
-            cfg,
-            stack,
-            lams,
-            np.zeros(1),
-            0,
-            lams.size,
-            spectra._pump_state(cfg, stack),
+            cfg, lams, np.zeros(1), 0, lams.size, spectra._pump_state(cfg)
         )
     px = np.flatnonzero(~batch.mask)[:m]
     assert px.size == m

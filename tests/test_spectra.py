@@ -6,6 +6,7 @@ import pytest
 
 from spdc_etalon import spectra
 from spdc_etalon import (
+    ConfigError,
     EnvelopeModel,
     GeometryError,
     Mode,
@@ -23,6 +24,16 @@ from spdc_etalon import (
 from conftest import EXPERIMENT_CONFIG, config_text
 
 MATCHED_OVERRIDES = dict(superstrate="linbo3_e", substrate="linbo3_e")
+
+
+def _ff_only(cfg):
+    """`cfg` with the one scheme the nonresonant model has."""
+    return cfg._replace_keeping_stack(schemes=("ff",))
+
+
+def _model_config(cfg, model):
+    """`cfg` as `model` can run it: the nonresonant model has only ff."""
+    return _ff_only(cfg) if model == "nonresonant" else cfg
 
 
 def test_solve_idler_degenerate_exact(experiment_stack):
@@ -81,7 +92,7 @@ def test_nonresonant_matched_grid_equals_phase_matching():
     cfg = parse_config(
         config_text(lambda_count=48, theta_count=24, **MATCHED_OVERRIDES)
     )
-    grid = frequency_angular_spectrum(cfg, "nonresonant")
+    grid = frequency_angular_spectrum(_ff_only(cfg), "nonresonant")
     stack = cfg.build_stack()
 
     from spdc_etalon import refractive_index
@@ -100,7 +111,25 @@ def test_nonresonant_matched_grid_equals_phase_matching():
     expected = np.sinc(delta / 2.0 / np.pi) ** 2
     keep = ~grid.mask
     assert np.allclose(grid.intensity["ff"][keep], expected[keep], rtol=1e-10, atol=1e-12)
-    assert np.all(grid.intensity["bb"][keep] == 0.0)
+    # The bare film has no backward emission: bb is refused, not zeros.
+    with pytest.raises(ConfigError, match="nonresonant model has only ff, not bb,fb,bf"):
+        frequency_angular_spectrum(cfg, "nonresonant")
+
+
+@pytest.mark.parametrize(
+    "schemes, named", [(("bb",), "bb"), (("ff", "fb"), "fb"), (("bf", "ff", "bb"), "bf,bb")]
+)
+def test_library_refuses_nonresonant_schemes_other_than_ff(schemes, named):
+    # The library call refuses them as the CLI does, with the CLI's text,
+    # also when the nonresonant model shares a pass with the others.
+    cfg = parse_config(config_text(lambda_count=12, theta_count=8))
+    cfg = cfg._replace_keeping_stack(schemes=schemes)
+    message = f"model.schemes: the nonresonant model has only ff, not {named}$"
+    with pytest.raises(ConfigError, match=message):
+        frequency_angular_spectrum(cfg, "nonresonant")
+    with pytest.raises(ConfigError, match=message):
+        frequency_angular_spectra(cfg, GRID_MODELS)
+    assert list(frequency_angular_spectra(cfg, GRID_MODELS[:2])) == list(GRID_MODELS[:2])
 
 
 def test_grid_models_agree_at_low_gain(small_config):
@@ -126,7 +155,7 @@ def test_grid_rigorous_deviates_at_high_gain():
 
 def test_grid_mask_and_finiteness(small_config):
     for model in ("nonresonant", "simplified", "rigorous"):
-        grid = frequency_angular_spectrum(small_config, model)
+        grid = frequency_angular_spectrum(_model_config(small_config, model), model)
         for scheme, arr in grid.intensity.items():
             assert np.all(np.isfinite(arr)), (model, scheme)
             assert np.all(arr[grid.mask] == 0.0)
@@ -170,12 +199,13 @@ def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, coun
     # Chunk size 1 and 7 run on a tiny grid to keep the per-chunk
     # overhead small; 4096 splits the small grid into two chunks.
     cfg = parse_config(config_text(lambda_count=counts[0], theta_count=counts[1]))
-    reference = {m: frequency_angular_spectrum(cfg, m) for m in GRID_MODELS}
+    configs = {m: _model_config(cfg, m) for m in GRID_MODELS}
+    reference = {m: frequency_angular_spectrum(configs[m], m) for m in GRID_MODELS}
     assert reference["rigorous"].mask.any() and not reference["rigorous"].mask.all()
     monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     for model in GRID_MODELS:
         for threads in (1, 2, 3):
-            grid = frequency_angular_spectrum(cfg, model, threads=threads)
+            grid = frequency_angular_spectrum(configs[model], model, threads=threads)
             assert_grids_equal(grid, reference[model])
 
 
@@ -183,16 +213,20 @@ def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, coun
 def test_one_pass_grids_equal_single_model_grids(monkeypatch, beta):
     # At beta = 1000 the rigorous model overflows at every pixel while
     # the others do not: each model must keep its own mask.
+    # The nonresonant model has only ff, so all three models share a pass
+    # on ff alone, and the other two also share one on every scheme.
     cfg = parse_config(config_text(lambda_count=40, theta_count=12, beta_plus=beta))
-    reference = {m: frequency_angular_spectrum(cfg, m) for m in GRID_MODELS}
+    runs = ((_ff_only(cfg), GRID_MODELS), (cfg, GRID_MODELS[:2]))
+    references = [{m: frequency_angular_spectrum(c, m) for m in models} for c, models in runs]
     if beta == "1000":
-        assert reference["rigorous"].mask.all()
-        assert not reference["nonresonant"].mask.all()
+        assert references[0]["rigorous"].mask.all()
+        assert not references[0]["nonresonant"].mask.all()
     monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 37)
-    grids = frequency_angular_spectra(cfg, GRID_MODELS, threads=2)
-    assert list(grids) == list(GRID_MODELS)
-    for model in GRID_MODELS:
-        assert_grids_equal(grids[model], reference[model])
+    for (config, models), reference in zip(runs, references):
+        grids = frequency_angular_spectra(config, models, threads=2)
+        assert list(grids) == list(models)
+        for model in models:
+            assert_grids_equal(grids[model], reference[model])
 
 
 # A 300 x 131 grid from 700 to 4500 nm and from -pi/2 to pi/2 hits every
@@ -256,14 +290,14 @@ def test_build_batch_keeps_the_bits_of_per_pixel_kinematics(tmp_path, route, ang
     lams = cfg.signal_wavelengths()
     thetas = cfg.internal_angles() if angles == "grid" else np.zeros(1)
     n = lams.size * thetas.size
-    pump_state = spectra._pump_state(cfg, stack)
+    pump_state = spectra._pump_state(cfg)
     hit = {}
     for chunk in (spectra._CHUNK_PIXELS, 1000):
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             reasons = {}
             with np.errstate(all="ignore"):
-                batch = spectra._build_batch(cfg, stack, lams, thetas, lo, hi, pump_state)
+                batch = spectra._build_batch(cfg, lams, thetas, lo, hi, pump_state)
                 oracle = build_batch(cfg, stack, lams, thetas, lo, hi, pump_state, reasons)
             for field in fields(batch):
                 _assert_same_bits(getattr(batch, field.name), getattr(oracle, field.name), field.name)
@@ -353,19 +387,12 @@ def _unblocked_rigorous_grid(cfg):
         pair_probabilities,
     )
 
-    stack = cfg.build_stack()
     lams = cfg.signal_wavelengths()
     thetas = cfg.internal_angles()
     shape = (lams.size, thetas.size)
     with np.errstate(all="ignore"):
         batch = spectra._build_batch(
-            cfg,
-            stack,
-            lams,
-            thetas,
-            0,
-            lams.size * thetas.size,
-            spectra._pump_state(cfg, stack),
+            cfg, lams, thetas, 0, lams.size * thetas.size, spectra._pump_state(cfg)
         )
         (beta_p,), (beta_m,) = batch.betas([cfg.beta_plus])
         params = InteractionParams(beta_p, beta_m, batch.delta)
@@ -421,7 +448,7 @@ def test_rigorous_block_size_and_threads_do_not_change_bits(
         config_text(lambda_count=counts[0], theta_count=counts[1], **BLOCK_CONFIGS[name])
     )
     reference = _unblocked_rigorous_grid(cfg)
-    batch_masked = frequency_angular_spectrum(cfg, "nonresonant").mask
+    batch_masked = frequency_angular_spectrum(_ff_only(cfg), "nonresonant").mask
     assert batch_masked.any() and not batch_masked.all()
     if name == "heavily-masked":
         assert batch_masked.mean() > 0.5
@@ -438,8 +465,8 @@ def test_rigorous_block_size_and_threads_do_not_change_bits(
 def test_singular_matrices_mask_only_their_pixels():
     # README config, beta scales 1 to 200: at 200, LAPACK finds I - rho w
     # exactly singular at some wavelengths.  Those pixels, and only those,
-    # are masked.  A call that meets one is solved again in halves, so
-    # every (model, scale) cell of the grid keeps the bits it has when it
+    # are masked.  A call that meets one is solved again matrix by matrix,
+    # so every (model, scale) cell of the grid keeps the bits it has when it
     # runs alone.
     from numpy.linalg import LinAlgError
 
@@ -447,17 +474,16 @@ def test_singular_matrices_mask_only_their_pixels():
     from spdc_etalon.rigorous import InteractionParams, boundary_matrices, interaction_matrix
 
     cfg = parse_config(EXPERIMENT_CONFIG)
-    stack = cfg.build_stack()
     lams = cfg.signal_wavelengths()
     one = np.zeros(1)
     scales = np.geomspace(1.0, 200.0, 5)
     models = ("rigorous", "simplified")
-    values, mask = spectra._evaluate_pixels(cfg, stack, lams, one, models, scales, ("ff",), 1)
+    values, mask = spectra._evaluate_pixels(cfg, lams, one, models, scales, ("ff",), 1)
     assert values.shape == (2, scales.size, 1, lams.size)
     assert mask.shape == (2, scales.size, lams.size)
 
     with np.errstate(all="ignore"):
-        batch = spectra._build_batch(cfg, stack, lams, one, 0, lams.size, spectra._pump_state(cfg, stack))
+        batch = spectra._build_batch(cfg, lams, one, 0, lams.size, spectra._pump_state(cfg))
         live = np.flatnonzero(~batch.mask)
         tau1, _tau2, rho = boundary_matrices(
             InterfaceCoeffs(*(c[live] for c in batch.coeffs_s)),
@@ -479,7 +505,7 @@ def test_singular_matrices_mask_only_their_pixels():
     for m, model in enumerate(models):
         for k, scale in enumerate(scales):
             alone, alone_mask = spectra._evaluate_pixels(
-                cfg, stack, lams, one, (model,), (scale,), ("ff",), 1
+                cfg, lams, one, (model,), (scale,), ("ff",), 1
             )
             assert np.array_equal(alone_mask[0, 0], mask[m, k])
             assert alone[0, 0].tobytes() == values[m, k].tobytes()
@@ -764,7 +790,7 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
     from spdc_etalon import GainCurvePoint, gain_term, refractive_index
 
     stack = config.build_stack()
-    e_fwd, _e_bwd, kp_par = spectra._pump_state(config, stack)
+    e_fwd, _e_bwd, kp_par = spectra._pump_state(config)
     lam_deg = 2.0 * config.pump_wavelength_nm
     n_deg = refractive_index(stack.film, lam_deg)
     ks_deg = 2.0 * np.pi * n_deg / lam_deg
@@ -780,7 +806,7 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
         curves = {}
         for model in ("rigorous", "simplified"):
             values, mask = spectra._evaluate_pixels(
-                cfg, stack, lams, np.zeros(1), (model,), (cfg.beta_plus,), ("ff",), threads
+                cfg, lams, np.zeros(1), (model,), (cfg.beta_plus,), ("ff",), threads
             )
             curves[model] = values[0, 0, 0], mask[0, 0]
         (rig, mask_r), (smp, mask_s) = curves["rigorous"], curves["simplified"]
@@ -941,18 +967,16 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
         scattering_matrix,
     )
 
-    stack = small_config.build_stack()
     lams = small_config.signal_wavelengths()
     thetas = small_config.internal_angles()
     with np.errstate(all="ignore"):
         batch = spectra._build_batch(
             small_config,
-            stack,
             lams,
             thetas,
             0,
             lams.size * thetas.size,
-            spectra._pump_state(small_config, stack),
+            spectra._pump_state(small_config),
         )
         b = np.full(batch.delta.shape, beta, dtype=complex)
         gamma = gain_term(b, batch.delta)
