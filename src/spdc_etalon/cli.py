@@ -4,10 +4,11 @@ Commands: spectrum, compare, gain-curve, transmission, detection.
 Every output file starts with '#'-prefixed header lines carrying the
 artifact version and the full resolved configuration (with the
 --model and --scheme overrides applied), and contains no timestamps, so
-identical configs produce byte-identical files.
+identical configs produce byte-identical files.  A command refuses the
+flags it does not read, so the header never records one that did not run.
 
-Exit codes: 0 success, 2 configuration error or unreadable config /
-unwritable output, 3 numerical error.
+Exit codes: 0 success, 2 configuration error, unreadable config,
+unwritable output or out of memory, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,16 @@ from .spectra import (
 
 __all__ = ["run", "main"]
 
-COMMANDS = ("spectrum", "compare", "gain-curve", "transmission", "detection")
+# The override flags each command reads; `COMMANDS` is these keys in
+# this order.
+_FLAGS = {
+    "spectrum": ("--model", "--scheme"),
+    "compare": ("--scheme",),
+    "gain-curve": (),
+    "transmission": (),
+    "detection": ("--scheme",),
+}
+COMMANDS = tuple(_FLAGS)
 
 # Cell spelling: floats are printf '%.9g' (9 significant digits; 'nan',
 # 'inf', '-inf' and '-0' as printf writes them, see `_format_g9`), the bool
@@ -418,6 +428,9 @@ def main(argv=None):
         return 2
 
     try:
+        for flag, value in (("--model", args.model), ("--scheme", args.scheme)):
+            if value is not None and flag not in _FLAGS[args.command]:
+                raise ConfigError(f"{flag}: {args.command} does not read this flag")
         config = parse_config(text)
         # The flags override the config before the run, so the header
         # records what ran.  argparse already restricts --model.
@@ -450,6 +463,9 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     for path in written:
         print(f"wrote {path}")

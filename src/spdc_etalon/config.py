@@ -1,12 +1,13 @@
 """Run configuration: INI-style parsing, validation, serialization.
 
-The config format is key-value pairs in named sections.  The key table
-`_KEYS` is the schema: it maps each section and key to its `RunConfig`
-field and kind, and parsing, required keys and serialization all read
-it; defaults live only on `RunConfig`.  Unknown sections or keys are
-hard errors; every diagnostic carries the offending key path.  Parsing
-is seed-free and fully deterministic, and
-`parse_config(serialize_config(cfg))` round-trips exactly.
+The config format is key-value pairs in named sections.  Each
+`RunConfig` field declares its section, key and kind (see `_key`), and
+parsing, required keys and serialization all read `fields(RunConfig)`:
+a key is added by adding a field, and it is required when its field has
+no default.  Unknown sections or keys are hard errors; every diagnostic
+carries the offending key path.  Parsing is seed-free and fully
+deterministic, and `parse_config(serialize_config(cfg))` round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -14,54 +15,61 @@ from __future__ import annotations
 import cmath
 import configparser
 import io
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .materials import MaterialModel, get_material, material_names
+from .materials import POLARIZATIONS, MaterialModel, get_material, material_names
 from .layerstack import LayerStack
 from .simplified import SCHEMES
-from .spectra import _EVALUATORS
+from .spectra import _DETECTED_SCHEMES, _EVALUATORS
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "material_from_spec"]
 
 MODELS = tuple(_EVALUATORS)
-DETECTION_SCHEMES = ("forward", "backward", "forward_backward")
+DETECTION_SCHEMES = tuple(_DETECTED_SCHEMES)
+
+
+def _key(section, key, kind, default=MISSING):
+    """A field read from and written to `key` of `[section]` as `kind`:
+    text, float, int, complex or schemes (a comma-separated list)."""
+    return field(default=default, metadata={"ini": (section, key, kind)})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved, validated run parameters (all deterministic)."""
 
-    superstrate: str
-    film: str
-    substrate: str
-    thickness_um: float
-    pump_wavelength_nm: float
-    pump_waist_um: float
-    lambda_min_nm: float
-    lambda_max_nm: float
-    lambda_count: int
-    theta_min_rad: float
-    theta_max_rad: float
-    theta_count: int
-    chi2_pm_per_v: float | None = None
-    beta_plus: complex | None = None
-    pump_field_v_per_m: float | None = None
-    model: str = "simplified"
-    schemes: tuple = SCHEMES
-    polarization: str = "s"
-    envelope_center_nm: float | None = None
-    envelope_fwhm_nm: float | None = None
-    envelope_amplitude: float = 1.0
-    efficiency_ratio: float = 1.0
-    detection_scheme: str = "forward"
-    gain_beta_min: float = 1e-2
-    gain_beta_max: float = 4.0
-    gain_beta_count: int = 21
-    output_path: str | None = None
+    # `serialize_config` writes the keys in field order, by section.
+    superstrate: str = _key("stack", "superstrate", "text")
+    film: str = _key("stack", "film", "text")
+    substrate: str = _key("stack", "substrate", "text")
+    thickness_um: float = _key("stack", "thickness_um", "float")
+    pump_wavelength_nm: float = _key("pump", "wavelength_nm", "float")
+    pump_waist_um: float = _key("pump", "waist_um", "float")
+    lambda_min_nm: float = _key("grid", "lambda_min_nm", "float")
+    lambda_max_nm: float = _key("grid", "lambda_max_nm", "float")
+    lambda_count: int = _key("grid", "lambda_count", "int")
+    theta_min_rad: float = _key("grid", "theta_min_rad", "float")
+    theta_max_rad: float = _key("grid", "theta_max_rad", "float")
+    theta_count: int = _key("grid", "theta_count", "int")
+    chi2_pm_per_v: float | None = _key("stack", "chi2_pm_per_v", "float", None)
+    beta_plus: complex | None = _key("pump", "beta_plus", "complex", None)
+    pump_field_v_per_m: float | None = _key("pump", "field_v_per_m", "float", None)
+    model: str = _key("model", "kind", "text", "simplified")
+    schemes: tuple = _key("model", "schemes", "schemes", SCHEMES)
+    polarization: str = _key("model", "polarization", "text", "s")
+    envelope_center_nm: float | None = _key("detection", "envelope_center_nm", "float", None)
+    envelope_fwhm_nm: float | None = _key("detection", "envelope_fwhm_nm", "float", None)
+    envelope_amplitude: float = _key("detection", "envelope_amplitude", "float", 1.0)
+    efficiency_ratio: float = _key("detection", "efficiency_ratio", "float", 1.0)
+    detection_scheme: str = _key("detection", "scheme", "text", "forward")
+    gain_beta_min: float = _key("gain_curve", "beta_min", "float", 1e-2)
+    gain_beta_max: float = _key("gain_curve", "beta_max", "float", 4.0)
+    gain_beta_count: int = _key("gain_curve", "count", "int", 21)
+    output_path: str | None = _key("output", "path", "text", None)
 
     def validate(self):
         if self.thickness_um <= 0:
@@ -78,9 +86,11 @@ class RunConfig:
             raise ConfigError("grid: lambda_min_nm must be < lambda_max_nm")
         if not self.theta_min_rad < self.theta_max_rad:
             raise ConfigError("grid: theta_min_rad must be < theta_max_rad")
+        if self.theta_min_rad < -np.pi / 2 or self.theta_max_rad > np.pi / 2:
+            raise ConfigError("grid: theta_min_rad and theta_max_rad must lie in [-pi/2, pi/2]")
         if self.model not in MODELS:
             raise ConfigError(f"model.kind: must be one of {MODELS}")
-        if self.polarization not in ("s", "p"):
+        if self.polarization not in POLARIZATIONS:
             raise ConfigError("model.polarization: must be 's' or 'p'")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ConfigError(f"model.schemes: entries must be among {SCHEMES}")
@@ -211,41 +221,8 @@ def material_from_spec(spec):
     raise ConfigError(f"unknown material form {kind!r} in {spec!r}")
 
 
-# The schema: one row per config key, (section, key, RunConfig field,
-# kind), in the order `serialize_config` writes them.  A key is required
-# when its field has no default; a missing optional key takes the default.
-_KEYS = (
-    ("stack", "superstrate", "superstrate", "text"),
-    ("stack", "film", "film", "text"),
-    ("stack", "substrate", "substrate", "text"),
-    ("stack", "thickness_um", "thickness_um", "float"),
-    ("stack", "chi2_pm_per_v", "chi2_pm_per_v", "float"),
-    ("pump", "wavelength_nm", "pump_wavelength_nm", "float"),
-    ("pump", "waist_um", "pump_waist_um", "float"),
-    ("pump", "beta_plus", "beta_plus", "complex"),
-    ("pump", "field_v_per_m", "pump_field_v_per_m", "float"),
-    ("grid", "lambda_min_nm", "lambda_min_nm", "float"),
-    ("grid", "lambda_max_nm", "lambda_max_nm", "float"),
-    ("grid", "lambda_count", "lambda_count", "int"),
-    ("grid", "theta_min_rad", "theta_min_rad", "float"),
-    ("grid", "theta_max_rad", "theta_max_rad", "float"),
-    ("grid", "theta_count", "theta_count", "int"),
-    ("model", "kind", "model", "text"),
-    ("model", "schemes", "schemes", "schemes"),
-    ("model", "polarization", "polarization", "text"),
-    ("detection", "envelope_center_nm", "envelope_center_nm", "float"),
-    ("detection", "envelope_fwhm_nm", "envelope_fwhm_nm", "float"),
-    ("detection", "envelope_amplitude", "envelope_amplitude", "float"),
-    ("detection", "efficiency_ratio", "efficiency_ratio", "float"),
-    ("detection", "scheme", "detection_scheme", "text"),
-    ("gain_curve", "beta_min", "gain_beta_min", "float"),
-    ("gain_curve", "beta_max", "gain_beta_max", "float"),
-    ("gain_curve", "count", "gain_beta_count", "int"),
-    ("output", "path", "output_path", "text"),
-)
-_SCHEMA = {section: {k for s, k, _, _ in _KEYS if s == section} for section, *_ in _KEYS}
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-_REQUIRED = [(s, k) for s, k, field, _ in _KEYS if _DEFAULTS[field] is MISSING]
+# The schema: (section, key) -> its RunConfig field, in field order.
+_SCHEMA = {f.metadata["ini"][:2]: f for f in fields(RunConfig)}
 # Numeric kinds: the converter and what the error message expects.
 _NUMBERS = {
     "float": (float, "a number"),
@@ -254,7 +231,12 @@ _NUMBERS = {
 }
 
 
-def _parse_number(section, key, raw, conv, what):
+def _parse_value(section, key, kind, raw):
+    if kind == "text":
+        return raw
+    if kind == "schemes":
+        return tuple(s.strip() for s in raw.split(",") if s.strip())
+    conv, what = _NUMBERS[kind]
     try:
         value = conv(raw)
     except ValueError:
@@ -262,14 +244,6 @@ def _parse_number(section, key, raw, conv, what):
     if conv is not int and not cmath.isfinite(value):
         raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
     return value
-
-
-def _parse_value(section, key, kind, raw):
-    if kind == "text":
-        return raw
-    if kind == "schemes":
-        return tuple(s.strip() for s in raw.split(",") if s.strip())
-    return _parse_number(section, key, raw, *_NUMBERS[kind])
 
 
 def parse_config(text):
@@ -280,47 +254,46 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    sections = {section for section, _ in _SCHEMA}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown key {section}.{key}")
-    for section, key in _REQUIRED:
-        if section not in parser:
+    for (section, key), f in _SCHEMA.items():
+        if f.default is MISSING and section not in parser:
             raise ConfigError(f"missing required section [{section}]")
-        if key not in parser[section]:
+        if f.default is MISSING and key not in parser[section]:
             raise ConfigError(f"missing required key {section}.{key}")
 
     values = {}
-    for section, key, field, kind in _KEYS:
+    for (section, key), f in _SCHEMA.items():
         if section in parser and key in parser[section]:
-            values[field] = _parse_value(section, key, kind, parser[section][key].strip())
+            kind = f.metadata["ini"][2]
+            values[f.name] = _parse_value(section, key, kind, parser[section][key].strip())
     return RunConfig(**values).validate()
 
 
 def _fmt(value):
-    if isinstance(value, complex):
-        if value.imag == 0:
-            return repr(value.real)
-        return repr(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, tuple):  # the schemes
+        return ",".join(value)
+    if isinstance(value, complex) and value.imag == 0:
+        value = value.real
+    return repr(value) if isinstance(value, (float, complex)) else str(value)
 
 
 def serialize_config(config):
     """Canonical INI text for a RunConfig; parse_config round-trips it.
 
-    Every field that is not None is written, in table order; a section
+    Every field that is not None is written, in field order; a section
     with no such field is left out.
     """
     sections = {}
-    for section, key, field, kind in _KEYS:
-        value = getattr(config, field)
+    for (section, key), f in _SCHEMA.items():
+        value = getattr(config, f.name)
         if value is not None:
-            text = ",".join(value) if kind == "schemes" else _fmt(value)
-            sections.setdefault(section, {})[key] = text
+            sections.setdefault(section, {})[key] = _fmt(value)
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
     out = io.StringIO()

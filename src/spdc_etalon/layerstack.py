@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonancePoleError
-from .materials import refractive_index
+from .materials import POLARIZATIONS, refractive_index
 
 __all__ = [
     "LayerStack",
@@ -107,7 +107,7 @@ def coefficient_arrays(indices, trig, polarization):
     """
     n1, n2, n3 = indices
     c2, s2 = trig
-    if polarization not in ("s", "p"):
+    if polarization not in POLARIZATIONS:
         raise ValueError("polarization must be 's' or 'p'")
     n2c2, n2s2 = n2 * c2, n2 * s2
 

@@ -80,7 +80,6 @@ class SpectrumGrid:
     internal_angles_rad: np.ndarray
     intensity: dict
     mask: np.ndarray
-    normalization: str = "raw"
 
     def normalized(self):
         """Unit-max copy: the global maximum over all schemes is 1."""
@@ -97,7 +96,6 @@ class SpectrumGrid:
             internal_angles_rad=self.internal_angles_rad,
             intensity=scaled,
             mask=self.mask,
-            normalization="unit-max",
         )
 
 
@@ -392,6 +390,9 @@ _EVALUATORS = {
     "simplified": _eval_simplified,
     "nonresonant": _eval_nonresonant,
 }
+# The simplified schemes each detection scheme sums; `config.DETECTION_SCHEMES`
+# is these keys in this order.
+_DETECTED_SCHEMES = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}
 
 
 def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
@@ -590,7 +591,7 @@ def detection_spectrum(config, threads=1):
     rates, mask).
     """
     scheme = config.detection_scheme
-    needed = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}[scheme]
+    needed = _DETECTED_SCHEMES[scheme]
     lams = config.signal_wavelengths()
     schemes = tuple(sorted(set(needed + ("ff",))))
     values, mask = _evaluate_pixels(

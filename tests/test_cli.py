@@ -2,13 +2,26 @@ import configparser
 import hashlib
 import io
 import tracemalloc
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdc_etalon import ConfigError, cli, detection_spectrum, parse_config, serialize_config
+from spdc_etalon import (
+    ConfigError,
+    RunConfig,
+    cli,
+    detection_spectrum,
+    parse_config,
+    serialize_config,
+    spectra,
+)
 from spdc_etalon.cli import COMMANDS, main
+from spdc_etalon.config import DETECTION_SCHEMES, MODELS
+from spdc_etalon.materials import POLARIZATIONS
+from spdc_etalon.simplified import SCHEMES
 from conftest import EXPERIMENT_CONFIG, config_text
 
 SMALL = config_text(lambda_count=48, theta_count=8)
@@ -125,7 +138,7 @@ def test_float_keys_cover_the_schema():
     text_keys = {"superstrate", "film", "substrate", "kind", "schemes", "polarization",
                  "scheme", "path"}
     int_keys = {"lambda_count", "theta_count", "count"}
-    numeric = {(s, k) for s, keys in _SCHEMA.items() for k in keys if k not in text_keys | int_keys}
+    numeric = {(s, k) for s, k in _SCHEMA if k not in text_keys | int_keys}
     assert numeric == set(FLOAT_KEYS)
 
 
@@ -196,13 +209,87 @@ def test_round_trip_exact():
 
 
 def test_key_table_names_every_field_once():
-    from dataclasses import fields
+    # Every field declares a (section, key), and no two fields the same one.
+    declared = Counter(f.metadata["ini"][:2] for f in fields(RunConfig))
+    assert len(declared) == len(fields(RunConfig))
+    assert set(declared.values()) == {1}
 
-    from spdc_etalon.config import _KEYS, RunConfig
 
-    table_fields = [field for _, _, field, _ in _KEYS]
-    assert sorted(table_fields) == sorted(f.name for f in fields(RunConfig))
-    assert len({(section, key) for section, key, _, _ in _KEYS}) == len(_KEYS)
+def _random_config(rng, i):
+    """A valid RunConfig with random values, a random subset of the
+    optional keys set and one of the two beta routes."""
+
+    def number(lo, hi):
+        # Many significant digits and exponents, so `repr` has work to do.
+        return float(rng.uniform(1.0, 10.0) * 10.0 ** rng.integers(lo, hi))
+
+    def pick(choices):
+        return choices[rng.integers(len(choices))]
+
+    materials = ("air", "linbo3_e", "linbo3_o", "silicon", f"constant:{number(0, 1)!r}")
+    lam = sorted(rng.uniform(-1e4, 1e4, 2).tolist())
+    theta = sorted(rng.uniform(-np.pi / 2, np.pi / 2, 2).tolist())
+    values = dict(
+        superstrate=pick(materials),
+        film=pick(materials),
+        substrate=pick(materials),
+        thickness_um=number(-3, 4),
+        pump_wavelength_nm=number(1, 4),
+        pump_waist_um=number(-1, 3),
+        lambda_min_nm=lam[0],
+        lambda_max_nm=lam[1],
+        lambda_count=int(rng.integers(2, 10**6)),
+        theta_min_rad=theta[0],
+        theta_max_rad=theta[1],
+        theta_count=int(rng.integers(2, 10**6)),
+    )
+    if rng.random() < 0.5:
+        beta = complex(number(-6, 1), number(-6, 1) * pick((-1.0, 0.0, 1.0)))
+        values["beta_plus"] = beta if beta.imag or rng.random() < 0.5 else beta.real
+        if rng.random() < 0.3:
+            values["chi2_pm_per_v"] = number(0, 3)
+    else:
+        values["chi2_pm_per_v"] = number(0, 3)
+        values["pump_field_v_per_m"] = number(4, 9)
+    optional = dict(
+        model=pick(MODELS),
+        schemes=tuple(rng.permutation(SCHEMES)[: rng.integers(1, len(SCHEMES) + 1)].tolist()),
+        polarization=pick(POLARIZATIONS),
+        envelope_center_nm=number(2, 4),
+        envelope_fwhm_nm=number(0, 3),
+        envelope_amplitude=number(-2, 2),
+        efficiency_ratio=number(-2, 2),
+        detection_scheme=pick(DETECTION_SCHEMES),
+        # Either bound alone is valid against the other's default.
+        gain_beta_min=number(-4, -2),
+        gain_beta_max=number(0, 3),
+        gain_beta_count=int(rng.integers(2, 1000)),
+        output_path=f"out/run_{i}.csv",
+    )
+    for name, value in optional.items():
+        if rng.random() < 0.5:
+            values[name] = value
+    if ("envelope_center_nm" in values) != ("envelope_fwhm_nm" in values):
+        values.pop("envelope_center_nm", None)
+        values.pop("envelope_fwhm_nm", None)
+    return RunConfig(**values).validate()
+
+
+def test_random_configs_round_trip_in_field_order():
+    rng = np.random.default_rng(20261019)
+    declared = [(f, f.metadata["ini"][:2]) for f in fields(RunConfig)]
+    for i in range(300):
+        cfg = _random_config(rng, i)
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg, text
+        # Keys in field order, each under its section, the sections in
+        # the order of their first field.
+        keys = [key for f, key in declared if getattr(cfg, f.name) is not None]
+        sections = list(dict.fromkeys(section for section, _ in keys))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        written = [(section, key) for section in parser.sections() for key in parser[section]]
+        assert written == sorted(keys, key=lambda sk: sections.index(sk[0])), text
 
 
 # ---- CLI commands -------------------------------------------------------------
@@ -611,6 +698,51 @@ def test_exit_code_grid_too_large(tmp_path, capsys, monkeypatch, counts):
         assert not out.exists() and not out.with_suffix(".csv.part").exists()
 
 
+@pytest.mark.parametrize("where", ["sweep", "writer"])
+def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch, where):
+    # A grid that passes the index check can still not fit in memory.
+    # The allocation failure is raised in its place, never made.
+    message = "Unable to allocate 298. GiB for an array with shape (1, 1, 4, 10000000000)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    if where == "sweep":
+        monkeypatch.setattr(spectra, "_evaluate_pixels", out_of_memory)
+    else:
+        write_csv = cli._write_csv
+
+        def write_then_fail(path, *args):
+            write_csv(path, *args)  # the .part file is complete now
+            out_of_memory()
+
+        monkeypatch.setattr(cli, "_write_csv", write_then_fail)
+    cfg_path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+@pytest.mark.parametrize("theta_min,theta_max", [(6.0, 6.5), (-1.6, 0.5), (-0.5, 1.58)])
+def test_internal_angles_beyond_grazing_are_a_config_error(
+    tmp_path, capsys, theta_min, theta_max
+):
+    text = config_text(
+        lambda_count=48, theta_count=8, theta_min_rad=theta_min, theta_max_rad=theta_max
+    )
+    with pytest.raises(ConfigError, match=r"^grid: theta_min_rad and theta_max_rad must lie"):
+        parse_config(text)
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+    # Grazing itself is a valid bound: those columns are masked.
+    parse_config(config_text(theta_min_rad=repr(-np.pi / 2), theta_max_rad=repr(np.pi / 2)))
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -942,6 +1074,28 @@ def test_repeated_scheme_is_rejected(tmp_path, capsys):
     assert main(["spectrum", "--config", str(repeated), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: model.schemes: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["repeated.ini", "run.ini"]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("compare", "--model", "rigorous"),
+        ("gain-curve", "--model", "nonresonant"),
+        ("gain-curve", "--scheme", "bb"),
+        ("transmission", "--model", "rigorous"),
+        ("transmission", "--scheme", "fb"),
+        ("detection", "--model", "rigorous"),
+    ],
+)
+def test_flag_the_command_ignores_is_a_config_error(tmp_path, capsys, command, flag, value):
+    # The header records the flags as if they ran, so a command refuses
+    # the ones it does not read.
+    cfg_path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
 def test_model_and_scheme_flags_are_recorded_in_the_header(tmp_path):

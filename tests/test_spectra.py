@@ -169,7 +169,6 @@ def test_grid_normalized_unit_max(small_config):
     grid = frequency_angular_spectrum(small_config, "simplified").normalized()
     peak = max(np.max(arr[~grid.mask]) for arr in grid.intensity.values())
     assert peak == 1.0
-    assert grid.normalization == "unit-max"
 
 
 def test_grid_thread_count_does_not_change_bits(small_config):
