@@ -278,6 +278,8 @@ def parse_config(text):
 def _fmt(value):
     if isinstance(value, tuple):  # the schemes
         return ",".join(value)
+    if isinstance(value, np.generic):  # a library caller's numpy scalar: repr is np.float64(...)
+        value = value.item()
     if isinstance(value, complex) and value.imag == 0:
         value = value.real
     return repr(value) if isinstance(value, (float, complex)) else str(value)

@@ -7,13 +7,16 @@ outside world by boundary transmission/reflection matrices.  Emission
 probabilities come directly from the scattering-matrix entries; no
 operator algebra is materialized.
 
-All matrix routines accept leading batch dimensions: a FourMatrix is
-any complex ndarray of shape (..., 4, 4), so a full spectral grid can
-be evaluated in one vectorized call.  The batch axes broadcast: a sweep
-puts its beta jobs on a leading axis, (jobs, pixels), against per-pixel
-delta and boundary matrices of shape (1, pixels) or (pixels,), so the
-work that does not depend on beta runs once per pixel.  The structure
-check of `scattering_matrix` runs on each argument as given.
+Operands keep their structure and take leading batch dimensions, so a
+full spectral grid is one vectorized call.  Each pump branch couples
+only its own signal/idler pair, so w is its two 2x2 blocks, shape
+(..., 2, 2, 2); an interface only transmits an operator or reflects it
+into its counter-propagating twin, so tau1, tau2 and rho are their four
+nonzero entries, shape (..., 4).  Only U is dense, (..., 4, 4).  The
+batch axes broadcast: a sweep puts its beta jobs on a leading axis,
+(jobs, pixels), against per-pixel delta and boundary entries of shape
+(1, pixels) or (pixels,), so work that does not depend on beta runs
+once per pixel.
 """
 
 from __future__ import annotations
@@ -141,37 +144,15 @@ def _sinhc(gamma):
     return np.where(small, series, direct)
 
 
-def _interaction_block(beta, delta, half, phases):
-    """One 2x2 block of the interaction matrix; exact identity at beta = 0.
-
-    `half` = delta/2 and `phases` = (e^{-i delta/2}, e^{i delta/2})
-    depend on delta alone, so both blocks and every beta of a job axis
-    share them.
-    """
-    beta = np.asarray(beta, dtype=complex)
-    beta = np.broadcast_to(beta, np.broadcast_shapes(beta.shape, half.shape))
-    gamma = gain_term(beta, delta)
-    shc = _sinhc(gamma)
-    ch = np.cosh(gamma)
-    ihs = 1j * half * shc
-    block = np.empty(beta.shape + (2, 2), dtype=complex)
-    block[..., 0, 0] = phases[0] * (ch + ihs)
-    block[..., 0, 1] = -1j * beta * shc
-    block[..., 1, 0] = 1j * beta * shc
-    block[..., 1, 1] = phases[1] * (ch - ihs)
-    zero = beta == 0
-    if np.any(zero):
-        block[zero] = np.eye(2, dtype=complex)
-    return block
-
-
 def interaction_matrix(params):
-    """Block-diagonal 4x4 interaction matrix of the film.
+    """The two 2x2 blocks of the film's block-diagonal interaction matrix.
 
-    The upper block couples the forward signal/idler pair through the
-    forward pump branch, the lower block the backward pair through the
-    backward branch.  Each block has unit determinant, is even in the
-    gain term, and collapses to the exact identity at zero gain.
+    Returns w of shape (..., 2, 2, 2) = [pump branch, row, col]: w[..., 0]
+    couples the forward signal/idler pair through the forward pump
+    branch, w[..., 1] the backward pair through the backward branch;
+    every entry off these blocks is zero.  Each block has unit
+    determinant, is even in the gain term, and collapses to the exact
+    identity at zero gain.
 
     The strengths and delta broadcast: with (jobs, pixels) strengths and
     a (1, pixels) delta, the terms of delta alone are formed once per
@@ -181,18 +162,37 @@ def interaction_matrix(params):
     """
     delta = np.asarray(params.delta, dtype=float)
     half = delta / 2.0
-    terms = (delta, half, (np.exp(-1j * half), np.exp(1j * half)))
-    upper = _interaction_block(params.beta_plus, *terms)
-    lower = _interaction_block(params.beta_minus, *terms)
-    shape = np.broadcast_shapes(upper.shape[:-2], lower.shape[:-2])
-    w = np.zeros(shape + (4, 4), dtype=complex)
-    w[..., 0:2, 0:2] = upper
-    w[..., 2:4, 2:4] = lower
+    phases = (np.exp(-1j * half), np.exp(1j * half))
+    betas = [np.asarray(b, dtype=complex) for b in (params.beta_plus, params.beta_minus)]
+    shape = np.broadcast_shapes(half.shape, *(b.shape for b in betas))
+    w = np.empty(shape + (2, 2, 2), dtype=complex)
+    for block, beta in zip(np.moveaxis(w, -3, 0), betas):
+        # Each block's entries are formed at the shape of its beta and
+        # delta, and the block broadcasts them.
+        beta = np.broadcast_to(beta, np.broadcast_shapes(beta.shape, half.shape))
+        gamma = gain_term(beta, delta)
+        shc = _sinhc(gamma)
+        ch = np.cosh(gamma)
+        ihs = 1j * half * shc
+        block[..., 0, 0] = phases[0] * (ch + ihs)
+        block[..., 0, 1] = -1j * beta * shc
+        block[..., 1, 0] = 1j * beta * shc
+        block[..., 1, 1] = phases[1] * (ch - ihs)
+        zero = np.broadcast_to(beta == 0, shape)
+        if zero.any():
+            block[zero] = np.eye(2, dtype=complex)
     return w
 
 
 def boundary_matrices(signal_coeffs, idler_coeffs, phase_s, phase_i):
     """Transmission matrices (tau1, tau2) and reflection matrix rho.
+
+    Each is returned as its four nonzero entries, an array of shape
+    (..., 4) over the operators k (forward signal, forward idler-dagger,
+    backward signal, backward idler-dagger): tau1[..., k] and
+    tau2[..., k] are the diagonal entries [k, k], and rho[..., k] is the
+    entry [k, k ^ 2], which reflects operator k into its
+    counter-propagating twin.
 
     Idler entries are conjugated because the idler operators enter the
     mode array Hermitian-conjugated; the reflection matrix carries the
@@ -204,8 +204,7 @@ def boundary_matrices(signal_coeffs, idler_coeffs, phase_s, phase_i):
     r1i, r2i = np.conj(idler_coeffs.r1), np.conj(idler_coeffs.r2)
     ph_s = np.exp(1j * np.asarray(phase_s, dtype=float))
     ph_i = np.exp(-1j * np.asarray(phase_i, dtype=float))
-    # Per operator k (forward signal, forward idler, backward signal,
-    # backward idler): tau1[k, k], tau2[k, k] and rho[k, k ^ 2].
+    # Per operator k: (tau1, tau2, rho) entries.
     operators = (
         (t1s, t2s, r1s * ph_s),
         (t1i, t2i, r1i * ph_i),
@@ -213,61 +212,36 @@ def boundary_matrices(signal_coeffs, idler_coeffs, phase_s, phase_i):
         (t2i, t1i, r2i * ph_i),
     )
     shape = np.broadcast_shapes(*(np.shape(x) for op in operators for x in op))
-    matrices = []
-    for flip, entries in zip((0, 0, 2), zip(*operators)):
-        m = np.zeros(shape + (4, 4), dtype=complex)
-        for k, entry in enumerate(entries):
-            m[..., k, k ^ flip] = entry
-        matrices.append(m)
+    matrices = np.empty((3,) + shape + (4,), dtype=complex)
+    for k, entries in enumerate(operators):
+        for m, entry in zip(matrices, entries):
+            m[..., k] = entry
     return tuple(matrices)
 
 
-def _swap_conj_transpose(m):
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
-# The entries w, tau2 and rho may hold (interaction_matrix and
-# boundary_matrices fill no others): w is block diagonal, tau2 diagonal,
-# and rho couples the forward and backward wave of each operator.
-_SUPPORT = {
-    "w": np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)),
-    "tau2": np.eye(4, dtype=bool),
-    "rho": np.eye(4, dtype=bool)[[2, 3, 0, 1]],
-}
-# w's eight entries (k, c), row-major, as flat indices 4 k + c, and where
-# their one-term products land: (tau2 w)[k, c] = tau2[k, k] w[k, c] and
-# (rho w)[j, c] = rho[j, k] w[k, c] with j = k ^ 2 (0 <-> 2, 1 <-> 3).
-# The factors are the one entry in row k of tau2 and in column k of rho.
-_W_ROWS, _W_COLS = np.nonzero(_SUPPORT["w"])
-_W_ENTRIES = 4 * _W_ROWS + _W_COLS
-_RHO_W_ENTRIES = 4 * (_W_ROWS ^ 2) + _W_COLS
-_FACTOR_ENTRIES = {
-    "tau2": 5 * np.arange(4),
-    "rho": 4 * (np.arange(4) ^ 2) + np.arange(4),
-}
-
-
-def _entries(name, m, entries):
-    """The flat `entries` of every matrix in `m` as an (entries, *batch)
-    array; ValueError if `m` has a nonzero entry outside its structure."""
-    flat = m.reshape(-1, 16).T
-    if flat[np.flatnonzero(~_SUPPORT[name])].any():
-        raise ValueError(f"{name} has a nonzero entry outside its structure")
-    return flat[entries].reshape((len(entries),) + m.shape[:-2])
-
-
-def _product(factor, w_kc):
-    """factor[k] w[k, c] over w's nonzero entries (k, c), as (4, 2, *batch).
+def _product(factor, w, out):
+    """out = factor w entry by entry, as BLAS rounds a one-term product.
 
     BLAS forms an entry with one nonzero term as ar br - ai bi and
     ar bi + ai br, each product rounded on its own; numpy's complex `*`
     is FMA-contracted, so the parts are multiplied here one by one.
     """
-    factor = factor[:, None]
-    out = np.empty(np.broadcast_shapes(factor.shape, w_kc.shape), dtype=complex)
-    np.subtract(factor.real * w_kc.real, factor.imag * w_kc.imag, out=out.real)
-    np.add(factor.real * w_kc.imag, factor.imag * w_kc.real, out=out.imag)
-    return out
+    np.subtract(factor.real * w.real, factor.imag * w.imag, out=out.real)
+    np.add(factor.real * w.imag, factor.imag * w.real, out=out.imag)
+
+
+# The trailing shape of each operand of `scattering_matrix`.
+_TRAILING = {"w": (2, 2, 2), "tau1": (4,), "tau2": (4,), "rho": (4,)}
+# Flat indices 4 i + j of a 4x4 matrix.  Operator k's twin is k ^ 2
+# (0 <-> 2, 1 <-> 3): tau1 and tau2 hold the entries [k, k], rho the
+# entries [k, k ^ 2].  w's eight entries, in its memory order (row
+# k = 2 b + r of block b), are where (tau2 w)[k, c] = tau2[k] w[k, c]
+# lands; (rho w)[k ^ 2, c] = rho[k ^ 2] w[k, c] lands in the twin row,
+# eight places away.
+_TWINS = np.array([2, 3, 0, 1])
+_DIAGONAL = np.array([0, 5, 10, 15])
+_RHO_ENTRIES = np.array([2, 7, 8, 13])
+_W_ENTRIES = np.array([0, 1, 4, 5, 10, 11, 14, 15])
 
 
 def _solve(system, rhs):
@@ -295,21 +269,22 @@ def _solve(system, rhs):
 def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
 
-    The inputs must have the structure that `interaction_matrix` and
-    `boundary_matrices` give them: w block diagonal with two 2x2 blocks,
-    tau2 diagonal, and rho nonzero only at (0, 2), (1, 3), (2, 0) and
-    (3, 1); a nonzero entry anywhere else raises ValueError.  Each
-    argument is checked and gathered at its own shape.  Each entry
-    of rho w and tau2 w is then one product, formed elementwise with the
-    rounding of the generic BLAS product, so U is bit for bit the
-    generic formula's.  The zero terms that BLAS adds can turn inf into
-    nan, so matrices with a non-finite product go through BLAS.  They
-    can also flip the sign of a zero entry, which does not reach U:
-    I - rho w drops it, and BLAS sums (tau2 w) X from +0.
+    The operands come in the formats `interaction_matrix` and
+    `boundary_matrices` give them: w as its two 2x2 blocks, shape
+    (..., 2, 2, 2), and tau1, tau2 and rho as their four nonzero
+    entries, shape (..., 4).  Any other trailing shape raises
+    ValueError.  Each entry of rho w and tau2 w is one product, formed
+    elementwise with the rounding of the generic BLAS product, so U is
+    bit for bit the generic dense formula's.  The zero terms that BLAS
+    adds can turn inf into nan, so matrices with a non-finite product go
+    through BLAS on dense copies.  They can also flip the sign of a zero
+    entry, which does not reach U: I - rho w drops it, and BLAS sums
+    (tau2 w) X from +0.
 
-    The batch axes broadcast: a (jobs, pixels, 4, 4) w from
-    (jobs, pixels) strengths meets the (pixels, 4, 4) boundary matrices,
-    which are read and conjugated once per pixel, not once per job.
+    The batch axes broadcast, and each operand is read at its own shape:
+    a (jobs, pixels, 2, 2, 2) w from (jobs, pixels) strengths meets the
+    (pixels, 4) boundary entries, which are read and conjugated once per
+    pixel, not once per job.  U has shape (..., 4, 4).
 
     Uses a direct linear solve rather than an explicit inverse.  With
     `check_condition` a condition number above 1e12 in (I - rho w)
@@ -319,36 +294,41 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     U, which sweeps mask, and every other matrix keeps the bits of the
     batched solve (see `_solve`).
     """
-    args = [np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho)]
-    shape = np.broadcast_shapes(*(m.shape for m in args))
-    # At least one batch axis, and the same number on every argument: a
-    # per-pixel argument gets explicit leading axes of 1.
-    ndim = max(len(shape), 3)
-    w, tau1, tau2, rho = (m.reshape((1,) * (ndim - m.ndim) + m.shape) for m in args)
-    batch = np.broadcast_shapes(w.shape, tau2.shape, rho.shape)[:-2]
-    w_kc = _entries("w", w, _W_ENTRIES).reshape((4, 2) + w.shape[:-2])
+    operands = dict(zip(_TRAILING, (np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho))))
+    for name, trailing in _TRAILING.items():
+        if operands[name].shape[-len(trailing) :] != trailing:
+            raise ValueError(f"{name} must have shape (..., {', '.join(map(str, trailing))})")
+    w, tau1, tau2, rho = operands.values()
+    batch = np.broadcast_shapes(w.shape[:-3], tau1.shape[:-1], tau2.shape[:-1], rho.shape[:-1])
     # One zeroed buffer for rho w and tau2 w, and U later overwrites
     # I - rho w: fewer large allocations per call.  Keeping a block's
     # freed memory for the next block is left to the allocator policy
     # of `cli._pin_allocator_policy`.
     system, tau2_w = np.zeros((2,) + batch + (16,), dtype=complex)
-    finite = np.ones(batch, dtype=bool)
-    for name, m, out, entries in (
-        ("rho", rho, system, _RHO_W_ENTRIES),
-        ("tau2", tau2, tau2_w, _W_ENTRIES),
+    w_entries = w.reshape(w.shape[:-3] + (8,))
+    prod = np.empty(batch + (8,), dtype=complex)
+    finite = True
+    # Entry 2 k + c of w takes the factor rho[k ^ 2] or tau2[k], repeated
+    # at the operand's own (per-pixel) shape.
+    for factor, out, entries in (
+        (rho[..., _TWINS], system, _W_ENTRIES ^ 8),
+        (tau2, tau2_w, _W_ENTRIES),
     ):
-        prod = _product(_entries(name, m, _FACTOR_ENTRIES[name]), w_kc)
-        finite &= np.isfinite(prod).all(axis=(0, 1))
-        out[..., entries] = np.moveaxis(prod.reshape((8,) + prod.shape[2:]), 0, -1)
-        del prod
-    del w_kc
-    if not finite.all():
-        generic = np.nonzero(~finite)
-        w_g, tau2_g, rho_g = (np.broadcast_to(m, batch + (4, 4))[generic] for m in (w, tau2, rho))
+        _product(np.repeat(factor, 2, axis=-1), w_entries, prod)
+        finite &= np.isfinite(prod).all()
+        out[..., entries] = prod
+    del prod
+    if not finite:
+        generic = ~(np.isfinite(system).all(axis=-1) & np.isfinite(tau2_w).all(axis=-1))
+        dense = np.zeros((3, np.count_nonzero(generic), 16), dtype=complex)
+        names = ("w", "tau2", "rho")
+        for m, name, entries in zip(dense, names, (_W_ENTRIES, _DIAGONAL, _RHO_ENTRIES)):
+            m_g = np.broadcast_to(operands[name], batch + _TRAILING[name])[generic]
+            m[:, entries] = m_g.reshape(len(m), -1)
+        w_g, tau2_g, rho_g = dense.reshape(3, -1, 4, 4)
         system[generic] = (rho_g @ w_g).reshape(-1, 16)
         tau2_w[generic] = (tau2_g @ w_g).reshape(-1, 16)
     system = system.reshape(batch + (4, 4))
-    tau2_w = tau2_w.reshape(batch + (4, 4))
     np.subtract(np.eye(4, dtype=complex), system, out=system)
     if check_condition:
         cond = np.linalg.cond(system)
@@ -357,11 +337,21 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
                 "(I - rho w) is near-singular (condition number "
                 f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
             )
-    solved = _solve(system, tau1)
-    u = np.matmul(tau2_w, solved, out=system)
+    # Dense tau1 at its own batch shape, with leading axes of 1 up to the
+    # rank of the system: numpy < 2 reads a right-hand side one rank below
+    # the system as a stack of vectors.
+    rhs = np.zeros((1,) * (len(batch) - tau1.ndim + 1) + tau1.shape[:-1] + (16,), dtype=complex)
+    rhs[..., _DIAGONAL] = tau1
+    solved = _solve(system, rhs.reshape(rhs.shape[:-1] + (4, 4)))
+    del rhs
+    u = np.matmul(tau2_w.reshape(batch + (4, 4)), solved, out=system)
     del tau2_w, solved
-    np.subtract(u, _swap_conj_transpose(rho), out=u)
-    return u.reshape(shape)
+    # rho^dagger at rho's own shape: conj(rho[k ^ 2]) at [k, k ^ 2], and
+    # the 0 - 0j that conjugating a zero entry gives everywhere else.
+    rho_dagger = np.full(rho.shape[:-1] + (16,), complex(0.0, -0.0))
+    rho_dagger[..., _RHO_ENTRIES] = np.conj(rho[..., _TWINS])
+    np.subtract(u, rho_dagger.reshape(rho.shape[:-1] + (4, 4)), out=u)
+    return u
 
 
 # Rows of U per scheme: signal output row s, idler output row i, and

@@ -62,9 +62,8 @@ __all__ = [
 # chunks of this size, whatever the thread count, so memory is bounded
 # by the chunk, not the grid.
 _CHUNK_PIXELS = 32768
-# Unmasked pixels per rigorous solve.  The rigorous model's (n, 4, 4)
-# working set (about 2.3 KB per pixel) is bounded by this block, not by
-# the chunk.
+# Unmasked pixels per rigorous solve.  The rigorous model's working set
+# (about 1.3 KB per pixel) is bounded by this block, not by the chunk.
 _RIGOROUS_BLOCK = 2048
 
 
@@ -352,8 +351,8 @@ def _eval_rigorous(batch, schemes, scales, values):
     All scales run together: each block of pixels makes one call per
     rigorous step on (scales, pixels) strengths, so a block holds
     `_RIGOROUS_BLOCK` // scales pixels (at least one) and every call at
-    most max(`_RIGOROUS_BLOCK`, scales) matrices.  The block's boundary
-    matrices and the terms of delta alone serve every scale.
+    most max(`_RIGOROUS_BLOCK`, scales) matrices.  The block's (pixels, 4)
+    boundary entries and the terms of delta alone serve every scale.
     """
     live = np.flatnonzero(~batch.mask)
     step = max(1, _RIGOROUS_BLOCK // len(scales))

@@ -14,6 +14,13 @@ properties of `FieldEnhancements` were removed.
 `scattering_matrix` is the generic form of the library's structured
 kernel: it multiplies the full 4x4 matrices through BLAS, so it is the
 oracle for the entries the library forms one product at a time.
+`dense_operands` assembles its dense inputs from the library's
+structured ones (w as two 2x2 blocks; tau1, tau2 and rho as four
+entries each).
+
+`coupled_mode_propagator` integrates the forward coupled-mode equations
+numerically, so it checks the interaction matrix's closed form without
+sharing any of it.
 
 `fresnel`, `propagation_phase` and `low_gain_interaction_matrix` were
 public library functions that no model ran; they live on here as
@@ -346,6 +353,64 @@ def pair_probabilities(u):
 
 def _swap_conj_transpose(m):
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+def dense_interaction_matrix(w):
+    """The dense (..., 4, 4) interaction matrix of the library's two
+    blocks w[..., branch, row, col], with +0 off the blocks."""
+    w = np.asarray(w, dtype=complex)
+    dense = np.zeros(w.shape[:-3] + (4, 4), dtype=complex)
+    dense[..., 0:2, 0:2] = w[..., 0, :, :]
+    dense[..., 2:4, 2:4] = w[..., 1, :, :]
+    return dense
+
+
+def dense_operands(w, tau1, tau2, rho):
+    """The dense (..., 4, 4) w, tau1, tau2 and rho of the library's
+    structured operands, each at its own batch shape, with +0 in every
+    entry off the structure: tau1[..., k] and tau2[..., k] are the
+    diagonal entries [k, k], and rho[..., k] is the entry [k, k ^ 2].
+    """
+    dense = [dense_interaction_matrix(w)]
+    for m, cols in ((tau1, [0, 1, 2, 3]), (tau2, [0, 1, 2, 3]), (rho, [2, 3, 0, 1])):
+        m = np.asarray(m, dtype=complex)
+        d = np.zeros(m.shape[:-1] + (4, 4), dtype=complex)
+        for k, c in enumerate(cols):
+            d[..., k, c] = m[..., k]
+        dense.append(d)
+    return tuple(dense)
+
+
+def coupled_mode_propagator(beta, delta, steps=4000):
+    """Propagator of the forward coupled-mode equations across the film.
+
+    Integrates a_s' = -i beta e^{-i delta (z - 1/2)} a_i^dagger and
+    (a_i^dagger)' = i beta* e^{i delta (z - 1/2)} a_s over z in [0, 1]
+    with classical fourth-order Runge-Kutta on `steps` equal steps, and
+    returns the (..., 2, 2) matrix that maps (a_s, a_i^dagger) at z = 0
+    to z = 1.  The coupling phase is referenced to the film midplane.
+    """
+    beta = np.asarray(beta, dtype=complex)[..., None]
+    delta = np.asarray(delta, dtype=float)[..., None]
+    shape = np.broadcast_shapes(beta.shape, delta.shape)[:-1] + (2, 2)
+    h = 1.0 / steps
+
+    def slope(z, y):
+        phase = np.exp(-1j * delta * (z - 0.5))
+        return np.stack(
+            [-1j * beta * phase * y[..., 1, :], 1j * np.conj(beta) / phase * y[..., 0, :]],
+            axis=-2,
+        )
+
+    y = np.broadcast_to(np.eye(2, dtype=complex), shape).copy()
+    for n in range(steps):
+        z = n * h
+        k1 = slope(z, y)
+        k2 = slope(z + h / 2, y + h / 2 * k1)
+        k3 = slope(z + h / 2, y + h / 2 * k2)
+        k4 = slope(z + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 def scattering_matrix(w, tau1, tau2, rho, check_condition=True):

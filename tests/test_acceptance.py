@@ -185,14 +185,11 @@ def test_criterion_3_high_gain_breakdown():
     )
 
 
-def test_criterion_4_nonresonant_collapse():
-    cfg = parse_config(
-        config_text(beta_plus="1e-6", **MATCHED)
-    )  # matched boundaries: r = 0, t = 1
+def _film_mismatch(cfg):
+    """delta = L dk_par and dk_perp on the config's grid, from the film's
+    dispersion model and the idler rule, evaluated directly (normal-
+    incidence pump, so its perpendicular wavevector is 0)."""
     stack = cfg.build_stack()
-
-    # Independent reference: phase-matching sinc^2 from the dispersion
-    # model and the idler rule, evaluated directly.
     lam_g, th_g = np.meshgrid(
         cfg.signal_wavelengths(), cfg.internal_angles(), indexing="ij"
     )
@@ -204,6 +201,18 @@ def test_criterion_4_nonresonant_collapse():
     th_i = np.arcsin(np.clip(-k_s * np.sin(th_g) / k_i, -1.0, 1.0))
     kp = 2 * np.pi * refractive_index(stack.film, 788.0) / 788.0
     delta = stack.thickness_nm * (kp - k_s * np.cos(th_g) - k_i * np.cos(th_i))
+    dk_perp = -k_s * np.sin(th_g) - k_i * np.sin(th_i)
+    return delta, dk_perp
+
+
+def test_criterion_4_nonresonant_collapse():
+    cfg = parse_config(
+        config_text(beta_plus="1e-6", **MATCHED)
+    )  # matched boundaries: r = 0, t = 1
+
+    # Independent reference: phase-matching sinc^2 from the dispersion
+    # model and the idler rule, evaluated directly.
+    delta, _ = _film_mismatch(cfg)
     reference = np.sinc(delta / 2.0 / np.pi) ** 2
 
     worst = {}
@@ -217,6 +226,68 @@ def test_criterion_4_nonresonant_collapse():
         4,
         "non-resonant collapse to sinc^2(delta/2): max deviation "
         f"simplified {worst['simplified']:.2e}, rigorous {worst['rigorous']:.2e}",
+    )
+
+
+# Physics anchors at real beta, relative to the peak of the grid: low
+# gain, below threshold over most of the grid, and above it.
+ANCHOR_BETAS = (1e-3, 0.5, 2.0)
+ANCHOR_BOUND = 1e-13
+MIRROR_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("beta", ANCHOR_BETAS)
+def test_matched_stack_ff_is_two_mode_squeezed_vacuum_at_every_gain(beta):
+    # Superstrate = film = substrate: t = 1, r = 0 and no backward pump,
+    # so U is the forward interaction block, and ff is <n_s n_i> of a
+    # two-mode squeezed vacuum, N (2N + 1) with N = |beta sinh g / g|^2
+    # and g = sqrt(beta^2 - delta^2 / 4), times the pump profile |F_p|^2.
+    # Nothing is emitted into the other schemes.
+    cfg = parse_config(
+        config_text(lambda_count=96, theta_count=48, beta_plus=beta, **MATCHED)
+    )
+    grid = frequency_angular_spectrum(cfg, "rigorous")
+    delta, dk_perp = _film_mismatch(cfg)
+    gamma = np.sqrt(beta ** 2 - delta ** 2 / 4.0 + 0j)
+    n = np.abs(beta * np.sinh(gamma) / gamma) ** 2
+    profile = np.exp(-((dk_perp * cfg.pump_waist_um * 1e3) ** 2) / 2.0)
+    expected = n * (2.0 * n + 1.0) * profile
+    keep = ~grid.mask
+    assert keep.mean() > 0.5
+    peak = np.max(expected[keep])
+    err = np.max(np.abs(grid.intensity["ff"][keep] - expected[keep])) / peak
+    assert err <= ANCHOR_BOUND
+    others = max(np.max(np.abs(grid.intensity[s][keep])) for s in ("bb", "fb", "bf")) / peak
+    assert others <= ANCHOR_BOUND
+    report(
+        "4b",
+        f"matched stack, beta = {beta:g}: rigorous ff = N(2N+1)|F_p|^2 to {err:.1e} "
+        f"of the peak; bb, fb, bf at most {others:.1e}",
+    )
+
+
+@pytest.mark.parametrize("beta", ANCHOR_BETAS)
+def test_intensity_is_mirror_symmetric_in_angle_at_every_gain(beta):
+    # The stack and the normal-incidence pump are symmetric under
+    # theta -> -theta, and the angle grid is symmetric about 0.
+    cfg = parse_config(config_text(lambda_count=96, theta_count=48, beta_plus=beta))
+    thetas = cfg.internal_angles()
+    assert np.max(np.abs(thetas + thetas[::-1])) <= 1e-15
+    worst = {}
+    for model in ("simplified", "rigorous"):
+        grid = frequency_angular_spectrum(cfg, model)
+        assert np.array_equal(grid.mask, grid.mask[:, ::-1])
+        keep = ~grid.mask
+        assert keep.any()
+        for scheme in cfg.schemes:
+            arr = grid.intensity[scheme]
+            err = np.max(np.abs(arr - arr[:, ::-1])[keep]) / np.max(arr[keep])
+            assert err <= MIRROR_BOUND, (model, scheme)
+            worst[model] = max(worst.get(model, 0.0), err)
+    report(
+        "4c",
+        f"mirror symmetry at beta = {beta:g}: I(lambda, theta) = I(lambda, -theta) to "
+        f"simplified {worst['simplified']:.1e}, rigorous {worst['rigorous']:.1e} of the peak",
     )
 
 
@@ -248,8 +319,8 @@ def test_criterion_5_analytic_identities_suite(rng):
     deltas = rng.uniform(-50.0, 50.0, n_draws)
     params = InteractionParams(beta_plus=betas, beta_minus=betas * (0.5 + 0.1j), delta=deltas)
     w = interaction_matrix(params)
-    for rows in (slice(0, 2), slice(2, 4)):
-        blk = w[:, rows, rows]
+    for branch in (0, 1):
+        blk = w[:, branch]
         det = blk[:, 0, 0] * blk[:, 1, 1] - blk[:, 0, 1] * blk[:, 1, 0]
         scale = 1.0 + np.abs(blk[:, 0, 0] * blk[:, 1, 1]) + np.abs(blk[:, 0, 1] * blk[:, 1, 0])
         assert np.all(np.abs(det - 1.0) <= 1e-12 * scale)
@@ -259,7 +330,7 @@ def test_criterion_5_analytic_identities_suite(rng):
         beta_plus=np.zeros(n_draws, complex), beta_minus=np.zeros(n_draws, complex), delta=deltas
     )
     w0 = interaction_matrix(zero)
-    assert np.array_equal(w0, np.broadcast_to(np.eye(4, dtype=complex), w0.shape))
+    assert np.array_equal(w0, np.broadcast_to(np.eye(2, dtype=complex), w0.shape))
 
     coeffs, phi = _random_lossless_boundaries(rng, n_draws)
     tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi * 0.7)
@@ -274,8 +345,8 @@ def test_criterion_5_analytic_identities_suite(rng):
         shc = np.sinh(gamma) / gamma
         w11 = np.exp(-1j * deltas / 2) * (np.cosh(gamma) + 1j * deltas / 2 * shc)
         w12 = -1j * betas * shc
-        assert np.max(np.abs(w[:, 0, 0] - w11) / (1.0 + np.abs(w11))) < 1e-12
-        assert np.max(np.abs(w[:, 0, 1] - w12) / (1.0 + np.abs(w12))) < 1e-12
+        assert np.max(np.abs(w[:, 0, 0, 0] - w11) / (1.0 + np.abs(w11))) < 1e-12
+        assert np.max(np.abs(w[:, 0, 0, 1] - w12) / (1.0 + np.abs(w12))) < 1e-12
 
     # backward pump amplitude identity
     from spdc_etalon import pump_enhancement

@@ -272,14 +272,21 @@ def _random_config(rng, i):
     if ("envelope_center_nm" in values) != ("envelope_fwhm_nm" in values):
         values.pop("envelope_center_nm", None)
         values.pop("envelope_fwhm_nm", None)
+    # A library caller may hold numpy scalars; they serialize as the numbers.
+    numpy_types = {float: np.float64, int: np.int64, complex: np.complex128}
+    for name, value in values.items():
+        if type(value) in numpy_types and rng.random() < 0.3:
+            values[name] = numpy_types[type(value)](value)
     return RunConfig(**values).validate()
 
 
 def test_random_configs_round_trip_in_field_order():
     rng = np.random.default_rng(20261019)
     declared = [(f, f.metadata["ini"][:2]) for f in fields(RunConfig)]
+    numpy_fields = set()
     for i in range(300):
         cfg = _random_config(rng, i)
+        numpy_fields |= {type(v) for v in vars(cfg).values() if isinstance(v, np.generic)}
         text = serialize_config(cfg)
         assert parse_config(text) == cfg, text
         # Keys in field order, each under its section, the sections in
@@ -290,6 +297,7 @@ def test_random_configs_round_trip_in_field_order():
         parser.read_string(text)
         written = [(section, key) for section in parser.sections() for key in parser[section]]
         assert written == sorted(keys, key=lambda sk: sections.index(sk[0])), text
+    assert numpy_fields == {np.float64, np.int64, np.complex128}
 
 
 # ---- CLI commands -------------------------------------------------------------

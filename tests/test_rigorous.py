@@ -20,6 +20,10 @@ def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
     return InteractionParams(beta_plus=beta_plus, beta_minus=beta_minus, delta=delta)
 
 
+# The interaction matrix at zero gain, as its two identity blocks.
+W_ZERO_GAIN = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))
+
+
 def reference_block(beta, delta, gamma_sign=1.0):
     """Closed-form 2x2 block, written independently of the library."""
     gamma = gamma_sign * np.sqrt(complex(beta) ** 2 - delta ** 2 / 4.0)
@@ -86,27 +90,29 @@ def test_gain_invariant_random(rng):
 
 def test_interaction_matrix_zero_gain_exact_identity():
     w = interaction_matrix(params(0.0, 0.0, delta=3.7))
-    assert np.array_equal(w, np.eye(4, dtype=complex))
+    assert w.shape == (2, 2, 2)
+    assert np.array_equal(w, W_ZERO_GAIN)
 
 
 def test_interaction_matrix_frozen_entries():
     # beta+ = 0.1, delta = 1: entries from a 50-digit evaluation of the
     # closed forms.
     w = interaction_matrix(params(0.1, 0.0, delta=1.0))
-    assert w[0, 0] == pytest.approx(1.0046007403954536 - 0.0015868796553719307j, rel=1e-14)
-    assert w[1, 1] == pytest.approx(1.0046007403954536 + 0.0015868796553719307j, rel=1e-14)
-    assert w[0, 1] == pytest.approx(-0.096047726626579689j, rel=1e-14)
-    assert w[1, 0] == pytest.approx(0.096047726626579689j, rel=1e-14)
+    upper = w[0]
+    assert upper[0, 0] == pytest.approx(1.0046007403954536 - 0.0015868796553719307j, rel=1e-14)
+    assert upper[1, 1] == pytest.approx(1.0046007403954536 + 0.0015868796553719307j, rel=1e-14)
+    assert upper[0, 1] == pytest.approx(-0.096047726626579689j, rel=1e-14)
+    assert upper[1, 0] == pytest.approx(0.096047726626579689j, rel=1e-14)
     # Lower block stays identity at beta- = 0.
-    assert np.array_equal(w[2:, 2:], np.eye(2, dtype=complex))
+    assert np.array_equal(w[1], np.eye(2, dtype=complex))
 
 
 def test_interaction_matrix_unit_determinant_random(rng):
     betas = (rng.normal(size=1200) + 1j * rng.normal(size=1200)) * 5.0
     deltas = rng.uniform(-50.0, 50.0, size=1200)
     w = interaction_matrix(params(betas, betas * 0.3, deltas))
-    for rows in (slice(0, 2), slice(2, 4)):
-        block = w[..., rows, rows]
+    for branch in (0, 1):
+        block = w[..., branch, :, :]
         det = block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
         scale = 1.0 + np.abs(block[..., 0, 0] * block[..., 1, 1]) + np.abs(
             block[..., 0, 1] * block[..., 1, 0]
@@ -118,7 +124,7 @@ def test_interaction_matrix_gamma_branch_invariance(rng):
     for _ in range(200):
         beta = complex(rng.normal(), rng.normal()) * 3.0
         delta = rng.uniform(-20.0, 20.0)
-        w = interaction_matrix(params(beta, 0.0, delta))[0:2, 0:2]
+        w = interaction_matrix(params(beta, 0.0, delta))[0]
         for sign in (1.0, -1.0):
             ref = reference_block(beta, delta, gamma_sign=sign)
             assert np.allclose(w, ref, rtol=1e-12, atol=1e-12)
@@ -137,44 +143,69 @@ def test_sinhc_series_switch_continuity():
     assert np.max(np.abs(w_hi - w_lo)) < 1e-10
 
 
+# Random real beta up to 2.4 and |delta| <= 8, below and above threshold.
+ODE_BOUND = 1e-12
+
+
+def test_interaction_block_equals_coupled_mode_ode_for_real_beta(rng):
+    # The forward block against an RK4 integration of the coupled-mode
+    # equations (reference.coupled_mode_propagator), which shares nothing
+    # with the closed form.  The backward block is the same function of
+    # beta-.
+    beta = rng.uniform(0.0, 2.4, 64)
+    delta = rng.uniform(-8.0, 8.0, 64)
+    above = beta > np.abs(delta) / 2.0
+    assert 0 < above.mean() < 1
+    propagator = reference.coupled_mode_propagator(beta, delta)
+    w = interaction_matrix(params(beta, beta[::-1], delta))
+    scale = np.max(np.abs(propagator), axis=(-2, -1))
+    err = np.max(np.abs(w[:, 0] - propagator), axis=(-2, -1)) / scale
+    assert err.max() <= ODE_BOUND
+    lower = interaction_matrix(params(0.0, beta, delta))[:, 1]
+    assert np.array_equal(lower, interaction_matrix(params(beta, 0.0, delta))[:, 0])
+
+
 # ---- boundary_matrices ----------------------------------------------------
 
 
 def test_boundary_matrices_trivial():
     c = InterfaceCoeffs(t1=1.0, r1=0.0, t2=1.0, r2=0.0)
     tau1, tau2, rho = boundary_matrices(c, c, 0.0, 0.0)
-    assert np.array_equal(tau1, np.eye(4, dtype=complex))
-    assert np.array_equal(tau2, np.eye(4, dtype=complex))
-    assert np.array_equal(rho, np.zeros((4, 4), dtype=complex))
+    assert np.array_equal(tau1, np.ones(4, dtype=complex))
+    assert np.array_equal(tau2, np.ones(4, dtype=complex))
+    assert np.array_equal(rho, np.zeros(4, dtype=complex))
 
 
 def test_boundary_matrices_layout():
     cs = InterfaceCoeffs(t1=0.9, r1=0.3, t2=0.8, r2=-0.2)
     ci = InterfaceCoeffs(t1=0.7 + 0.1j, r1=0.4 - 0.2j, t2=0.6, r2=0.1)
     tau1, tau2, rho = boundary_matrices(cs, ci, 0.0, 0.0)
-    assert tau1[0, 0] == 0.9 and tau1[2, 2] == 0.8
-    assert tau1[1, 1] == np.conj(0.7 + 0.1j)
-    assert tau2[0, 0] == 0.8 and tau2[2, 2] == 0.9
-    assert rho[0, 2] == 0.3
-    assert rho[1, 3] == np.conj(0.4 - 0.2j)
-    assert rho[2, 0] == -0.2
-    assert rho[3, 1] == np.conj(0.1 + 0.0j)
+    assert tau1.shape == tau2.shape == rho.shape == (4,)
+    # tau[k] is the diagonal entry [k, k].
+    assert tau1[0] == 0.9 and tau1[2] == 0.8
+    assert tau1[1] == np.conj(0.7 + 0.1j)
+    assert tau2[0] == 0.8 and tau2[2] == 0.9
+    # rho[k] is the entry [k, k ^ 2]: (0, 2), (1, 3), (2, 0), (3, 1).
+    assert rho[0] == 0.3
+    assert rho[1] == np.conj(0.4 - 0.2j)
+    assert rho[2] == -0.2
+    assert rho[3] == np.conj(0.1 + 0.0j)
 
 
 def test_boundary_matrices_phase_entry():
     cs = InterfaceCoeffs(t1=1.0, r1=0.3, t2=1.0, r2=0.0)
     ci = InterfaceCoeffs(t1=1.0, r1=0.0, t2=1.0, r2=0.0)
     _, _, rho = boundary_matrices(cs, ci, np.pi / 2, 0.0)
-    assert rho[0, 2] == pytest.approx(0.3j, rel=1e-15)
+    assert rho[0] == pytest.approx(0.3j, rel=1e-15)
 
 
 # ---- scattering_matrix ----------------------------------------------------
 
 
 def test_scattering_matrix_transparent_slab():
-    eye = np.eye(4, dtype=complex)
-    u = scattering_matrix(eye, eye, eye, np.zeros((4, 4), dtype=complex))
-    assert np.allclose(u, eye, atol=1e-15)
+    ones = np.ones(4, dtype=complex)
+    u = scattering_matrix(W_ZERO_GAIN, ones, ones, np.zeros(4, dtype=complex))
+    assert np.allclose(u, np.eye(4), atol=1e-15)
 
 
 def _linear_boundaries(rng):
@@ -198,7 +229,7 @@ def _linear_boundaries(rng):
 
 
 def test_scattering_matrix_zero_gain_signal_subblock_unitary(rng):
-    w = np.eye(4, dtype=complex)
+    w = W_ZERO_GAIN
     for _ in range(200):
         coeffs, phi = _linear_boundaries(rng)
         tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi)
@@ -220,12 +251,13 @@ def test_scattering_matrix_matches_explicit_inverse(rng):
         u = scattering_matrix(w, tau1, tau2, rho)
         # Alternate solve order through the push-through identity:
         # w (I - rho w)^-1 = (w^-1 - rho)^-1.
+        w, tau1, tau2, rho = reference.dense_operands(w, tau1, tau2, rho)
         alt = tau2 @ np.linalg.inv(np.linalg.inv(w) - rho) @ tau1 - rho.conj().T
         assert np.max(np.abs(u - alt)) < 1e-11
 
 
 def test_scattering_matrix_near_singular_error():
-    w = np.eye(4, dtype=complex)
+    w = W_ZERO_GAIN
     coeffs = InterfaceCoeffs(t1=1e-6, r1=1.0, t2=1e-6, r2=1.0)
     tau1, tau2, rho = boundary_matrices(coeffs, coeffs, 0.0, 0.0)
     with pytest.raises(NearSingularError):
@@ -235,7 +267,8 @@ def test_scattering_matrix_near_singular_error():
 # ---- scattering_matrix against the generic BLAS oracle ---------------------
 #
 # scattering_matrix forms rho w and tau2 w from their nonzero entries;
-# reference.scattering_matrix multiplies the full matrices through BLAS.
+# reference.scattering_matrix multiplies the full matrices, assembled by
+# reference.dense_operands, through BLAS.
 # U must agree bit for bit, so a BLAS that rounds a one-term entry some
 # other way fails here by name and not only on the golden hashes.
 
@@ -244,11 +277,10 @@ def test_scattering_matrix_near_singular_error():
 SPECIAL_PARTS = np.array(
     [0.0, -0.0, 5e-324, -3e-310, 1e-300, -1e-160, 1e300, -1e300, np.inf, -np.inf, np.nan]
 )
-RHO_ENTRIES = ((0, 2), (1, 3), (2, 0), (3, 1))
 
 
 def _random_structured(rng, n, special_frac, special=SPECIAL_PARTS):
-    """(w, tau1, tau2, rho) of shape (n, 4, 4) with the structure that
+    """(w, tau1, tau2, rho) of shapes (n, 2, 2, 2) and (n, 4), as
     interaction_matrix and boundary_matrices give them; a fraction
     `special_frac` of the real and imaginary parts is drawn from
     `special`, the rest from a normal distribution."""
@@ -259,14 +291,7 @@ def _random_structured(rng, n, special_frac, special=SPECIAL_PARTS):
         parts[pick] = rng.choice(special, pick.sum())
         return parts.view(complex)[..., 0]
 
-    w, tau1, tau2, rho = (np.zeros((n, 4, 4), dtype=complex) for _ in range(4))
-    w[:, :2, :2] = entries(n, 2, 2)
-    w[:, 2:, 2:] = entries(n, 2, 2)
-    for tau in (tau1, tau2):
-        tau[:, range(4), range(4)] = entries(n, 4)
-    for i, j in RHO_ENTRIES:
-        rho[:, i, j] = entries(n)
-    return w, tau1, tau2, rho
+    return entries(n, 2, 2, 2), entries(n, 4), entries(n, 4), entries(n, 4)
 
 
 def assert_same_bits(u, expected):
@@ -280,12 +305,13 @@ def _library_and_oracle(inputs, check_condition=False):
     the oracle runs one matrix at a time and a singular matrix's U is nan:
     the library must give nan there and the oracle's bits elsewhere."""
     u = scattering_matrix(*inputs, check_condition=check_condition)
+    dense = reference.dense_operands(*inputs)
     try:
-        expected = reference.scattering_matrix(*inputs, check_condition=check_condition)
+        expected = reference.scattering_matrix(*dense, check_condition=check_condition)
         return u, expected, np.zeros(u.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    args = np.broadcast_arrays(*(np.asarray(m, dtype=complex) for m in inputs))
+    args = np.broadcast_arrays(*dense)
     expected = np.full(u.shape, np.nan, dtype=complex)
     singular = np.zeros(u.shape[:-2], dtype=bool)
     for idx in np.ndindex(singular.shape):
@@ -329,8 +355,8 @@ def test_scattering_matrix_is_nan_only_where_singular(rng, singular_at):
     # cancel exactly.  Singular matrices at either end of a call, or in
     # every place, are nan, and the others keep the oracle's bits.
     w, tau1, tau2, rho = _random_structured(rng, 16, 0.0)
-    w[singular_at] = np.eye(4)
-    rho[singular_at, 0, 2] = rho[singular_at, 2, 0] = 1.0
+    w[singular_at] = W_ZERO_GAIN
+    rho[singular_at, 0] = rho[singular_at, 2] = 1.0
     expected_singular = np.zeros(16, dtype=bool)
     expected_singular[singular_at] = True
     u, expected, singular = _library_and_oracle((w, tau1, tau2, rho))
@@ -346,7 +372,7 @@ def test_scattering_matrix_bits_equal_oracle_for_single_and_broadcast_w(rng):
         u, expected, _singular = _library_and_oracle(inputs, check_condition=True)
         assert u.shape == (4, 4)
         assert_same_bits(u, expected)
-    # One (4, 4) w against (n, 4, 4) boundary matrices, and the reverse.
+    # One w against (n, 4) boundary entries, and the reverse.
     for inputs in ((w[0], tau1, tau2, rho), (w, tau1[0], tau2[0], rho[0])):
         u, expected, _singular = _library_and_oracle(inputs)
         assert u.shape == (64, 4, 4)
@@ -378,7 +404,9 @@ def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
 
     def checked(w, tau1, tau2, rho, check_condition=True):
         u = scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
-        expected = reference.scattering_matrix(w, tau1, tau2, rho, check_condition=check_condition)
+        expected = reference.scattering_matrix(
+            *reference.dense_operands(w, tau1, tau2, rho), check_condition=check_condition
+        )
         assert_same_bits(u, expected)
         blocks.append(np.isfinite(expected).all(axis=(-2, -1)).ravel())
         return u
@@ -390,29 +418,25 @@ def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
     assert finite.any() == (name != "beta-1000")
 
 
-@pytest.mark.parametrize("argument", ["w", "tau2", "rho"])
-@pytest.mark.parametrize("value", [1e-300, np.nan])
-def test_scattering_matrix_rejects_entries_outside_the_structure(rng, argument, value):
-    inputs = dict(zip(("w", "tau1", "tau2", "rho"), _random_structured(rng, 3, 0.0)))
-    # A signed zero outside the structure is still zero.
-    inputs[argument][:, 0, 3] = -0.0
-    scattering_matrix(**inputs)
-    inputs[argument][1, 0, 3] = value
-    with pytest.raises(ValueError, match=f"{argument} has a nonzero entry outside"):
-        scattering_matrix(**inputs)
+TRAILING_SHAPES = {"w": (2, 2, 2), "tau1": (4,), "tau2": (4,), "rho": (4,)}
 
 
-@pytest.mark.parametrize("argument", ["w", "tau2", "rho"])
+@pytest.mark.parametrize("argument", list(TRAILING_SHAPES))
 def test_scattering_matrix_checks_each_argument_at_its_own_shape(rng, argument):
-    # A (jobs, n) w against (n, 4, 4) boundary matrices, as a sweep block
-    # passes them: the last matrix of any argument can break its structure.
+    # A (jobs, n) w against (n, 4) boundary entries, as a sweep block
+    # passes them: each argument is read at its own batch shape, and one
+    # with another trailing shape raises ValueError.  A dense (..., 4, 4)
+    # w is one such shape.
     w, tau1, tau2, rho = _random_structured(rng, 5, 0.0)
     inputs = {"w": np.stack([w, w[::-1], w]), "tau1": tau1, "tau2": tau2, "rho": rho}
     assert scattering_matrix(**inputs).shape == (3, 5, 4, 4)
-    bad = inputs[argument]
-    bad[(-1,) * (bad.ndim - 2) + (0, 3)] = 1e-300
-    with pytest.raises(ValueError, match=f"{argument} has a nonzero entry outside"):
-        scattering_matrix(**inputs)
+    trailing = ", ".join(map(str, TRAILING_SHAPES[argument]))
+    bad_operands = [inputs[argument][..., :1], inputs[argument][(0,) * inputs[argument].ndim]]
+    if argument == "w":
+        bad_operands.append(reference.dense_interaction_matrix(inputs["w"]))
+    for bad in bad_operands:
+        with pytest.raises(ValueError, match=rf"{argument} must have shape \(\.\.\., {trailing}\)"):
+            scattering_matrix(**{**inputs, argument: bad})
 
 
 # Beta scales of the jobs of one block: from threshold down to low gain,
@@ -424,8 +448,8 @@ JOB_SCALES = {
 
 
 def _sweep_block(m, scales):
-    """(beta+, beta-) as (jobs, m), delta as (m,) and the (m, 4, 4)
-    boundary matrices of the first m unmasked pixels of a gain-curve
+    """(beta+, beta-) as (jobs, m), delta as (m,) and the (m, 4)
+    boundary entries of the first m unmasked pixels of a gain-curve
     batch, as `_eval_rigorous` forms them."""
     from conftest import config_text
     from spdc_etalon import parse_config, spectra
@@ -451,15 +475,16 @@ def _sweep_block(m, scales):
 @pytest.mark.parametrize("jobs", [1, 2, 21])
 @pytest.mark.parametrize("m", [1, 2, 7, 97])
 def test_job_axis_bits_equal_one_job_per_call_and_oracle(m, jobs, scales):
-    # (jobs, m) strengths and a (1, m) delta against (m, 4, 4) boundary
-    # matrices give, bit for bit, the oracle's U on broadcast copies and
-    # each job's w and U from a call of its own.
+    # (jobs, m) strengths and a (1, m) delta against (m, 4) boundary
+    # entries give, bit for bit, the oracle's U on broadcast dense copies
+    # and each job's w and U from a call of its own.
     beta_p, beta_m, delta, boundary = _sweep_block(m, JOB_SCALES[scales](jobs))
     with np.errstate(all="ignore"):
         w = interaction_matrix(params(beta_p, beta_m, delta[None]))
         u = scattering_matrix(w, *boundary, check_condition=False)
-        copies = [np.broadcast_to(b, w.shape).copy() for b in boundary]
-        expected = reference.scattering_matrix(w, *copies, check_condition=False)
+        dense_w, *dense = reference.dense_operands(w, *boundary)
+        copies = [np.broadcast_to(b, dense_w.shape).copy() for b in dense]
+        expected = reference.scattering_matrix(dense_w, *copies, check_condition=False)
         assert_same_bits(u, expected)
         for k in range(jobs):
             w_k = interaction_matrix(params(beta_p[k], beta_m[k], delta))
@@ -478,7 +503,7 @@ def test_pair_probabilities_identity_matrix():
 
 
 def test_pair_probabilities_zero_gain(rng):
-    w = np.eye(4, dtype=complex)
+    w = W_ZERO_GAIN
     for _ in range(100):
         coeffs, phi = _linear_boundaries(rng)
         tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi)

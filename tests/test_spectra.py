@@ -377,7 +377,7 @@ def _unblocked_rigorous_grid(cfg):
     """The rigorous grid from one solve over every pixel, masked or not,
     as the sweep evaluated it before it solved unmasked blocks only, with
     the generic BLAS scattering matrix of `reference`."""
-    from reference import scattering_matrix
+    from reference import dense_operands, scattering_matrix
     from spdc_etalon.layerstack import InterfaceCoeffs
     from spdc_etalon.rigorous import (
         InteractionParams,
@@ -401,7 +401,9 @@ def _unblocked_rigorous_grid(cfg):
             batch.phi_s,
             batch.phi_i,
         )
-        u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
+        u = scattering_matrix(
+            *dense_operands(interaction_matrix(params), *boundary), check_condition=False
+        )
         probs = pair_probabilities(u)
         values = {s: getattr(probs, s) * batch.gauss for s in cfg.schemes}
     mask = batch.mask.copy()
@@ -468,6 +470,7 @@ def test_singular_matrices_mask_only_their_pixels():
     # so every (model, scale) cell of the grid keeps the bits it has when it
     # runs alone.
     from numpy.linalg import LinAlgError
+    from reference import dense_operands
 
     from spdc_etalon.layerstack import InterfaceCoeffs
     from spdc_etalon.rigorous import InteractionParams, boundary_matrices, interaction_matrix
@@ -484,14 +487,15 @@ def test_singular_matrices_mask_only_their_pixels():
     with np.errstate(all="ignore"):
         batch = spectra._build_batch(cfg, lams, one, 0, lams.size, spectra._pump_state(cfg))
         live = np.flatnonzero(~batch.mask)
-        tau1, _tau2, rho = boundary_matrices(
+        boundary = boundary_matrices(
             InterfaceCoeffs(*(c[live] for c in batch.coeffs_s)),
             InterfaceCoeffs(*(c[live] for c in batch.coeffs_i)),
             batch.phi_s[live],
             batch.phi_i[live],
         )
         params = InteractionParams(*batch.betas(list(scales), live), batch.delta[live][None])
-        system = np.eye(4) - rho @ interaction_matrix(params)
+        w, tau1, _tau2, rho = dense_operands(interaction_matrix(params), *boundary)
+        system = np.eye(4) - rho @ w
     singular = np.zeros(mask.shape[1:], dtype=bool)
     for k, j in np.ndindex(system.shape[:2]):
         try:
@@ -529,6 +533,17 @@ def test_gain_curve_does_not_depend_on_the_rigorous_block(monkeypatch, block, ch
         assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
 
 
+# Trailing axes of one matrix in what each rigorous step returns: w as
+# two 2x2 blocks, the boundary matrices as four entries each, U dense.
+MATRIX_NDIM = {"interaction_matrix": 3, "boundary_matrices": 1, "scattering_matrix": 2}
+
+
+def _matrix_counts(name, result):
+    """Matrices per array that the rigorous step `name` returned."""
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [int(np.prod(a.shape[: -MATRIX_NDIM[name]])) for a in arrays]
+
+
 @pytest.mark.parametrize("block", [None, 7])
 def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
     # Each rigorous call serves all betas of a gain curve, and none holds
@@ -539,8 +554,7 @@ def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
         monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
     per_call = max(1, spectra._RIGOROUS_BLOCK // betas.size) * betas.size
     calls = {}
-    steps = ("interaction_matrix", "boundary_matrices", "scattering_matrix", "pair_probabilities")
-    for name in steps:
+    for name in ("pair_probabilities", *MATRIX_NDIM):
         fn = getattr(spectra, name)
 
         def recorded(*args, fn=fn, name=name, **kwargs):
@@ -548,8 +562,7 @@ def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
             if name == "pair_probabilities":
                 sizes = [result.ff.size]
             else:
-                arrays = result if isinstance(result, tuple) else (result,)
-                sizes = [a.size // 16 for a in arrays]
+                sizes = _matrix_counts(name, result)
             calls.setdefault(name, []).append(sizes)
             return result
 
@@ -575,12 +588,12 @@ def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
         frequency_angular_spectrum(cfg, "rigorous")
 
     rows = []
-    for name in ("interaction_matrix", "boundary_matrices", "scattering_matrix"):
+    for name in MATRIX_NDIM:
         fn = getattr(spectra, name)
 
-        def recorded(*args, fn=fn, **kwargs):
+        def recorded(*args, fn=fn, name=name, **kwargs):
             result = fn(*args, **kwargs)
-            rows.extend(a.size // 16 for a in (result if isinstance(result, tuple) else (result,)))
+            rows.extend(_matrix_counts(name, result))
             return result
 
         monkeypatch.setattr(spectra, name, recorded)
