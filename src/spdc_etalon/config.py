@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError("grid: lambda_count and theta_count must be >= 2")
         if self.lambda_count * self.theta_count > np.iinfo(np.intp).max:
             raise ConfigError("grid: lambda_count * theta_count pixels cannot be indexed")
+        if self.lambda_min_nm <= 0:
+            raise ConfigError("grid.lambda_min_nm: must be positive")
         if not self.lambda_min_nm < self.lambda_max_nm:
             raise ConfigError("grid: lambda_min_nm must be < lambda_max_nm")
         if not self.theta_min_rad < self.theta_max_rad:

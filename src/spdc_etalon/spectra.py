@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ZeroVarianceError
+from .errors import ConfigError, GeometryError, SpdcEtalonError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
     InterfaceCoeffs,
@@ -84,9 +84,7 @@ class SpectrumGrid:
         """Unit-max copy: the global maximum over all schemes is 1."""
         peak = 0.0
         for arr in self.intensity.values():
-            valid = arr[~self.mask]
-            if valid.size:
-                peak = max(peak, float(np.max(valid)))
+            peak = max(peak, float(np.max(arr, where=~self.mask, initial=0.0)))
         if peak <= 0:
             raise ZeroVarianceError("cannot normalize an all-zero or all-masked grid")
         scaled = {k: v / peak for k, v in self.intensity.items()}
@@ -218,14 +216,25 @@ class _PixelBatch:
 
 
 def _pump_state(config):
-    """Pump-side constants: enhancement amplitudes and parallel wavevector."""
+    """Pump-side constants: enhancement amplitudes and parallel wavevector.
+
+    Raises SpdcEtalonError when the pump enhancement is not finite (say,
+    a film index so large that the pump phase overflows): every pixel
+    reads it, so no pixel mask could report it.
+    """
     stack = config.build_stack()
     lam_p = config.pump_wavelength_nm
-    coeffs = interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
-    n_p = refractive_index(stack.film, lam_p)
-    # Keep this evaluation order of L k_p: the golden outputs pin its bits.
-    phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
-    e_fwd, e_bwd = pump_enhancement(coeffs, phi_p)
+    with np.errstate(all="ignore"):
+        coeffs = interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
+        n_p = refractive_index(stack.film, lam_p)
+        # Keep this evaluation order of L k_p: the golden outputs pin its bits.
+        phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
+        e_fwd, e_bwd = pump_enhancement(coeffs, phi_p)
+    if not (np.isfinite(e_fwd) and np.isfinite(e_bwd)):
+        raise SpdcEtalonError(
+            f"pump enhancement is not finite: forward {complex(e_fwd)}, "
+            f"backward {complex(e_bwd)}"
+        )
     return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
 
 
@@ -430,19 +439,14 @@ def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
             for m, model in enumerate(models):
                 values = out[m, :, :, lo:hi]
                 _EVALUATORS[model](batch, schemes, scales, values)
-                for k, scale_values in enumerate(values):
-                    scale_mask = batch.mask | ~np.isfinite(scale_values).all(axis=0)
-                    mask[m, k, lo:hi] = scale_mask
-                    scale_values[:, scale_mask] = 0.0
+                bad = batch.mask | ~np.isfinite(values).all(axis=1)
+                mask[m, :, lo:hi] = bad
+                np.copyto(values, 0.0, where=bad[:, None])
 
+    # On the first chunk that raises, `map` cancels the chunks not yet started.
     starts = range(0, n, _CHUNK_PIXELS)
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        for lo in starts:
-            eval_chunk(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_chunk, starts))
+    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+        list(pool.map(eval_chunk, starts))
     return out, mask
 
 
@@ -564,11 +568,14 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
         rr = r_squared(smp[k, 0], rig[k, 0], mask=scale_mask)
         beta_abs = abs(scale * e_fwd)
         gamma = gain_term(beta_abs, delta_deg)
+        # A phase-matched film has delta 0 here: the ratio is inf.
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(beta_abs, half_delta)
         points.append(
             GainCurvePoint(
                 beta_scale=float(scale),
                 beta_plus_abs=float(beta_abs),
-                beta_over_half_delta=float(beta_abs / half_delta),
+                beta_over_half_delta=float(ratio),
                 re_gamma_plus=float(np.real(gamma)),
                 r_squared=rr,
             )
@@ -612,7 +619,7 @@ def detection_spectrum(config, threads=1):
     weight = np.where(np.isfinite(weight), weight, 0.0)
 
     forward = values["ff"] * weight
-    peak = np.max(forward[~mask]) if np.any(~mask) else 0.0
+    peak = np.max(forward, where=~mask, initial=0.0)
     if peak <= 0:
         raise ZeroVarianceError("forward spectrum is empty; cannot normalize")
 

@@ -1,6 +1,9 @@
 import configparser
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spdc_etalon
 from spdc_etalon import (
     ConfigError,
     RunConfig,
@@ -227,7 +231,7 @@ def _random_config(rng, i):
         return choices[rng.integers(len(choices))]
 
     materials = ("air", "linbo3_e", "linbo3_o", "silicon", f"constant:{number(0, 1)!r}")
-    lam = sorted(rng.uniform(-1e4, 1e4, 2).tolist())
+    lam = sorted(rng.uniform(1e-3, 1e4, 2).tolist())  # the bounds must be positive
     theta = sorted(rng.uniform(-np.pi / 2, np.pi / 2, 2).tolist())
     values = dict(
         superstrate=pick(materials),
@@ -776,30 +780,77 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_exit_code_unwritable_output(tmp_path):
-    # Run as a separate process so a traceback on stderr would show.
-    import os
-    import subprocess
-    import sys
-
-    import spdc_etalon
-
-    cfg_path = write_config(tmp_path, SMALL)
-    out = tmp_path / "missing_dir" / "t.csv"
+def run_cli_process(*args):
+    """`python -W error -m spdc_etalon.cli *args` in a separate process, so
+    a traceback or a warning on stderr shows, and a warning fails the run."""
     env = dict(os.environ, PYTHONPATH=str(Path(spdc_etalon.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spdc_etalon.cli", "transmission",
-         "--config", str(cfg_path), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "spdc_etalon.cli", *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_exit_code_unwritable_output(tmp_path):
+    cfg_path = write_config(tmp_path, SMALL)
+    out = tmp_path / "missing_dir" / "t.csv"
+    proc = run_cli_process("transmission", "--config", cfg_path, "--out", out)
     assert proc.returncode == 2
     assert "error: cannot write output:" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
     assert not out.exists()
     assert not out.with_suffix(".csv.part").exists()
+
+
+# Configs with the exit code of each command, in `COMMANDS` order.  A
+# dispersionless film is phase-matched at the degenerate collinear point,
+# so its gain curve's beta_over_half_delta is inf.  An index of 1e308
+# overflows: in the substrate every pixel is masked, in the film the pump
+# enhancement is not finite.
+EXIT_CODES = {
+    "readme": ({}, (0, 0, 0, 0, 0)),
+    "dispersionless_film": ({"film": "constant:2.2"}, (0, 0, 0, 0, 0)),
+    "huge_substrate_index": ({"substrate": "constant:1e308"}, (3, 3, 3, 0, 3)),
+    "huge_film_index": ({"film": "constant:1e308"}, (3, 3, 3, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_every_command_exits_clean_or_with_one_stderr_line(tmp_path, name):
+    # Warnings are errors in the child, whatever this process runs with:
+    # a success prints nothing to stderr, a failure exactly one line.
+    overrides, codes = EXIT_CODES[name]
+    cfg_path = write_config(tmp_path, config_text(**overrides))
+    for command, code in zip(COMMANDS, codes):
+        out = tmp_path / f"{command}.csv"
+        proc = run_cli_process(command, "--config", cfg_path, "--out", out)
+        assert proc.returncode == code, (command, proc.stderr)
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.startswith("numerical error: ")
+            assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        if name == "huge_film_index" and code:
+            assert "pump enhancement is not finite" in proc.stderr
+    if name == "dispersionless_film":
+        _cols, data = load_data(tmp_path / "gain-curve.csv")
+        assert (data[:, 2] == np.inf).all() and np.isfinite(np.delete(data, 2, axis=1)).all()
+
+
+@pytest.mark.parametrize("lambda_min", ["-100", "0", "-0.0"])
+def test_non_positive_wavelength_bound_is_a_config_error(tmp_path, capsys, lambda_min):
+    text = config_text(lambda_count=48, theta_count=8, lambda_min_nm=lambda_min)
+    with pytest.raises(ConfigError, match=r"^grid\.lambda_min_nm: must be positive$"):
+        parse_config(text)
+    cfg_path = write_config(tmp_path, text)
+    for command in COMMANDS:
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: grid.lambda_min_nm: must be positive\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
 def test_compare_into_a_missing_directory_writes_and_prints_nothing(tmp_path, capsys):

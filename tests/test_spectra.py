@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from spdc_etalon import (
     EnvelopeModel,
     GeometryError,
     Mode,
+    SpdcEtalonError,
     ZeroVarianceError,
     compare_grids,
     detection_spectrum,
@@ -206,6 +208,30 @@ def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, coun
         for threads in (1, 2, 3):
             grid = frequency_angular_spectrum(configs[model], model, threads=threads)
             assert_grids_equal(grid, reference[model])
+
+
+def test_a_failing_chunk_stops_the_sweep_before_most_chunks_start(monkeypatch):
+    # Chunks run on a pool at every thread count; when one raises, `map`
+    # cancels the chunks not yet started.  Which of the others a worker
+    # has already taken races with it, so only an upper bound holds.
+    cfg = parse_config(config_text(lambda_count=96, theta_count=48))
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 37)
+    chunks = -(-cfg.lambda_count * cfg.theta_count // spectra._CHUNK_PIXELS)
+    build_batch = spectra._build_batch
+    started = []
+
+    def fail_first(config, lams, thetas, lo, hi, pump_state):
+        started.append(lo)
+        if lo == 0:
+            raise RuntimeError("first chunk failed")
+        return build_batch(config, lams, thetas, lo, hi, pump_state)
+
+    monkeypatch.setattr(spectra, "_build_batch", fail_first)
+    for threads in (1, 2):
+        started.clear()
+        with pytest.raises(RuntimeError, match="first chunk failed"):
+            frequency_angular_spectrum(cfg, "rigorous", threads=threads)
+        assert 0 in started and len(started) < chunks / 2
 
 
 @pytest.mark.parametrize("beta", ["1e-3", "1000"])
@@ -775,6 +801,23 @@ def test_gain_curve_limits_and_threshold():
             assert p.re_gamma_plus == 0.0
         else:
             assert p.re_gamma_plus > 0.0
+
+
+def test_non_finite_pump_enhancement_is_an_error_without_a_warning():
+    # A film index of 1e308 overflows the pump phase; no pixel could be
+    # evaluated, and the error names the pump enhancement.
+    cfg = parse_config(config_text(lambda_count=32, theta_count=4, film="constant:1e308"))
+    runs = (
+        lambda: frequency_angular_spectrum(cfg, "simplified"),
+        lambda: gain_and_agreement_curve(cfg, [1e-3, 0.5]),
+        lambda: detection_spectrum(cfg),
+    )
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpdcEtalonError, match="^pump enhancement is not finite") as err:
+                run()
+        assert type(err.value) is SpdcEtalonError
 
 
 def test_gain_curve_golden_regression():
