@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import MODELS, parse_config, serialize_config
+from .config import MODELS, _parse_field, parse_config, serialize_config
 from .errors import ConfigError, SpdcEtalonError
 from .spectra import (
     GainCurvePoint,
@@ -40,14 +40,14 @@ from .spectra import (
 
 __all__ = ["run", "main"]
 
-# The override flags each command reads; `COMMANDS` is these keys in
-# this order.
+# The override flags each command reads, each with the RunConfig field it
+# sets; `COMMANDS` is these keys in this order.
 _FLAGS = {
-    "spectrum": ("--model", "--scheme"),
-    "compare": ("--scheme",),
-    "gain-curve": (),
-    "transmission": (),
-    "detection": ("--scheme",),
+    "spectrum": {"--model": "model", "--scheme": "schemes"},
+    "compare": {"--scheme": "schemes"},
+    "gain-curve": {},
+    "transmission": {},
+    "detection": {"--scheme": "detection_scheme"},
 }
 COMMANDS = tuple(_FLAGS)
 
@@ -428,24 +428,21 @@ def main(argv=None):
         return 2
 
     try:
-        for flag, value in (("--model", args.model), ("--scheme", args.scheme)):
-            if value is not None and flag not in _FLAGS[args.command]:
+        reads = _FLAGS[args.command]
+        given = {flag: getattr(args, flag[2:]) for names in _FLAGS.values() for flag in names}
+        for flag, value in given.items():
+            if value is not None and flag not in reads:
                 raise ConfigError(f"{flag}: {args.command} does not read this flag")
         config = parse_config(text)
         # The flags override the config before the run, so the header
-        # records what ran.  argparse already restricts --model.
-        overrides = {"model": args.model} if args.model else {}
-        if args.scheme is not None:
-            if args.command == "detection":
-                overrides["detection_scheme"] = args.scheme
-            else:
-                schemes = (s.strip() for s in args.scheme.split(","))
-                overrides["schemes"] = tuple(s for s in schemes if s)
-        if overrides:
-            try:
-                config = config._replace_keeping_stack(**overrides)
-            except ConfigError as exc:
-                raise ConfigError(f"--scheme: {exc}") from None
+        # records what ran; each is parsed and checked as the key it sets.
+        for flag, name in reads.items():
+            if given[flag] is not None:
+                try:
+                    value = _parse_field(name, given[flag])
+                    config = config._replace_keeping_stack(**{name: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"{flag}: {exc}") from None
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
     except ConfigError as exc:

@@ -72,6 +72,11 @@ class RunConfig:
     output_path: str | None = _key("output", "path", "text", None)
 
     def validate(self):
+        for f in fields(self):
+            section, key, kind = f.metadata["ini"]
+            value = getattr(self, f.name)
+            if kind in ("float", "complex") and value is not None and not cmath.isfinite(value):
+                raise ConfigError(f"{section}.{key}: must be finite")
         if self.thickness_um <= 0:
             raise ConfigError("stack.thickness_um: must be positive")
         if self.pump_wavelength_nm <= 0:
@@ -246,6 +251,13 @@ def _parse_value(section, key, kind, raw):
     if conv is not int and not cmath.isfinite(value):
         raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
     return value
+
+
+def _parse_field(name, raw):
+    """`raw` as the value of RunConfig field `name`, parsed by its kind
+    as its config key is (text is kept as given)."""
+    section, key, kind = RunConfig.__dataclass_fields__[name].metadata["ini"]
+    return _parse_value(section, key, kind, raw)
 
 
 def parse_config(text):

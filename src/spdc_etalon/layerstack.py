@@ -15,6 +15,10 @@ a lossless stack is unitary):
 * Total internal reflection is handled by analytic continuation: the
   transmitted-angle cosine becomes +i |cos|, so |r| = 1 beyond the
   critical angle and fields decay outward.
+
+The per-point wrappers raise ResonancePoleError where the round-trip
+denominator vanishes and SpdcEtalonError where their result is not
+finite, with no RuntimeWarning first; the array kernels check nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonancePoleError
+from .errors import ResonancePoleError, SpdcEtalonError
 from .materials import POLARIZATIONS, refractive_index
 
 __all__ = [
@@ -139,14 +143,17 @@ def round_trip_denominator(r1, r2, phase):
     return 1.0 - r1 * r2 * np.exp(2j * np.asarray(phase, dtype=float))
 
 
-def _check_pole(den):
-    """The round-trip denominator `den`, unless it vanishes anywhere."""
+def _check_pole(den, what, labels, values):
+    """`values`, unless `den` vanishes (nan does not) or a value is not finite."""
     if np.any(np.abs(den) < POLE_TOLERANCE):
         raise ResonancePoleError(
             "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
             f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
         )
-    return den
+    if not all(np.isfinite(v).all() for v in values):
+        found = ", ".join(f"{k} {np.asarray(v).tolist()}" for k, v in zip(labels, values))
+        raise SpdcEtalonError(f"{what} is not finite: {found}")
+    return values
 
 
 def pump_enhancement(coeffs, phase_p):
@@ -155,10 +162,11 @@ def pump_enhancement(coeffs, phase_p):
     The backward amplitude is exactly the forward one after one
     reflection at interface 2 plus a single-pass phase.
     """
-    den = _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_p))
-    forward = coeffs.t1 / den
-    backward = coeffs.r2 * np.exp(1j * phase_p) * forward
-    return forward, backward
+    with np.errstate(all="ignore"):
+        den = round_trip_denominator(coeffs.r1, coeffs.r2, phase_p)
+        forward = coeffs.t1 / den
+        backward = coeffs.r2 * np.exp(1j * phase_p) * forward
+    return _check_pole(den, "pump enhancement", ("forward", "backward"), (forward, backward))
 
 
 def enhancement_arrays(t1, r1, t2, r2, phase, den):
@@ -170,11 +178,11 @@ def enhancement_arrays(t1, r1, t2, r2, phase, den):
 
 def field_enhancements(coeffs, phase_mode):
     """Etalon enhancement factors of one down-converted film mode."""
-    den = _check_pole(round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode))
-    a1p, a1m, a3p, a3m = enhancement_arrays(
-        coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode, den
-    )
-    return FieldEnhancements(a1p=a1p, a1m=a1m, a3p=a3p, a3m=a3m)
+    with np.errstate(all="ignore"):
+        den = round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode)
+        a = enhancement_arrays(coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode, den)
+    labels = ("a1+", "a1-", "a3+", "a3-")
+    return FieldEnhancements(*_check_pole(den, "field enhancement", labels, a))
 
 
 def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices):
@@ -182,14 +190,13 @@ def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, i
 
     Scalar or array wavelength/angle, with `indices` the (n1, n2, n3)
     at those wavelengths.  Returns (transmittance, round-trip
-    denominator), without pole checking.
+    denominator), without pole checking; callers set the errstate.
     """
     cos = np.cos(internal_angle_rad)
     t1, r1, t2, r2 = coefficient_arrays(indices, (cos, np.sin(internal_angle_rad)), polarization)
     phi = stack.thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm * cos
     den = round_trip_denominator(r1, r2, phi)
-    with np.errstate(all="ignore"):
-        trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
+    trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
     return trans, den
 
 
@@ -202,8 +209,8 @@ def linear_transmission(stack, mode):
     the Fresnel and phase machinery.
     """
     lam = mode.vacuum_wavelength_nm
-    trans, den = _airy_transmission(
-        stack, lam, mode.internal_angle_rad, mode.polarization, _indices(stack, lam)
-    )
-    _check_pole(den)
-    return float(trans)
+    with np.errstate(all="ignore"):
+        trans, den = _airy_transmission(
+            stack, lam, mode.internal_angle_rad, mode.polarization, _indices(stack, lam)
+        )
+    return float(_check_pole(den, "linear transmission", ("T",), (trans,))[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, SpdcEtalonError, ZeroVarianceError
+from .errors import ConfigError, GeometryError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
     InterfaceCoeffs,
@@ -82,11 +82,9 @@ class SpectrumGrid:
 
     def normalized(self):
         """Unit-max copy: the global maximum over all schemes is 1."""
-        peak = 0.0
-        for arr in self.intensity.values():
-            peak = max(peak, float(np.max(arr, where=~self.mask, initial=0.0)))
-        if peak <= 0:
-            raise ZeroVarianceError("cannot normalize an all-zero or all-masked grid")
+        peak = _masked_peak(
+            self.intensity.values(), self.mask, "cannot normalize an all-zero or all-masked grid"
+        )
         scaled = {k: v / peak for k, v in self.intensity.items()}
         return SpectrumGrid(
             signal_wavelengths_nm=self.signal_wavelengths_nm,
@@ -94,6 +92,15 @@ class SpectrumGrid:
             intensity=scaled,
             mask=self.mask,
         )
+
+
+def _masked_peak(arrays, mask, empty):
+    """The largest value of `arrays` outside `mask`; a sweep with no positive
+    one has nothing to report, and raises ZeroVarianceError(`empty`)."""
+    peak = max([0.0, *(float(np.max(a, where=~mask, initial=0.0)) for a in arrays)])
+    if peak <= 0:
+        raise ZeroVarianceError(empty)
+    return peak
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,7 @@ class _PixelBatch:
 
 
 def _pump_state(config):
-    """Pump-side constants: enhancement amplitudes and parallel wavevector.
-
-    Raises SpdcEtalonError when the pump enhancement is not finite (say,
-    a film index so large that the pump phase overflows): every pixel
-    reads it, so no pixel mask could report it.
-    """
+    """Pump-side constants: enhancement amplitudes and parallel wavevector."""
     stack = config.build_stack()
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
@@ -230,11 +232,6 @@ def _pump_state(config):
         # Keep this evaluation order of L k_p: the golden outputs pin its bits.
         phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
         e_fwd, e_bwd = pump_enhancement(coeffs, phi_p)
-    if not (np.isfinite(e_fwd) and np.isfinite(e_bwd)):
-        raise SpdcEtalonError(
-            f"pump enhancement is not finite: forward {complex(e_fwd)}, "
-            f"backward {complex(e_bwd)}"
-        )
     return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
 
 
@@ -619,9 +616,7 @@ def detection_spectrum(config, threads=1):
     weight = np.where(np.isfinite(weight), weight, 0.0)
 
     forward = values["ff"] * weight
-    peak = np.max(forward, where=~mask, initial=0.0)
-    if peak <= 0:
-        raise ZeroVarianceError("forward spectrum is empty; cannot normalize")
+    peak = _masked_peak((forward,), mask, "forward spectrum is empty; cannot normalize")
 
     base = np.zeros_like(forward)
     for s in needed:
@@ -640,7 +635,8 @@ def transmission_curve(config):
     wavelength axis.
 
     Wavelengths outside a material's range, resonance poles and
-    non-finite values are masked (transmission zero there).
+    non-finite values are masked (transmission zero there); with none
+    left, ZeroVarianceError.
     """
     lams = config.signal_wavelengths()
     stack = config.build_stack()
@@ -648,4 +644,5 @@ def transmission_curve(config):
     with np.errstate(all="ignore"):
         trans, den = _airy_transmission(stack, lams, 0.0, config.polarization, indices)
         mask = ~ok | (np.abs(den) < POLE_TOLERANCE) | ~np.isfinite(trans)
+    _masked_peak((trans,), mask, "cannot report an all-zero or all-masked transmission curve")
     return lams, np.where(mask, 0.0, trans), mask

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +161,23 @@ def test_parse_rejects_non_finite_numbers(section, key, raw):
     with pytest.raises(ConfigError) as err:
         parse_config(text.getvalue())
     assert str(err.value) == f"{section}.{key}: expected a finite number, got {raw!r}"
+
+
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_validate_rejects_non_finite_numbers(section, key):
+    # `dataclasses.replace` bypasses the parser, so `validate` itself
+    # refuses a non-finite number, before any check that would misread it.
+    from spdc_etalon.config import _SCHEMA
+
+    cfg = parse_config(SMALL)
+    name = _SCHEMA[section, key].name
+    bad = [np.nan, np.inf, -np.inf]
+    if key == "beta_plus":
+        bad += [complex(1.0, np.nan), complex(1.0, -np.inf)]
+    for value in bad:
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, **{name: value}).validate()
+        assert str(err.value) == f"{section}.{key}: must be finite"
 
 
 def test_exit_code_non_finite_beta(tmp_path, capsys):
@@ -808,12 +825,13 @@ def test_exit_code_unwritable_output(tmp_path):
 # dispersionless film is phase-matched at the degenerate collinear point,
 # so its gain curve's beta_over_half_delta is inf.  An index of 1e308
 # overflows: in the substrate every pixel is masked, in the film the pump
-# enhancement is not finite.
+# enhancement is not finite (`transmission` reads no pump, and finds
+# every wavelength masked).
 EXIT_CODES = {
     "readme": ({}, (0, 0, 0, 0, 0)),
     "dispersionless_film": ({"film": "constant:2.2"}, (0, 0, 0, 0, 0)),
-    "huge_substrate_index": ({"substrate": "constant:1e308"}, (3, 3, 3, 0, 3)),
-    "huge_film_index": ({"film": "constant:1e308"}, (3, 3, 3, 0, 3)),
+    "huge_substrate_index": ({"substrate": "constant:1e308"}, (3, 3, 3, 3, 3)),
+    "huge_film_index": ({"film": "constant:1e308"}, (3, 3, 3, 3, 3)),
 }
 
 
@@ -832,7 +850,9 @@ def test_every_command_exits_clean_or_with_one_stderr_line(tmp_path, name):
         else:
             assert proc.stderr.startswith("numerical error: ")
             assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
-        if name == "huge_film_index" and code:
+        if code:
+            assert not list(tmp_path.glob(f"{command}*.csv"))
+        if name == "huge_film_index" and command != "transmission":
             assert "pump enhancement is not finite" in proc.stderr
     if name == "dispersionless_film":
         _cols, data = load_data(tmp_path / "gain-curve.csv")

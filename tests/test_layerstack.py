@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from spdc_etalon import (
     MaterialModel,
     Mode,
     ResonancePoleError,
+    SpdcEtalonError,
     field_enhancements,
     get_material,
     interface_coeffs,
@@ -262,3 +265,25 @@ def test_linear_transmission_symmetric_resonance():
     # A quarter-wave offset sits at the transmission minimum.
     stack_q = slab(n, 1.0, thickness_nm=10.0 * lam / (2.0 * n) + lam / (4.0 * n))
     assert linear_transmission(stack_q, Mode(lam, 0.0)) < 0.6
+
+
+# What each per-point wrapper names, with a call whose phase is infinite.
+NON_FINITE_CALLS = {
+    "pump enhancement": lambda c: pump_enhancement(c, np.inf),
+    "field enhancement": lambda c: field_enhancements(c, np.inf),
+    "linear transmission": lambda c: linear_transmission(slab(1e308), Mode(1500.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("what", NON_FINITE_CALLS)
+def test_non_finite_result_is_an_error_without_a_warning(what):
+    # An infinite phase (given, or from a film index whose phase
+    # overflows) leaves the round-trip denominator nan: not a pole, but
+    # nothing finite to return.
+    coeffs = InterfaceCoeffs(0.9, 0.2, 0.9, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpdcEtalonError, match=f"^{what} is not finite: ") as err:
+            NON_FINITE_CALLS[what](coeffs)
+    assert type(err.value) is SpdcEtalonError
+
