@@ -7,7 +7,8 @@ a key is added by adding a field, and it is required when its field has
 no default.  Unknown sections or keys are hard errors; every diagnostic
 carries the offending key path.  Parsing is seed-free and fully
 deterministic, and `parse_config(serialize_config(cfg))` round-trips
-exactly.
+exactly.  A material spec is only split here: `MaterialModel` judges
+its numbers, and its ValueError becomes the key's ConfigError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .materials import POLARIZATIONS, MaterialModel, get_material, material_names
+from .materials import POLARIZATIONS, MaterialModel, get_material
 from .layerstack import LayerStack
 from .simplified import SCHEMES
 from .spectra import _DETECTED_SCHEMES, _EVALUATORS
@@ -183,48 +184,34 @@ def material_from_spec(spec):
     Accepts a preset name, ``constant:<n>``,
     ``sellmeier:<offset>:<b1,...>:<c1,...>[:<min_nm>,<max_nm>]``, or
     ``tabulated:<csv path>`` (two comma-separated columns:
-    wavelength_nm, index; '#' comments allowed).
+    wavelength_nm, index; '#' comments allowed).  Raises ConfigError
+    for text that does not split, a table that cannot be read, or
+    numbers `MaterialModel` refuses.
     """
     spec = spec.strip()
-    if ":" not in spec:
-        if spec in material_names():
-            return get_material(spec)
-        raise ConfigError(
-            f"unknown material {spec!r}; presets: {material_names()}, or use "
-            "constant:/sellmeier:/tabulated: forms"
-        )
-    kind, _, rest = spec.partition(":")
-    if kind == "constant":
-        try:
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        return get_material(spec)
+    try:
+        if kind == "constant":
             return MaterialModel.constant(float(rest), name=spec)
-        except ValueError as exc:
-            raise ConfigError(f"bad constant material {spec!r}: {exc}") from None
-    if kind == "sellmeier":
-        parts = rest.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError(
-                f"bad sellmeier material {spec!r}: expected "
-                "offset:b1,..:c1,..[:min_nm,max_nm]"
+        if kind == "sellmeier":
+            parts = rest.split(":")
+            if len(parts) not in (3, 4):
+                raise ValueError("expected offset:b1,..:c1,..[:min_nm,max_nm]")
+            b, c = (tuple(float(x) for x in p.split(",") if x) for p in parts[1:3])
+            rng = tuple(float(x) for x in parts[3].split(",")) if len(parts) == 4 else None
+            return MaterialModel.sellmeier(
+                b, c, offset=float(parts[0]), valid_range_nm=rng, name=spec
             )
-        try:
-            offset = float(parts[0])
-            b = tuple(float(x) for x in parts[1].split(",") if x)
-            c = tuple(float(x) for x in parts[2].split(",") if x)
-            rng = None
-            if len(parts) == 4:
-                lo, hi = (float(x) for x in parts[3].split(","))
-                rng = (lo, hi)
-            return MaterialModel.sellmeier(b, c, offset=offset, valid_range_nm=rng, name=spec)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"bad sellmeier material {spec!r}: {exc}") from None
-    if kind == "tabulated":
-        try:
+        if kind == "tabulated":
             rows = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
             return MaterialModel.tabulated(rows[:, 0], rows[:, 1], name=spec)
-        except OSError as exc:
-            raise ConfigError(f"cannot read material table {rest!r}: {exc}") from None
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad material table {rest!r}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read material table {rest!r}: {exc}") from None
+    except (ValueError, IndexError) as exc:
+        what = f"material table {rest!r}" if kind == "tabulated" else f"{kind} material {spec!r}"
+        raise ConfigError(f"bad {what}: {exc}") from None
     raise ConfigError(f"unknown material form {kind!r} in {spec!r}")
 
 

@@ -59,8 +59,10 @@ class LayerStack:
     chi2_pm_per_v: float = 0.0
 
     def __post_init__(self):
-        if self.thickness_nm <= 0:
-            raise ValueError("film thickness must be positive")
+        if not 0 < self.thickness_nm < np.inf:
+            raise ValueError("film thickness must be positive and finite")
+        if not np.isfinite(self.chi2_pm_per_v):
+            raise ValueError("chi2_pm_per_v must be finite")
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ class MaterialModel:
     u the squared wavelength in um^2, matching the usual infrared
     Sellmeier convention.  Tabulated models interpolate linearly in
     wavelength and refuse queries outside the sample range.
+
+    Construction checks the parameters (every number finite, a positive
+    constant, paired Sellmeier terms, a table of >= 2 rows with strictly
+    increasing wavelengths and positive indices, min_nm < max_nm) and
+    raises ValueError otherwise.
     """
 
     kind: str
@@ -63,6 +68,10 @@ class MaterialModel:
     def __post_init__(self):
         if self.kind not in ("constant", "sellmeier", "tabulated"):
             raise ValueError(f"unknown material kind {self.kind!r}")
+        numbers = (self.n_const, self.offset, *self.sellmeier_b, *self.sellmeier_c,
+                   *self.table_wavelengths_nm, *self.table_indices, *(self.valid_range_nm or ()))
+        if not np.isfinite(np.asarray(numbers, dtype=float)).all():
+            raise ValueError("every number must be finite")
         if self.kind == "constant" and self.n_const <= 0:
             raise ValueError("constant index must be positive")
         if self.kind == "sellmeier" and len(self.sellmeier_b) != len(self.sellmeier_c):
@@ -76,6 +85,10 @@ class MaterialModel:
                 raise ValueError("tabulated wavelengths must be strictly increasing")
             if np.any(idx <= 0):
                 raise ValueError("tabulated indices must be positive")
+        if self.valid_range_nm is not None:
+            lo, hi = self.valid_range_nm
+            if not lo < hi:
+                raise ValueError("validity range must have min_nm < max_nm")
 
     @classmethod
     def constant(cls, n, name=""):
@@ -118,9 +131,9 @@ class Mode:
     role: str = "signal"
 
     def __post_init__(self):
-        if self.vacuum_wavelength_nm <= 0:
-            raise ValueError("vacuum wavelength must be positive")
-        if abs(self.internal_angle_rad) >= np.pi / 2:
+        if not 0 < self.vacuum_wavelength_nm < np.inf:
+            raise ValueError("vacuum wavelength must be positive and finite")
+        if not abs(self.internal_angle_rad) < np.pi / 2:
             raise ValueError("internal angle must satisfy |theta| < pi/2")
         if self.polarization not in POLARIZATIONS:
             raise ValueError(f"polarization must be one of {POLARIZATIONS}")
@@ -258,7 +271,8 @@ def get_material(name):
         return _PRESETS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown material preset {name!r}; available: {sorted(_PRESETS)}"
+            f"unknown material preset {name!r}; available: {sorted(_PRESETS)}, "
+            "or use constant:/sellmeier:/tabulated: forms"
         ) from None
 
 

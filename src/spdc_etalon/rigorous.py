@@ -369,6 +369,8 @@ def pair_probabilities(u, schemes=None):
     """
     u = np.asarray(u, dtype=complex)
     schemes = tuple(_SCHEME_ROWS) if schemes is None else schemes
+    if not set(schemes) <= _SCHEME_ROWS.keys():
+        raise ValueError(f"schemes must be names among {tuple(_SCHEME_ROWS)}, got {schemes!r}")
     # |U|^2 of the signal and idler rows the schemes read.
     rows = {row for name in schemes for row in _SCHEME_ROWS[name][:2]}
     sq = {row: np.abs(u[..., row, :]) ** 2 for row in rows}

@@ -11,6 +11,8 @@ Pixels that cannot be evaluated (material range, grazing idler,
 resonance poles, exactly singular rigorous systems, non-finite
 intermediates) are collected in an error mask instead of aborting;
 masked pixels are excluded from normalization and R-squared.
+`solve_idler` is the per-point form of the sweeps' idler matching
+(`_idler_kinematics`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_p
 
 __all__ = [
     "SpectrumGrid",
-    "EnvelopeModel",
     "GainCurvePoint",
     "solve_idler",
     "frequency_angular_spectrum",
@@ -103,21 +104,12 @@ def _masked_peak(arrays, mask, empty):
     return peak
 
 
-@dataclass(frozen=True)
-class EnvelopeModel:
-    """Gaussian detection envelope in wavelength."""
-
-    center_nm: float
-    fwhm_nm: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.fwhm_nm <= 0 or self.amplitude <= 0:
-            raise ValueError("envelope fwhm and amplitude must be positive")
-
-    def __call__(self, wavelength_nm):
-        arg = (np.asarray(wavelength_nm, dtype=float) - self.center_nm) / self.fwhm_nm
-        return self.amplitude * np.exp(-4.0 * np.log(2.0) * arg ** 2)
+def _envelope(wavelength_nm, center_nm, fwhm_nm, amplitude):
+    """Gaussian detection envelope in wavelength: `amplitude` at
+    `center_nm`, half of it `fwhm_nm` / 2 away (`RunConfig.validate`
+    checks the width and amplitude)."""
+    arg = (np.asarray(wavelength_nm, dtype=float) - center_nm) / fwhm_nm
+    return amplitude * np.exp(-4.0 * np.log(2.0) * arg ** 2)
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,8 @@ def solve_idler(pump, signal, stack):
     lam_i = _idler_wavelength(pump.vacuum_wavelength_nm, lam_s)
     k_s = 2.0 * np.pi * refractive_index(stack.film, lam_s) / lam_s
     k_i = 2.0 * np.pi * refractive_index(stack.film, lam_i) / lam_i
-    theta_i = _idler_angle(-k_s * np.sin(signal.internal_angle_rad), k_i)
+    theta_s = signal.internal_angle_rad
+    theta_i = _idler_kinematics(k_s, k_i, (np.cos(theta_s), np.sin(theta_s)))[0]
     # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
     # interval, the grazing pixel is masked downstream anyway.
     limit = np.pi / 2 - 1e-12
@@ -166,11 +159,16 @@ def _idler_wavelength(lam_p, lam_s):
     return lam_p * lam_s / (lam_s - lam_p)
 
 
-def _idler_angle(kt_s, k_i):
-    """Idler angle zeroing the transverse mismatch k_i sin(theta_i) - kt_s,
-    with kt_s = -k_s sin(theta_s), clamped to grazing where no real angle
-    does."""
-    return np.arcsin(np.clip(kt_s / k_i, -1.0, 1.0))
+def _idler_kinematics(k_s, k_i, trig_s):
+    """Transverse matching of an idler of film wavenumber k_i to a signal of
+    film wavenumber k_s at angle (cos, sin) `trig_s`: the idler angle that
+    zeroes -k_s sin(theta_s) - k_i sin(theta_i) (clamped to grazing where no
+    real angle does), its (cos, sin), the mismatch left, and the parallel
+    wavevectors k_s cos(theta_s) and k_i cos(theta_i)."""
+    kt_s = -k_s * trig_s[1]
+    theta_i = np.arcsin(np.clip(kt_s / k_i, -1.0, 1.0))
+    trig_i = (np.cos(theta_i), np.sin(theta_i))
+    return theta_i, trig_i, kt_s - k_i * trig_i[1], k_s * trig_s[0], k_i * trig_i[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +281,8 @@ def _build_batch(config, lams, thetas, lo, hi, pump_state):
     trig_s = (np.cos(thetas)[col], np.sin(thetas)[col])
 
     # Per pixel.
-    kt_s = -k_s * trig_s[1]  # -k_s sin(theta_s)
-    theta_i = _idler_angle(kt_s, k_i)
-    trig_i = (np.cos(theta_i), np.sin(theta_i))
-    gauss = _pump_profile(kt_s - k_i * trig_i[1], config.pump_waist_um)
-
-    ks_par = k_s * trig_s[0]
-    ki_par = k_i * trig_i[0]
+    _, trig_i, mismatch, ks_par, ki_par = _idler_kinematics(k_s, k_i, trig_s)
+    gauss = _pump_profile(mismatch, config.pump_waist_um)
     mask |= (ks_par <= KPAR_FLOOR) | (ki_par <= KPAR_FLOOR)
 
     # Beyond the critical angle of either photon at either outer
@@ -609,10 +602,8 @@ def detection_spectrum(config, threads=1):
     if config.envelope_center_nm is None:
         weight = np.ones_like(lams)
     else:
-        envelope = EnvelopeModel(
-            config.envelope_center_nm, config.envelope_fwhm_nm, config.envelope_amplitude
-        )
-        weight = envelope(lams) * envelope(lam_i)
+        envelope = (config.envelope_center_nm, config.envelope_fwhm_nm, config.envelope_amplitude)
+        weight = _envelope(lams, *envelope) * _envelope(lam_i, *envelope)
     weight = np.where(np.isfinite(weight), weight, 0.0)
 
     forward = values["ff"] * weight

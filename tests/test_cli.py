@@ -180,6 +180,115 @@ def test_validate_rejects_non_finite_numbers(section, key):
         assert str(err.value) == f"{section}.{key}: must be finite"
 
 
+# One RunConfig override per input rule, with the exact message `validate`
+# gives.  The material specs are judged by `MaterialModel` and reported
+# under their stack key.
+_PRESETS_HINT = (
+    "['air', 'linbo3_e', 'linbo3_o', 'silicon'], or use constant:/sellmeier:/tabulated: forms"
+)
+VALIDATE_RULES = {
+    "thickness": ({"thickness_um": 0.0}, "stack.thickness_um: must be positive"),
+    "pump-wavelength": ({"pump_wavelength_nm": -788.0}, "pump.wavelength_nm: must be positive"),
+    "waist": ({"pump_waist_um": 0.0}, "pump.waist_um: must be positive"),
+    "theta-order": (
+        {"theta_min_rad": 0.5, "theta_max_rad": -0.5},
+        "grid: theta_min_rad must be < theta_max_rad",
+    ),
+    "model": ({"model": "exact"}, f"model.kind: must be one of {MODELS}"),
+    "polarization": ({"polarization": "x"}, "model.polarization: must be 's' or 'p'"),
+    "field-without-chi2": (
+        {"beta_plus": None, "pump_field_v_per_m": 5e7},
+        "pump.field_v_per_m requires stack.chi2_pm_per_v to be set",
+    ),
+    "efficiency-ratio": (
+        {"efficiency_ratio": 0.0},
+        "detection.efficiency_ratio: must be positive",
+    ),
+    "envelope-fwhm": (
+        {"envelope_center_nm": 1576.0, "envelope_fwhm_nm": -1.0},
+        "detection.envelope_fwhm_nm: must be positive",
+    ),
+    "envelope-amplitude": (
+        {"envelope_amplitude": 0.0},
+        "detection.envelope_amplitude: must be positive",
+    ),
+    "gain-beta-min": ({"gain_beta_min": 0.0}, "gain_curve: need 0 < beta_min < beta_max"),
+    "gain-beta-order": (
+        {"gain_beta_min": 2.0, "gain_beta_max": 1.0},
+        "gain_curve: need 0 < beta_min < beta_max",
+    ),
+    "gain-count": ({"gain_beta_count": 1}, "gain_curve.count: must be >= 2"),
+    "constant-material": (
+        {"film": "constant:abc"},
+        "stack.film: bad constant material 'constant:abc': "
+        "could not convert string to float: 'abc'",
+    ),
+    "constant-material-negative": (
+        {"superstrate": "constant:-1"},
+        "stack.superstrate: bad constant material 'constant:-1': constant index must be positive",
+    ),
+    "sellmeier-material-parts": (
+        {"film": "sellmeier:1.0:2.0"},
+        "stack.film: bad sellmeier material 'sellmeier:1.0:2.0': "
+        "expected offset:b1,..:c1,..[:min_nm,max_nm]",
+    ),
+    "sellmeier-material-terms": (
+        {"film": "sellmeier:1.0:2.0,3.0:0.1"},
+        "stack.film: bad sellmeier material 'sellmeier:1.0:2.0,3.0:0.1': "
+        "Sellmeier b and c term lists must have equal length",
+    ),
+    "material-form": (
+        {"substrate": "cauchy:1.5"},
+        "stack.substrate: unknown material form 'cauchy' in 'cauchy:1.5'",
+    ),
+    "material-preset": (
+        {"film": "vibranium"},
+        f"stack.film: unknown material preset 'vibranium'; available: {_PRESETS_HINT}",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", VALIDATE_RULES)
+def test_validate_names_each_broken_rule(rule):
+    overrides, message = VALIDATE_RULES[rule]
+    with pytest.raises(ConfigError) as err:
+        replace(parse_config(SMALL), **overrides).validate()
+    assert str(err.value) == message
+
+
+# Material specs that read as materials before `MaterialModel` judged its
+# parameters: each failed later, as a numerical error or not at all.
+BAD_MATERIAL_SPECS = {
+    "constant-nan": (
+        "constant:nan",
+        "bad constant material {spec!r}: every number must be finite",
+    ),
+    "sellmeier-range-reversed": (
+        "sellmeier:1.0:2.9804,0.5981,8.9543:0.02047,0.0666,416.08:4000,500",
+        "bad sellmeier material {spec!r}: validity range must have min_nm < max_nm",
+    ),
+    "table-row-nan": (
+        "tabulated:{table}",
+        "bad material table {table!r}: every number must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MATERIAL_SPECS)
+def test_bad_material_numbers_are_a_config_error(tmp_path, capsys, case):
+    table = tmp_path / "n.csv"
+    table.write_text("700,3.6\n2000,3.5\n3000,nan\n", encoding="utf-8")
+    spec, message = BAD_MATERIAL_SPECS[case]
+    spec = spec.format(table=table)
+    message = message.format(spec=spec, table=str(table))
+    cfg_path = write_config(tmp_path, config_text(lambda_count=32, theta_count=8, film=spec))
+    for command in COMMANDS:
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: stack.film: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.csv", "run.ini"]
+
+
 def test_exit_code_non_finite_beta(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL.replace("beta_plus = 1e-3", "beta_plus = inf"))
     out = tmp_path / "gain.csv"

@@ -29,6 +29,15 @@ def slab(n_film, n_outer=1.0, thickness_nm=5000.0):
     )
 
 
+@pytest.mark.parametrize(
+    "thickness_nm, chi2", [(np.nan, 0.0), (np.inf, 0.0), (5000.0, np.inf), (5000.0, np.nan)]
+)
+def test_layer_stack_refuses_non_finite_numbers(thickness_nm, chi2):
+    air = get_material("air")
+    with pytest.raises(ValueError, match="finite"):
+        LayerStack(air, air, air, thickness_nm, chi2_pm_per_v=chi2)
+
+
 def test_fresnel_index_matched():
     for theta in (0.0, 0.4, 1.2):
         r, t = fresnel(1.8, 1.8, theta)

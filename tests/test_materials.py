@@ -186,3 +186,42 @@ def test_mode_invariants():
         Mode(1000.0, 0.0, polarization="x")
     with pytest.raises(ValueError):
         Mode(1000.0, 0.0, role="seed")
+
+
+@pytest.mark.parametrize(
+    "wavelength_nm, angle_rad, message",
+    [
+        (np.inf, 0.0, "vacuum wavelength must be positive and finite"),
+        (np.nan, 0.0, "vacuum wavelength must be positive and finite"),
+        (1000.0, np.nan, r"\|theta\| < pi/2"),
+    ],
+)
+def test_mode_refuses_non_finite_numbers(wavelength_nm, angle_rad, message):
+    with pytest.raises(ValueError, match=message):
+        Mode(wavelength_nm, angle_rad)
+
+
+_SELLMEIER, _TABLE = MaterialModel.sellmeier, MaterialModel.tabulated
+# Each construction, with what its ValueError says.
+BAD_MATERIALS = {
+    "constant-nan": (lambda: MaterialModel.constant(np.nan), "every number must be finite"),
+    "sellmeier-c-inf": (lambda: _SELLMEIER((1.0,), (np.inf,)), "finite"),
+    "sellmeier-offset-inf": (lambda: _SELLMEIER((), (), offset=-np.inf), "finite"),
+    "range-nan": (lambda: _SELLMEIER((), (), valid_range_nm=(500.0, np.nan)), "finite"),
+    "range-reversed": (
+        lambda: _SELLMEIER((), (), valid_range_nm=(4000.0, 500.0)),
+        "validity range must have min_nm < max_nm",
+    ),
+    "range-empty": (lambda: _SELLMEIER((), (), valid_range_nm=(500.0, 500.0)), "min_nm"),
+    "table-index-nan": (lambda: _TABLE([700.0, 2000.0, 3000.0], [3.6, 3.5, np.nan]), "finite"),
+    "table-wavelength-nan": (lambda: _TABLE([700.0, np.nan], [3.6, 3.5]), "finite"),
+    "table-index-zero": (lambda: _TABLE([700.0, 2000.0], [3.6, 0.0]), "positive"),
+    "table-one-row": (lambda: _TABLE([700.0], [3.6]), ">= 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MATERIALS)
+def test_material_model_is_the_one_judge_of_its_parameters(case):
+    build, message = BAD_MATERIALS[case]
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -502,6 +502,14 @@ def test_pair_probabilities_identity_matrix():
     assert probs.ff == probs.bb == probs.fb == probs.bf == 0.0
 
 
+@pytest.mark.parametrize("schemes", [("xx",), ("ff", "fx"), "ff"])
+def test_pair_probabilities_refuses_unknown_schemes(schemes):
+    # A bare string is not a tuple of names: "ff" would read as ("f", "f").
+    message = r"^schemes must be names among \('ff', 'bb', 'fb', 'bf'\), got "
+    with pytest.raises(ValueError, match=message):
+        pair_probabilities(np.eye(4, dtype=complex), schemes)
+
+
 def test_pair_probabilities_zero_gain(rng):
     w = W_ZERO_GAIN
     for _ in range(100):

@@ -8,7 +8,6 @@ import pytest
 from spdc_etalon import spectra
 from spdc_etalon import (
     ConfigError,
-    EnvelopeModel,
     GeometryError,
     Mode,
     SpdcEtalonError,
@@ -980,11 +979,10 @@ def test_detection_envelope_weighting_symmetric_about_degeneracy():
 
 
 def test_envelope_model_shape():
-    env = EnvelopeModel(center_nm=1576.0, fwhm_nm=100.0, amplitude=2.0)
-    assert env(1576.0) == 2.0
-    assert env(1626.0) == pytest.approx(1.0, rel=1e-12)  # half maximum at fwhm/2
-    with pytest.raises(ValueError):
-        EnvelopeModel(center_nm=1.0, fwhm_nm=-1.0)
+    # `RunConfig.validate` owns the width and amplitude rules (test_cli).
+    assert spectra._envelope(1576.0, 1576.0, 100.0, 2.0) == 2.0
+    half = spectra._envelope(1626.0, 1576.0, 100.0, 2.0)  # half maximum at fwhm/2
+    assert half == pytest.approx(1.0, rel=1e-12)
 
 
 # ---- transmission_curve ------------------------------------------------------
