@@ -5,7 +5,7 @@ symmetric slab reaches unit Airy transmission exactly on its
 half-wave resonances, and so that the zero-gain scattering matrix of
 a lossless stack is unitary):
 
-* `interface_coeffs` returns the coefficients the etalon formulas
+* `coefficient_arrays` returns the coefficients the etalon formulas
   consume: r1, r2 are the reflections of the *internal* film wave at
   interface 1 (film -> superstrate) and interface 2 (film ->
   substrate), so a symmetric stack has r1 = r2.  t1, t2 are
@@ -16,9 +16,11 @@ a lossless stack is unitary):
   transmitted-angle cosine becomes +i |cos|, so |r| = 1 beyond the
   critical angle and fields decay outward.
 
-The per-point wrappers raise ResonancePoleError where the round-trip
-denominator vanishes and SpdcEtalonError where their result is not
-finite, with no RuntimeWarning first; the array kernels check nothing.
+The array kernels check nothing: the sweep engines mask the pixels
+they cannot evaluate.  The pump, one point per run, goes through
+`_pump_enhancement`, which raises ResonancePoleError where the
+round-trip denominator vanishes and SpdcEtalonError where its result
+is not finite, with no RuntimeWarning first.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ from .materials import POLARIZATIONS, refractive_index
 __all__ = [
     "LayerStack",
     "InterfaceCoeffs",
-    "FieldEnhancements",
-    "interface_coeffs",
-    "pump_enhancement",
-    "field_enhancements",
-    "linear_transmission",
 ]
 
 POLE_TOLERANCE = 1e-9
@@ -75,22 +72,6 @@ class InterfaceCoeffs:
     r2: complex
 
 
-@dataclass(frozen=True)
-class FieldEnhancements:
-    """Etalon enhancement factors of one down-converted mode.
-
-    a1 (forward emission) and a3 (backward emission) carry the
-    direct / once-reflected routing for the forward- and
-    backward-driven generation channels.  Evaluated on an idler mode,
-    a1 and a3 play the role of the idler factors a2 and a4.
-    """
-
-    a1p: complex
-    a1m: complex
-    a3p: complex
-    a3m: complex
-
-
 def _complex_cos(sin_sq):
     """cos(theta) from sin^2(theta), continued to +i decay above TIR."""
     return np.sqrt((1.0 + 0j) - sin_sq)
@@ -103,12 +84,11 @@ def _indices(stack, wavelength_nm):
 
 
 def coefficient_arrays(indices, trig, polarization):
-    """Flux-normalized (t1, r1, t2, r2) of the film mode: the array
-    kernel of `interface_coeffs`.
+    """Flux-normalized (t1, r1, t2, r2) of the film mode.
 
     `indices` holds (n1, n2, n3) and `trig` the (cos, sin) of the
     internal angle, scalars or arrays that broadcast.  Nothing is range
-    checked here: `interface_coeffs` resolves checked indices, and the
+    checked here: `_interface_coeffs` resolves checked indices, and the
     sweep engines mask the pixels whose indices are invalid.
     """
     n1, n2, n3 = indices
@@ -130,8 +110,9 @@ def coefficient_arrays(indices, trig, polarization):
     return t1, r1, t2, r2
 
 
-def interface_coeffs(stack, mode):
-    """Flux-normalized interface coefficients for one film mode."""
+def _interface_coeffs(stack, mode):
+    """Flux-normalized interface coefficients of the pump mode, for
+    `spectra._pump_state`."""
     indices = _indices(stack, mode.vacuum_wavelength_nm)
     theta = mode.internal_angle_rad
     t1, r1, t2, r2 = coefficient_arrays(
@@ -158,8 +139,9 @@ def _check_pole(den, what, labels, values):
     return values
 
 
-def pump_enhancement(coeffs, phase_p):
-    """Forward and backward pump amplitudes inside the film, per unit E0.
+def _pump_enhancement(coeffs, phase_p):
+    """Forward and backward pump amplitudes inside the film, per unit E0,
+    for `spectra._pump_state`.
 
     The backward amplitude is exactly the forward one after one
     reflection at interface 2 plus a single-pass phase.
@@ -172,25 +154,23 @@ def pump_enhancement(coeffs, phase_p):
 
 
 def enhancement_arrays(t1, r1, t2, r2, phase, den):
-    """(a1+, a1-, a3+, a3-) without pole checking, for sweep engines;
-    `den` is `round_trip_denominator(r1, r2, phase)`."""
+    """Etalon enhancement factors (a1+, a1-, a3+, a3-) of one
+    down-converted mode, without pole checking, for sweep engines.
+
+    a1 routes forward and a3 backward emission (a2 and a4 on an idler)
+    for the forward- (+) and backward-driven (-) generation channels;
+    `den` is `round_trip_denominator(r1, r2, phase)`.
+    """
     ph = np.exp(1j * np.asarray(phase, dtype=float))
     return t2 / den, r1 * t2 * ph / den, r2 * t1 * ph / den, t1 / den
-
-
-def field_enhancements(coeffs, phase_mode):
-    """Etalon enhancement factors of one down-converted film mode."""
-    with np.errstate(all="ignore"):
-        den = round_trip_denominator(coeffs.r1, coeffs.r2, phase_mode)
-        a = enhancement_arrays(coeffs.t1, coeffs.r1, coeffs.t2, coeffs.r2, phase_mode, den)
-    labels = ("a1+", "a1-", "a3+", "a3-")
-    return FieldEnhancements(*_check_pole(den, "field enhancement", labels, a))
 
 
 def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices):
     """Airy power transmittance |t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2.
 
-    Scalar or array wavelength/angle, with `indices` the (n1, n2, n3)
+    With flux-normalized coefficients this is the raw-amplitude formula
+    times the external flux ratio (n_out cos / n_in cos).  Scalar or
+    array wavelength/angle, with `indices` the (n1, n2, n3)
     at those wavelengths.  Returns (transmittance, round-trip
     denominator), without pole checking; callers set the errstate.
     """
@@ -200,19 +180,3 @@ def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, i
     den = round_trip_denominator(r1, r2, phi)
     trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
     return trans, den
-
-
-def linear_transmission(stack, mode):
-    """Airy power transmittance of the slab for one mode.
-
-    Computed from the flux-normalized interface coefficients, which is
-    identical to the raw-amplitude formula times the external flux
-    ratio (n_out cos / n_in cos).  Serves as a linear-optics check of
-    the Fresnel and phase machinery.
-    """
-    lam = mode.vacuum_wavelength_nm
-    with np.errstate(all="ignore"):
-        trans, den = _airy_transmission(
-            stack, lam, mode.internal_angle_rad, mode.polarization, _indices(stack, lam)
-        )
-    return float(_check_pole(den, "linear transmission", ("T",), (trans,))[0])

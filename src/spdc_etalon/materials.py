@@ -31,9 +31,7 @@ __all__ = [
     "MaterialModel",
     "Mode",
     "refractive_index",
-    "wavevector_components",
     "get_material",
-    "material_names",
 ]
 
 POLARIZATIONS = ("s", "p")
@@ -207,18 +205,6 @@ def index_with_mask(model, wavelength_nm):
     return n, valid
 
 
-def wavevector_components(mode, n):
-    """Parallel (along z) and perpendicular (in-plane) wavevector parts.
-
-    k = 2 pi n / lambda in rad/nm; the parallel component follows the
-    pump axis, the perpendicular one lies in the film plane.
-    """
-    if np.any(np.asarray(n) <= 0):
-        raise ValueError("refractive index must be positive")
-    k = 2.0 * np.pi * n / mode.vacuum_wavelength_nm
-    return k * np.cos(mode.internal_angle_rad), k * np.sin(mode.internal_angle_rad)
-
-
 # Congruent lithium niobate, Zelmon/Small/Jundt 1997 (lambda in um):
 #   n_e^2 = 1 + 2.9804 u/(u-0.02047) + 0.5981 u/(u-0.0666) + 8.9543 u/(u-416.08)
 #   n_o^2 = 1 + 2.6734 u/(u-0.01764) + 1.2290 u/(u-0.05914) + 12.614 u/(u-474.60)
@@ -274,7 +260,3 @@ def get_material(name):
             f"unknown material preset {name!r}; available: {sorted(_PRESETS)}, "
             "or use constant:/sellmeier:/tabulated: forms"
         ) from None
-
-
-def material_names():
-    return sorted(_PRESETS)

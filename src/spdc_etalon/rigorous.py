@@ -26,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, NearSingularError
-from .materials import refractive_index, wavevector_components
+from .errors import NearSingularError
 
 __all__ = [
     "InteractionParams",
     "PairProbabilities",
     "gain_term",
-    "interaction_params",
     "interaction_matrix",
     "boundary_matrices",
     "scattering_matrix",
@@ -82,38 +80,6 @@ def gain_term(beta, delta):
     """
     beta = np.asarray(beta, dtype=complex)
     return np.sqrt(beta ** 2 - np.asarray(delta, dtype=float) ** 2 / 4.0)
-
-
-def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amplitudes):
-    """Interaction strengths for one (pump, signal, idler) triple.
-
-    `pump_field_amplitudes` is the (forward, backward) pump field
-    inside the film in V/m; the caller has already enforced energy
-    conservation between the three wavelengths.  The film index is
-    used for all three waves.
-
-    Raises GeometryError when the signal or idler parallel wavevector
-    is not above KPAR_FLOOR (mode at or past grazing), where sweeps
-    mask the pixel.
-    """
-    n_p = refractive_index(stack.film, pump_mode.vacuum_wavelength_nm)
-    n_s = refractive_index(stack.film, signal_mode.vacuum_wavelength_nm)
-    n_i = refractive_index(stack.film, idler_mode.vacuum_wavelength_nm)
-    kp_par, _ = wavevector_components(pump_mode, n_p)
-    ks_par, _ = wavevector_components(signal_mode, n_s)
-    ki_par, _ = wavevector_components(idler_mode, n_i)
-    if ks_par <= KPAR_FLOOR or ki_par <= KPAR_FLOOR:
-        raise GeometryError("signal/idler parallel wavevector must be positive")
-
-    prefactor = _coupling_prefactor(
-        stack, signal_mode.vacuum_wavelength_nm, idler_mode.vacuum_wavelength_nm, ks_par, ki_par
-    )
-    e_fwd, e_bwd = pump_field_amplitudes
-    return InteractionParams(
-        beta_plus=complex(prefactor * e_fwd),
-        beta_minus=complex(prefactor * e_bwd),
-        delta=float(stack.thickness_nm * (kp_par - ks_par - ki_par)),
-    )
 
 
 def _coupling_prefactor(stack, lam_s, lam_i, ks_par, ki_par):

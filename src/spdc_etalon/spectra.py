@@ -11,8 +11,6 @@ Pixels that cannot be evaluated (material range, grazing idler,
 resonance poles, exactly singular rigorous systems, non-finite
 intermediates) are collected in an error mask instead of aborting;
 masked pixels are excluded from normalization and R-squared.
-`solve_idler` is the per-point form of the sweeps' idler matching
-(`_idler_kinematics`).
 """
 
 from __future__ import annotations
@@ -22,16 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ZeroVarianceError
+from .errors import ConfigError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
     InterfaceCoeffs,
     coefficient_arrays,
     enhancement_arrays,
-    interface_coeffs,
-    pump_enhancement,
     round_trip_denominator,
     _airy_transmission,
+    _interface_coeffs,
+    _pump_enhancement,
 )
 from .materials import Mode, index_with_mask, refractive_index
 from .rigorous import (
@@ -49,7 +47,6 @@ from .simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_p
 __all__ = [
     "SpectrumGrid",
     "GainCurvePoint",
-    "solve_idler",
     "frequency_angular_spectrum",
     "frequency_angular_spectra",
     "r_squared",
@@ -121,36 +118,6 @@ class GainCurvePoint:
     beta_over_half_delta: float
     re_gamma_plus: float
     r_squared: float
-
-
-def solve_idler(pump, signal, stack):
-    """Idler mode from energy conservation and transverse matching.
-
-    The idler frequency satisfies 1/lam_i = 1/lam_p - 1/lam_s and its
-    internal angle zeroes the transverse wavevector mismatch whenever
-    a real angle allows it (clamped to grazing otherwise).
-    """
-    if signal.vacuum_wavelength_nm <= pump.vacuum_wavelength_nm:
-        raise GeometryError(
-            "energy conservation requires the signal wavelength to exceed the "
-            "pump wavelength"
-        )
-    lam_s = signal.vacuum_wavelength_nm
-    lam_i = _idler_wavelength(pump.vacuum_wavelength_nm, lam_s)
-    k_s = 2.0 * np.pi * refractive_index(stack.film, lam_s) / lam_s
-    k_i = 2.0 * np.pi * refractive_index(stack.film, lam_i) / lam_i
-    theta_s = signal.internal_angle_rad
-    theta_i = _idler_kinematics(k_s, k_i, (np.cos(theta_s), np.sin(theta_s)))[0]
-    # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
-    # interval, the grazing pixel is masked downstream anyway.
-    limit = np.pi / 2 - 1e-12
-    theta_i = float(np.clip(theta_i, -limit, limit))
-    return Mode(
-        vacuum_wavelength_nm=float(lam_i),
-        internal_angle_rad=theta_i,
-        polarization=signal.polarization,
-        role="idler",
-    )
 
 
 def _idler_wavelength(lam_p, lam_s):
@@ -225,11 +192,11 @@ def _pump_state(config):
     stack = config.build_stack()
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
-        coeffs = interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
+        coeffs = _interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
         n_p = refractive_index(stack.film, lam_p)
         # Keep this evaluation order of L k_p: the golden outputs pin its bits.
         phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
-        e_fwd, e_bwd = pump_enhancement(coeffs, phi_p)
+        e_fwd, e_bwd = _pump_enhancement(coeffs, phi_p)
     return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
 
 

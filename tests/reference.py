@@ -1,15 +1,15 @@
 """Independent oracles: the scalar formulas as first written.
 
-The library's scalar functions are thin wrappers over the array kernels
-of the sweep engine.  The bodies below are copies of the scalar
-implementations from before that merge, so tests that compare a sweep
-with a point-by-point composition still compare two separate
-implementations of each formula.  Do not route them through the
-library's kernels.
+The library computes every formula only in the array kernels of its
+sweep engine.  The bodies below are copies of the scalar
+implementations from before those kernels, so tests that compare a
+sweep or a kernel with a point-by-point composition still compare two
+separate implementations of each formula.  Do not route them through
+the library's kernels.
 
-One edit against the originals: `filter_function` reads the idler's
-forward/backward factors as `a1*`/`a3*`, because the `a2*`/`a4*` alias
-properties of `FieldEnhancements` were removed.
+One edit against the originals: `filter_function` takes each mode's
+enhancement factors as the (a1+, a1-, a3+, a3-) tuple that the
+library's `enhancement_arrays` returns, read as a2/a4 on the idler.
 
 `scattering_matrix` is the generic form of the library's structured
 kernel: it multiplies the full 4x4 matrices through BLAS, so it is the
@@ -22,10 +22,11 @@ entries each).
 numerically, so it checks the interaction matrix's closed form without
 sharing any of it.
 
-`fresnel`, `propagation_phase` and `low_gain_interaction_matrix` were
-public library functions that no model ran; they live on here as
-independent references (textbook single-interface coefficients, the
-single-pass phase L k_parallel, and the first-order interaction
+`fresnel`, `propagation_phase`, `wavevector_components` and
+`low_gain_interaction_matrix` were public library functions; they live
+on here as independent references (textbook single-interface
+coefficients, the single-pass phase L k_parallel, the wavevector's
+(parallel, perpendicular) parts and the first-order interaction
 matrix).  `interface_coeffs` is written here from `fresnel`.
 `interaction_params` keeps the full record the library's
 `InteractionParams` once carried, as an `InteractionRecord`.
@@ -49,9 +50,7 @@ from spdc_etalon import (
     PairProbabilities,
     ResonancePoleError,
     gain_term,
-    interface_coeffs,
     refractive_index,
-    wavevector_components,
 )
 from spdc_etalon.layerstack import POLE_TOLERANCE, coefficient_arrays, round_trip_denominator
 from spdc_etalon.rigorous import CONDITION_LIMIT, KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
@@ -109,6 +108,12 @@ def interface_coeffs(stack, mode):
         c_out = _complex_cos((n * np.sin(theta) / n_out) ** 2)
         coeffs += [t * np.sqrt(n_out * c_out / (n * np.cos(theta))), r]
     return InterfaceCoeffs(*(complex(c) for c in coeffs))
+
+
+def wavevector_components(mode, n):
+    """(parallel, perpendicular) parts of k = 2 pi n / lambda, in rad/nm."""
+    k = 2.0 * np.pi * n / mode.vacuum_wavelength_nm
+    return k * np.cos(mode.internal_angle_rad), k * np.sin(mode.internal_angle_rad)
 
 
 def propagation_phase(stack, mode):
@@ -282,24 +287,22 @@ def low_gain_interaction_matrix(params):
 def filter_function(scheme, beta_plus, beta_minus, signal_enh, idler_enh):
     """Etalon filter S for one collection scheme.
 
-    `signal_enh` and `idler_enh` are FieldEnhancements evaluated on the
-    signal and idler mode respectively.  The forward/backward pump
-    amplitudes enter conjugated so that S matches the low-gain limit
-    of the rigorous model (for real pump enhancement the conjugation
-    is a no-op).
+    `signal_enh` and `idler_enh` are the (a1+, a1-, a3+, a3-) etalon
+    factors of the signal and idler mode respectively.  The
+    forward/backward pump amplitudes enter conjugated so that S matches
+    the low-gain limit of the rigorous model (for real pump enhancement
+    the conjugation is a no-op).
     """
+    a1p, a1m, a3p, a3m = signal_enh
+    b1p, b1m, b3p, b3m = idler_enh
     if scheme == "ff":
-        plus = signal_enh.a1p * idler_enh.a1p
-        minus = signal_enh.a1m * idler_enh.a1m
+        plus, minus = a1p * b1p, a1m * b1m
     elif scheme == "bb":
-        plus = signal_enh.a3p * idler_enh.a3p
-        minus = signal_enh.a3m * idler_enh.a3m
+        plus, minus = a3p * b3p, a3m * b3m
     elif scheme == "fb":
-        plus = signal_enh.a1p * idler_enh.a3p
-        minus = signal_enh.a1m * idler_enh.a3m
+        plus, minus = a1p * b3p, a1m * b3m
     elif scheme == "bf":
-        plus = signal_enh.a3p * idler_enh.a1p
-        minus = signal_enh.a3m * idler_enh.a1m
+        plus, minus = a3p * b1p, a3m * b1m
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")
     amp = np.conj(beta_plus) * plus + np.conj(beta_minus) * minus

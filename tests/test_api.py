@@ -1,4 +1,4 @@
-"""The public surface, and the scalar API against the independent oracles."""
+"""The public surface, and the array kernels against the independent oracles."""
 
 import dataclasses
 import importlib
@@ -12,29 +12,20 @@ import reference
 import spdc_etalon
 from conftest import config_text
 from spdc_etalon import (
-    FieldEnhancements,
-    GeometryError,
     InteractionParams,
-    LayerStack,
-    MaterialModel,
     Mode,
-    field_enhancements,
-    filter_function,
     gain_term,
-    get_material,
-    interaction_params,
-    interface_coeffs,
-    linear_transmission,
-    nonresonant_probability,
     pair_probabilities,
-    pump_enhancement,
-    solve_idler,
+    parse_config,
+    spectra,
 )
+from spdc_etalon.layerstack import _airy_transmission, _interface_coeffs, enhancement_arrays
+from spdc_etalon.simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
+from test_spectra import kernel_idler
 
 # Every public name.  A change to the surface is a change to this list.
 PUBLIC_NAMES = [
     "ConfigError",
-    "FieldEnhancements",
     "GainCurvePoint",
     "GeometryError",
     "InteractionParams",
@@ -55,39 +46,29 @@ PUBLIC_NAMES = [
     "boundary_matrices",
     "compare_grids",
     "detection_spectrum",
-    "field_enhancements",
-    "filter_function",
     "frequency_angular_spectra",
     "frequency_angular_spectrum",
     "gain_and_agreement_curve",
     "gain_term",
     "get_material",
     "interaction_matrix",
-    "interaction_params",
-    "interface_coeffs",
-    "linear_transmission",
     "material_from_spec",
-    "material_names",
-    "nonresonant_probability",
     "pair_probabilities",
     "parse_config",
-    "pump_enhancement",
     "r_squared",
     "refractive_index",
     "scattering_matrix",
     "serialize_config",
-    "solve_idler",
     "transmission_curve",
-    "wavevector_components",
 ]
 
-# The wrappers share the sweep's evaluation order, the oracles keep the
-# first scalar one; they may differ by a few rounding steps only.
+# The kernels keep the sweep's evaluation order, the oracles the first
+# scalar one; they may differ by a few rounding steps only.
 REL = 1e-13
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(spdc_etalon.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdc_etalon, name) is not None
@@ -122,108 +103,146 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
-def _stacks():
-    air = get_material("air")
-    film = get_material("linbo3_e")
-    yield LayerStack(air, film, get_material("silicon"), 10150.0, chi2_pm_per_v=30.0)
-    yield LayerStack(get_material("silicon"), film, air, 5123.7, chi2_pm_per_v=25.0)
-    yield LayerStack(MaterialModel.constant(1.4), film, MaterialModel.constant(1.9), 733.3)
+# (superstrate, film, substrate, thickness_um, chi2_pm_per_v) of each stack.
+STACKS = (
+    ("air", "linbo3_e", "silicon", 10.15, 30.0),
+    ("silicon", "linbo3_e", "air", 5.1237, 25.0),
+    ("constant:1.4", "linbo3_e", "constant:1.9", 0.7333, 0.0),
+)
 
 
 def _pixels(rng, count=40):
-    for stack in _stacks():
+    """(config, pump, signal) on each stack: a random pump wavelength,
+    polarization and field on the chi2/field route, and a random signal."""
+    text = config_text().replace("beta_plus = 1e-3", "field_v_per_m = 1e7")
+    base = parse_config(text.replace("thickness_um", "chi2_pm_per_v = 1.0\nthickness_um"))
+    for superstrate, film, substrate, thickness_um, chi2 in STACKS:
         for _ in range(count):
             lam_p = rng.uniform(700.0, 900.0)
             lam_s = rng.uniform(1.3, 2.7) * lam_p
-            pol = rng.choice(["s", "p"])
-            yield stack, Mode(lam_p, 0.0, pol, "pump"), Mode(lam_s, rng.uniform(-0.4, 0.4), pol)
+            pol = str(rng.choice(["s", "p"]))
+            cfg = dataclasses.replace(
+                base,
+                superstrate=superstrate,
+                film=film,
+                substrate=substrate,
+                thickness_um=thickness_um,
+                chi2_pm_per_v=chi2,
+                pump_wavelength_nm=lam_p,
+                pump_field_v_per_m=rng.normal() * 1e8,
+                polarization=pol,
+            ).validate()
+            yield cfg, Mode(lam_p, 0.0, pol, "pump"), Mode(lam_s, rng.uniform(-0.4, 0.4), pol)
+
+
+def _batch(cfg, signal):
+    """The sweep's kinematics batch of the one pixel `signal`."""
+    lam, theta = np.array([signal.vacuum_wavelength_nm]), np.array([signal.internal_angle_rad])
+    with np.errstate(all="ignore"):
+        return spectra._build_batch(cfg, lam, theta, 0, 1, spectra._pump_state(cfg))
+
+
+def _grazing(idler):
+    """Whether the oracle clamped the idler to grazing (the sweep masks it)."""
+    return abs(idler.internal_angle_rad) == np.pi / 2 - 1e-12
 
 
 def test_solve_idler_matches_oracle(rng):
-    for stack, pump, signal in _pixels(rng):
-        mine = solve_idler(pump, signal, stack)
+    for cfg, pump, signal in _pixels(rng):
+        stack = cfg.build_stack()
         ref = reference.solve_idler(pump, signal, stack)
-        assert mine.vacuum_wavelength_nm == ref.vacuum_wavelength_nm
-        assert mine.internal_angle_rad == pytest.approx(ref.internal_angle_rad, rel=REL)
-        assert (mine.polarization, mine.role) == (ref.polarization, ref.role)
+        lam_i, theta_i, _ = kernel_idler(
+            stack.film, pump.vacuum_wavelength_nm, signal.vacuum_wavelength_nm,
+            signal.internal_angle_rad,
+        )
+        assert lam_i == ref.vacuum_wavelength_nm
+        if _grazing(ref):
+            assert abs(theta_i) == np.pi / 2
+        else:
+            assert theta_i == pytest.approx(ref.internal_angle_rad, rel=REL)
 
 
 def test_interaction_params_matches_oracle(rng):
     grazing = 0
-    for stack, pump, signal in _pixels(rng):
+    for cfg, pump, signal in _pixels(rng):
+        stack = cfg.build_stack()
+        batch = _batch(cfg, signal)
         idler = reference.solve_idler(pump, signal, stack)
-        fields = (rng.normal() * 1e8 + 1j * rng.normal() * 1e8, rng.normal() * 1e7)
-        if abs(idler.internal_angle_rad) == np.pi / 2 - 1e-12:
-            # Clamped to grazing: masked by sweeps, rejected here.
+        if _grazing(idler):
             grazing += 1
-            with pytest.raises(GeometryError):
-                interaction_params(stack, pump, signal, idler, fields)
+            assert batch.mask[0]
             continue
-        mine = interaction_params(stack, pump, signal, idler, fields)
+        fields = tuple(cfg.pump_field_v_per_m * e for e in batch.pump_amplitudes)
         ref = reference.interaction_params(stack, pump, signal, idler, fields)
-        for key in ("beta_plus", "beta_minus"):
-            assert getattr(mine, key) == pytest.approx(getattr(ref, key), rel=REL)
+        beta_p, beta_m, delta = batch.beta_p[0], batch.beta_m[0], batch.delta[0]
+        assert beta_p == pytest.approx(ref.beta_plus, rel=REL)
+        assert beta_m == pytest.approx(ref.beta_minus, rel=REL)
         # The library carries no gain terms or wavevector mismatches:
-        # gamma is gain_term(beta, delta), and delta is L dk_par.
-        assert gain_term(mine.beta_plus, mine.delta) == pytest.approx(ref.gamma_plus, rel=REL)
-        assert gain_term(mine.beta_minus, mine.delta) == pytest.approx(ref.gamma_minus, rel=REL)
-        assert mine.delta == ref.delta == stack.thickness_nm * ref.delta_k_par
+        # gamma is gain_term(beta, delta), and delta is L dk_par.  The
+        # signed zeros of a zero beta pick the square-root branch, which
+        # w does not see.
+        for beta, gamma in ((beta_p, ref.gamma_plus), (beta_m, ref.gamma_minus)):
+            branches = (gamma, -gamma) if beta == 0 else (gamma,)
+            mine = gain_term(beta, delta)
+            assert any(mine == pytest.approx(g, rel=REL) for g in branches)
+        assert delta == ref.delta == stack.thickness_nm * ref.delta_k_par
     assert 0 < grazing < 20
 
 
 def test_interface_coeffs_match_fresnel_oracle(rng):
-    for stack, pump, signal in _pixels(rng):
-        for mode in (pump, signal):
-            mine = interface_coeffs(stack, mode)
-            ref = reference.interface_coeffs(stack, mode)
-            for key in ("t1", "r1", "t2", "r2"):
-                assert getattr(mine, key) == pytest.approx(getattr(ref, key), rel=REL)
+    for cfg, pump, signal in _pixels(rng):
+        stack = cfg.build_stack()
+        batch = _batch(cfg, signal)
+        cases = [
+            (dataclasses.astuple(_interface_coeffs(stack, pump)), pump),
+            (tuple(c[0] for c in batch.coeffs_s), signal),
+        ]
+        if not batch.mask[0]:
+            idler = reference.solve_idler(pump, signal, stack)
+            cases.append((tuple(c[0] for c in batch.coeffs_i), idler))
+        for mine, mode in cases:
+            ref = dataclasses.astuple(reference.interface_coeffs(stack, mode))
+            assert mine == pytest.approx(ref, rel=REL)
 
 
 def test_etalon_scalars_match_oracles(rng):
-    for stack, pump, signal in _pixels(rng):
-        coeffs = interface_coeffs(stack, pump)
-        phi = reference.propagation_phase(stack, pump)
-        for mine, ref in zip(
-            pump_enhancement(coeffs, phi), reference.pump_enhancement(coeffs, phi)
-        ):
-            assert mine == pytest.approx(ref, rel=REL)
-        assert linear_transmission(stack, signal) == pytest.approx(
-            reference.linear_transmission(stack, signal), rel=REL
-        )
+    for cfg, pump, signal in _pixels(rng):
+        stack = cfg.build_stack()
+        coeffs = reference.interface_coeffs(stack, pump)
+        ref = reference.pump_enhancement(coeffs, reference.propagation_phase(stack, pump))
+        assert spectra._pump_state(cfg)[:2] == pytest.approx(ref, rel=REL)
+        lam, theta = signal.vacuum_wavelength_nm, signal.internal_angle_rad
+        indices, _ = spectra._masked_indices(stack, lam)
+        trans, _ = _airy_transmission(stack, lam, theta, signal.polarization, indices)
+        assert trans == pytest.approx(reference.linear_transmission(stack, signal), rel=REL)
 
 
 def test_phase_matching_matches_oracle(rng):
     dk_par = rng.normal(scale=1e-3, size=500)
     dk_perp = rng.normal(scale=5e-4, size=500)
     for thickness, waist in ((10150.0, 5.0), (733.3, 0.8)):
-        mine = nonresonant_probability(dk_par, dk_perp, thickness, waist)
+        mine = _nonresonant(thickness * dk_par, _pump_profile(dk_perp, waist))
         ref = reference.nonresonant_probability(dk_par, dk_perp, thickness, waist)
         assert np.array_equal(mine, ref)
 
 
 def test_filter_function_matches_oracle(rng):
-    for stack, pump, signal in _pixels(rng, count=10):
-        idler = reference.solve_idler(pump, signal, stack)
-        if abs(idler.internal_angle_rad) > 0.4:
+    for cfg, _pump, signal in _pixels(rng, count=10):
+        batch = _batch(cfg, signal)
+        if batch.mask[0]:
             continue  # beyond the critical angle: |r| = 1 can hit a pole
-        enh_s, enh_i = (
-            field_enhancements(
-                interface_coeffs(stack, mode), reference.propagation_phase(stack, mode)
-            )
-            for mode in (signal, idler)
-        )
+        enh_s = enhancement_arrays(*batch.coeffs_s, batch.phi_s, batch.den_s)
+        enh_i = enhancement_arrays(*batch.coeffs_i, batch.phi_i, batch.den_i)
         beta_p, beta_m = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
         for scheme in reference.SCHEMES:
-            assert filter_function(scheme, beta_p, beta_m, enh_s, enh_i) == (
-                reference.filter_function(scheme, beta_p, beta_m, enh_s, enh_i)
-            )
+            mine = _filter_strength(beta_p, beta_m, *_scheme_products(scheme, enh_s, enh_i))
+            ref = reference.filter_function(scheme, beta_p, beta_m, enh_s, enh_i)
+            assert np.array_equal(mine, ref)
 
 
 def test_filter_function_scheme_routes():
     # Distinct factors per mode, so each scheme's pairing shows.
-    signal = FieldEnhancements(a1p=2.0, a1m=3.0, a3p=5.0, a3m=7.0)
-    idler = FieldEnhancements(a1p=11.0, a1m=13.0, a3p=17.0, a3m=19.0)
+    signal, idler = (2.0, 3.0, 5.0, 7.0), (11.0, 13.0, 17.0, 19.0)
     expected = {
         "ff": 2 * 11 + 3 * 13,
         "bb": 5 * 17 + 7 * 19,
@@ -231,11 +250,10 @@ def test_filter_function_scheme_routes():
         "bf": 5 * 11 + 7 * 13,
     }
     for scheme, amp in expected.items():
-        assert filter_function(scheme, 1.0, 1.0, signal, idler) == amp ** 2
+        assert _filter_strength(1.0, 1.0, *_scheme_products(scheme, signal, idler)) == amp ** 2
     # The pump amplitudes enter conjugated: conj(i) * 1 + conj(1) * i = 0.
-    signal = FieldEnhancements(a1p=1.0, a1m=1j, a3p=0.0, a3m=0.0)
-    idler = FieldEnhancements(a1p=1.0, a1m=1.0, a3p=0.0, a3m=0.0)
-    assert filter_function("ff", 1j, 1.0, signal, idler) == 0.0
+    products = _scheme_products("ff", (1.0, 1j, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+    assert _filter_strength(1j, 1.0, *products) == 0.0
 
 
 def test_pair_probabilities_match_oracle_bitwise(rng):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -598,7 +599,7 @@ def test_transmission_command(tmp_path):
 def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     # Silicon ends at 4000 nm: those rows are masked like `spectrum` masks
     # its pixels, the rest equal the range-checked Airy transmittance.
-    from spdc_etalon import MaterialRangeError, Mode, linear_transmission
+    from spdc_etalon import MaterialRangeError
     from spdc_etalon.layerstack import POLE_TOLERANCE, _airy_transmission, _indices
 
     cfg_path = write_config(tmp_path, config_text(lambda_max_nm=4500.0, lambda_count=301))
@@ -620,7 +621,7 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     assert np.all(trans[masked] == 0.0)
     assert np.array_equal(trans[~masked], np.array([float(f"{t:.9g}") for t in ref[~pole]]))
     with pytest.raises(MaterialRangeError):
-        linear_transmission(stack, Mode(4500.0, 0.0))
+        _indices(stack, 4500.0)
 
 
 def test_detection_command(tmp_path):
@@ -1312,3 +1313,105 @@ def test_scheme_subset_columns(tmp_path):
     )
     header_data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert header_data[0].split(",") == ["lambda_nm", "theta_deg", "ff", "bb", "masked"]
+
+
+# ---- seeded property test of the input rules --------------------------------
+
+# What the property test draws each config key from: (usual values,
+# hostile values).  Usual values vary the physics (stacks, thicknesses,
+# waists, 2-point grids, grazing angles, complex and negative beta);
+# hostile ones (a 1e308 index, zero thickness, a negative waist, a pump
+# outside every material range, a 1e12 beta) are drawn one time in ten.
+PROPERTY_KEYS = {
+    ("stack", "superstrate"): (("air", "silicon", "linbo3_o", "constant:1.5"), ("constant:1e308",)),
+    ("stack", "film"): (("linbo3_e", "linbo3_o", "silicon", "constant:2.2"), ("constant:1e308",)),
+    ("stack", "substrate"): (("air", "silicon", "linbo3_e", "constant:3.4"), ("constant:1e308",)),
+    ("stack", "thickness_um"): (("1e-3", "0.4", "10.15", "5e4"), ("0",)),
+    ("pump", "wavelength_nm"): (("775", "788", "1064"), ("300", "1e4")),
+    ("pump", "waist_um"): (("1e-3", "5.0", "1e5"), ("-1",)),
+    ("grid", "lambda_min_nm"): (("450", "1100", "1500"), ()),
+    ("grid", "lambda_max_nm"): (("1600", "2400", "6000"), ()),
+    ("grid", "lambda_count"): (("2", "9"), ()),
+    ("grid", "theta_min_rad"): (("-1.5707963267948966", "-0.5", "0.0"), ()),
+    ("grid", "theta_max_rad"): (("0.3", "1.5707963267948966"), ()),
+    ("grid", "theta_count"): (("2", "5"), ()),
+    ("model", "kind"): (MODELS, ()),
+    ("model", "polarization"): (POLARIZATIONS, ()),
+    ("gain_curve", "count"): (("2", "3"), ()),
+}
+# The pump strength: a direct beta, or (chi2, field) of the chi2/field route.
+PROPERTY_BETAS = (("1e-3", "-0.5", "0.3+0.4j", "2"), ("1e12", "-1e-300"))
+PROPERTY_CHI2_FIELDS = ((("30", "5e7"), ("-5", "5e7")), (("1e6", "1e20"),))
+PROPERTY_DETECTION = {
+    "envelope_center_nm": (("1576", "3000"), ()),
+    "envelope_fwhm_nm": (("1", "400"), ()),
+    "efficiency_ratio": (("0.4", "1e300"), ()),
+    "scheme": (DETECTION_SCHEMES, ()),
+}
+# Seed and size: 30 configs x the 5 commands, well under a second.
+PROPERTY_SEED, PROPERTY_CONFIGS = 20261019, 30
+
+
+def _property_config(rng):
+    """One random config text drawn from the tables above."""
+
+    def pick(values):
+        usual, hostile = values
+        options = hostile if hostile and rng.random() < 0.1 else usual
+        return options[rng.integers(len(options))]
+
+    sections = {}
+    for (section, key), values in PROPERTY_KEYS.items():
+        sections.setdefault(section, {})[key] = pick(values)
+    sections["model"]["schemes"] = ",".join(rng.permutation(SCHEMES)[: rng.integers(1, 5)])
+    if rng.random() < 0.5:
+        sections["pump"]["beta_plus"] = pick(PROPERTY_BETAS)
+    else:
+        chi2, field = pick(PROPERTY_CHI2_FIELDS)
+        sections["stack"]["chi2_pm_per_v"] = chi2
+        sections["pump"]["field_v_per_m"] = field
+    if rng.random() < 0.5:
+        sections["detection"] = {key: pick(values) for key, values in PROPERTY_DETECTION.items()}
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for section, keys in sections.items()
+    )
+
+
+def test_random_configs_end_in_exit_0_2_or_3(tmp_path, capsys):
+    # Every command on every config exits 0, 2 (config) or 3 (numerical),
+    # with warnings as errors.  A failing run prints one stderr line and
+    # leaves no output or .part file; a written table holds 0 on every
+    # masked row, and a spectrum or compare grid peaks at exactly 1.
+    rng = np.random.default_rng(PROPERTY_SEED)
+    codes = Counter()
+    for i in range(PROPERTY_CONFIGS):
+        text = _property_config(rng)
+        for command in COMMANDS:
+            work = tmp_path / f"{i}-{command}"
+            work.mkdir()
+            argv = [command, "--config", str(write_config(work, text)), "--out", str(work / "out.csv")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            err = capsys.readouterr().err
+            codes[code] += 1
+            case = f"{command} exited {code} on\n{text}{err}"
+            assert code in (0, 2, 3), case
+            written = sorted(p.name for p in work.iterdir() if p.name != "run.ini")
+            if code:
+                assert err.count("\n") == 1 and err.endswith("\n"), case
+                assert written == [], case
+                continue
+            assert err == "" and not any(name.endswith(".part") for name in written), case
+            for name in written:
+                if command == "gain-curve" or name.endswith("_summary.csv"):
+                    continue  # no masked column
+                columns, data = load_data(work / name)
+                values = data[:, [c not in ("lambda_nm", "theta_deg", "masked") for c in columns]]
+                assert np.all(values[data[:, -1] == 1] == 0.0), case
+                assert np.all(np.isfinite(values)), case
+                if command in ("spectrum", "compare"):
+                    assert values.max() == 1.0, case
+    # The draws reach every outcome.
+    assert all(codes[code] for code in (0, 2, 3)), codes

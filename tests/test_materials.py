@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from reference import wavevector_components
 from spdc_etalon import (
+    ConfigError,
     MaterialModel,
     MaterialRangeError,
     Mode,
     get_material,
-    material_names,
     refractive_index,
-    wavevector_components,
 )
 
 # Independently evaluated (50-digit arithmetic) from the published
@@ -109,10 +111,9 @@ def test_silicon_preset_is_tabulated_and_sane():
 
 
 def test_presets_registry():
-    assert material_names() == ["air", "linbo3_e", "linbo3_o", "silicon"]
-    from spdc_etalon import ConfigError
-
-    with pytest.raises(ConfigError):
+    names = ["air", "linbo3_e", "linbo3_o", "silicon"]
+    assert [get_material(name).name for name in names] == names
+    with pytest.raises(ConfigError, match=re.escape(f"available: {names}")):
         get_material("unobtainium")
 
 

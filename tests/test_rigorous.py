@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import config_text
 from spdc_etalon import (
     InteractionParams,
     InterfaceCoeffs,
@@ -10,9 +11,10 @@ from spdc_etalon import (
     boundary_matrices,
     gain_term,
     interaction_matrix,
-    interaction_params,
     pair_probabilities,
+    parse_config,
     scattering_matrix,
+    spectra,
 )
 
 
@@ -40,41 +42,40 @@ def reference_block(beta, delta, gamma_sign=1.0):
     )
 
 
-# ---- interaction_params ---------------------------------------------------
+# ---- interaction strengths of the chi2/field route ------------------------
 
 
-def test_interaction_params_no_pump(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
-    signal = Mode(1576.0, 0.0)
-    idler = Mode(1576.0, 0.0, role="idler")
-    p = interaction_params(experiment_stack, pump, signal, idler, (0.0, 0.0))
-    assert p.beta_plus == 0.0 and p.beta_minus == 0.0
+def _chi2_pixel(field_v_per_m, lam_s, theta_s):
+    """The sweep's kinematics batch of one pixel of the experiment stack
+    on the chi2/field route (chi2 = 30 pm/V)."""
+    text = config_text().replace("beta_plus = 1e-3", f"field_v_per_m = {field_v_per_m!r}")
+    cfg = parse_config(text.replace("thickness_um", "chi2_pm_per_v = 30.0\nthickness_um"))
+    lams, thetas = np.array([lam_s]), np.array([theta_s])
+    with np.errstate(all="ignore"):
+        return spectra._build_batch(cfg, lams, thetas, 0, 1, spectra._pump_state(cfg))
+
+
+def test_interaction_params_no_pump():
+    p = _chi2_pixel(0.0, 1576.0, 0.0)
+    assert p.beta_p[0] == 0.0 and p.beta_m[0] == 0.0
     # gamma is a square-root branch of -delta^2/4.
-    assert gain_term(p.beta_plus, p.delta) ** 2 == pytest.approx(-p.delta ** 2 / 4.0, rel=1e-12)
+    gamma = gain_term(p.beta_p[0], p.delta[0])
+    assert gamma ** 2 == pytest.approx(-p.delta[0] ** 2 / 4.0, rel=1e-12)
 
 
-def test_interaction_params_linear_in_field(experiment_stack):
-    from dataclasses import replace
-
-    stack = replace(experiment_stack, chi2_pm_per_v=30.0)
-    pump = Mode(788.0, 0.0, role="pump")
-    signal = Mode(1500.0, 0.1)
-    idler = Mode(1659.0, -0.09, role="idler")
-    p1 = interaction_params(stack, pump, signal, idler, (2e7, 1e7))
-    p2 = interaction_params(stack, pump, signal, idler, (4e7, 2e7))
-    assert p2.beta_plus == pytest.approx(2.0 * p1.beta_plus, rel=1e-14)
-    assert p2.beta_minus == pytest.approx(2.0 * p1.beta_minus, rel=1e-14)
-    assert p2.delta == p1.delta
+def test_interaction_params_linear_in_field():
+    p1 = _chi2_pixel(2e7, 1500.0, 0.1)
+    p2 = _chi2_pixel(4e7, 1500.0, 0.1)
+    assert p2.beta_p[0] == pytest.approx(2.0 * p1.beta_p[0], rel=1e-14)
+    assert p2.beta_m[0] == pytest.approx(2.0 * p1.beta_m[0], rel=1e-14)
+    assert p2.delta[0] == p1.delta[0]
 
 
-def test_interaction_params_degenerate_delta_frozen(experiment_stack):
+def test_interaction_params_degenerate_delta_frozen():
     # L (k_p - 2 k_s) at the degenerate collinear point, evaluated
     # independently from the published Sellmeier coefficients.
-    pump = Mode(788.0, 0.0, role="pump")
-    signal = Mode(1576.0, 0.0)
-    idler = Mode(1576.0, 0.0, role="idler")
-    p = interaction_params(experiment_stack, pump, signal, idler, (0.0, 0.0))
-    assert p.delta == pytest.approx(3.2383322404438462, rel=1e-12)
+    p = _chi2_pixel(0.0, 1576.0, 0.0)
+    assert p.delta[0] == pytest.approx(3.2383322404438462, rel=1e-12)
 
 
 def test_gain_invariant_random(rng):
@@ -210,7 +211,7 @@ def test_scattering_matrix_transparent_slab():
 
 def _linear_boundaries(rng):
     """Random lossless sub-TIR interface coefficients and phases."""
-    from spdc_etalon import LayerStack, MaterialModel, interface_coeffs
+    from spdc_etalon import LayerStack, MaterialModel
 
     n1 = rng.uniform(1.0, 4.0)
     n2 = rng.uniform(1.0, 4.0)
@@ -224,7 +225,7 @@ def _linear_boundaries(rng):
     cap = np.arcsin(min(min(n1, n3) / n2, 1.0)) - 1e-6
     theta = rng.uniform(0.0, cap)
     mode = Mode(rng.uniform(900.0, 2400.0), theta)
-    coeffs = interface_coeffs(stack, mode)
+    coeffs = reference.interface_coeffs(stack, mode)
     return coeffs, reference.propagation_phase(stack, mode)
 
 
@@ -395,8 +396,7 @@ SWEEP_CONFIGS = {
 
 @pytest.mark.parametrize("name", list(SWEEP_CONFIGS))
 def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
-    from conftest import config_text
-    from spdc_etalon import frequency_angular_spectrum, parse_config, spectra
+    from spdc_etalon import frequency_angular_spectrum
 
     cfg = parse_config(SWEEP_CONFIGS[name](config_text(lambda_count=64, theta_count=48)))
     monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", 1000)
@@ -451,9 +451,6 @@ def _sweep_block(m, scales):
     """(beta+, beta-) as (jobs, m), delta as (m,) and the (m, 4)
     boundary entries of the first m unmasked pixels of a gain-curve
     batch, as `_eval_rigorous` forms them."""
-    from conftest import config_text
-    from spdc_etalon import parse_config, spectra
-
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
     lams = cfg.signal_wavelengths()
     with np.errstate(all="ignore"):

@@ -1,20 +1,25 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+import reference
+from conftest import config_text
 from reference import dense_interaction_matrix, low_gain_interaction_matrix, propagation_phase
 from spdc_etalon import (
-    FieldEnhancements,
+    ConfigError,
     InteractionParams,
+    LayerStack,
     Mode,
     boundary_matrices,
-    field_enhancements,
-    filter_function,
+    get_material,
     interaction_matrix,
-    interface_coeffs,
-    nonresonant_probability,
     pair_probabilities,
+    parse_config,
     scattering_matrix,
 )
+from spdc_etalon.layerstack import enhancement_arrays, round_trip_denominator
+from spdc_etalon.simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
 
 
 def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
@@ -22,27 +27,30 @@ def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
 
 
 def test_nonresonant_perfect_phase_matching():
-    assert nonresonant_probability(0.0, 0.0, 10150.0, 5.0) == 1.0
+    assert _nonresonant(0.0, _pump_profile(0.0, 5.0)) == 1.0
 
 
 def test_nonresonant_first_sinc_zero():
     dk = 2.0 * np.pi / 10150.0  # dk L / 2 = pi
-    assert nonresonant_probability(dk, 0.0, 10150.0, 5.0) == pytest.approx(0.0, abs=1e-30)
+    assert _nonresonant(dk * 10150.0, _pump_profile(0.0, 5.0)) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_nonresonant_pump_factor_frozen():
     # dk_perp = 2 / w puts the Gaussian factor at exp(-2).
     waist_um = 5.0
     dk_perp = 2.0 / (waist_um * 1e3)
-    p = nonresonant_probability(0.0, dk_perp, 10150.0, waist_um)
+    p = _nonresonant(0.0, _pump_profile(dk_perp, waist_um))
     assert p == pytest.approx(0.13533528323661271, rel=1e-12)
 
 
 def test_nonresonant_validates_inputs():
+    # The kernel checks nothing: the stack refuses a thickness and the
+    # config a waist that is not positive.
+    air = get_material("air")
     with pytest.raises(ValueError):
-        nonresonant_probability(0.0, 0.0, -1.0, 5.0)
-    with pytest.raises(ValueError):
-        nonresonant_probability(0.0, 0.0, 10.0, 0.0)
+        LayerStack(air, air, air, -1.0)
+    with pytest.raises(ConfigError, match="^pump.waist_um: must be positive"):
+        parse_config(config_text().replace("waist_um = 5.0", "waist_um = 0.0"))
 
 
 def test_low_gain_matrix_identity_at_zero():
@@ -74,47 +82,48 @@ def test_low_gain_matches_full_matrix_at_small_beta():
 
 
 def test_filter_function_no_etalon_collapse():
-    enh = FieldEnhancements(a1p=1.0, a1m=0.0, a3p=0.0, a3m=1.0)
+    enh = (1.0, 0.0, 0.0, 1.0)
     beta = 2e-3
-    assert filter_function("ff", beta, 0.0, enh, enh) == pytest.approx(beta ** 2, rel=1e-15)
-    for scheme in ("bb", "fb", "bf"):
-        assert filter_function(scheme, beta, 0.0, enh, enh) == pytest.approx(0.0, abs=1e-30)
+    for scheme, expected in (("ff", beta ** 2), ("bb", 0.0), ("fb", 0.0), ("bf", 0.0)):
+        s = _filter_strength(beta, 0.0, *_scheme_products(scheme, enh, enh))
+        assert s == pytest.approx(expected, rel=1e-15, abs=1e-30)
 
 
 def test_filter_function_zero_betas():
-    enh = FieldEnhancements(a1p=1.2, a1m=0.3, a3p=0.4, a3m=0.9)
+    enh = (1.2, 0.3, 0.4, 0.9)
     for scheme in ("ff", "bb", "fb", "bf"):
-        assert filter_function(scheme, 0.0, 0.0, enh, enh) == 0.0
+        assert _filter_strength(0.0, 0.0, *_scheme_products(scheme, enh, enh)) == 0.0
 
 
 def test_filter_function_rejects_unknown_scheme():
-    enh = FieldEnhancements(a1p=1.0, a1m=0.0, a3p=0.0, a3m=1.0)
-    with pytest.raises(ValueError):
-        filter_function("xx", 1.0, 0.0, enh, enh)
+    # An unknown scheme never reaches the filter kernel: the config
+    # refuses it.
+    with pytest.raises(ConfigError, match="^model.schemes: entries must be among"):
+        parse_config(config_text() + "\n[model]\nschemes = ff, xx\n")
 
 
 def _point_prediction(stack, lam_s, theta_s, beta_scale):
     """Simplified emission assembled op by op at one grid point."""
     from reference import (
         filter_function,
+        interface_coeffs,
         nonresonant_probability,
         pump_enhancement,
         simplified_probability,
         solve_idler,
+        wavevector_components,
     )
+    from spdc_etalon import refractive_index
 
     pump = Mode(788.0, 0.0, role="pump", polarization="s")
     signal = Mode(lam_s, theta_s)
     idler = solve_idler(pump, signal, stack)
 
-    phi_p = propagation_phase(stack, pump)
     phi_s = propagation_phase(stack, signal)
     phi_i = propagation_phase(stack, idler)
-    e_fwd, e_bwd = pump_enhancement(interface_coeffs(stack, pump), phi_p)
+    e_fwd, e_bwd = pump_enhancement(interface_coeffs(stack, pump), propagation_phase(stack, pump))
     beta_p = beta_scale * e_fwd
     beta_m = beta_scale * e_bwd
-
-    from spdc_etalon import refractive_index, wavevector_components
 
     kp = wavevector_components(pump, refractive_index(stack.film, 788.0))
     ks = wavevector_components(signal, refractive_index(stack.film, lam_s))
@@ -123,8 +132,11 @@ def _point_prediction(stack, lam_s, theta_s, beta_scale):
     dk_perp = kp[1] - ks[1] - ki[1]
 
     p = nonresonant_probability(dk_par, dk_perp, stack.thickness_nm, 5.0)
-    enh_s = field_enhancements(interface_coeffs(stack, signal), phi_s)
-    enh_i = field_enhancements(interface_coeffs(stack, idler), phi_i)
+    enh = []
+    for mode, phi in ((signal, phi_s), (idler, phi_i)):
+        c = interface_coeffs(stack, mode)
+        enh.append(enhancement_arrays(*astuple(c), phi, round_trip_denominator(c.r1, c.r2, phi)))
+    enh_s, enh_i = enh
     out = {}
     for scheme in ("ff", "bb", "fb", "bf"):
         s = filter_function(scheme, beta_p, beta_m, enh_s, enh_i)
@@ -135,7 +147,10 @@ def _point_prediction(stack, lam_s, theta_s, beta_scale):
 def _rigorous_point(stack, signal, idler, beta_p, beta_m, phi_s, phi_i, delta):
     w = interaction_matrix(InteractionParams(beta_plus=beta_p, beta_minus=beta_m, delta=delta))
     tau1, tau2, rho = boundary_matrices(
-        interface_coeffs(stack, signal), interface_coeffs(stack, idler), phi_s, phi_i
+        reference.interface_coeffs(stack, signal),
+        reference.interface_coeffs(stack, idler),
+        phi_s,
+        phi_i,
     )
     u = scattering_matrix(w, tau1, tau2, rho)
     return pair_probabilities(u)
@@ -160,8 +175,6 @@ def test_filter_function_matches_rigorous_low_gain(experiment_stack, lam_s, thet
 def test_no_etalon_reduction_proportional_to_sinc(experiment_stack):
     # Index-matched boundaries: every nonzero scheme reduces to the
     # phase-matching sinc^2; backward channels vanish outright.
-    from spdc_etalon import LayerStack, get_material
-
     matched = LayerStack(
         superstrate=get_material("linbo3_e"),
         film=get_material("linbo3_e"),

@@ -8,7 +8,6 @@ import pytest
 from spdc_etalon import spectra
 from spdc_etalon import (
     ConfigError,
-    GeometryError,
     Mode,
     SpdcEtalonError,
     ZeroVarianceError,
@@ -19,7 +18,7 @@ from spdc_etalon import (
     gain_and_agreement_curve,
     parse_config,
     r_squared,
-    solve_idler,
+    refractive_index,
     transmission_curve,
 )
 from conftest import EXPERIMENT_CONFIG, config_text
@@ -37,53 +36,56 @@ def _model_config(cfg, model):
     return _ff_only(cfg) if model == "nonresonant" else cfg
 
 
+def kernel_idler(film, lam_p, lam_s, theta_s):
+    """(lam_i, theta_i, transverse mismatch) of the sweep's idler kernels
+    for a signal (lam_s, theta_s) in `film`."""
+    lam_i = spectra._idler_wavelength(lam_p, lam_s)
+    k_s, k_i = (2.0 * np.pi * refractive_index(film, lam) / lam for lam in (lam_s, lam_i))
+    trig_s = (np.cos(theta_s), np.sin(theta_s))
+    theta_i, _, mismatch, _, _ = spectra._idler_kinematics(k_s, k_i, trig_s)
+    return lam_i, theta_i, mismatch
+
+
 def test_solve_idler_degenerate_exact(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
-    idler = solve_idler(pump, Mode(1576.0, 0.0), experiment_stack)
-    assert idler.vacuum_wavelength_nm == 1576.0
-    assert idler.internal_angle_rad == 0.0
-    assert idler.role == "idler"
+    lam_i, theta_i, _ = kernel_idler(experiment_stack.film, 788.0, 1576.0, 0.0)
+    assert lam_i == 1576.0
+    assert theta_i == 0.0
 
 
 def test_solve_idler_energy_conservation_value(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
-    idler = solve_idler(pump, Mode(1300.0, 0.0), experiment_stack)
-    assert idler.vacuum_wavelength_nm == pytest.approx(2000.78125, abs=1e-6)
+    lam_i, _, _ = kernel_idler(experiment_stack.film, 788.0, 1300.0, 0.0)
+    assert lam_i == pytest.approx(2000.78125, abs=1e-6)
 
 
-def test_solve_idler_rejects_short_signal(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
-    with pytest.raises(GeometryError):
-        solve_idler(pump, Mode(700.0, 0.0), experiment_stack)
-    with pytest.raises(GeometryError):
-        solve_idler(pump, Mode(788.0, 0.0), experiment_stack)
+def test_solve_idler_rejects_short_signal():
+    # No idler exists at or below the pump wavelength: the sweep masks
+    # those signal wavelengths.
+    cfg = parse_config(
+        config_text(lambda_min_nm=700.0, lambda_max_nm=1580.0, lambda_count=11, theta_count=3)
+    )
+    grid = frequency_angular_spectrum(cfg, "simplified")
+    assert grid.signal_wavelengths_nm[1] == 788.0
+    assert grid.mask[:2].all() and not grid.mask[2:].all()
 
 
 def test_solve_idler_normal_symmetry(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
     for lam in (1200.0, 1576.0, 2200.0):
-        assert solve_idler(pump, Mode(lam, 0.0), experiment_stack).internal_angle_rad == 0.0
+        assert kernel_idler(experiment_stack.film, 788.0, lam, 0.0)[1] == 0.0
 
 
 def test_solve_idler_zeroes_transverse_mismatch(experiment_stack):
-    from spdc_etalon import refractive_index, wavevector_components
+    from reference import wavevector_components
 
-    pump = Mode(788.0, 0.0, role="pump")
-    signal = Mode(1500.0, 0.2)
-    idler = solve_idler(pump, signal, experiment_stack)
-    _, ks_perp = wavevector_components(
-        signal, refractive_index(experiment_stack.film, 1500.0)
-    )
-    _, ki_perp = wavevector_components(
-        idler, refractive_index(experiment_stack.film, idler.vacuum_wavelength_nm)
-    )
+    film = experiment_stack.film
+    lam_i, theta_i, mismatch = kernel_idler(film, 788.0, 1500.0, 0.2)
+    assert mismatch == pytest.approx(0.0, abs=1e-15)
+    _, ks_perp = wavevector_components(Mode(1500.0, 0.2), refractive_index(film, 1500.0))
+    _, ki_perp = wavevector_components(Mode(lam_i, theta_i), refractive_index(film, lam_i))
     assert ks_perp + ki_perp == pytest.approx(0.0, abs=1e-15)
 
 
 def test_solve_idler_opposite_sign_angle(experiment_stack):
-    pump = Mode(788.0, 0.0, role="pump")
-    idler = solve_idler(pump, Mode(1500.0, 0.2), experiment_stack)
-    assert idler.internal_angle_rad < 0
+    assert kernel_idler(experiment_stack.film, 788.0, 1500.0, 0.2)[1] < 0
 
 
 # ---- frequency_angular_spectrum -------------------------------------------
@@ -668,24 +670,19 @@ def test_grid_engine_matches_op_composition(experiment_stack):
 
 
 def test_chi2_route_matches_interaction_params_op(experiment_stack):
-    # The sweep's chi2/field route must agree with the public
-    # interaction-strength operation composed by hand.
+    # The sweep's chi2/field route must agree with the interaction
+    # strengths of the oracle, composed by hand.
     from dataclasses import replace
 
     from reference import (
         interaction_params,
+        interface_coeffs,
         pair_probabilities,
+        propagation_phase,
         pump_enhancement,
         solve_idler,
     )
-    from spdc_etalon import (
-        Mode,
-        boundary_matrices,
-        interaction_matrix,
-        interface_coeffs,
-        scattering_matrix,
-    )
-    from reference import propagation_phase
+    from spdc_etalon import boundary_matrices, interaction_matrix, scattering_matrix
 
     text = config_text(
         lambda_min_nm=1500.0,
@@ -745,6 +742,62 @@ def test_exchange_symmetry_of_ff_density(experiment_stack):
         a, _ = _point_prediction(experiment_stack, lam_s, 0.0, 1e-3)
         b, _ = _point_prediction(experiment_stack, lam_i, 0.0, 1e-3)
         assert a["ff"] == pytest.approx(b["ff"], rel=1e-9)
+
+
+# Signal-idler exchange: the pixel (lam_i, theta_i) of the idler solved
+# from (lam_s, theta_s) describes the same pair with the photons
+# relabeled, so ff and bb must agree and fb and bf swap.  The check runs
+# the whole pixel pipeline (idler kinematics, both modes' optics, the SI
+# coupling prefactor and the model) and comes from no formula in src/.
+# Bound: 1e-9 of the pixel's largest scheme value.  The swapped pixel's
+# idler angle is solved again and does not return theta_s bit for bit;
+# that leaves about 1e-10 on the chi2/field route and less elsewhere.
+EXCHANGE_BOUND = 1e-9
+SWAPPED = {"ff": "ff", "bb": "bb", "fb": "bf", "bf": "fb"}
+
+
+def _exchange_errors(cfg, model, scales, rng, draws=200):
+    """max |I - I_swapped| / max I over the schemes of `cfg`, one row per
+    random README-grid pixel whose pair is unmasked, one column per scale."""
+    from reference import solve_idler
+
+    schemes = cfg.schemes
+    swap = [schemes.index(SWAPPED[s]) for s in schemes]
+    pump = Mode(cfg.pump_wavelength_nm, 0.0, role="pump")
+    errors = []
+    for _ in range(draws):
+        signal = Mode(rng.uniform(1100.0, 2400.0), rng.uniform(-0.5, 0.5))
+        results = [
+            spectra._evaluate_pixels(
+                cfg, np.array([m.vacuum_wavelength_nm]), np.array([m.internal_angle_rad]),
+                (model,), scales, schemes, 1,
+            )
+            for m in (signal, solve_idler(pump, signal, cfg.build_stack()))
+        ]
+        if any(mask.any() for _, mask in results):
+            continue
+        a, b = (values[0, ..., 0] for values, _ in results)
+        errors.append(np.max(np.abs(a - b[:, swap]), axis=1) / np.max(a, axis=1))
+    assert len(errors) > draws // 2
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("route", ["beta", "chi2-field"])
+def test_signal_idler_exchange_simplified(rng, route):
+    cfg = parse_config(EXPERIMENT_CONFIG)
+    scales = (1e-3, 0.5, 2.0, 0.3 + 0.4j)
+    if route == "chi2-field":
+        text = EXPERIMENT_CONFIG.replace("beta_plus = 1e-3", "field_v_per_m = 5e7")
+        cfg = parse_config(text.replace("thickness_um", "chi2_pm_per_v = 30.0\nthickness_um"))
+        scales = (None,)
+    errors = _exchange_errors(cfg, "simplified", scales, rng)
+    assert errors.max() <= EXCHANGE_BOUND, errors.max(axis=0)
+
+
+def test_signal_idler_exchange_nonresonant(rng):
+    cfg = _ff_only(parse_config(EXPERIMENT_CONFIG))
+    errors = _exchange_errors(cfg, "nonresonant", (cfg.beta_plus,), rng)
+    assert errors.max() <= EXCHANGE_BOUND, errors.max()
 
 
 # ---- r_squared -------------------------------------------------------------
