@@ -3,7 +3,6 @@
 __all__ = [
     "SpdcEtalonError",
     "MaterialRangeError",
-    "GeometryError",
     "ResonancePoleError",
     "NearSingularError",
     "ZeroVarianceError",
@@ -17,10 +16,6 @@ class SpdcEtalonError(Exception):
 
 class MaterialRangeError(SpdcEtalonError):
     """Wavelength query outside a material model's validity range."""
-
-
-class GeometryError(SpdcEtalonError):
-    """Unphysical mode geometry (grazing propagation, energy conservation)."""
 
 
 class ResonancePoleError(SpdcEtalonError):

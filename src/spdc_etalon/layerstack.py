@@ -17,10 +17,11 @@ a lossless stack is unitary):
   critical angle and fields decay outward.
 
 The array kernels check nothing: the sweep engines mask the pixels
-they cannot evaluate.  The pump, one point per run, goes through
-`_pump_enhancement`, which raises ResonancePoleError where the
-round-trip denominator vanishes and SpdcEtalonError where its result
-is not finite, with no RuntimeWarning first.
+they cannot evaluate.  The pump, one point per run, reaches the same
+`coefficient_arrays` and then `_pump_enhancement`, which raises
+ResonancePoleError where the round-trip denominator vanishes and
+SpdcEtalonError where its result is not finite, with no RuntimeWarning
+first.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ import numpy as np
 from .errors import ResonancePoleError, SpdcEtalonError
 from .materials import POLARIZATIONS, refractive_index
 
-__all__ = [
-    "LayerStack",
-    "InterfaceCoeffs",
-]
+__all__ = ["LayerStack"]
 
 POLE_TOLERANCE = 1e-9
 
@@ -62,16 +60,6 @@ class LayerStack:
             raise ValueError("chi2_pm_per_v must be finite")
 
 
-@dataclass(frozen=True)
-class InterfaceCoeffs:
-    """Interface amplitudes for one mode: t1, r1 (interface 1), t2, r2."""
-
-    t1: complex
-    r1: complex
-    t2: complex
-    r2: complex
-
-
 def _complex_cos(sin_sq):
     """cos(theta) from sin^2(theta), continued to +i decay above TIR."""
     return np.sqrt((1.0 + 0j) - sin_sq)
@@ -88,8 +76,9 @@ def coefficient_arrays(indices, trig, polarization):
 
     `indices` holds (n1, n2, n3) and `trig` the (cos, sin) of the
     internal angle, scalars or arrays that broadcast.  Nothing is range
-    checked here: `_interface_coeffs` resolves checked indices, and the
-    sweep engines mask the pixels whose indices are invalid.
+    checked here: the pump's caller, `spectra._pump_state`, passes the
+    checked indices of `_indices`, and the sweep engines mask the pixels
+    whose indices are invalid.
     """
     n1, n2, n3 = indices
     c2, s2 = trig
@@ -108,17 +97,6 @@ def coefficient_arrays(indices, trig, polarization):
 
     (t1, r1), (t2, r2) = interface(n1), interface(n3)
     return t1, r1, t2, r2
-
-
-def _interface_coeffs(stack, mode):
-    """Flux-normalized interface coefficients of the pump mode, for
-    `spectra._pump_state`."""
-    indices = _indices(stack, mode.vacuum_wavelength_nm)
-    theta = mode.internal_angle_rad
-    t1, r1, t2, r2 = coefficient_arrays(
-        indices, (np.cos(theta), np.sin(theta)), mode.polarization
-    )
-    return InterfaceCoeffs(t1=complex(t1), r1=complex(r1), t2=complex(t2), r2=complex(r2))
 
 
 def round_trip_denominator(r1, r2, phase):
@@ -141,15 +119,16 @@ def _check_pole(den, what, labels, values):
 
 def _pump_enhancement(coeffs, phase_p):
     """Forward and backward pump amplitudes inside the film, per unit E0,
-    for `spectra._pump_state`.
+    from the pump's (t1, r1, t2, r2), for `spectra._pump_state`.
 
     The backward amplitude is exactly the forward one after one
     reflection at interface 2 plus a single-pass phase.
     """
+    t1, r1, _, r2 = coeffs
     with np.errstate(all="ignore"):
-        den = round_trip_denominator(coeffs.r1, coeffs.r2, phase_p)
-        forward = coeffs.t1 / den
-        backward = coeffs.r2 * np.exp(1j * phase_p) * forward
+        den = round_trip_denominator(r1, r2, phase_p)
+        forward = t1 / den
+        backward = r2 * np.exp(1j * phase_p) * forward
     return _check_pole(den, "pump enhancement", ("forward", "backward"), (forward, backward))
 
 

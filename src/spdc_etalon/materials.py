@@ -1,7 +1,6 @@
-"""Refractive-index models and optical-mode bookkeeping.
+"""Refractive-index models.
 
-All wavelengths are vacuum wavelengths in nanometers, angles are in
-radians, and wavevectors are in rad/nm.
+All wavelengths are vacuum wavelengths in nanometers.
 
 Built-in presets:
 
@@ -29,13 +28,11 @@ from .errors import ConfigError, MaterialRangeError
 
 __all__ = [
     "MaterialModel",
-    "Mode",
     "refractive_index",
     "get_material",
 ]
 
 POLARIZATIONS = ("s", "p")
-ROLES = ("pump", "signal", "idler")
 
 
 @dataclass(frozen=True)
@@ -113,30 +110,6 @@ class MaterialModel:
             valid_range_nm=(lam[0], lam[-1]),
             name=name,
         )
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One optical wave inside the film: wavelength, angle, polarization, role.
-
-    The internal angle is measured from the stack normal (the pump
-    axis) inside the film; positive angles tilt toward +x.
-    """
-
-    vacuum_wavelength_nm: float
-    internal_angle_rad: float
-    polarization: str = "s"
-    role: str = "signal"
-
-    def __post_init__(self):
-        if not 0 < self.vacuum_wavelength_nm < np.inf:
-            raise ValueError("vacuum wavelength must be positive and finite")
-        if not abs(self.internal_angle_rad) < np.pi / 2:
-            raise ValueError("internal angle must satisfy |theta| < pi/2")
-        if self.polarization not in POLARIZATIONS:
-            raise ValueError(f"polarization must be one of {POLARIZATIONS}")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}")
 
 
 def _evaluate(model, wavelength_nm):

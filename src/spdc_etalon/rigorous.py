@@ -22,15 +22,12 @@ once per pixel.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearSingularError
 
 __all__ = [
-    "InteractionParams",
-    "PairProbabilities",
     "gain_term",
     "interaction_matrix",
     "boundary_matrices",
@@ -46,37 +43,14 @@ SINHC_SERIES_CUTOFF = 1e-4
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class InteractionParams:
-    """Dimensionless interaction strengths and phase mismatch.
-
-    `delta` is the film thickness times the longitudinal wavevector
-    mismatch.  `gain_term(beta, delta)` is the one formula for the gain
-    term of a pump branch: `interaction_matrix` forms each block from
-    it, and the gain curve reports it.
-    """
-
-    beta_plus: complex
-    beta_minus: complex
-    delta: float
-
-
-@dataclass(frozen=True)
-class PairProbabilities:
-    """Relative emission probabilities per collection scheme (None for a
-    scheme that `pair_probabilities` was not asked for)."""
-
-    ff: float
-    bb: float
-    fb: float
-    bf: float
-
-
 def gain_term(beta, delta):
     """gamma = sqrt(beta^2 - delta^2/4), principal branch.
 
-    The interaction matrix is even in gamma, so the branch choice is
-    immaterial downstream.
+    `delta` is the film thickness times the longitudinal wavevector
+    mismatch.  This is the one formula for the gain term of a pump
+    branch: `interaction_matrix` forms each block from it, and the gain
+    curve reports it.  The interaction matrix is even in gamma, so the
+    branch choice is immaterial downstream.
     """
     beta = np.asarray(beta, dtype=complex)
     return np.sqrt(beta ** 2 - np.asarray(delta, dtype=float) ** 2 / 4.0)
@@ -110,8 +84,10 @@ def _sinhc(gamma):
     return np.where(small, series, direct)
 
 
-def interaction_matrix(params):
-    """The two 2x2 blocks of the film's block-diagonal interaction matrix.
+def interaction_matrix(beta_plus, beta_minus, delta):
+    """The two 2x2 blocks of the film's block-diagonal interaction matrix,
+    from the forward and backward pump branches' strengths and delta
+    (see `gain_term`).
 
     Returns w of shape (..., 2, 2, 2) = [pump branch, row, col]: w[..., 0]
     couples the forward signal/idler pair through the forward pump
@@ -126,10 +102,10 @@ def interaction_matrix(params):
     explicit leading axis of 1: numpy's complex product can round a
     one-element (1,) * (1, 1) product differently from (1,) * (1,).
     """
-    delta = np.asarray(params.delta, dtype=float)
+    delta = np.asarray(delta, dtype=float)
     half = delta / 2.0
     phases = (np.exp(-1j * half), np.exp(1j * half))
-    betas = [np.asarray(b, dtype=complex) for b in (params.beta_plus, params.beta_minus)]
+    betas = [np.asarray(b, dtype=complex) for b in (beta_plus, beta_minus)]
     shape = np.broadcast_shapes(half.shape, *(b.shape for b in betas))
     w = np.empty(shape + (2, 2, 2), dtype=complex)
     for block, beta in zip(np.moveaxis(w, -3, 0), betas):
@@ -153,21 +129,20 @@ def interaction_matrix(params):
 def boundary_matrices(signal_coeffs, idler_coeffs, phase_s, phase_i):
     """Transmission matrices (tau1, tau2) and reflection matrix rho.
 
-    Each is returned as its four nonzero entries, an array of shape
-    (..., 4) over the operators k (forward signal, forward idler-dagger,
-    backward signal, backward idler-dagger): tau1[..., k] and
-    tau2[..., k] are the diagonal entries [k, k], and rho[..., k] is the
-    entry [k, k ^ 2], which reflects operator k into its
-    counter-propagating twin.
+    `signal_coeffs` and `idler_coeffs` are each mode's (t1, r1, t2, r2)
+    as `coefficient_arrays` returns them.  Each matrix is returned as its
+    four nonzero entries, an array of shape (..., 4) over the operators k
+    (forward signal, forward idler-dagger, backward signal, backward
+    idler-dagger): tau1[..., k] and tau2[..., k] are the diagonal entries
+    [k, k], and rho[..., k] is the entry [k, k ^ 2], which reflects
+    operator k into its counter-propagating twin.
 
     Idler entries are conjugated because the idler operators enter the
     mode array Hermitian-conjugated; the reflection matrix carries the
     single-pass propagation phases.
     """
-    t1s, t2s = signal_coeffs.t1, signal_coeffs.t2
-    t1i, t2i = np.conj(idler_coeffs.t1), np.conj(idler_coeffs.t2)
-    r1s, r2s = signal_coeffs.r1, signal_coeffs.r2
-    r1i, r2i = np.conj(idler_coeffs.r1), np.conj(idler_coeffs.r2)
+    t1s, r1s, t2s, r2s = signal_coeffs
+    t1i, r1i, t2i, r2i = (np.conj(c) for c in idler_coeffs)
     ph_s = np.exp(1j * np.asarray(phase_s, dtype=float))
     ph_i = np.exp(-1j * np.asarray(phase_i, dtype=float))
     # Per operator k: (tau1, tau2, rho) entries.
@@ -326,21 +301,20 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
 _SCHEME_ROWS = {"ff": (0, 1, 0, 1), "bb": (2, 3, 2, 3), "fb": (0, 3, 3, 0), "bf": (2, 1, 2, 1)}
 
 
-def pair_probabilities(u, schemes=None):
-    """Relative pair-emission probabilities for the four schemes.
+def pair_probabilities(u, schemes):
+    """Relative pair-emission probabilities {scheme: array} of the named
+    schemes, among ff, bb, fb and bf.
 
     Vacuum moments of the output operators reduce to one closed form in
     the scattering-matrix entries of the scheme's signal and idler rows.
-    `schemes` limits the work to the named schemes; the others are None.
     """
     u = np.asarray(u, dtype=complex)
-    schemes = tuple(_SCHEME_ROWS) if schemes is None else schemes
     if not set(schemes) <= _SCHEME_ROWS.keys():
         raise ValueError(f"schemes must be names among {tuple(_SCHEME_ROWS)}, got {schemes!r}")
     # |U|^2 of the signal and idler rows the schemes read.
     rows = {row for name in schemes for row in _SCHEME_ROWS[name][:2]}
     sq = {row: np.abs(u[..., row, :]) ** 2 for row in rows}
-    probs = dict.fromkeys(_SCHEME_ROWS)
+    probs = {}
     for scheme in schemes:
         s, i, j, k = _SCHEME_ROWS[scheme]
         probs[scheme] = (
@@ -350,6 +324,4 @@ def pair_probabilities(u, schemes=None):
                 u[..., j, 0] * u[..., k, 2] * np.conj(u[..., k, 0]) * np.conj(u[..., j, 2])
             )
         )
-    if u.ndim == 2:
-        probs = {scheme: None if p is None else float(p) for scheme, p in probs.items()}
-    return PairProbabilities(**probs)
+    return probs

@@ -23,18 +23,16 @@ import numpy as np
 from .errors import ConfigError, ZeroVarianceError
 from .layerstack import (
     POLE_TOLERANCE,
-    InterfaceCoeffs,
     coefficient_arrays,
     enhancement_arrays,
     round_trip_denominator,
     _airy_transmission,
-    _interface_coeffs,
+    _indices,
     _pump_enhancement,
 )
-from .materials import Mode, index_with_mask, refractive_index
+from .materials import index_with_mask, refractive_index
 from .rigorous import (
     KPAR_FLOOR,
-    InteractionParams,
     boundary_matrices,
     gain_term,
     interaction_matrix,
@@ -42,7 +40,7 @@ from .rigorous import (
     scattering_matrix,
     _coupling_prefactor,
 )
-from .simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
+from .simplified import SCHEMES, _filter_strength, _nonresonant, _pump_profile, _scheme_products
 
 __all__ = [
     "SpectrumGrid",
@@ -188,11 +186,13 @@ class _PixelBatch:
 
 
 def _pump_state(config):
-    """Pump-side constants: enhancement amplitudes and parallel wavevector."""
+    """Pump-side constants: enhancement amplitudes and parallel wavevector,
+    from `coefficient_arrays` at normal incidence, as for any pixel."""
     stack = config.build_stack()
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
-        coeffs = _interface_coeffs(stack, Mode(lam_p, 0.0, config.polarization, role="pump"))
+        trig = (np.cos(0.0), np.sin(0.0))
+        coeffs = coefficient_arrays(_indices(stack, lam_p), trig, config.polarization)
         n_p = refractive_index(stack.film, lam_p)
         # Keep this evaluation order of L k_p: the golden outputs pin its bits.
         phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
@@ -325,14 +325,15 @@ def _eval_rigorous(batch, schemes, scales, values):
     for lo in range(0, live.size, step):
         px = live[lo : lo + step]
         boundary = boundary_matrices(
-            InterfaceCoeffs(*(c[px] for c in batch.coeffs_s)),
-            InterfaceCoeffs(*(c[px] for c in batch.coeffs_i)),
+            tuple(c[px] for c in batch.coeffs_s),
+            tuple(c[px] for c in batch.coeffs_i),
             batch.phi_s[px],
             batch.phi_i[px],
         )
         # delta keeps an explicit scale axis of 1; see `interaction_matrix`.
-        params = InteractionParams(*batch.betas(scales, px), batch.delta[px][None])
-        u = scattering_matrix(interaction_matrix(params), *boundary, check_condition=False)
+        w = interaction_matrix(*batch.betas(scales, px), batch.delta[px][None])
+        u = scattering_matrix(w, *boundary, check_condition=False)
+        del w
         probs = pair_probabilities(u, schemes)
         # Freed before the next block allocates, so that block can reuse
         # it (kept, not trimmed, under `cli._pin_allocator_policy`): two
@@ -340,7 +341,7 @@ def _eval_rigorous(batch, schemes, scales, values):
         del u
         gauss = batch.gauss[px]
         for j, scheme in enumerate(schemes):
-            values[:, j, px] = getattr(probs, scheme) * gauss
+            values[:, j, px] = probs[scheme] * gauss
 
 
 def _eval_nonresonant(batch, schemes, scales, values):
@@ -365,11 +366,12 @@ def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
 
     The stack is `config.build_stack()`.  A scale of None takes the
     chi2/field route's per-pixel strengths; the front-ends pass
-    `config.beta_plus` for the config's own strengths.  The bare film
-    has no interfaces, so no backward emission: with the nonresonant
-    model among `models`, a scheme other than ff raises ConfigError
-    before any pixel is evaluated, so no caller gets zeros that read as
-    intensities.  Pixels run wavelength-major in chunks of
+    `config.beta_plus` for the config's own strengths.  Before any pixel
+    is evaluated, a scheme outside SCHEMES raises the ConfigError that
+    `RunConfig.validate` gives, and a scheme other than ff raises one when
+    the nonresonant model is among `models` (the bare film has no
+    interfaces, so no backward emission): no caller gets zeros that read
+    as intensities.  Pixels run wavelength-major in chunks of
     `_CHUNK_PIXELS`: each chunk's kinematics batch is built once and
     serves the whole model x scale grid, each model is evaluated at all
     scales in one call that writes straight into the result, and
@@ -381,6 +383,8 @@ def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
     and mask[m, k] its flat error mask (intensity zero there), shape
     (models, scales, n).
     """
+    if any(s not in SCHEMES for s in schemes):
+        raise ConfigError(f"model.schemes: entries must be among {SCHEMES}")
     other = ",".join(s for s in schemes if s != "ff")
     if "nonresonant" in models and other:
         raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")

@@ -28,8 +28,16 @@ on here as independent references (textbook single-interface
 coefficients, the single-pass phase L k_parallel, the wavevector's
 (parallel, perpendicular) parts and the first-order interaction
 matrix).  `interface_coeffs` is written here from `fresnel`.
-`interaction_params` keeps the full record the library's
-`InteractionParams` once carried, as an `InteractionRecord`.
+`interaction_params` returns the full record of one pixel's
+interaction, strengths, gain terms and mismatches, as an
+`InteractionRecord`.
+
+The oracles own their record types, none of which the library has:
+a `Mode` is one optical wave (wavelength, internal angle, polarization,
+role), `InterfaceCoeffs` holds a mode's (t1, r1, t2, r2), so it is also
+the tuple `coefficient_arrays` returns and `boundary_matrices` takes,
+and `pair_probabilities` returns a {scheme: value} dict.  The scalar
+oracles raise ValueError for an unphysical geometry.
 
 `build_batch` is the sweep's chunk kinematics as first written: every
 term, material indices and trigonometry included, evaluated once per
@@ -42,22 +50,20 @@ from collections import namedtuple
 
 import numpy as np
 
-from spdc_etalon import (
-    GeometryError,
-    InterfaceCoeffs,
-    Mode,
-    NearSingularError,
-    PairProbabilities,
-    ResonancePoleError,
-    gain_term,
-    refractive_index,
-)
+from spdc_etalon import NearSingularError, ResonancePoleError, gain_term, refractive_index
 from spdc_etalon.layerstack import POLE_TOLERANCE, coefficient_arrays, round_trip_denominator
 from spdc_etalon.rigorous import CONDITION_LIMIT, KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
 from spdc_etalon.simplified import _pump_profile
 from spdc_etalon.spectra import _idler_wavelength, _masked_indices, _PixelBatch
 
 SCHEMES = ("ff", "bb", "fb", "bf")
+
+Mode = namedtuple(
+    "Mode",
+    "vacuum_wavelength_nm internal_angle_rad polarization role",
+    defaults=("s", "signal"),
+)
+InterfaceCoeffs = namedtuple("InterfaceCoeffs", "t1 r1 t2 r2")
 
 InteractionRecord = namedtuple(
     "InteractionRecord",
@@ -131,7 +137,7 @@ def solve_idler(pump, signal, stack):
     a real angle allows it (clamped to grazing otherwise).
     """
     if signal.vacuum_wavelength_nm <= pump.vacuum_wavelength_nm:
-        raise GeometryError(
+        raise ValueError(
             "energy conservation requires the signal wavelength to exceed the "
             "pump wavelength"
         )
@@ -146,8 +152,8 @@ def solve_idler(pump, signal, stack):
     k_i = 2.0 * np.pi * n_i / lam_i
     ratio = np.clip(-k_s * np.sin(signal.internal_angle_rad) / k_i, -1.0, 1.0)
     theta_i = float(np.arcsin(ratio))
-    # Mode forbids |theta| = pi/2 exactly; keep the clamp inside the open
-    # interval, the grazing pixel is masked downstream anyway.
+    # Keep the clamp inside the open interval |theta| < pi/2; the grazing
+    # pixel is masked downstream anyway.
     limit = np.pi / 2 - 1e-12
     theta_i = float(np.clip(theta_i, -limit, limit))
     return Mode(
@@ -166,7 +172,7 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     conservation between the three wavelengths.  The film index is
     used for all three waves.
 
-    Raises GeometryError when the signal or idler parallel wavevector
+    Raises ValueError when the signal or idler parallel wavevector
     is not positive (mode at or past grazing).
     """
     n_p = refractive_index(stack.film, pump_mode.vacuum_wavelength_nm)
@@ -176,7 +182,7 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
     ks_par, ks_perp = wavevector_components(signal_mode, n_s)
     ki_par, ki_perp = wavevector_components(idler_mode, n_i)
     if ks_par <= 0 or ki_par <= 0:
-        raise GeometryError("signal/idler parallel wavevector must be positive")
+        raise ValueError("signal/idler parallel wavevector must be positive")
 
     dk_par = kp_par - ks_par - ki_par
     dk_perp = kp_perp - ks_perp - ki_perp
@@ -264,15 +270,15 @@ def nonresonant_probability(delta_k_par, delta_k_perp, thickness_nm, waist_um):
     return sinc(half) ** 2 * gauss
 
 
-def low_gain_interaction_matrix(params):
+def low_gain_interaction_matrix(beta_plus, beta_minus, delta):
     """First-order interaction matrix: identity plus sinc-weighted coupling.
 
     Valid diagnostic for |beta|^2 << 1; off-diagonals are -/+ beta
     sinc(delta/2) on each pump branch.
     """
-    s = sinc(np.asarray(params.delta, dtype=float) / 2.0)
-    bp = np.asarray(params.beta_plus, dtype=complex)
-    bm = np.asarray(params.beta_minus, dtype=complex)
+    s = sinc(np.asarray(delta, dtype=float) / 2.0)
+    bp = np.asarray(beta_plus, dtype=complex)
+    bm = np.asarray(beta_minus, dtype=complex)
     shape = np.broadcast_shapes(np.shape(s), np.shape(bp), np.shape(bm))
     w = np.zeros(shape + (4, 4), dtype=complex)
     for i in range(4):
@@ -315,7 +321,8 @@ def simplified_probability(p, s):
 
 
 def pair_probabilities(u):
-    """Relative pair-emission probabilities for the four schemes.
+    """Relative pair-emission probabilities {scheme: value} for the four
+    schemes.
 
     Vacuum moments of the output operators reduce to closed forms in
     the scattering-matrix entries; these are implemented verbatim.
@@ -349,9 +356,7 @@ def pair_probabilities(u):
         + a[..., 1, 2] ** 2 * (a32 ** 2 + a31 ** 2 + a33 ** 2)
         + 2.0 * np.real(u[..., 2, 0] * u[..., 1, 2] * np.conj(u[..., 1, 0]) * np.conj(u[..., 2, 2]))
     )
-    if ff.ndim == 0:
-        return PairProbabilities(ff=float(ff), bb=float(bb), fb=float(fb), bf=float(bf))
-    return PairProbabilities(ff=ff, bb=bb, fb=fb, bf=bf)
+    return {"ff": ff, "bb": bb, "fb": fb, "bf": bf}
 
 
 def _swap_conj_transpose(m):

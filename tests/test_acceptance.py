@@ -22,10 +22,11 @@ from spdc_etalon import (
     scattering_matrix,
     transmission_curve,
 )
-from spdc_etalon.layerstack import InterfaceCoeffs, _airy_transmission, _pump_enhancement
+from spdc_etalon.layerstack import _airy_transmission, _pump_enhancement
 from spdc_etalon.spectra import _idler_wavelength
-from spdc_etalon.rigorous import InteractionParams, gain_term
+from spdc_etalon.rigorous import gain_term
 from conftest import EXPERIMENT_CONFIG, config_text
+from reference import SCHEMES, InterfaceCoeffs
 
 MATCHED = dict(superstrate="linbo3_e", substrate="linbo3_e")
 
@@ -315,8 +316,7 @@ def test_criterion_5_analytic_identities_suite(rng):
     # determinant of each interaction block == 1 (relative to entry scale)
     betas = (rng.normal(size=n_draws) + 1j * rng.normal(size=n_draws)) * 5.0
     deltas = rng.uniform(-50.0, 50.0, n_draws)
-    params = InteractionParams(beta_plus=betas, beta_minus=betas * (0.5 + 0.1j), delta=deltas)
-    w = interaction_matrix(params)
+    w = interaction_matrix(betas, betas * (0.5 + 0.1j), deltas)
     for branch in (0, 1):
         blk = w[:, branch]
         det = blk[:, 0, 0] * blk[:, 1, 1] - blk[:, 0, 1] * blk[:, 1, 0]
@@ -324,17 +324,14 @@ def test_criterion_5_analytic_identities_suite(rng):
         assert np.all(np.abs(det - 1.0) <= 1e-12 * scale)
 
     # zero-gain collapse: exact identity and probabilities below 1e-20
-    zero = InteractionParams(
-        beta_plus=np.zeros(n_draws, complex), beta_minus=np.zeros(n_draws, complex), delta=deltas
-    )
-    w0 = interaction_matrix(zero)
+    w0 = interaction_matrix(np.zeros(n_draws, complex), np.zeros(n_draws, complex), deltas)
     assert np.array_equal(w0, np.broadcast_to(np.eye(2, dtype=complex), w0.shape))
 
     coeffs, phi = _random_lossless_boundaries(rng, n_draws)
     tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi * 0.7)
     u = scattering_matrix(w0, tau1, tau2, rho, check_condition=False)
-    probs = pair_probabilities(u)
-    for arr in (probs.ff, probs.bb, probs.fb, probs.bf):
+    probs = pair_probabilities(u, SCHEMES)
+    for arr in probs.values():
         assert np.all(np.abs(arr) <= 1e-20)
 
     # gamma-branch invariance

@@ -1,5 +1,6 @@
 """The public surface, and the array kernels against the independent oracles."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -11,15 +12,14 @@ import pytest
 import reference
 import spdc_etalon
 from conftest import config_text
-from spdc_etalon import (
-    InteractionParams,
-    Mode,
-    gain_term,
-    pair_probabilities,
-    parse_config,
-    spectra,
+from reference import Mode
+from spdc_etalon import gain_term, pair_probabilities, parse_config, spectra
+from spdc_etalon.layerstack import (
+    _airy_transmission,
+    _indices,
+    coefficient_arrays,
+    enhancement_arrays,
 )
-from spdc_etalon.layerstack import _airy_transmission, _interface_coeffs, enhancement_arrays
 from spdc_etalon.simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
 from test_spectra import kernel_idler
 
@@ -27,15 +27,10 @@ from test_spectra import kernel_idler
 PUBLIC_NAMES = [
     "ConfigError",
     "GainCurvePoint",
-    "GeometryError",
-    "InteractionParams",
-    "InterfaceCoeffs",
     "LayerStack",
     "MaterialModel",
     "MaterialRangeError",
-    "Mode",
     "NearSingularError",
-    "PairProbabilities",
     "ResonancePoleError",
     "RunConfig",
     "SCHEMES",
@@ -68,15 +63,26 @@ REL = 1e-13
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 30
     assert sorted(spdc_etalon.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdc_etalon, name) is not None
-    assert [f.name for f in dataclasses.fields(InteractionParams)] == [
-        "beta_plus",
-        "beta_minus",
-        "delta",
-    ]
+
+
+def test_every_public_name_is_read_by_src():
+    # A public name that no module of the package reads, outside its own
+    # definition and the __all__ lists, is surface nothing uses.
+    used = set()
+    for path in Path(spdc_etalon.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(getattr(t, "id", None) == "__all__" for t in getattr(node, "targets", [])):
+                continue
+            for sub in ast.walk(node):
+                load = isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                name = sub.id if load else getattr(sub, "attr", None)
+                if name and name != getattr(node, "name", None):
+                    used.add(name)
+    assert sorted(set(spdc_etalon.__all__) - used) == []
 
 
 # The command-line module is an entry point, not library surface.
@@ -193,15 +199,15 @@ def test_interface_coeffs_match_fresnel_oracle(rng):
     for cfg, pump, signal in _pixels(rng):
         stack = cfg.build_stack()
         batch = _batch(cfg, signal)
-        cases = [
-            (dataclasses.astuple(_interface_coeffs(stack, pump)), pump),
-            (tuple(c[0] for c in batch.coeffs_s), signal),
-        ]
+        # The pump's coefficients as `spectra._pump_state` forms them.
+        indices = _indices(stack, pump.vacuum_wavelength_nm)
+        pump_coeffs = coefficient_arrays(indices, (np.cos(0.0), np.sin(0.0)), pump.polarization)
+        cases = [(pump_coeffs, pump), (tuple(c[0] for c in batch.coeffs_s), signal)]
         if not batch.mask[0]:
             idler = reference.solve_idler(pump, signal, stack)
             cases.append((tuple(c[0] for c in batch.coeffs_i), idler))
         for mine, mode in cases:
-            ref = dataclasses.astuple(reference.interface_coeffs(stack, mode))
+            ref = reference.interface_coeffs(stack, mode)
             assert mine == pytest.approx(ref, rel=REL)
 
 
@@ -259,25 +265,22 @@ def test_filter_function_scheme_routes():
 def test_pair_probabilities_match_oracle_bitwise(rng):
     u = rng.normal(size=(4096, 4, 4)) + 1j * rng.normal(size=(4096, 4, 4))
     u *= rng.uniform(1e-3, 1e3, size=(4096, 1, 1))
-    mine = pair_probabilities(u)
-    ref = reference.pair_probabilities(u)
-    for scheme in reference.SCHEMES:
-        assert np.array_equal(getattr(mine, scheme), getattr(ref, scheme)), scheme
-    one = pair_probabilities(u[7])
-    assert one == reference.pair_probabilities(u[7])
-    assert all(type(getattr(one, scheme)) is float for scheme in reference.SCHEMES)
+    for m in (u, u[7]):
+        mine = pair_probabilities(m, reference.SCHEMES)
+        ref = reference.pair_probabilities(m)
+        assert list(mine) == list(reference.SCHEMES)
+        for scheme in reference.SCHEMES:
+            assert np.array_equal(mine[scheme], ref[scheme]), scheme
 
 
 def test_pair_probabilities_subset_equals_full_call(rng):
     u = rng.normal(size=(512, 4, 4)) + 1j * rng.normal(size=(512, 4, 4))
-    full = pair_probabilities(u)
+    full = pair_probabilities(u, reference.SCHEMES)
     for subset in [(s,) for s in reference.SCHEMES] + [("bf", "ff"), reference.SCHEMES]:
         part = pair_probabilities(u, subset)
-        for scheme in reference.SCHEMES:
-            if scheme in subset:
-                assert np.array_equal(getattr(part, scheme), getattr(full, scheme)), scheme
-            else:
-                assert getattr(part, scheme) is None
+        assert list(part) == list(subset)
+        for scheme in subset:
+            assert np.array_equal(part[scheme], full[scheme]), scheme
     one = pair_probabilities(u[3], ("fb",))
-    assert one.fb == pair_probabilities(u[3]).fb and one.ff is None
+    assert list(one) == ["fb"] and one["fb"] == full["fb"][3]
 

@@ -3,12 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import fresnel, propagation_phase
+from reference import InterfaceCoeffs, Mode, fresnel, propagation_phase
 from spdc_etalon import (
-    InterfaceCoeffs,
     LayerStack,
     MaterialModel,
-    Mode,
     ResonancePoleError,
     SpdcEtalonError,
     get_material,

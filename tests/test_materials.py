@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from reference import wavevector_components
+from reference import Mode, wavevector_components
 from spdc_etalon import (
     ConfigError,
     MaterialModel,
     MaterialRangeError,
-    Mode,
     get_material,
     refractive_index,
 )
@@ -176,30 +175,6 @@ def test_wavevector_norm_identity_random(rng):
         k_par, k_perp = wavevector_components(mode, n)
         k = 2.0 * np.pi * n / lam
         assert k_par ** 2 + k_perp ** 2 == pytest.approx(k ** 2, rel=1e-12)
-
-
-def test_mode_invariants():
-    with pytest.raises(ValueError):
-        Mode(-5.0, 0.0)
-    with pytest.raises(ValueError):
-        Mode(1000.0, np.pi / 2)
-    with pytest.raises(ValueError):
-        Mode(1000.0, 0.0, polarization="x")
-    with pytest.raises(ValueError):
-        Mode(1000.0, 0.0, role="seed")
-
-
-@pytest.mark.parametrize(
-    "wavelength_nm, angle_rad, message",
-    [
-        (np.inf, 0.0, "vacuum wavelength must be positive and finite"),
-        (np.nan, 0.0, "vacuum wavelength must be positive and finite"),
-        (1000.0, np.nan, r"\|theta\| < pi/2"),
-    ],
-)
-def test_mode_refuses_non_finite_numbers(wavelength_nm, angle_rad, message):
-    with pytest.raises(ValueError, match=message):
-        Mode(wavelength_nm, angle_rad)
 
 
 _SELLMEIER, _TABLE = MaterialModel.sellmeier, MaterialModel.tabulated

@@ -3,10 +3,8 @@ import pytest
 
 import reference
 from conftest import config_text
+from reference import InterfaceCoeffs, Mode
 from spdc_etalon import (
-    InteractionParams,
-    InterfaceCoeffs,
-    Mode,
     NearSingularError,
     boundary_matrices,
     gain_term,
@@ -16,10 +14,6 @@ from spdc_etalon import (
     scattering_matrix,
     spectra,
 )
-
-
-def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
-    return InteractionParams(beta_plus=beta_plus, beta_minus=beta_minus, delta=delta)
 
 
 # The interaction matrix at zero gain, as its two identity blocks.
@@ -90,7 +84,7 @@ def test_gain_invariant_random(rng):
 
 
 def test_interaction_matrix_zero_gain_exact_identity():
-    w = interaction_matrix(params(0.0, 0.0, delta=3.7))
+    w = interaction_matrix(0.0, 0.0, 3.7)
     assert w.shape == (2, 2, 2)
     assert np.array_equal(w, W_ZERO_GAIN)
 
@@ -98,7 +92,7 @@ def test_interaction_matrix_zero_gain_exact_identity():
 def test_interaction_matrix_frozen_entries():
     # beta+ = 0.1, delta = 1: entries from a 50-digit evaluation of the
     # closed forms.
-    w = interaction_matrix(params(0.1, 0.0, delta=1.0))
+    w = interaction_matrix(0.1, 0.0, 1.0)
     upper = w[0]
     assert upper[0, 0] == pytest.approx(1.0046007403954536 - 0.0015868796553719307j, rel=1e-14)
     assert upper[1, 1] == pytest.approx(1.0046007403954536 + 0.0015868796553719307j, rel=1e-14)
@@ -111,7 +105,7 @@ def test_interaction_matrix_frozen_entries():
 def test_interaction_matrix_unit_determinant_random(rng):
     betas = (rng.normal(size=1200) + 1j * rng.normal(size=1200)) * 5.0
     deltas = rng.uniform(-50.0, 50.0, size=1200)
-    w = interaction_matrix(params(betas, betas * 0.3, deltas))
+    w = interaction_matrix(betas, betas * 0.3, deltas)
     for branch in (0, 1):
         block = w[..., branch, :, :]
         det = block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0]
@@ -125,7 +119,7 @@ def test_interaction_matrix_gamma_branch_invariance(rng):
     for _ in range(200):
         beta = complex(rng.normal(), rng.normal()) * 3.0
         delta = rng.uniform(-20.0, 20.0)
-        w = interaction_matrix(params(beta, 0.0, delta))[0]
+        w = interaction_matrix(beta, 0.0, delta)[0]
         for sign in (1.0, -1.0):
             ref = reference_block(beta, delta, gamma_sign=sign)
             assert np.allclose(w, ref, rtol=1e-12, atol=1e-12)
@@ -135,12 +129,12 @@ def test_sinhc_series_switch_continuity():
     # Straddle |gamma| = 1e-4 so closely that the legitimate physical
     # change is ~1e-16; any remaining jump is the series/direct switch.
     cutoff = 1e-4
-    w_lo = interaction_matrix(params(cutoff * (1.0 - 1e-12), 0.0, 0.0))
-    w_hi = interaction_matrix(params(cutoff * (1.0 + 1e-12), 0.0, 0.0))
+    w_lo = interaction_matrix(cutoff * (1.0 - 1e-12), 0.0, 0.0)
+    w_hi = interaction_matrix(cutoff * (1.0 + 1e-12), 0.0, 0.0)
     assert np.max(np.abs(w_hi - w_lo)) < 1e-10
     # And with the gain dominated by the mismatch instead.
-    w_lo = interaction_matrix(params(1e-6, 0.0, 2.0 * cutoff * (1.0 - 1e-12)))
-    w_hi = interaction_matrix(params(1e-6, 0.0, 2.0 * cutoff * (1.0 + 1e-12)))
+    w_lo = interaction_matrix(1e-6, 0.0, 2.0 * cutoff * (1.0 - 1e-12))
+    w_hi = interaction_matrix(1e-6, 0.0, 2.0 * cutoff * (1.0 + 1e-12))
     assert np.max(np.abs(w_hi - w_lo)) < 1e-10
 
 
@@ -158,12 +152,12 @@ def test_interaction_block_equals_coupled_mode_ode_for_real_beta(rng):
     above = beta > np.abs(delta) / 2.0
     assert 0 < above.mean() < 1
     propagator = reference.coupled_mode_propagator(beta, delta)
-    w = interaction_matrix(params(beta, beta[::-1], delta))
+    w = interaction_matrix(beta, beta[::-1], delta)
     scale = np.max(np.abs(propagator), axis=(-2, -1))
     err = np.max(np.abs(w[:, 0] - propagator), axis=(-2, -1)) / scale
     assert err.max() <= ODE_BOUND
-    lower = interaction_matrix(params(0.0, beta, delta))[:, 1]
-    assert np.array_equal(lower, interaction_matrix(params(beta, 0.0, delta))[:, 0])
+    lower = interaction_matrix(0.0, beta, delta)[:, 1]
+    assert np.array_equal(lower, interaction_matrix(beta, 0.0, delta)[:, 0])
 
 
 # ---- boundary_matrices ----------------------------------------------------
@@ -242,12 +236,11 @@ def test_scattering_matrix_zero_gain_signal_subblock_unitary(rng):
 def test_scattering_matrix_matches_explicit_inverse(rng):
     for _ in range(100):
         coeffs, phi = _linear_boundaries(rng)
-        p = params(
+        w = interaction_matrix(
             complex(rng.normal(), rng.normal()) * 0.2,
             complex(rng.normal(), rng.normal()) * 0.2,
             rng.uniform(-10.0, 10.0),
         )
-        w = interaction_matrix(p)
         tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi * 0.8)
         u = scattering_matrix(w, tau1, tau2, rho)
         # Alternate solve order through the push-through identity:
@@ -460,8 +453,8 @@ def _sweep_block(m, scales):
     px = np.flatnonzero(~batch.mask)[:m]
     assert px.size == m
     boundary = boundary_matrices(
-        InterfaceCoeffs(*(c[px] for c in batch.coeffs_s)),
-        InterfaceCoeffs(*(c[px] for c in batch.coeffs_i)),
+        tuple(c[px] for c in batch.coeffs_s),
+        tuple(c[px] for c in batch.coeffs_i),
         batch.phi_s[px],
         batch.phi_i[px],
     )
@@ -477,14 +470,14 @@ def test_job_axis_bits_equal_one_job_per_call_and_oracle(m, jobs, scales):
     # and each job's w and U from a call of its own.
     beta_p, beta_m, delta, boundary = _sweep_block(m, JOB_SCALES[scales](jobs))
     with np.errstate(all="ignore"):
-        w = interaction_matrix(params(beta_p, beta_m, delta[None]))
+        w = interaction_matrix(beta_p, beta_m, delta[None])
         u = scattering_matrix(w, *boundary, check_condition=False)
         dense_w, *dense = reference.dense_operands(w, *boundary)
         copies = [np.broadcast_to(b, dense_w.shape).copy() for b in dense]
         expected = reference.scattering_matrix(dense_w, *copies, check_condition=False)
         assert_same_bits(u, expected)
         for k in range(jobs):
-            w_k = interaction_matrix(params(beta_p[k], beta_m[k], delta))
+            w_k = interaction_matrix(beta_p[k], beta_m[k], delta)
             assert_same_bits(w[k], w_k)
             assert_same_bits(u[k], scattering_matrix(w_k, *boundary, check_condition=False))
     finite = np.isfinite(expected).all(axis=(-2, -1))
@@ -495,8 +488,8 @@ def test_job_axis_bits_equal_one_job_per_call_and_oracle(m, jobs, scales):
 
 
 def test_pair_probabilities_identity_matrix():
-    probs = pair_probabilities(np.eye(4, dtype=complex))
-    assert probs.ff == probs.bb == probs.fb == probs.bf == 0.0
+    probs = pair_probabilities(np.eye(4, dtype=complex), reference.SCHEMES)
+    assert list(probs.values()) == [0.0] * 4
 
 
 @pytest.mark.parametrize("schemes", [("xx",), ("ff", "fx"), "ff"])
@@ -512,6 +505,6 @@ def test_pair_probabilities_zero_gain(rng):
     for _ in range(100):
         coeffs, phi = _linear_boundaries(rng)
         tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi)
-        probs = pair_probabilities(scattering_matrix(w, tau1, tau2, rho))
-        for val in (probs.ff, probs.bb, probs.fb, probs.bf):
+        probs = pair_probabilities(scattering_matrix(w, tau1, tau2, rho), reference.SCHEMES)
+        for val in probs.values():
             assert abs(val) <= 1e-20

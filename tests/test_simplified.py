@@ -1,16 +1,12 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
 import reference
 from conftest import config_text
-from reference import dense_interaction_matrix, low_gain_interaction_matrix, propagation_phase
+from reference import Mode, dense_interaction_matrix, low_gain_interaction_matrix, propagation_phase
 from spdc_etalon import (
     ConfigError,
-    InteractionParams,
     LayerStack,
-    Mode,
     boundary_matrices,
     get_material,
     interaction_matrix,
@@ -20,10 +16,6 @@ from spdc_etalon import (
 )
 from spdc_etalon.layerstack import enhancement_arrays, round_trip_denominator
 from spdc_etalon.simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
-
-
-def params(beta_plus=0.0, beta_minus=0.0, delta=0.0):
-    return InteractionParams(beta_plus=beta_plus, beta_minus=beta_minus, delta=delta)
 
 
 def test_nonresonant_perfect_phase_matching():
@@ -54,12 +46,12 @@ def test_nonresonant_validates_inputs():
 
 
 def test_low_gain_matrix_identity_at_zero():
-    w = low_gain_interaction_matrix(params(0.0, 0.0, 4.2))
+    w = low_gain_interaction_matrix(0.0, 0.0, 4.2)
     assert np.array_equal(w, np.eye(4, dtype=complex))
 
 
 def test_low_gain_matrix_zero_mismatch():
-    w = low_gain_interaction_matrix(params(0.02, 0.01, 0.0))
+    w = low_gain_interaction_matrix(0.02, 0.01, 0.0)
     assert w[0, 1] == pytest.approx(-0.02, rel=1e-15)
     assert w[1, 0] == pytest.approx(0.02, rel=1e-15)
     assert w[2, 3] == pytest.approx(-0.01, rel=1e-15)
@@ -67,7 +59,7 @@ def test_low_gain_matrix_zero_mismatch():
 
 
 def test_low_gain_matrix_frozen_sinc():
-    w = low_gain_interaction_matrix(params(0.01, 0.0, 2.0))
+    w = low_gain_interaction_matrix(0.01, 0.0, 2.0)
     assert abs(w[0, 1]) == pytest.approx(0.0084147098480790, rel=1e-12)
 
 
@@ -75,9 +67,9 @@ def test_low_gain_matches_full_matrix_at_small_beta():
     # Entrywise magnitudes only: the full matrix carries an extra i on
     # the off-diagonals, a mode-reference phase that cancels in every
     # probability.
-    p = params(1e-5, 3e-6, 1.7)
-    low = np.abs(low_gain_interaction_matrix(p))
-    full = np.abs(dense_interaction_matrix(interaction_matrix(p)))
+    p = (1e-5, 3e-6, 1.7)
+    low = np.abs(low_gain_interaction_matrix(*p))
+    full = np.abs(dense_interaction_matrix(interaction_matrix(*p)))
     assert np.max(np.abs(low - full)) < 1e-9
 
 
@@ -135,7 +127,7 @@ def _point_prediction(stack, lam_s, theta_s, beta_scale):
     enh = []
     for mode, phi in ((signal, phi_s), (idler, phi_i)):
         c = interface_coeffs(stack, mode)
-        enh.append(enhancement_arrays(*astuple(c), phi, round_trip_denominator(c.r1, c.r2, phi)))
+        enh.append(enhancement_arrays(*c, phi, round_trip_denominator(c.r1, c.r2, phi)))
     enh_s, enh_i = enh
     out = {}
     for scheme in ("ff", "bb", "fb", "bf"):
@@ -145,7 +137,7 @@ def _point_prediction(stack, lam_s, theta_s, beta_scale):
 
 
 def _rigorous_point(stack, signal, idler, beta_p, beta_m, phi_s, phi_i, delta):
-    w = interaction_matrix(InteractionParams(beta_plus=beta_p, beta_minus=beta_m, delta=delta))
+    w = interaction_matrix(beta_p, beta_m, delta)
     tau1, tau2, rho = boundary_matrices(
         reference.interface_coeffs(stack, signal),
         reference.interface_coeffs(stack, idler),
@@ -153,7 +145,7 @@ def _rigorous_point(stack, signal, idler, beta_p, beta_m, phi_s, phi_i, delta):
         phi_i,
     )
     u = scattering_matrix(w, tau1, tau2, rho)
-    return pair_probabilities(u)
+    return pair_probabilities(u, reference.SCHEMES)
 
 
 @pytest.mark.parametrize("lam_s,theta_s", [(1576.0, 0.0), (1450.0, 0.12), (2100.0, -0.2)])
@@ -169,7 +161,7 @@ def test_filter_function_matches_rigorous_low_gain(experiment_stack, lam_s, thet
         experiment_stack, signal, idler, beta_p, beta_m, phi_s, phi_i, delta
     )
     for scheme in ("ff", "bb", "fb", "bf"):
-        assert simp[scheme] == pytest.approx(getattr(rig, scheme), rel=1e-5)
+        assert simp[scheme] == pytest.approx(rig[scheme], rel=1e-5)
 
 
 def test_no_etalon_reduction_proportional_to_sinc(experiment_stack):

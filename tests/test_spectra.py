@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import Mode
 from spdc_etalon import spectra
 from spdc_etalon import (
     ConfigError,
-    Mode,
     SpdcEtalonError,
     ZeroVarianceError,
     compare_grids,
@@ -133,6 +133,20 @@ def test_library_refuses_nonresonant_schemes_other_than_ff(schemes, named):
     with pytest.raises(ConfigError, match=message):
         frequency_angular_spectra(cfg, GRID_MODELS)
     assert list(frequency_angular_spectra(cfg, GRID_MODELS[:2])) == list(GRID_MODELS[:2])
+
+
+@pytest.mark.parametrize("model", ["simplified", "rigorous", "nonresonant"])
+def test_library_refuses_unknown_schemes_before_any_pixel(model, monkeypatch):
+    # A config that skipped `validate` gets the error `validate` gives,
+    # whatever the model, before a pixel is built.
+    cfg = replace(parse_config(config_text(lambda_count=4, theta_count=2)), schemes=("ff", "xx"))
+
+    def no_pixel(*args):
+        raise AssertionError("a pixel was built")
+
+    monkeypatch.setattr(spectra, "_build_batch", no_pixel)
+    with pytest.raises(ConfigError, match=r"^model\.schemes: entries must be among \("):
+        frequency_angular_spectrum(cfg, model)
 
 
 def test_grid_models_agree_at_low_gain(small_config):
@@ -405,13 +419,7 @@ def _unblocked_rigorous_grid(cfg):
     as the sweep evaluated it before it solved unmasked blocks only, with
     the generic BLAS scattering matrix of `reference`."""
     from reference import dense_operands, scattering_matrix
-    from spdc_etalon.layerstack import InterfaceCoeffs
-    from spdc_etalon.rigorous import (
-        InteractionParams,
-        boundary_matrices,
-        interaction_matrix,
-        pair_probabilities,
-    )
+    from spdc_etalon.rigorous import boundary_matrices, interaction_matrix, pair_probabilities
 
     lams = cfg.signal_wavelengths()
     thetas = cfg.internal_angles()
@@ -421,18 +429,11 @@ def _unblocked_rigorous_grid(cfg):
             cfg, lams, thetas, 0, lams.size * thetas.size, spectra._pump_state(cfg)
         )
         (beta_p,), (beta_m,) = batch.betas([cfg.beta_plus])
-        params = InteractionParams(beta_p, beta_m, batch.delta)
-        boundary = boundary_matrices(
-            InterfaceCoeffs(*batch.coeffs_s),
-            InterfaceCoeffs(*batch.coeffs_i),
-            batch.phi_s,
-            batch.phi_i,
-        )
-        u = scattering_matrix(
-            *dense_operands(interaction_matrix(params), *boundary), check_condition=False
-        )
-        probs = pair_probabilities(u)
-        values = {s: getattr(probs, s) * batch.gauss for s in cfg.schemes}
+        boundary = boundary_matrices(batch.coeffs_s, batch.coeffs_i, batch.phi_s, batch.phi_i)
+        w = interaction_matrix(beta_p, beta_m, batch.delta)
+        u = scattering_matrix(*dense_operands(w, *boundary), check_condition=False)
+        probs = pair_probabilities(u, cfg.schemes)
+        values = {s: probs[s] * batch.gauss for s in cfg.schemes}
     mask = batch.mask.copy()
     for s in cfg.schemes:
         mask |= ~np.isfinite(values[s])
@@ -499,8 +500,7 @@ def test_singular_matrices_mask_only_their_pixels():
     from numpy.linalg import LinAlgError
     from reference import dense_operands
 
-    from spdc_etalon.layerstack import InterfaceCoeffs
-    from spdc_etalon.rigorous import InteractionParams, boundary_matrices, interaction_matrix
+    from spdc_etalon.rigorous import boundary_matrices, interaction_matrix
 
     cfg = parse_config(EXPERIMENT_CONFIG)
     lams = cfg.signal_wavelengths()
@@ -515,13 +515,13 @@ def test_singular_matrices_mask_only_their_pixels():
         batch = spectra._build_batch(cfg, lams, one, 0, lams.size, spectra._pump_state(cfg))
         live = np.flatnonzero(~batch.mask)
         boundary = boundary_matrices(
-            InterfaceCoeffs(*(c[live] for c in batch.coeffs_s)),
-            InterfaceCoeffs(*(c[live] for c in batch.coeffs_i)),
+            tuple(c[live] for c in batch.coeffs_s),
+            tuple(c[live] for c in batch.coeffs_i),
             batch.phi_s[live],
             batch.phi_i[live],
         )
-        params = InteractionParams(*batch.betas(list(scales), live), batch.delta[live][None])
-        w, tau1, _tau2, rho = dense_operands(interaction_matrix(params), *boundary)
+        w = interaction_matrix(*batch.betas(list(scales), live), batch.delta[live][None])
+        w, tau1, _tau2, rho = dense_operands(w, *boundary)
         system = np.eye(4) - rho @ w
     singular = np.zeros(mask.shape[1:], dtype=bool)
     for k, j in np.ndindex(system.shape[:2]):
@@ -587,7 +587,7 @@ def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
         def recorded(*args, fn=fn, name=name, **kwargs):
             result = fn(*args, **kwargs)
             if name == "pair_probabilities":
-                sizes = [result.ff.size]
+                sizes = [result["ff"].size]
             else:
                 sizes = _matrix_counts(name, result)
             calls.setdefault(name, []).append(sizes)
@@ -709,7 +709,7 @@ def test_chi2_route_matches_interaction_params_op(experiment_stack):
             p = interaction_params(
                 stack, pump, signal, idler, (field * e_fwd, field * e_bwd)
             )
-            w = interaction_matrix(p)
+            w = interaction_matrix(p.beta_plus, p.beta_minus, p.delta)
             tau1, tau2, rho = boundary_matrices(
                 interface_coeffs(stack, signal),
                 interface_coeffs(stack, idler),
@@ -717,7 +717,7 @@ def test_chi2_route_matches_interaction_params_op(experiment_stack):
                 propagation_phase(stack, idler),
             )
             probs = pair_probabilities(scattering_matrix(w, tau1, tau2, rho))
-            assert grid.intensity["ff"][i, j] == pytest.approx(probs.ff, rel=1e-10)
+            assert grid.intensity["ff"][i, j] == pytest.approx(probs["ff"], rel=1e-10)
 
 
 def test_low_gain_agreement_holds_for_p_polarization():
@@ -1064,9 +1064,7 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
     # signal and idler-dagger operators: U G U^dagger = G.  With a real
     # beta on both pump branches this holds at every unmasked pixel; beta
     # = 2 puts part of the grid above threshold (real gamma).
-    from spdc_etalon.layerstack import InterfaceCoeffs
     from spdc_etalon.rigorous import (
-        InteractionParams,
         boundary_matrices,
         gain_term,
         interaction_matrix,
@@ -1086,15 +1084,9 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
         )
         b = np.full(batch.delta.shape, beta, dtype=complex)
         gamma = gain_term(b, batch.delta)
-        params = InteractionParams(b, b, batch.delta)
         u = scattering_matrix(
-            interaction_matrix(params),
-            *boundary_matrices(
-                InterfaceCoeffs(*batch.coeffs_s),
-                InterfaceCoeffs(*batch.coeffs_i),
-                batch.phi_s,
-                batch.phi_i,
-            ),
+            interaction_matrix(b, b, batch.delta),
+            *boundary_matrices(batch.coeffs_s, batch.coeffs_i, batch.phi_s, batch.phi_i),
             check_condition=False,
         )
     g = np.diag([1.0, -1.0, 1.0, -1.0])
