@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +28,9 @@ from . import __version__
 from .config import MODELS, _parse_field, parse_config, serialize_config
 from .errors import ConfigError, SpdcEtalonError
 from .spectra import (
-    GainCurvePoint,
     compare_grids,
     detection_spectrum,
     frequency_angular_spectra,
-    frequency_angular_spectrum,
     gain_and_agreement_curve,
     transmission_curve,
 )
@@ -327,8 +324,8 @@ def run(command, config, out_path, threads=1):
     out_path = Path(out_path)
     lines = []
     if command == "spectrum":
-        grid = frequency_angular_spectrum(config, threads=threads).normalized()
-        tables = {out_path: _grid_table(grid)}
+        grids = frequency_angular_spectra(config, (config.model,), threads=threads)
+        tables = {out_path: _grid_table(grids[config.model].normalized())}
     elif command == "compare":
         grids = frequency_angular_spectra(config, ("simplified", "rigorous"), threads=threads)
         simplified, rigorous = grids["simplified"], grids["rigorous"]
@@ -341,9 +338,8 @@ def run(command, config, out_path, threads=1):
         tables[summary] = (["scheme", "r_squared"], [config.schemes, r2])
         lines = [f"r_squared[{s}] = {rr:.12g}" for s, rr in zip(config.schemes, r2)]
     elif command == "gain-curve":
-        points = gain_and_agreement_curve(config, threads=threads)
-        columns = [f.name for f in fields(GainCurvePoint)]
-        tables = {out_path: (columns, [[getattr(p, c) for p in points] for c in columns])}
+        curve = gain_and_agreement_curve(config, threads=threads)
+        tables = {out_path: (list(curve), list(curve.values()))}
     elif command == "transmission":
         lams, trans, mask = transmission_curve(config)
         tables = {out_path: (["lambda_nm", "transmission", "masked"], [lams, trans, mask])}

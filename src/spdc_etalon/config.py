@@ -7,8 +7,8 @@ a key is added by adding a field, and it is required when its field has
 no default.  Unknown sections or keys are hard errors; every diagnostic
 carries the offending key path.  Parsing is seed-free and fully
 deterministic, and `parse_config(serialize_config(cfg))` round-trips
-exactly.  A material spec is only split here: `MaterialModel` judges
-its numbers, and its ValueError becomes the key's ConfigError.
+exactly.  Material specs are resolved by `materials.material_from_spec`,
+and its ConfigError gains the offending key's path here.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .materials import POLARIZATIONS, MaterialModel, get_material
+from .materials import POLARIZATIONS, material_from_spec
 from .layerstack import LayerStack
 from .simplified import SCHEMES
 from .spectra import _DETECTED_SCHEMES, _EVALUATORS
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "material_from_spec"]
+__all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 MODELS = tuple(_EVALUATORS)
 DETECTION_SCHEMES = tuple(_DETECTED_SCHEMES)
@@ -176,43 +176,6 @@ class RunConfig:
 
 # The fields `_stack` reads.
 _STACK_FIELDS = {"superstrate", "film", "substrate", "thickness_um", "chi2_pm_per_v"}
-
-
-def material_from_spec(spec):
-    """Resolve a material spec string to a MaterialModel.
-
-    Accepts a preset name, ``constant:<n>``,
-    ``sellmeier:<offset>:<b1,...>:<c1,...>[:<min_nm>,<max_nm>]``, or
-    ``tabulated:<csv path>`` (two comma-separated columns:
-    wavelength_nm, index; '#' comments allowed).  Raises ConfigError
-    for text that does not split, a table that cannot be read, or
-    numbers `MaterialModel` refuses.
-    """
-    spec = spec.strip()
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        return get_material(spec)
-    try:
-        if kind == "constant":
-            return MaterialModel.constant(float(rest), name=spec)
-        if kind == "sellmeier":
-            parts = rest.split(":")
-            if len(parts) not in (3, 4):
-                raise ValueError("expected offset:b1,..:c1,..[:min_nm,max_nm]")
-            b, c = (tuple(float(x) for x in p.split(",") if x) for p in parts[1:3])
-            rng = tuple(float(x) for x in parts[3].split(",")) if len(parts) == 4 else None
-            return MaterialModel.sellmeier(
-                b, c, offset=float(parts[0]), valid_range_nm=rng, name=spec
-            )
-        if kind == "tabulated":
-            rows = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
-            return MaterialModel.tabulated(rows[:, 0], rows[:, 1], name=spec)
-    except OSError as exc:
-        raise ConfigError(f"cannot read material table {rest!r}: {exc}") from None
-    except (ValueError, IndexError) as exc:
-        what = f"material table {rest!r}" if kind == "tabulated" else f"{kind} material {spec!r}"
-        raise ConfigError(f"bad {what}: {exc}") from None
-    raise ConfigError(f"unknown material form {kind!r} in {spec!r}")
 
 
 # The schema: (section, key) -> its RunConfig field, in field order.

@@ -1,6 +1,10 @@
 """Refractive-index models.
 
-All wavelengths are vacuum wavelengths in nanometers.
+All wavelengths are vacuum wavelengths in nanometers.  Text reaches a
+model through `material_from_spec`, the one owner of the spec grammar:
+a preset name, or a ``constant:``, ``sellmeier:`` or ``tabulated:``
+form.  `MaterialModel` judges the numbers, and a spec that does not
+resolve raises ConfigError.
 
 Built-in presets:
 
@@ -29,7 +33,7 @@ from .errors import ConfigError, MaterialRangeError
 __all__ = [
     "MaterialModel",
     "refractive_index",
-    "get_material",
+    "material_from_spec",
 ]
 
 POLARIZATIONS = ("s", "p")
@@ -224,12 +228,43 @@ _PRESETS = {
 }
 
 
-def get_material(name):
-    """Look up a built-in material preset by name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
+def material_from_spec(spec):
+    """Resolve a material spec string to a MaterialModel.
+
+    Accepts a preset name, ``constant:<n>``,
+    ``sellmeier:<offset>:<b1,...>:<c1,...>[:<min_nm>,<max_nm>]``, or
+    ``tabulated:<csv path>`` (two comma-separated columns:
+    wavelength_nm, index; '#' comments allowed).  Raises ConfigError
+    for an unknown preset or form, text that does not split, a table
+    that cannot be read, or numbers `MaterialModel` refuses.
+    """
+    spec = spec.strip()
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        if spec in _PRESETS:
+            return _PRESETS[spec]
         raise ConfigError(
-            f"unknown material preset {name!r}; available: {sorted(_PRESETS)}, "
+            f"unknown material preset {spec!r}; available: {sorted(_PRESETS)}, "
             "or use constant:/sellmeier:/tabulated: forms"
-        ) from None
+        )
+    try:
+        if kind == "constant":
+            return MaterialModel.constant(float(rest), name=spec)
+        if kind == "sellmeier":
+            parts = rest.split(":")
+            if len(parts) not in (3, 4):
+                raise ValueError("expected offset:b1,..:c1,..[:min_nm,max_nm]")
+            b, c = (tuple(float(x) for x in p.split(",") if x) for p in parts[1:3])
+            rng = tuple(float(x) for x in parts[3].split(",")) if len(parts) == 4 else None
+            return MaterialModel.sellmeier(
+                b, c, offset=float(parts[0]), valid_range_nm=rng, name=spec
+            )
+        if kind == "tabulated":
+            rows = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
+            return MaterialModel.tabulated(rows[:, 0], rows[:, 1], name=spec)
+    except OSError as exc:
+        raise ConfigError(f"cannot read material table {rest!r}: {exc}") from None
+    except (ValueError, IndexError) as exc:
+        what = f"material table {rest!r}" if kind == "tabulated" else f"{kind} material {spec!r}"
+        raise ConfigError(f"bad {what}: {exc}") from None
+    raise ConfigError(f"unknown material form {kind!r} in {spec!r}")

@@ -44,8 +44,6 @@ from .simplified import SCHEMES, _filter_strength, _nonresonant, _pump_profile, 
 
 __all__ = [
     "SpectrumGrid",
-    "GainCurvePoint",
-    "frequency_angular_spectrum",
     "frequency_angular_spectra",
     "r_squared",
     "compare_grids",
@@ -105,17 +103,6 @@ def _envelope(wavelength_nm, center_nm, fwhm_nm, amplitude):
     checks the width and amplitude)."""
     arg = (np.asarray(wavelength_nm, dtype=float) - center_nm) / fwhm_nm
     return amplitude * np.exp(-4.0 * np.log(2.0) * arg ** 2)
-
-
-@dataclass(frozen=True)
-class GainCurvePoint:
-    """One row of the gain/agreement sweep."""
-
-    beta_scale: float
-    beta_plus_abs: float
-    beta_over_half_delta: float
-    re_gamma_plus: float
-    r_squared: float
 
 
 def _idler_wavelength(lam_p, lam_s):
@@ -192,8 +179,9 @@ def _pump_state(config):
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
         trig = (np.cos(0.0), np.sin(0.0))
-        coeffs = coefficient_arrays(_indices(stack, lam_p), trig, config.polarization)
-        n_p = refractive_index(stack.film, lam_p)
+        indices = _indices(stack, lam_p)
+        coeffs = coefficient_arrays(indices, trig, config.polarization)
+        n_p = indices[1]
         # Keep this evaluation order of L k_p: the golden outputs pin its bits.
         phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
         e_fwd, e_bwd = _pump_enhancement(coeffs, phi_p)
@@ -412,8 +400,18 @@ def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
 
 
 def frequency_angular_spectra(config, models, threads=1):
-    """{model: raw SpectrumGrid} for every model in `models`, from one
-    pass over the pixels: each pixel's kinematics serve all models."""
+    """{model: raw SpectrumGrid} over the configured wavelength/angle axes
+    for every model in `models`, from one pass over the pixels.
+
+    For each pixel the idler is solved from energy conservation and
+    transverse matching, its kinematics serve every model, and failures
+    are recorded in each grid's error mask.  `models` is a nonempty
+    sequence of distinct model names, checked before any pixel runs.
+    The grids are raw (unnormalized); call `.normalized()` for the
+    unit-max version.
+    """
+    if isinstance(models, str) or not models or len(set(models)) != len(models):
+        raise ValueError("models must be a nonempty sequence of distinct model names")
     for model in models:
         if model not in _EVALUATORS:
             raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
@@ -434,18 +432,6 @@ def frequency_angular_spectra(config, models, threads=1):
     }
 
 
-def frequency_angular_spectrum(config, model=None, threads=1):
-    """Per-scheme intensity grid over the configured wavelength/angle axes.
-
-    For each pixel the idler is solved from energy conservation and
-    transverse matching, the selected model is evaluated, and failures
-    are recorded in the grid's error mask.  The result is raw
-    (unnormalized); call `.normalized()` for the unit-max version.
-    """
-    model = model or config.model
-    return frequency_angular_spectra(config, (model,), threads=threads)[model]
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -454,7 +440,8 @@ def frequency_angular_spectrum(config, model=None, threads=1):
 def r_squared(candidate, reference, mask=None):
     """Coefficient of determination on unit-max-normalized data.
 
-    `reference` is the trusted side.  Masked entries are excluded; a
+    `reference` is the trusted side.  Masked entries are excluded, and
+    a mask must have the arrays' shape (ValueError otherwise); a
     constant reference raises ZeroVarianceError.
     """
     a = np.asarray(candidate, dtype=float)
@@ -463,7 +450,10 @@ def r_squared(candidate, reference, mask=None):
         raise ValueError("arrays must have the same shape")
     keep = np.isfinite(a) & np.isfinite(b)
     if mask is not None:
-        keep &= ~np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape:
+            raise ValueError("mask must have the arrays' shape")
+        keep &= ~mask
     a = a[keep]
     b = b[keep]
     if a.size == 0:
@@ -496,6 +486,10 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     exactly at |beta+| = |delta/2|.  A scale at which every pixel is
     masked (far past threshold the rigorous model overflows) raises
     ZeroVarianceError naming the first such scale.
+
+    Returns {column: 1-D float64 array, one entry per scale}, with the
+    columns beta_scale, beta_plus_abs, beta_over_half_delta,
+    re_gamma_plus and r_squared in that order.
     """
     if beta_values is None:
         beta_values = np.geomspace(
@@ -518,7 +512,7 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
         config, lams, np.zeros(1), ("rigorous", "simplified"), beta_values, ("ff",), threads
     )
-    points = []
+    rows = []
     for k, scale in enumerate(beta_values):
         scale_mask = rig_mask[k] | smp_mask[k]
         if scale_mask.all():
@@ -532,16 +526,9 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
         # A phase-matched film has delta 0 here: the ratio is inf.
         with np.errstate(divide="ignore"):
             ratio = np.divide(beta_abs, half_delta)
-        points.append(
-            GainCurvePoint(
-                beta_scale=float(scale),
-                beta_plus_abs=float(beta_abs),
-                beta_over_half_delta=float(ratio),
-                re_gamma_plus=float(np.real(gamma)),
-                r_squared=rr,
-            )
-        )
-    return points
+        rows.append((scale, beta_abs, ratio, np.real(gamma), rr))
+    columns = ("beta_scale", "beta_plus_abs", "beta_over_half_delta", "re_gamma_plus", "r_squared")
+    return dict(zip(columns, np.array(rows, dtype=float).T))
 
 
 def detection_spectrum(config, threads=1):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdc_etalon import LayerStack, get_material, parse_config
+from spdc_etalon import LayerStack, material_from_spec, parse_config
 
 EXPERIMENT_CONFIG = """
 [stack]
@@ -61,9 +61,9 @@ def small_config():
 @pytest.fixture
 def experiment_stack():
     return LayerStack(
-        superstrate=get_material("air"),
-        film=get_material("linbo3_e"),
-        substrate=get_material("silicon"),
+        superstrate=material_from_spec("air"),
+        film=material_from_spec("linbo3_e"),
+        substrate=material_from_spec("silicon"),
         thickness_nm=10150.0,
     )
 

@@ -5,7 +5,9 @@ sweep engine.  The bodies below are copies of the scalar
 implementations from before those kernels, so tests that compare a
 sweep or a kernel with a point-by-point composition still compare two
 separate implementations of each formula.  Do not route them through
-the library's kernels.
+the library's kernels.  What they still share with the library:
+material indices come from `refractive_index`, and `interaction_params`
+reports its gain terms through `gain_term`.
 
 One edit against the originals: `filter_function` takes each mode's
 enhancement factors as the (a1+, a1-, a3+, a3-) tuple that the
@@ -43,7 +45,10 @@ oracles raise ValueError for an unphysical geometry.
 term, material indices and trigonometry included, evaluated once per
 pixel.  The library evaluates each term once per wavelength, angle or
 pixel and gathers it; the tests check that every batch field keeps its
-bits.
+bits.  To that end it calls the library's own per-pixel kernels
+(`_idler_wavelength`, `_masked_indices`, `coefficient_arrays`,
+`round_trip_denominator`, `_coupling_prefactor`, `_pump_profile`), so
+only the gathering differs.
 """
 
 from collections import namedtuple
@@ -213,7 +218,7 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
 
 
 def _checked_denominator(r1, r2, phase):
-    den = round_trip_denominator(r1, r2, phase)
+    den = 1.0 - r1 * r2 * np.exp(2j * phase)
     if np.any(np.abs(den) < POLE_TOLERANCE):
         raise ResonancePoleError(
             "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "

@@ -12,10 +12,10 @@ from spdc_etalon import (
     MaterialModel,
     boundary_matrices,
     detection_spectrum,
-    frequency_angular_spectrum,
+    frequency_angular_spectra,
     gain_and_agreement_curve,
-    get_material,
     interaction_matrix,
+    material_from_spec,
     pair_probabilities,
     parse_config,
     refractive_index,
@@ -42,8 +42,8 @@ def normalized_ff(grid):
 
 
 def max_deviation(cfg):
-    simp = frequency_angular_spectrum(cfg, "simplified")
-    rig = frequency_angular_spectrum(cfg, "rigorous")
+    simp = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
+    rig = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
     a, keep_a = normalized_ff(simp)
     b, keep_b = normalized_ff(rig)
     keep = keep_a & keep_b
@@ -56,13 +56,13 @@ def test_criterion_1_low_gain_equivalence():
     cfg = parse_config(EXPERIMENT_CONFIG)  # 512 x 256, beta+ = 1e-3
 
     t0 = time.perf_counter()
-    simp = frequency_angular_spectrum(cfg, "simplified", threads=1)
-    rig = frequency_angular_spectrum(cfg, "rigorous", threads=1)
+    simp = frequency_angular_spectra(cfg, ("simplified",), threads=1)["simplified"]
+    rig = frequency_angular_spectra(cfg, ("rigorous",), threads=1)["rigorous"]
     elapsed_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    frequency_angular_spectrum(cfg, "simplified", threads=8)
-    frequency_angular_spectrum(cfg, "rigorous", threads=8)
+    frequency_angular_spectra(cfg, ("simplified",), threads=8)
+    frequency_angular_spectra(cfg, ("rigorous",), threads=8)
     elapsed_threaded = time.perf_counter() - t0
 
     a, keep_a = normalized_ff(simp)
@@ -159,9 +159,9 @@ def test_low_gain_limit_is_pointwise_p_times_s_on_the_chi2_route():
 def test_criterion_3_high_gain_breakdown():
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
     betas = np.geomspace(0.04, 4.0, 9)
-    points = gain_and_agreement_curve(cfg, betas)
+    curve = gain_and_agreement_curve(cfg, betas)
 
-    r2 = np.array([p.r_squared for p in points])
+    r2 = curve["r_squared"]
     # Strictly decreasing while the models still resemble each other;
     # once R2 has collapsed below zero its ordering is noise.
     assert np.argmax(r2) == 0
@@ -169,18 +169,16 @@ def test_criterion_3_high_gain_breakdown():
     prefix = r2[: np.argmin(meaningful) + 1] if not meaningful.all() else r2
     assert np.all(np.diff(prefix) < 0), "R2 must decrease as beta grows"
 
-    broke = [p for p in points if p.beta_plus_abs ** 2 >= 1.0 and p.r_squared < 0.9]
-    assert broke, "R2 < 0.9 expected at some |beta+|^2 >= 1"
+    broke = (curve["beta_plus_abs"] ** 2 >= 1.0) & (r2 < 0.9)
+    assert broke.any(), "R2 < 0.9 expected at some |beta+|^2 >= 1"
 
-    for p in points:
-        if p.beta_over_half_delta < 1.0:
-            assert p.re_gamma_plus == 0.0
-        else:
-            assert p.re_gamma_plus > 0.0
+    ratio, re_gamma = curve["beta_over_half_delta"], curve["re_gamma_plus"]
+    assert np.all(re_gamma[ratio < 1.0] == 0.0)
+    assert np.all(re_gamma[ratio >= 1.0] > 0.0)
     report(
         3,
         f"breakdown: R2 {r2[0]:.4f} -> {r2[-1]:.2f}, Re(gamma+) threshold exactly at "
-        f"|beta+| = |delta/2| ({points[-1].re_gamma_plus:.3f} at x={points[-1].beta_over_half_delta:.2f})",
+        f"|beta+| = |delta/2| ({re_gamma[-1]:.3f} at x={ratio[-1]:.2f})",
     )
 
 
@@ -216,7 +214,7 @@ def test_criterion_4_nonresonant_collapse():
 
     worst = {}
     for model in ("simplified", "rigorous"):
-        grid = frequency_angular_spectrum(cfg, model)
+        grid = frequency_angular_spectra(cfg, (model,))[model]
         arr, keep = normalized_ff(grid)
         ref = reference / np.max(reference[keep])
         worst[model] = np.max(np.abs(arr[keep] - ref[keep]))
@@ -245,7 +243,7 @@ def test_matched_stack_ff_is_two_mode_squeezed_vacuum_at_every_gain(beta):
     cfg = parse_config(
         config_text(lambda_count=96, theta_count=48, beta_plus=beta, **MATCHED)
     )
-    grid = frequency_angular_spectrum(cfg, "rigorous")
+    grid = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
     delta, dk_perp = _film_mismatch(cfg)
     gamma = np.sqrt(beta ** 2 - delta ** 2 / 4.0 + 0j)
     n = np.abs(beta * np.sinh(gamma) / gamma) ** 2
@@ -274,7 +272,7 @@ def test_intensity_is_mirror_symmetric_in_angle_at_every_gain(beta):
     assert np.max(np.abs(thetas + thetas[::-1])) <= 1e-15
     worst = {}
     for model in ("simplified", "rigorous"):
-        grid = frequency_angular_spectrum(cfg, model)
+        grid = frequency_angular_spectra(cfg, (model,))[model]
         assert np.array_equal(grid.mask, grid.mask[:, ::-1])
         keep = ~grid.mask
         assert keep.any()
@@ -398,7 +396,7 @@ def test_criterion_6_etalon_linear_optics():
 
     # Dispersion-corrected free spectral range at the measured pair's
     # own midpoint (the spacing varies by a few percent per fringe).
-    film = get_material("linbo3_e")
+    film = material_from_spec("linbo3_e")
     h = 0.5
     dn = (refractive_index(film, mid + h) - refractive_index(film, mid - h)) / (2 * h)
     n_group = refractive_index(film, mid) - mid * dn

@@ -9,7 +9,7 @@ from spdc_etalon import (
     MaterialModel,
     ResonancePoleError,
     SpdcEtalonError,
-    get_material,
+    material_from_spec,
     refractive_index,
 )
 from spdc_etalon.layerstack import (
@@ -35,7 +35,7 @@ def slab(n_film, n_outer=1.0, thickness_nm=5000.0):
     "thickness_nm, chi2", [(np.nan, 0.0), (np.inf, 0.0), (5000.0, np.inf), (5000.0, np.nan)]
 )
 def test_layer_stack_refuses_non_finite_numbers(thickness_nm, chi2):
-    air = get_material("air")
+    air = material_from_spec("air")
     with pytest.raises(ValueError, match="finite"):
         LayerStack(air, air, air, thickness_nm, chi2_pm_per_v=chi2)
 
@@ -105,9 +105,9 @@ def test_interface_coeffs_experiment_stack():
     # air / LiNbO3 / silicon at 1576 nm, normal incidence; cross-checked
     # against a direct evaluation of the flux-normalized formulas.
     stack = LayerStack(
-        superstrate=get_material("air"),
-        film=get_material("linbo3_e"),
-        substrate=get_material("silicon"),
+        superstrate=material_from_spec("air"),
+        film=material_from_spec("linbo3_e"),
+        substrate=material_from_spec("silicon"),
         thickness_nm=10150.0,
     )
     n2 = refractive_index(stack.film, 1576.0)

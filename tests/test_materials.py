@@ -8,7 +8,7 @@ from spdc_etalon import (
     ConfigError,
     MaterialModel,
     MaterialRangeError,
-    get_material,
+    material_from_spec,
     refractive_index,
 )
 
@@ -19,7 +19,7 @@ N_E_788 = 2.1768267981499453
 
 
 def test_constant_air_any_wavelength():
-    air = get_material("air")
+    air = material_from_spec("air")
     for lam in (200.0, 788.0, 1576.0, 25000.0):
         assert refractive_index(air, lam) == 1.0
 
@@ -30,21 +30,21 @@ def test_degenerate_sellmeier_is_sqrt_offset():
 
 
 def test_linbo3_extraordinary_frozen_values():
-    ln = get_material("linbo3_e")
+    ln = material_from_spec("linbo3_e")
     assert refractive_index(ln, 1576.0) == pytest.approx(N_E_1576, rel=1e-13)
     assert refractive_index(ln, 788.0) == pytest.approx(N_E_788, rel=1e-13)
 
 
 def test_linbo3_ordinary_exceeds_extraordinary():
     # Negative uniaxial crystal: n_o > n_e across the band.
-    lo = get_material("linbo3_o")
-    le = get_material("linbo3_e")
+    lo = material_from_spec("linbo3_o")
+    le = material_from_spec("linbo3_e")
     lams = np.linspace(600.0, 3000.0, 25)
     assert np.all(refractive_index(lo, lams) > refractive_index(le, lams))
 
 
 def test_linbo3_smooth_and_monotone_on_band():
-    ln = get_material("linbo3_e")
+    ln = material_from_spec("linbo3_e")
     lams = np.arange(900.0, 2401.0, 1.0)
     n = refractive_index(ln, lams)
     steps = np.diff(n)
@@ -74,7 +74,7 @@ def test_tabulated_requires_increasing_wavelengths():
 
 
 def test_range_error_names_model_and_bounds():
-    ln = get_material("linbo3_e")
+    ln = material_from_spec("linbo3_e")
     with pytest.raises(MaterialRangeError, match="linbo3_e"):
         refractive_index(ln, 300.0)
     with pytest.raises(MaterialRangeError, match="5000"):
@@ -82,7 +82,7 @@ def test_range_error_names_model_and_bounds():
 
 
 def test_refractive_index_keeps_each_range_message():
-    ln = get_material("linbo3_e")
+    ln = material_from_spec("linbo3_e")
     for lam in (0.0, -1.0, np.array([788.0, -5.0])):
         with pytest.raises(MaterialRangeError, match="linbo3_e.*wavelength must be positive"):
             refractive_index(ln, lam)
@@ -97,7 +97,7 @@ def test_refractive_index_keeps_each_range_message():
 
 
 def test_silicon_preset_is_tabulated_and_sane():
-    si = get_material("silicon")
+    si = material_from_spec("silicon")
     assert si.kind == "tabulated"
     assert si.valid_range_nm == (650.0, 4000.0)
     n788 = refractive_index(si, 788.0)
@@ -111,15 +111,15 @@ def test_silicon_preset_is_tabulated_and_sane():
 
 def test_presets_registry():
     names = ["air", "linbo3_e", "linbo3_o", "silicon"]
-    assert [get_material(name).name for name in names] == names
+    assert [material_from_spec(name).name for name in names] == names
     with pytest.raises(ConfigError, match=re.escape(f"available: {names}")):
-        get_material("unobtainium")
+        material_from_spec("unobtainium")
 
 
 def test_presets_reproducible_from_documented_coefficients():
     # The exact numbers recorded in the README must regenerate the
     # built-in presets bit-identically.
-    ln = get_material("linbo3_e")
+    ln = material_from_spec("linbo3_e")
     lams = np.array([500.0, 788.0, 1576.0, 3100.0])
     u = (lams / 1000.0) ** 2
     n2 = (
@@ -130,7 +130,7 @@ def test_presets_reproducible_from_documented_coefficients():
     )
     assert np.array_equal(refractive_index(ln, lams), np.sqrt(n2))
 
-    si = get_material("silicon")
+    si = material_from_spec("silicon")
     grid = np.arange(650.0, 4001.0, 2.0)
     u = (grid / 1000.0) ** 2
     n2 = (

@@ -389,7 +389,7 @@ SWEEP_CONFIGS = {
 
 @pytest.mark.parametrize("name", list(SWEEP_CONFIGS))
 def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
-    from spdc_etalon import frequency_angular_spectrum
+    from spdc_etalon import frequency_angular_spectra
 
     cfg = parse_config(SWEEP_CONFIGS[name](config_text(lambda_count=64, theta_count=48)))
     monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", 1000)
@@ -405,7 +405,7 @@ def test_scattering_matrix_bits_equal_oracle_on_sweep_blocks(monkeypatch, name):
         return u
 
     monkeypatch.setattr(spectra, "scattering_matrix", checked)
-    frequency_angular_spectrum(cfg, "rigorous")
+    frequency_angular_spectra(cfg, ("rigorous",))
     finite = np.concatenate(blocks)
     assert len(blocks) > 1
     assert finite.any() == (name != "beta-1000")

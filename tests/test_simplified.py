@@ -8,8 +8,8 @@ from spdc_etalon import (
     ConfigError,
     LayerStack,
     boundary_matrices,
-    get_material,
     interaction_matrix,
+    material_from_spec,
     pair_probabilities,
     parse_config,
     scattering_matrix,
@@ -38,7 +38,7 @@ def test_nonresonant_pump_factor_frozen():
 def test_nonresonant_validates_inputs():
     # The kernel checks nothing: the stack refuses a thickness and the
     # config a waist that is not positive.
-    air = get_material("air")
+    air = material_from_spec("air")
     with pytest.raises(ValueError):
         LayerStack(air, air, air, -1.0)
     with pytest.raises(ConfigError, match="^pump.waist_um: must be positive"):
@@ -168,9 +168,9 @@ def test_no_etalon_reduction_proportional_to_sinc(experiment_stack):
     # Index-matched boundaries: every nonzero scheme reduces to the
     # phase-matching sinc^2; backward channels vanish outright.
     matched = LayerStack(
-        superstrate=get_material("linbo3_e"),
-        film=get_material("linbo3_e"),
-        substrate=get_material("linbo3_e"),
+        superstrate=material_from_spec("linbo3_e"),
+        film=material_from_spec("linbo3_e"),
+        substrate=material_from_spec("linbo3_e"),
         thickness_nm=10150.0,
     )
     beta_scale = 1e-3

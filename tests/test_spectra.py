@@ -14,7 +14,6 @@ from spdc_etalon import (
     compare_grids,
     detection_spectrum,
     frequency_angular_spectra,
-    frequency_angular_spectrum,
     gain_and_agreement_curve,
     parse_config,
     r_squared,
@@ -63,7 +62,7 @@ def test_solve_idler_rejects_short_signal():
     cfg = parse_config(
         config_text(lambda_min_nm=700.0, lambda_max_nm=1580.0, lambda_count=11, theta_count=3)
     )
-    grid = frequency_angular_spectrum(cfg, "simplified")
+    grid = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
     assert grid.signal_wavelengths_nm[1] == 788.0
     assert grid.mask[:2].all() and not grid.mask[2:].all()
 
@@ -88,14 +87,14 @@ def test_solve_idler_opposite_sign_angle(experiment_stack):
     assert kernel_idler(experiment_stack.film, 788.0, 1500.0, 0.2)[1] < 0
 
 
-# ---- frequency_angular_spectrum -------------------------------------------
+# ---- frequency_angular_spectra --------------------------------------------
 
 
 def test_nonresonant_matched_grid_equals_phase_matching():
     cfg = parse_config(
         config_text(lambda_count=48, theta_count=24, **MATCHED_OVERRIDES)
     )
-    grid = frequency_angular_spectrum(_ff_only(cfg), "nonresonant")
+    grid = frequency_angular_spectra(_ff_only(cfg), ("nonresonant",))["nonresonant"]
     stack = cfg.build_stack()
 
     from spdc_etalon import refractive_index
@@ -116,7 +115,7 @@ def test_nonresonant_matched_grid_equals_phase_matching():
     assert np.allclose(grid.intensity["ff"][keep], expected[keep], rtol=1e-10, atol=1e-12)
     # The bare film has no backward emission: bb is refused, not zeros.
     with pytest.raises(ConfigError, match="nonresonant model has only ff, not bb,fb,bf"):
-        frequency_angular_spectrum(cfg, "nonresonant")
+        frequency_angular_spectra(cfg, ("nonresonant",))
 
 
 @pytest.mark.parametrize(
@@ -129,10 +128,38 @@ def test_library_refuses_nonresonant_schemes_other_than_ff(schemes, named):
     cfg = cfg._replace_keeping_stack(schemes=schemes)
     message = f"model.schemes: the nonresonant model has only ff, not {named}$"
     with pytest.raises(ConfigError, match=message):
-        frequency_angular_spectrum(cfg, "nonresonant")
+        frequency_angular_spectra(cfg, ("nonresonant",))
     with pytest.raises(ConfigError, match=message):
         frequency_angular_spectra(cfg, GRID_MODELS)
     assert list(frequency_angular_spectra(cfg, GRID_MODELS[:2])) == list(GRID_MODELS[:2])
+
+
+BAD_MODELS = "^models must be a nonempty sequence of distinct model names$"
+
+
+@pytest.mark.parametrize(
+    "models, message",
+    [
+        ((), BAD_MODELS),
+        (("simplified", "simplified"), BAD_MODELS),
+        (("rigorous", "simplified", "rigorous"), BAD_MODELS),
+        ("simplified", BAD_MODELS),
+        (("simplified", "exact"), r"^model must be one of \['nonresonant', 'rigorous', 'simplif"),
+    ],
+    ids=["empty", "repeated", "repeated-apart", "string", "unknown"],
+)
+def test_spectra_refuse_bad_models_before_any_pixel(models, message, monkeypatch):
+    # Each model gets one grid: an empty list has none to return, a
+    # repeated name would be evaluated twice for one key, and a string
+    # would be read one character at a time.
+    cfg = parse_config(config_text(lambda_count=4, theta_count=2))
+
+    def no_pixel(*args):
+        raise AssertionError("a pixel was built")
+
+    monkeypatch.setattr(spectra, "_build_batch", no_pixel)
+    with pytest.raises(ValueError, match=message):
+        frequency_angular_spectra(cfg, models)
 
 
 @pytest.mark.parametrize("model", ["simplified", "rigorous", "nonresonant"])
@@ -146,12 +173,12 @@ def test_library_refuses_unknown_schemes_before_any_pixel(model, monkeypatch):
 
     monkeypatch.setattr(spectra, "_build_batch", no_pixel)
     with pytest.raises(ConfigError, match=r"^model\.schemes: entries must be among \("):
-        frequency_angular_spectrum(cfg, model)
+        frequency_angular_spectra(cfg, (model,))
 
 
 def test_grid_models_agree_at_low_gain(small_config):
-    simp = frequency_angular_spectrum(small_config, "simplified")
-    rig = frequency_angular_spectrum(small_config, "rigorous")
+    simp = frequency_angular_spectra(small_config, ("simplified",))["simplified"]
+    rig = frequency_angular_spectra(small_config, ("rigorous",))["rigorous"]
     assert compare_grids(simp, rig, "ff") >= 0.999
 
 
@@ -165,14 +192,14 @@ def test_grid_rigorous_deviates_at_high_gain():
             beta_plus="2.5",
         )
     )
-    simp = frequency_angular_spectrum(cfg, "simplified")
-    rig = frequency_angular_spectrum(cfg, "rigorous")
+    simp = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
+    rig = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
     assert compare_grids(simp, rig, "ff") < 0.9
 
 
 def test_grid_mask_and_finiteness(small_config):
     for model in ("nonresonant", "simplified", "rigorous"):
-        grid = frequency_angular_spectrum(_model_config(small_config, model), model)
+        grid = frequency_angular_spectra(_model_config(small_config, model), (model,))[model]
         for scheme, arr in grid.intensity.items():
             assert np.all(np.isfinite(arr)), (model, scheme)
             assert np.all(arr[grid.mask] == 0.0)
@@ -183,15 +210,15 @@ def test_grid_mask_and_finiteness(small_config):
 
 
 def test_grid_normalized_unit_max(small_config):
-    grid = frequency_angular_spectrum(small_config, "simplified").normalized()
+    grid = frequency_angular_spectra(small_config, ("simplified",))["simplified"].normalized()
     peak = max(np.max(arr[~grid.mask]) for arr in grid.intensity.values())
     assert peak == 1.0
 
 
 def test_grid_thread_count_does_not_change_bits(small_config):
-    base = frequency_angular_spectrum(small_config, "rigorous", threads=1)
+    base = frequency_angular_spectra(small_config, ("rigorous",), threads=1)["rigorous"]
     for threads in (2, 5):
-        other = frequency_angular_spectrum(small_config, "rigorous", threads=threads)
+        other = frequency_angular_spectra(small_config, ("rigorous",), threads=threads)["rigorous"]
         assert np.array_equal(base.mask, other.mask)
         for scheme in base.intensity:
             assert np.array_equal(base.intensity[scheme], other.intensity[scheme])
@@ -216,12 +243,12 @@ def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, coun
     # overhead small; 4096 splits the small grid into two chunks.
     cfg = parse_config(config_text(lambda_count=counts[0], theta_count=counts[1]))
     configs = {m: _model_config(cfg, m) for m in GRID_MODELS}
-    reference = {m: frequency_angular_spectrum(configs[m], m) for m in GRID_MODELS}
+    reference = {m: frequency_angular_spectra(configs[m], (m,))[m] for m in GRID_MODELS}
     assert reference["rigorous"].mask.any() and not reference["rigorous"].mask.all()
     monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     for model in GRID_MODELS:
         for threads in (1, 2, 3):
-            grid = frequency_angular_spectrum(configs[model], model, threads=threads)
+            grid = frequency_angular_spectra(configs[model], (model,), threads=threads)[model]
             assert_grids_equal(grid, reference[model])
 
 
@@ -245,7 +272,7 @@ def test_a_failing_chunk_stops_the_sweep_before_most_chunks_start(monkeypatch):
     for threads in (1, 2):
         started.clear()
         with pytest.raises(RuntimeError, match="first chunk failed"):
-            frequency_angular_spectrum(cfg, "rigorous", threads=threads)
+            frequency_angular_spectra(cfg, ("rigorous",), threads=threads)
         assert 0 in started and len(started) < chunks / 2
 
 
@@ -257,7 +284,7 @@ def test_one_pass_grids_equal_single_model_grids(monkeypatch, beta):
     # on ff alone, and the other two also share one on every scheme.
     cfg = parse_config(config_text(lambda_count=40, theta_count=12, beta_plus=beta))
     runs = ((_ff_only(cfg), GRID_MODELS), (cfg, GRID_MODELS[:2]))
-    references = [{m: frequency_angular_spectrum(c, m) for m in models} for c, models in runs]
+    references = [{m: frequency_angular_spectra(c, (m,))[m] for m in models} for c, models in runs]
     if beta == "1000":
         assert references[0]["rigorous"].mask.all()
         assert not references[0]["nonresonant"].mask.all()
@@ -353,7 +380,9 @@ def test_build_batch_keeps_the_bits_of_per_pixel_kinematics(tmp_path, route, ang
 def test_material_lookups_scale_with_wavelengths_not_pixels(tmp_path, monkeypatch, command):
     # Each chunk looks up its run of wavelengths once per material, for
     # the signal and for the idler; a run shares at most one wavelength
-    # with the previous chunk.  The pump's index is one more point.
+    # with the previous chunk.  The pump's indices come with its interface
+    # coefficients (`layerstack._indices`), so the film's is not looked up
+    # again.
     from spdc_etalon import cli
 
     cfg = _wide_config(tmp_path, "s")
@@ -375,7 +404,7 @@ def test_material_lookups_scale_with_wavelengths_not_pixels(tmp_path, monkeypatc
     assert chunks == 2
     # Three materials, signal and idler: 6 lookups per wavelength.
     assert 6 * n_lam <= points["index_with_mask"] <= 6 * (n_lam + chunks - 1)
-    assert points["refractive_index"] == 1
+    assert points["refractive_index"] == 0
     assert points["index_with_mask"] < n_lam * n_theta / 20
 
 
@@ -404,9 +433,9 @@ def test_grid_memory_is_bounded_by_the_chunk(monkeypatch):
     ]
     pixels = [cfg.lambda_count * cfg.theta_count for cfg in configs]
     assert pixels[0] >= 4 * spectra._CHUNK_PIXELS
-    frequency_angular_spectrum(configs[0], "rigorous")  # warm caches
+    frequency_angular_spectra(configs[0], ("rigorous",))  # warm caches
     peaks = [
-        _traced_peak_bytes(lambda cfg=cfg: frequency_angular_spectrum(cfg, "rigorous"))
+        _traced_peak_bytes(lambda cfg=cfg: frequency_angular_spectra(cfg, ("rigorous",)))
         for cfg in configs
     ]
     result_bytes_per_pixel = 4 * 8 + 1
@@ -477,7 +506,7 @@ def test_rigorous_block_size_and_threads_do_not_change_bits(
         config_text(lambda_count=counts[0], theta_count=counts[1], **BLOCK_CONFIGS[name])
     )
     reference = _unblocked_rigorous_grid(cfg)
-    batch_masked = frequency_angular_spectrum(_ff_only(cfg), "nonresonant").mask
+    batch_masked = frequency_angular_spectra(_ff_only(cfg), ("nonresonant",))["nonresonant"].mask
     assert batch_masked.any() and not batch_masked.all()
     if name == "heavily-masked":
         assert batch_masked.mean() > 0.5
@@ -487,7 +516,7 @@ def test_rigorous_block_size_and_threads_do_not_change_bits(
     if chunk is not None:
         monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     for threads in (1, 2, 3):
-        grid = frequency_angular_spectrum(cfg, "rigorous", threads=threads)
+        grid = frequency_angular_spectra(cfg, ("rigorous",), threads=threads)["rigorous"]
         assert_grids_equal(grid, reference)
 
 
@@ -557,7 +586,7 @@ def test_gain_curve_does_not_depend_on_the_rigorous_block(monkeypatch, block, ch
     if chunk is not None:
         monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     for threads in (1, 2):
-        assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
+        assert_curves_equal(gain_and_agreement_curve(cfg, betas, threads=threads), reference)
 
 
 # Trailing axes of one matrix in what each rigorous step returns: w as
@@ -612,7 +641,7 @@ def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
     matrix_bytes = 4 * 4 * 16
 
     def grid():
-        frequency_angular_spectrum(cfg, "rigorous")
+        frequency_angular_spectra(cfg, ("rigorous",))
 
     rows = []
     for name in MATRIX_NDIM:
@@ -657,7 +686,7 @@ def test_grid_engine_matches_op_composition(experiment_stack):
             theta_count=3,
         )
     )
-    grid = frequency_angular_spectrum(cfg, "simplified")
+    grid = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
     for i, lam in enumerate(grid.signal_wavelengths_nm):
         for j, theta in enumerate(grid.internal_angles_rad):
             if grid.mask[i, j]:
@@ -694,7 +723,7 @@ def test_chi2_route_matches_interaction_params_op(experiment_stack):
     ).replace("beta_plus = 1e-3", "field_v_per_m = 5e7")
     text = text.replace("thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0")
     cfg = parse_config(text)
-    grid = frequency_angular_spectrum(cfg, "rigorous")
+    grid = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
 
     stack = replace(experiment_stack, chi2_pm_per_v=30.0)
     pump = Mode(788.0, 0.0, role="pump")
@@ -727,8 +756,8 @@ def test_low_gain_agreement_holds_for_p_polarization():
         )
     )
     assert cfg.polarization == "p"
-    simp = frequency_angular_spectrum(cfg, "simplified")
-    rig = frequency_angular_spectrum(cfg, "rigorous")
+    simp = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
+    rig = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
     assert compare_grids(simp, rig, "ff") >= 0.999
 
 
@@ -836,23 +865,47 @@ def test_r_squared_mask_excludes_entries():
     assert r_squared(a, b, mask=mask) == 1.0
 
 
+@pytest.mark.parametrize("mask_shape", [(4,), (1,), (3, 1), (4, 3)])
+def test_r_squared_refuses_a_mask_of_another_shape(rng, mask_shape):
+    # A mask that merely broadcasts would drop or keep entries it was
+    # never meant for.
+    a, b = rng.uniform(size=(2, 3, 4))
+    mask = np.zeros(mask_shape, dtype=bool)
+    mask.flat[0] = True
+    with pytest.raises(ValueError, match="^mask must have the arrays' shape$"):
+        r_squared(a, b, mask=mask)
+    assert r_squared(a, b, mask=np.zeros((3, 4), dtype=bool)) == r_squared(a, b)
+
+
 # ---- gain_and_agreement_curve ----------------------------------------------
+
+
+# The gain curve's columns, in the order the gain-curve CSV writes them.
+GAIN_COLUMNS = ("beta_scale", "beta_plus_abs", "beta_over_half_delta", "re_gamma_plus", "r_squared")
+
+
+def assert_curves_equal(curve, reference):
+    assert list(curve) == list(reference)
+    for column in reference:
+        assert np.array_equal(curve[column], reference[column]), column
 
 
 def test_gain_curve_limits_and_threshold():
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
-    points = gain_and_agreement_curve(cfg, [1e-3, 0.1, 1.0, 2.0, 3.5])
-    assert points[0].r_squared > 0.9999
-    r2 = [p.r_squared for p in points]
-    assert all(r2[i + 1] < r2[i] for i in range(len(r2) - 1))
-    for p in points:
-        # Agreement persists through the low-gain decade.
-        if p.beta_plus_abs ** 2 <= 1e-2:
-            assert p.r_squared >= 0.99
-        if p.beta_over_half_delta < 1.0:
-            assert p.re_gamma_plus == 0.0
-        else:
-            assert p.re_gamma_plus > 0.0
+    betas = [1e-3, 0.1, 1.0, 2.0, 3.5]
+    curve = gain_and_agreement_curve(cfg, betas)
+    assert list(curve) == list(GAIN_COLUMNS)
+    for column in curve.values():
+        assert column.dtype == np.float64 and column.shape == (len(betas),)
+    assert np.array_equal(curve["beta_scale"], betas)
+    r2 = curve["r_squared"]
+    assert r2[0] > 0.9999
+    assert np.all(np.diff(r2) < 0)
+    # Agreement persists through the low-gain decade.
+    assert np.all(r2[curve["beta_plus_abs"] ** 2 <= 1e-2] >= 0.99)
+    ratio, re_gamma = curve["beta_over_half_delta"], curve["re_gamma_plus"]
+    assert np.all(re_gamma[ratio < 1.0] == 0.0)
+    assert np.all(re_gamma[ratio >= 1.0] > 0.0)
 
 
 def test_non_finite_pump_enhancement_is_an_error_without_a_warning():
@@ -860,7 +913,7 @@ def test_non_finite_pump_enhancement_is_an_error_without_a_warning():
     # evaluated, and the error names the pump enhancement.
     cfg = parse_config(config_text(lambda_count=32, theta_count=4, film="constant:1e308"))
     runs = (
-        lambda: frequency_angular_spectrum(cfg, "simplified"),
+        lambda: frequency_angular_spectra(cfg, ("simplified",))["simplified"],
         lambda: gain_and_agreement_curve(cfg, [1e-3, 0.5]),
         lambda: detection_spectrum(cfg),
     )
@@ -882,19 +935,19 @@ def test_gain_curve_golden_regression():
         (2.0, 1.7115737272915537, 1.0570711095764376, 0.5547843716978856, -3.7850246927682853),
     ]
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
-    points = gain_and_agreement_curve(cfg, [g[0] for g in golden])
-    for point, (scale, b_abs, b_norm, re_g, rr) in zip(points, golden):
-        assert point.beta_plus_abs == pytest.approx(b_abs, rel=1e-9)
-        assert point.beta_over_half_delta == pytest.approx(b_norm, rel=1e-9)
-        assert point.re_gamma_plus == pytest.approx(re_g, rel=1e-9, abs=1e-12)
-        assert point.r_squared == pytest.approx(rr, rel=1e-6)
+    curve = gain_and_agreement_curve(cfg, [g[0] for g in golden])
+    for k, (scale, b_abs, b_norm, re_g, rr) in enumerate(golden):
+        assert curve["beta_plus_abs"][k] == pytest.approx(b_abs, rel=1e-9)
+        assert curve["beta_over_half_delta"][k] == pytest.approx(b_norm, rel=1e-9)
+        assert curve["re_gamma_plus"][k] == pytest.approx(re_g, rel=1e-9, abs=1e-12)
+        assert curve["r_squared"][k] == pytest.approx(rr, rel=1e-6)
 
 
 def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
     """Reference gain sweep: one config, kinematics batch and model
     evaluation per (beta, model), as the sweep ran before every beta
     shared one batch."""
-    from spdc_etalon import GainCurvePoint, gain_term, refractive_index
+    from spdc_etalon import gain_term, refractive_index
 
     stack = config.build_stack()
     e_fwd, _e_bwd, kp_par = spectra._pump_state(config)
@@ -905,7 +958,7 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
     half_delta = abs(delta_deg) / 2.0
 
     lams = config.signal_wavelengths()
-    points = []
+    curve = {column: [] for column in GAIN_COLUMNS}
     for scale in np.asarray(beta_values, dtype=float):
         cfg = replace(
             config, beta_plus=complex(scale), chi2_pm_per_v=None, pump_field_v_per_m=None
@@ -918,27 +971,27 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
             curves[model] = values[0, 0, 0], mask[0, 0]
         (rig, mask_r), (smp, mask_s) = curves["rigorous"], curves["simplified"]
         beta_abs = abs(scale * e_fwd)
-        points.append(
-            GainCurvePoint(
-                beta_scale=float(scale),
-                beta_plus_abs=float(beta_abs),
-                beta_over_half_delta=float(beta_abs / half_delta),
-                re_gamma_plus=float(np.real(gain_term(beta_abs, delta_deg))),
-                r_squared=r_squared(smp, rig, mask=mask_r | mask_s),
-            )
+        row = (
+            float(scale),
+            float(beta_abs),
+            float(beta_abs / half_delta),
+            float(np.real(gain_term(beta_abs, delta_deg))),
+            r_squared(smp, rig, mask=mask_r | mask_s),
         )
-    return points
+        for column, value in zip(curve.values(), row):
+            column.append(value)
+    return {column: np.array(values) for column, values in curve.items()}
 
 
 def test_gain_curve_equals_one_beta_per_call_reference(monkeypatch):
     cfg = parse_config(config_text(lambda_count=128, theta_count=2))
     betas = [1e-3, 0.1, 1.0, 2.0, 3.5]
     reference = _gain_curve_one_beta_per_call(cfg, betas)
-    assert all(np.isfinite(p.r_squared) for p in reference)
+    assert np.isfinite(reference["r_squared"]).all()
     monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 37)
     assert spectra._CHUNK_PIXELS < cfg.lambda_count
     for threads in (1, 3):
-        assert gain_and_agreement_curve(cfg, betas, threads=threads) == reference
+        assert_curves_equal(gain_and_agreement_curve(cfg, betas, threads=threads), reference)
 
 
 def test_random_stacks_low_gain_equivalence(rng):
@@ -963,8 +1016,8 @@ def test_random_stacks_low_gain_equivalence(rng):
                 theta_count=12,
             )
         )
-        simp = frequency_angular_spectrum(cfg, "simplified")
-        rig = frequency_angular_spectrum(cfg, "rigorous")
+        simp = frequency_angular_spectra(cfg, ("simplified",))["simplified"]
+        rig = frequency_angular_spectra(cfg, ("rigorous",))["rigorous"]
         keep = ~(simp.mask | rig.mask)
         assert keep.sum() > keep.size // 2
         a = simp.intensity["ff"]
@@ -977,11 +1030,10 @@ def test_random_stacks_low_gain_equivalence(rng):
 
 def test_gain_curve_normalization_reference():
     cfg = parse_config(config_text(lambda_count=64, theta_count=2))
-    (point,) = gain_and_agreement_curve(cfg, [0.5])
+    curve = gain_and_agreement_curve(cfg, [0.5])
     # |beta+| = scale * |pump enhancement|; both reported consistently.
-    assert point.beta_plus_abs == pytest.approx(
-        point.beta_over_half_delta * abs(3.2383322404438462) / 2.0, rel=1e-9
-    )
+    (beta_abs,), (ratio,) = curve["beta_plus_abs"], curve["beta_over_half_delta"]
+    assert beta_abs == pytest.approx(ratio * abs(3.2383322404438462) / 2.0, rel=1e-9)
 
 
 # ---- detection_spectrum ------------------------------------------------------
@@ -993,7 +1045,7 @@ def test_detection_flat_envelope_recovers_bare_spectrum(small_config):
         config_text(lambda_count=96, theta_count=2, theta_min_rad=0.0, theta_max_rad=0.1)
     )
     # Same lambda axis at theta = 0 from the grid engine, first column.
-    grid = frequency_angular_spectrum(grid_cfg, "simplified")
+    grid = frequency_angular_spectra(grid_cfg, ("simplified",))["simplified"]
     bare = grid.intensity["ff"][:, 0]
     keep = ~mask & ~grid.mask[:, 0]
     assert np.allclose(
