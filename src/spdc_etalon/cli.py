@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import MODELS, _parse_field, parse_config, serialize_config
+from .config import DETECTION_SCHEMES, MODELS, _parse_field, parse_config, serialize_config
 from .errors import ConfigError, SpdcEtalonError
+from .simplified import SCHEMES
 from .spectra import (
     compare_grids,
     detection_spectrum,
@@ -371,8 +372,8 @@ def _build_parser():
     parser.add_argument("--model", choices=MODELS, help="override model.kind")
     parser.add_argument(
         "--scheme",
-        help="emission scheme override (spectrum/compare: ff,bb,fb,bf; "
-        "detection: forward/backward/forward_backward)",
+        help=f"emission scheme override (spectrum/compare: {','.join(SCHEMES)}; "
+        f"detection: {'/'.join(DETECTION_SCHEMES)})",
     )
     parser.add_argument("--out", help="output path (or prefix for compare)")
     parser.add_argument(

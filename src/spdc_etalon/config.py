@@ -1,10 +1,11 @@
 """Run configuration: INI-style parsing, validation, serialization.
 
 The config format is key-value pairs in named sections.  Each
-`RunConfig` field declares its section, key and kind (see `_key`), and
-parsing, required keys and serialization all read `fields(RunConfig)`:
-a key is added by adding a field, and it is required when its field has
-no default.  Unknown sections or keys are hard errors; every diagnostic
+`RunConfig` field declares its section, key, kind and value rule (see
+`_key`), and parsing, required keys, the finite and rule checks of
+`validate` and serialization all read `fields(RunConfig)`: a key is
+added by adding a field, and it is required when its field has no
+default.  Unknown sections or keys are hard errors; every diagnostic
 carries the offending key path.  Parsing is seed-free and fully
 deterministic, and `parse_config(serialize_config(cfg))` round-trips
 exactly.  Material specs are resolved by `materials.material_from_spec`,
@@ -33,10 +34,12 @@ MODELS = tuple(_EVALUATORS)
 DETECTION_SCHEMES = tuple(_DETECTED_SCHEMES)
 
 
-def _key(section, key, kind, default=MISSING):
+def _key(section, key, kind, default=MISSING, rule=None):
     """A field read from and written to `key` of `[section]` as `kind`:
-    text, float, int, complex or schemes (a comma-separated list)."""
-    return field(default=default, metadata={"ini": (section, key, kind)})
+    text, float, int, complex or schemes (a comma-separated list).
+    `validate` checks its `rule` on any value but None: "positive", or
+    the tuple of allowed values."""
+    return field(default=default, metadata={"ini": (section, key, kind), "rule": rule})
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,10 @@ class RunConfig:
     superstrate: str = _key("stack", "superstrate", "text")
     film: str = _key("stack", "film", "text")
     substrate: str = _key("stack", "substrate", "text")
-    thickness_um: float = _key("stack", "thickness_um", "float")
-    pump_wavelength_nm: float = _key("pump", "wavelength_nm", "float")
-    pump_waist_um: float = _key("pump", "waist_um", "float")
-    lambda_min_nm: float = _key("grid", "lambda_min_nm", "float")
+    thickness_um: float = _key("stack", "thickness_um", "float", rule="positive")
+    pump_wavelength_nm: float = _key("pump", "wavelength_nm", "float", rule="positive")
+    pump_waist_um: float = _key("pump", "waist_um", "float", rule="positive")
+    lambda_min_nm: float = _key("grid", "lambda_min_nm", "float", rule="positive")
     lambda_max_nm: float = _key("grid", "lambda_max_nm", "float")
     lambda_count: int = _key("grid", "lambda_count", "int")
     theta_min_rad: float = _key("grid", "theta_min_rad", "float")
@@ -59,14 +62,18 @@ class RunConfig:
     chi2_pm_per_v: float | None = _key("stack", "chi2_pm_per_v", "float", None)
     beta_plus: complex | None = _key("pump", "beta_plus", "complex", None)
     pump_field_v_per_m: float | None = _key("pump", "field_v_per_m", "float", None)
-    model: str = _key("model", "kind", "text", "simplified")
+    model: str = _key("model", "kind", "text", "simplified", rule=MODELS)
     schemes: tuple = _key("model", "schemes", "schemes", SCHEMES)
     polarization: str = _key("model", "polarization", "text", "s")
     envelope_center_nm: float | None = _key("detection", "envelope_center_nm", "float", None)
-    envelope_fwhm_nm: float | None = _key("detection", "envelope_fwhm_nm", "float", None)
-    envelope_amplitude: float = _key("detection", "envelope_amplitude", "float", 1.0)
-    efficiency_ratio: float = _key("detection", "efficiency_ratio", "float", 1.0)
-    detection_scheme: str = _key("detection", "scheme", "text", "forward")
+    envelope_fwhm_nm: float | None = _key(
+        "detection", "envelope_fwhm_nm", "float", None, rule="positive"
+    )
+    envelope_amplitude: float = _key(
+        "detection", "envelope_amplitude", "float", 1.0, rule="positive"
+    )
+    efficiency_ratio: float = _key("detection", "efficiency_ratio", "float", 1.0, rule="positive")
+    detection_scheme: str = _key("detection", "scheme", "text", "forward", rule=DETECTION_SCHEMES)
     gain_beta_min: float = _key("gain_curve", "beta_min", "float", 1e-2)
     gain_beta_max: float = _key("gain_curve", "beta_max", "float", 4.0)
     gain_beta_count: int = _key("gain_curve", "count", "int", 21)
@@ -75,37 +82,31 @@ class RunConfig:
     def validate(self):
         for f in fields(self):
             section, key, kind = f.metadata["ini"]
-            value = getattr(self, f.name)
-            if kind in ("float", "complex") and value is not None and not cmath.isfinite(value):
+            rule, value = f.metadata["rule"], getattr(self, f.name)
+            if value is None:
+                continue
+            if kind in ("float", "complex") and not cmath.isfinite(value):
                 raise ConfigError(f"{section}.{key}: must be finite")
-        if self.thickness_um <= 0:
-            raise ConfigError("stack.thickness_um: must be positive")
-        if self.pump_wavelength_nm <= 0:
-            raise ConfigError("pump.wavelength_nm: must be positive")
-        if self.pump_waist_um <= 0:
-            raise ConfigError("pump.waist_um: must be positive")
+            if rule == "positive" and value <= 0:
+                raise ConfigError(f"{section}.{key}: must be positive")
+            if isinstance(rule, tuple) and value not in rule:
+                raise ConfigError(f"{section}.{key}: must be one of {rule}")
         if self.lambda_count < 2 or self.theta_count < 2:
             raise ConfigError("grid: lambda_count and theta_count must be >= 2")
         if self.lambda_count * self.theta_count > np.iinfo(np.intp).max:
             raise ConfigError("grid: lambda_count * theta_count pixels cannot be indexed")
-        if self.lambda_min_nm <= 0:
-            raise ConfigError("grid.lambda_min_nm: must be positive")
         if not self.lambda_min_nm < self.lambda_max_nm:
             raise ConfigError("grid: lambda_min_nm must be < lambda_max_nm")
         if not self.theta_min_rad < self.theta_max_rad:
             raise ConfigError("grid: theta_min_rad must be < theta_max_rad")
         if self.theta_min_rad < -np.pi / 2 or self.theta_max_rad > np.pi / 2:
             raise ConfigError("grid: theta_min_rad and theta_max_rad must lie in [-pi/2, pi/2]")
-        if self.model not in MODELS:
-            raise ConfigError(f"model.kind: must be one of {MODELS}")
         if self.polarization not in POLARIZATIONS:
             raise ConfigError("model.polarization: must be 's' or 'p'")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ConfigError(f"model.schemes: entries must be among {SCHEMES}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("model.schemes: each scheme may appear only once")
-        if self.detection_scheme not in DETECTION_SCHEMES:
-            raise ConfigError(f"detection.scheme: must be one of {DETECTION_SCHEMES}")
         has_beta = self.beta_plus is not None
         has_field = self.pump_field_v_per_m is not None and self.chi2_pm_per_v is not None
         if self.pump_field_v_per_m is not None and self.chi2_pm_per_v is None:
@@ -117,18 +118,12 @@ class RunConfig:
                 "pump: exactly one of beta_plus or (chi2_pm_per_v, field_v_per_m) "
                 "must be provided"
             )
-        if self.efficiency_ratio <= 0:
-            raise ConfigError("detection.efficiency_ratio: must be positive")
         center, fwhm = self.envelope_center_nm, self.envelope_fwhm_nm
         if (center is None) != (fwhm is None):
             unset, given = ("fwhm", "center") if fwhm is None else ("center", "fwhm")
             raise ConfigError(
                 f"detection.envelope_{unset}_nm: required when envelope_{given}_nm is set"
             )
-        if fwhm is not None and fwhm <= 0:
-            raise ConfigError("detection.envelope_fwhm_nm: must be positive")
-        if self.envelope_amplitude <= 0:
-            raise ConfigError("detection.envelope_amplitude: must be positive")
         if self.gain_beta_min <= 0 or self.gain_beta_max <= self.gain_beta_min:
             raise ConfigError("gain_curve: need 0 < beta_min < beta_max")
         if self.gain_beta_count < 2:

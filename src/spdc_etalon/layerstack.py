@@ -17,11 +17,12 @@ a lossless stack is unitary):
   critical angle and fields decay outward.
 
 The array kernels check nothing: the sweep engines mask the pixels
-they cannot evaluate.  The pump, one point per run, reaches the same
-`coefficient_arrays` and then `_pump_enhancement`, which raises
-ResonancePoleError where the round-trip denominator vanishes and
-SpdcEtalonError where its result is not finite, with no RuntimeWarning
-first.
+they cannot evaluate.  At normal incidence, `spectra._normal_incidence`
+forms the coefficients, phase and round-trip denominator from the same
+kernels, for the Airy transmission curve (which masks) and for the
+pump, one point per run, whose `_pump_enhancement` raises
+ResonancePoleError where the denominator vanishes and SpdcEtalonError
+where its result is not finite, with no RuntimeWarning first.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def coefficient_arrays(indices, trig, polarization):
     `indices` holds (n1, n2, n3) and `trig` the (cos, sin) of the
     internal angle, scalars or arrays that broadcast.  Nothing is range
     checked here: the pump's caller, `spectra._pump_state`, passes the
-    checked indices of `_indices`, and the sweep engines mask the pixels
-    whose indices are invalid.
+    checked indices of `_indices`, and the sweep engines and the
+    transmission curve mask the pixels whose indices are invalid.
     """
     n1, n2, n3 = indices
     c2, s2 = trig
@@ -117,16 +118,16 @@ def _check_pole(den, what, labels, values):
     return values
 
 
-def _pump_enhancement(coeffs, phase_p):
+def _pump_enhancement(coeffs, phase_p, den):
     """Forward and backward pump amplitudes inside the film, per unit E0,
-    from the pump's (t1, r1, t2, r2), for `spectra._pump_state`.
+    from the pump's (t1, r1, t2, r2), phase and round-trip denominator
+    as `spectra._normal_incidence` returns them.
 
     The backward amplitude is exactly the forward one after one
     reflection at interface 2 plus a single-pass phase.
     """
-    t1, r1, _, r2 = coeffs
+    t1, _, _, r2 = coeffs
     with np.errstate(all="ignore"):
-        den = round_trip_denominator(r1, r2, phase_p)
         forward = t1 / den
         backward = r2 * np.exp(1j * phase_p) * forward
     return _check_pole(den, "pump enhancement", ("forward", "backward"), (forward, backward))
@@ -143,19 +144,3 @@ def enhancement_arrays(t1, r1, t2, r2, phase, den):
     ph = np.exp(1j * np.asarray(phase, dtype=float))
     return t2 / den, r1 * t2 * ph / den, r2 * t1 * ph / den, t1 / den
 
-
-def _airy_transmission(stack, wavelength_nm, internal_angle_rad, polarization, indices):
-    """Airy power transmittance |t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2.
-
-    With flux-normalized coefficients this is the raw-amplitude formula
-    times the external flux ratio (n_out cos / n_in cos).  Scalar or
-    array wavelength/angle, with `indices` the (n1, n2, n3)
-    at those wavelengths.  Returns (transmittance, round-trip
-    denominator), without pole checking; callers set the errstate.
-    """
-    cos = np.cos(internal_angle_rad)
-    t1, r1, t2, r2 = coefficient_arrays(indices, (cos, np.sin(internal_angle_rad)), polarization)
-    phi = stack.thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm * cos
-    den = round_trip_denominator(r1, r2, phi)
-    trans = np.abs(t1 * t2 * np.exp(1j * phi) / den) ** 2
-    return trans, den

@@ -1,5 +1,7 @@
-"""Sweep engines: frequency-angular grids, gain/agreement curves, and
-1D detection spectra.
+"""Sweep engines: frequency-angular grids, gain/agreement curves, 1D
+detection spectra, and the Airy transmission curve.  The pump and the
+transmission curve share one normal-incidence kernel, `_normal_incidence`,
+and each front-end evaluates the pump once per run.
 
 Every sweep evaluates its pixels in fixed-size chunks, each chunk by one
 worker, then runs deterministic reductions, so results are bitwise
@@ -26,7 +28,6 @@ from .layerstack import (
     coefficient_arrays,
     enhancement_arrays,
     round_trip_denominator,
-    _airy_transmission,
     _indices,
     _pump_enhancement,
 )
@@ -172,20 +173,24 @@ class _PixelBatch:
         return beta_p, beta_m
 
 
+def _normal_incidence(config, wavelength_nm, indices):
+    """((t1, r1, t2, r2), phase, round-trip denominator) of the config's
+    stack at normal incidence, with `indices` the (n1, n2, n3) at
+    `wavelength_nm`: the pump's and the transmission curve's optics.
+    Nothing is checked; callers set the errstate."""
+    coeffs = coefficient_arrays(indices, (np.cos(0.0), np.sin(0.0)), config.polarization)
+    # Keep this evaluation order of L k: the golden outputs pin its bits.
+    phase = config.build_stack().thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm
+    return coeffs, phase, round_trip_denominator(coeffs[1], coeffs[3], phase)
+
+
 def _pump_state(config):
-    """Pump-side constants: enhancement amplitudes and parallel wavevector,
-    from `coefficient_arrays` at normal incidence, as for any pixel."""
-    stack = config.build_stack()
+    """Pump-side constants: enhancement amplitudes and parallel wavevector."""
     lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
-        trig = (np.cos(0.0), np.sin(0.0))
-        indices = _indices(stack, lam_p)
-        coeffs = coefficient_arrays(indices, trig, config.polarization)
-        n_p = indices[1]
-        # Keep this evaluation order of L k_p: the golden outputs pin its bits.
-        phi_p = stack.thickness_nm * 2.0 * np.pi * n_p / lam_p
-        e_fwd, e_bwd = _pump_enhancement(coeffs, phi_p)
-    return e_fwd, e_bwd, 2.0 * np.pi * n_p / lam_p
+        indices = _indices(config.build_stack(), lam_p)
+        e_fwd, e_bwd = _pump_enhancement(*_normal_incidence(config, lam_p, indices))
+    return e_fwd, e_bwd, 2.0 * np.pi * indices[1] / lam_p
 
 
 def _masked_indices(stack, lam):
@@ -349,17 +354,19 @@ _EVALUATORS = {
 _DETECTED_SCHEMES = {"forward": ("ff",), "backward": ("bb",), "forward_backward": ("fb", "bf")}
 
 
-def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
+def _evaluate_pixels(config, pump_state, lams, thetas, models, scales, schemes, threads):
     """Evaluate every model at every beta scale on the pixel grid `lams` x `thetas`.
 
-    The stack is `config.build_stack()`.  A scale of None takes the
-    chi2/field route's per-pixel strengths; the front-ends pass
+    The stack is `config.build_stack()` and `pump_state` is
+    `_pump_state(config)`, which each front-end evaluates once.  A scale
+    of None takes the chi2/field route's per-pixel strengths; they pass
     `config.beta_plus` for the config's own strengths.  Before any pixel
     is evaluated, a scheme outside SCHEMES raises the ConfigError that
     `RunConfig.validate` gives, and a scheme other than ff raises one when
     the nonresonant model is among `models` (the bare film has no
     interfaces, so no backward emission): no caller gets zeros that read
-    as intensities.  Pixels run wavelength-major in chunks of
+    as intensities.  `threads` below 1 raises ValueError, before anything
+    is allocated.  Pixels run wavelength-major in chunks of
     `_CHUNK_PIXELS`: each chunk's kinematics batch is built once and
     serves the whole model x scale grid, each model is evaluated at all
     scales in one call that writes straight into the result, and
@@ -376,7 +383,8 @@ def _evaluate_pixels(config, lams, thetas, models, scales, schemes, threads):
     other = ",".join(s for s in schemes if s != "ff")
     if "nonresonant" in models and other:
         raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")
-    pump_state = _pump_state(config)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     n = lams.size * thetas.size
     out = np.zeros((len(models), len(scales), len(schemes), n))
     mask = np.zeros((len(models), len(scales), n), dtype=bool)
@@ -418,8 +426,9 @@ def frequency_angular_spectra(config, models, threads=1):
     lams = config.signal_wavelengths()
     thetas = config.internal_angles()
     shape = (lams.size, thetas.size)
+    pump_state = _pump_state(config)
     values, mask = _evaluate_pixels(
-        config, lams, thetas, models, (config.beta_plus,), config.schemes, threads
+        config, pump_state, lams, thetas, models, (config.beta_plus,), config.schemes, threads
     )
     return {
         model: SpectrumGrid(
@@ -501,7 +510,8 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
         raise ValueError("beta values must be a nonempty 1-D array of finite positive numbers")
 
     stack = config.build_stack()
-    e_fwd, e_bwd, kp_par = _pump_state(config)
+    pump_state = _pump_state(config)
+    e_fwd, _, kp_par = pump_state
     lam_deg = 2.0 * config.pump_wavelength_nm
     n_deg = refractive_index(stack.film, lam_deg)
     ks_deg = 2.0 * np.pi * n_deg / lam_deg
@@ -509,8 +519,9 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     half_delta = abs(delta_deg) / 2.0
 
     lams = config.signal_wavelengths()
+    models = ("rigorous", "simplified")
     (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
-        config, lams, np.zeros(1), ("rigorous", "simplified"), beta_values, ("ff",), threads
+        config, pump_state, lams, np.zeros(1), models, beta_values, ("ff",), threads
     )
     rows = []
     for k, scale in enumerate(beta_values):
@@ -549,7 +560,8 @@ def detection_spectrum(config, threads=1):
     lams = config.signal_wavelengths()
     schemes = tuple(sorted(set(needed + ("ff",))))
     values, mask = _evaluate_pixels(
-        config, lams, np.zeros(1), ("simplified",), (config.beta_plus,), schemes, threads
+        config, _pump_state(config), lams, np.zeros(1), ("simplified",), (config.beta_plus,),
+        schemes, threads,
     )
     values = dict(zip(schemes, values[0, 0]))
     mask = mask[0, 0]
@@ -588,10 +600,10 @@ def transmission_curve(config):
     left, ZeroVarianceError.
     """
     lams = config.signal_wavelengths()
-    stack = config.build_stack()
-    indices, ok = _masked_indices(stack, lams)
+    indices, ok = _masked_indices(config.build_stack(), lams)
     with np.errstate(all="ignore"):
-        trans, den = _airy_transmission(stack, lams, 0.0, config.polarization, indices)
+        (t1, _, t2, _), phase, den = _normal_incidence(config, lams, indices)
+        trans = np.abs(t1 * t2 * np.exp(1j * phase) / den) ** 2
         mask = ~ok | (np.abs(den) < POLE_TOLERANCE) | ~np.isfinite(trans)
     _masked_peak((trans,), mask, "cannot report an all-zero or all-masked transmission curve")
     return lams, np.where(mask, 0.0, trans), mask

@@ -15,13 +15,9 @@ import spdc_etalon
 from conftest import config_text
 from reference import Mode
 from spdc_etalon import gain_term, pair_probabilities, parse_config, spectra
-from spdc_etalon.layerstack import (
-    _airy_transmission,
-    _indices,
-    coefficient_arrays,
-    enhancement_arrays,
-)
+from spdc_etalon.layerstack import _indices, coefficient_arrays, enhancement_arrays
 from spdc_etalon.simplified import _filter_strength, _nonresonant, _pump_profile, _scheme_products
+from test_layerstack import airy_transmittance
 from test_spectra import kernel_idler
 
 # Every public name.  A change to the surface is a change to this list.
@@ -73,10 +69,14 @@ def test_public_surface_is_pinned():
 
 def test_every_public_name_is_read_by_src():
     # A public name that no module of the package reads, outside its own
-    # definition and the __all__ lists, is surface nothing uses.
-    used = set()
+    # definition and the __all__ lists, is surface nothing uses; a
+    # module-level def or class, private ones included, that none reads
+    # is code that only the tests run.
+    used, defined = set(), set()
     for path in Path(spdc_etalon.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
             if any(getattr(t, "id", None) == "__all__" for t in getattr(node, "targets", [])):
                 continue
             for sub in ast.walk(node):
@@ -85,6 +85,7 @@ def test_every_public_name_is_read_by_src():
                 if name and name != getattr(node, "name", None):
                     used.add(name)
     assert sorted(set(spdc_etalon.__all__) - used) == []
+    assert sorted(defined - used) == []
 
 
 # The command-line module is an entry point, not library surface.
@@ -221,8 +222,13 @@ def test_etalon_scalars_match_oracles(rng):
         assert spectra._pump_state(cfg)[:2] == pytest.approx(ref, rel=REL)
         lam, theta = signal.vacuum_wavelength_nm, signal.internal_angle_rad
         indices, _ = spectra._masked_indices(stack, lam)
-        trans, _ = _airy_transmission(stack, lam, theta, signal.polarization, indices)
+        trans = airy_transmittance(stack, lam, theta, signal.polarization, indices)
         assert trans == pytest.approx(reference.linear_transmission(stack, signal), rel=REL)
+        # At normal incidence, as `transmission_curve` forms it.
+        (t1, _, t2, _), phase, den = spectra._normal_incidence(cfg, lam, indices)
+        trans = abs(t1 * t2 * np.exp(1j * phase) / den) ** 2
+        normal = Mode(lam, 0.0, signal.polarization)
+        assert trans == pytest.approx(reference.linear_transmission(stack, normal), rel=REL)
 
 
 def test_phase_matching_matches_oracle(rng):

@@ -191,6 +191,7 @@ VALIDATE_RULES = {
     "thickness": ({"thickness_um": 0.0}, "stack.thickness_um: must be positive"),
     "pump-wavelength": ({"pump_wavelength_nm": -788.0}, "pump.wavelength_nm: must be positive"),
     "waist": ({"pump_waist_um": 0.0}, "pump.waist_um: must be positive"),
+    "lambda-min": ({"lambda_min_nm": 0.0}, "grid.lambda_min_nm: must be positive"),
     "theta-order": (
         {"theta_min_rad": 0.5, "theta_max_rad": -0.5},
         "grid: theta_min_rad must be < theta_max_rad",
@@ -209,9 +210,18 @@ VALIDATE_RULES = {
         {"envelope_center_nm": 1576.0, "envelope_fwhm_nm": -1.0},
         "detection.envelope_fwhm_nm: must be positive",
     ),
+    # Two faults: a field's own rule is checked before the pair rule.
+    "envelope-fwhm-without-center": (
+        {"envelope_fwhm_nm": -1.0},
+        "detection.envelope_fwhm_nm: must be positive",
+    ),
     "envelope-amplitude": (
         {"envelope_amplitude": 0.0},
         "detection.envelope_amplitude: must be positive",
+    ),
+    "detection-scheme": (
+        {"detection_scheme": "sideways"},
+        f"detection.scheme: must be one of {DETECTION_SCHEMES}",
     ),
     "gain-beta-min": ({"gain_beta_min": 0.0}, "gain_curve: need 0 < beta_min < beta_max"),
     "gain-beta-order": (
@@ -600,7 +610,7 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     # Silicon ends at 4000 nm: those rows are masked like `spectrum` masks
     # its pixels, the rest equal the range-checked Airy transmittance.
     from spdc_etalon import MaterialRangeError
-    from spdc_etalon.layerstack import POLE_TOLERANCE, _airy_transmission, _indices
+    from spdc_etalon.layerstack import POLE_TOLERANCE, _indices
 
     cfg_path = write_config(tmp_path, config_text(lambda_max_nm=4500.0, lambda_count=301))
     out = tmp_path / "trans.csv"
@@ -612,7 +622,10 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     stack = cfg.build_stack()
     lams = cfg.signal_wavelengths()
     inside = lams <= 4000.0
-    ref, den = _airy_transmission(stack, lams[inside], 0.0, "s", _indices(stack, lams[inside]))
+    (t1, _, t2, _), phase, den = spectra._normal_incidence(
+        cfg, lams[inside], _indices(stack, lams[inside])
+    )
+    ref = np.abs(t1 * t2 * np.exp(1j * phase) / den) ** 2
     pole = np.abs(den) < POLE_TOLERANCE
     expected = ~inside
     expected[inside] = pole
@@ -650,6 +663,31 @@ def test_detection_envelope_keys_are_set_as_a_pair(tmp_path, capsys, given, unse
         f"envelope_{given}_nm is set\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_evaluates_the_pump_once(tmp_path, monkeypatch, command):
+    # The pump is one point per run: the sweep takes it from its front-end,
+    # and the transmission curve never needs it.
+    calls = []
+    pump_state = spectra._pump_state
+
+    def counted(config):
+        calls.append(config)
+        return pump_state(config)
+
+    monkeypatch.setattr(spectra, "_pump_state", counted)
+    cfg_path = write_config(tmp_path, SMALL)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == (0 if command == "transmission" else 1)
+
+
+def test_help_names_every_scheme(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert ",".join(SCHEMES) in out
+    assert "/".join(DETECTION_SCHEMES) in out
 
 
 @pytest.mark.parametrize("scheme", ["forward", "backward", "forward_backward"])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import config_text
 from reference import InterfaceCoeffs, Mode, fresnel, propagation_phase
 from spdc_etalon import (
     LayerStack,
@@ -10,10 +11,11 @@ from spdc_etalon import (
     ResonancePoleError,
     SpdcEtalonError,
     material_from_spec,
+    parse_config,
     refractive_index,
+    transmission_curve,
 )
 from spdc_etalon.layerstack import (
-    _airy_transmission,
     _indices,
     _pump_enhancement,
     coefficient_arrays,
@@ -155,9 +157,17 @@ def test_propagation_phase_experiment_frozen(experiment_stack):
     assert phi == pytest.approx(86.468189506216387, rel=1e-13)
 
 
+def pump_amplitudes(coeffs, phase):
+    """`_pump_enhancement` with the round-trip denominator its caller,
+    `spectra._normal_incidence`, forms under the pump's errstate."""
+    with np.errstate(all="ignore"):
+        den = round_trip_denominator(coeffs.r1, coeffs.r2, phase)
+    return _pump_enhancement(coeffs, phase, den)
+
+
 def test_pump_enhancement_no_etalon():
     coeffs = InterfaceCoeffs(t1=1.0, r1=0.0, t2=1.0, r2=0.0)
-    fwd, bwd = _pump_enhancement(coeffs, 12.3)
+    fwd, bwd = pump_amplitudes(coeffs, 12.3)
     assert fwd == pytest.approx(1.0, rel=1e-15)
     assert bwd == pytest.approx(0.0, abs=1e-15)
 
@@ -169,13 +179,13 @@ def test_pump_enhancement_backward_identity(rng):
         t1 = rng.uniform(0.1, 1.0)
         phi = rng.uniform(0.0, 200.0)
         coeffs = InterfaceCoeffs(t1=t1, r1=r1, t2=0.5, r2=r2)
-        fwd, bwd = _pump_enhancement(coeffs, phi)
+        fwd, bwd = pump_amplitudes(coeffs, phi)
         assert bwd == pytest.approx(r2 * np.exp(1j * phi) * fwd, rel=1e-12)
 
 
 def test_pump_enhancement_hand_value():
     coeffs = InterfaceCoeffs(t1=0.75, r1=0.5, t2=0.75, r2=0.5)
-    fwd, bwd = _pump_enhancement(coeffs, 0.0)
+    fwd, bwd = pump_amplitudes(coeffs, 0.0)
     assert fwd == pytest.approx(1.0, rel=1e-15)
     assert bwd == pytest.approx(0.5, rel=1e-15)
 
@@ -183,7 +193,7 @@ def test_pump_enhancement_hand_value():
 def test_pump_enhancement_pole_error():
     coeffs = InterfaceCoeffs(t1=0.1, r1=1.0, t2=0.1, r2=1.0)
     with pytest.raises(ResonancePoleError):
-        _pump_enhancement(coeffs, 0.0)
+        pump_amplitudes(coeffs, 0.0)
 
 
 def test_field_enhancements_transparent():
@@ -235,6 +245,17 @@ def _tmm_transmittance(n0, n1, n2, d_nm, lam_nm, theta0, pol):
     return np.real(e2) / np.real(e0) * abs(t_amp) ** 2
 
 
+def airy_transmittance(stack, wavelength_nm, internal_angle_rad, polarization, indices):
+    """|t1 t2 e^{i phi} / (1 - r1 r2 e^{2 i phi})|^2 from `coefficient_arrays`
+    at any internal angle, with `indices` the (n1, n2, n3) at
+    `wavelength_nm`.  With flux-normalized coefficients this is the
+    raw-amplitude formula times the external flux ratio."""
+    cos = np.cos(internal_angle_rad)
+    t1, r1, t2, r2 = coefficient_arrays(indices, (cos, np.sin(internal_angle_rad)), polarization)
+    phi = stack.thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm * cos
+    return np.abs(t1 * t2 * np.exp(1j * phi) / (1.0 - r1 * r2 * np.exp(2j * phi))) ** 2
+
+
 def test_linear_transmission_against_transfer_matrix(experiment_stack):
     # Full cross-check of the Fresnel/phase layer on the asymmetric
     # stack at oblique incidence, both polarizations.
@@ -248,14 +269,14 @@ def test_linear_transmission_against_transfer_matrix(experiment_stack):
             theta0 = np.arcsin(sin_ext)
             for pol in ("s", "p"):
                 indices = _indices(experiment_stack, lam)
-                mine, _ = _airy_transmission(experiment_stack, lam, theta_int, pol, indices)
+                mine = airy_transmittance(experiment_stack, lam, theta_int, pol, indices)
                 ref = _tmm_transmittance(1.0, n2, n3, 10150.0, lam, theta0, pol)
                 assert mine == pytest.approx(ref, abs=1e-12)
 
 
 def test_linear_transmission_matched():
     stack = slab(2.1, 2.1)
-    trans, _ = _airy_transmission(stack, 1500.0, 0.1, "s", _indices(stack, 1500.0))
+    trans = airy_transmittance(stack, 1500.0, 0.1, "s", _indices(stack, 1500.0))
     assert trans == pytest.approx(1.0, rel=1e-12)
 
 
@@ -263,12 +284,21 @@ def test_linear_transmission_symmetric_resonance():
     # Half-wave slab: n L = m lambda / 2 transmits fully.
     n = 2.3
     lam = 1500.0
-    indices = (1.0, n, 1.0)
-    stack = slab(n, 1.0, thickness_nm=10.0 * lam / (2.0 * n))
-    assert _airy_transmission(stack, lam, 0.0, "s", indices)[0] == pytest.approx(1.0, abs=1e-10)
+
+    def transmission(thickness_nm):
+        """`transmission_curve` of the slab in air at `lam`, its first wavelength."""
+        text = config_text(
+            superstrate="constant:1.0",
+            film=f"constant:{n}",
+            substrate="constant:1.0",
+            thickness_um=thickness_nm / 1e3,
+            lambda_min_nm=lam,
+        )
+        return transmission_curve(parse_config(text))[1][0]
+
+    assert transmission(10.0 * lam / (2.0 * n)) == pytest.approx(1.0, abs=1e-10)
     # A quarter-wave offset sits at the transmission minimum.
-    stack_q = slab(n, 1.0, thickness_nm=10.0 * lam / (2.0 * n) + lam / (4.0 * n))
-    assert _airy_transmission(stack_q, lam, 0.0, "s", indices)[0] < 0.6
+    assert transmission(10.0 * lam / (2.0 * n) + lam / (4.0 * n)) < 0.6
 
 
 def test_non_finite_result_is_an_error_without_a_warning():
@@ -278,5 +308,5 @@ def test_non_finite_result_is_an_error_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SpdcEtalonError, match="^pump enhancement is not finite: ") as err:
-            _pump_enhancement(coeffs, np.inf)
+            pump_amplitudes(coeffs, np.inf)
     assert type(err.value) is SpdcEtalonError

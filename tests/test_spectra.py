@@ -176,6 +176,27 @@ def test_library_refuses_unknown_schemes_before_any_pixel(model, monkeypatch):
         frequency_angular_spectra(cfg, (model,))
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda cfg, threads: frequency_angular_spectra(cfg, ("simplified",), threads=threads),
+        lambda cfg, threads: gain_and_agreement_curve(cfg, [1e-3, 0.5], threads=threads),
+        lambda cfg, threads: detection_spectrum(cfg, threads=threads),
+    ],
+    ids=["spectra", "gain-curve", "detection"],
+)
+def test_sweeps_refuse_fewer_than_one_thread_before_any_pixel(sweep, threads, monkeypatch):
+    cfg = parse_config(config_text(lambda_count=4, theta_count=2))
+
+    def no_pixel(*args):
+        raise AssertionError("a pixel was built")
+
+    monkeypatch.setattr(spectra, "_build_batch", no_pixel)
+    with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+        sweep(cfg, threads)
+
+
 def test_grid_models_agree_at_low_gain(small_config):
     simp = frequency_angular_spectra(small_config, ("simplified",))["simplified"]
     rig = frequency_angular_spectra(small_config, ("rigorous",))["rigorous"]
@@ -536,12 +557,13 @@ def test_singular_matrices_mask_only_their_pixels():
     one = np.zeros(1)
     scales = np.geomspace(1.0, 200.0, 5)
     models = ("rigorous", "simplified")
-    values, mask = spectra._evaluate_pixels(cfg, lams, one, models, scales, ("ff",), 1)
+    pump_state = spectra._pump_state(cfg)
+    values, mask = spectra._evaluate_pixels(cfg, pump_state, lams, one, models, scales, ("ff",), 1)
     assert values.shape == (2, scales.size, 1, lams.size)
     assert mask.shape == (2, scales.size, lams.size)
 
     with np.errstate(all="ignore"):
-        batch = spectra._build_batch(cfg, lams, one, 0, lams.size, spectra._pump_state(cfg))
+        batch = spectra._build_batch(cfg, lams, one, 0, lams.size, pump_state)
         live = np.flatnonzero(~batch.mask)
         boundary = boundary_matrices(
             tuple(c[live] for c in batch.coeffs_s),
@@ -564,7 +586,7 @@ def test_singular_matrices_mask_only_their_pixels():
     for m, model in enumerate(models):
         for k, scale in enumerate(scales):
             alone, alone_mask = spectra._evaluate_pixels(
-                cfg, lams, one, (model,), (scale,), ("ff",), 1
+                cfg, pump_state, lams, one, (model,), (scale,), ("ff",), 1
             )
             assert np.array_equal(alone_mask[0, 0], mask[m, k])
             assert alone[0, 0].tobytes() == values[m, k].tobytes()
@@ -798,8 +820,8 @@ def _exchange_errors(cfg, model, scales, rng, draws=200):
         signal = Mode(rng.uniform(1100.0, 2400.0), rng.uniform(-0.5, 0.5))
         results = [
             spectra._evaluate_pixels(
-                cfg, np.array([m.vacuum_wavelength_nm]), np.array([m.internal_angle_rad]),
-                (model,), scales, schemes, 1,
+                cfg, spectra._pump_state(cfg), np.array([m.vacuum_wavelength_nm]),
+                np.array([m.internal_angle_rad]), (model,), scales, schemes, 1,
             )
             for m in (signal, solve_idler(pump, signal, cfg.build_stack()))
         ]
@@ -966,7 +988,8 @@ def _gain_curve_one_beta_per_call(config, beta_values, threads=1):
         curves = {}
         for model in ("rigorous", "simplified"):
             values, mask = spectra._evaluate_pixels(
-                cfg, lams, np.zeros(1), (model,), (cfg.beta_plus,), ("ff",), threads
+                cfg, spectra._pump_state(cfg), lams, np.zeros(1), (model,), (cfg.beta_plus,),
+                ("ff",), threads,
             )
             curves[model] = values[0, 0, 0], mask[0, 0]
         (rig, mask_r), (smp, mask_s) = curves["rigorous"], curves["simplified"]
