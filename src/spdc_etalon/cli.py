@@ -34,6 +34,7 @@ from .spectra import (
     frequency_angular_spectra,
     gain_and_agreement_curve,
     transmission_curve,
+    _mirror_map,
 )
 
 __all__ = ["run", "main"]
@@ -242,21 +243,30 @@ def _write_csv(path, config, command, columns, data):
     """Write one CSV to `path`, as it stands: `run` passes the `.part`
     path of a `_staged` block, which removes it if anything fails.
 
-    `data` holds one array per name in `columns`; the arrays broadcast to
-    one shape, whose elements are the rows in C order.  A column smaller
-    than that shape (a grid axis) has each element formatted once.  Rows
-    are written about `_BLOCK_ROWS` at a time: each block is one uint8
-    array with a NUL-padded slot per cell and ',' and '\\n' at fixed
-    columns, written without its NUL bytes.  Text cells must not contain
-    NUL.
+    `data` holds one column per name in `columns`: an array, or a tuple
+    `(values, index)` whose cells are those of `values[..., index]`, with
+    `values` of two or more dimensions.  The columns broadcast to one
+    shape, whose elements are the rows in C order.  A column smaller than
+    that shape (a grid axis) has each element formatted once, and so does
+    a tuple's `values`: its cells are copied to the rows that `index`
+    gives them.  Rows are written about `_BLOCK_ROWS` at a time: each
+    block is one uint8 array with a NUL-padded slot per cell and ',' and
+    '\\n' at fixed columns, written without its NUL bytes.  Text cells
+    must not contain NUL.
     """
     if len(data) != len(columns):
         raise ValueError("need one data column per column name")
-    data = [_column(col) for col in data]
-    shape = np.broadcast_shapes(*(col.shape for col in data))
+    index = {k: col[1] for k, col in enumerate(data) if isinstance(col, tuple)}
+    data = [_column(col[0] if k in index else col) for k, col in enumerate(data)]
+    shapes = [col.shape for col in data]
+    for k, gather in index.items():
+        shapes[k] = shapes[k][:-1] + gather.shape
+    shape = np.broadcast_shapes(*shapes)
     outer, inner = shape[0], math.prod(shape[1:])
     small = {}
     for k, col in enumerate(data):
+        if k in index:
+            continue
         col = col.reshape((1,) * (len(shape) - col.ndim) + col.shape)
         if col.size < outer * inner:
             small[k] = _cells(col).reshape(*col.shape, -1)
@@ -274,7 +284,7 @@ def _write_csv(path, config, command, columns, data):
                 if k in small:
                     cells.append(small[k] if col.shape[0] == 1 else small[k][lo:hi])
                     continue
-                cells.append(_cells(col[lo:hi]).reshape(hi - lo, *shape[1:], -1))
+                cells.append(_cells(col[lo:hi]).reshape(hi - lo, *col.shape[1:], -1))
             widths = [c.shape[-1] for c in cells]
             if layout != (rows, widths):
                 # Reused while the layout holds: a fresh buffer per block
@@ -285,22 +295,32 @@ def _write_csv(path, config, command, columns, data):
                 buf[:, ends] = ord(",")
                 buf[:, -1] = ord("\n")
             grid = buf.reshape(hi - lo, *shape[1:], -1)
-            for c, end, w in zip(cells, ends, widths):
+            for k, (c, end, w) in enumerate(zip(cells, ends, widths)):
                 # Copied as one V{w} item per cell, not byte by byte.
-                grid[..., end - w : end].view(f"V{w}")[...] = c.view(f"V{w}")
+                slots = c.view(f"V{w}")
+                if k in index:
+                    slots = slots[..., index[k], :]
+                grid[..., end - w : end].view(f"V{w}")[...] = slots
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _grid_table(grid):
     """(columns, data) of a grid, wavelength-major: one row per
-    (wavelength, angle) pixel."""
+    (wavelength, angle) pixel.
+
+    The grid's columns at angles of one magnitude are one column
+    (`spectra._mirror_map`), so the intensities and the mask go to the
+    writer at the distinct |theta| only, each with the index that spreads
+    it over the angles.
+    """
+    first, inverse = _mirror_map(grid.internal_angles_rad)
     return (
         ["lambda_nm", "theta_deg", *grid.intensity, "masked"],
         [
             grid.signal_wavelengths_nm[:, None],
             np.degrees(grid.internal_angles_rad)[None, :],
-            *grid.intensity.values(),
-            grid.mask,
+            *((v[:, first], inverse) for v in grid.intensity.values()),
+            (grid.mask[:, first], inverse),
         ],
     )
 
@@ -336,7 +356,7 @@ def run(command, config, out_path, threads=1):
             for name, grid in grids.items()
         }
         summary = out_path.with_name(out_path.stem + "_summary.csv")
-        tables[summary] = (["scheme", "r_squared"], [config.schemes, r2])
+        tables[summary] = (["scheme", "r_squared"], [list(config.schemes), r2])
         lines = [f"r_squared[{s}] = {rr:.12g}" for s, rr in zip(config.schemes, r2)]
     elif command == "gain-curve":
         curve = gain_and_agreement_curve(config, threads=threads)

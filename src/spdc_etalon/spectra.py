@@ -9,14 +9,17 @@ independent of the worker count and memory is bounded by the chunk, not
 the grid.  Within a chunk each kinematic term is computed at the
 resolution it varies on (per wavelength, per angle or per pixel) and
 gathered per pixel, with the bits of evaluating every pixel on its own.
-Pixels that cannot be evaluated (material range, grazing idler,
-resonance poles, exactly singular rigorous systems, non-finite
-intermediates) are collected in an error mask instead of aborting;
-masked pixels are excluded from normalization and R-squared.
+The frequency-angular grids are mirror-symmetric in angle, bit for bit,
+so each distinct |theta| is evaluated once (`_mirror_map`).  Pixels
+that cannot be evaluated (material range, grazing idler, resonance
+poles, exactly singular rigorous systems, non-finite intermediates)
+are collected in an error mask instead of aborting; masked pixels are
+excluded from normalization and R-squared.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -365,13 +368,13 @@ def _evaluate_pixels(config, pump_state, lams, thetas, models, scales, schemes, 
     `RunConfig.validate` gives, and a scheme other than ff raises one when
     the nonresonant model is among `models` (the bare film has no
     interfaces, so no backward emission): no caller gets zeros that read
-    as intensities.  `threads` below 1 raises ValueError, before anything
-    is allocated.  Pixels run wavelength-major in chunks of
-    `_CHUNK_PIXELS`: each chunk's kinematics batch is built once and
-    serves the whole model x scale grid, each model is evaluated at all
-    scales in one call that writes straight into the result, and
-    `threads` workers take whole chunks, so the result is bitwise the
-    same for any thread count.
+    as intensities.  A `threads` that is not an integer raises TypeError,
+    and one below 1 ValueError, before anything is allocated.  Pixels run
+    wavelength-major in chunks of `_CHUNK_PIXELS`: each chunk's
+    kinematics batch is built once and serves the whole model x scale
+    grid, each model is evaluated at all scales in one call that writes
+    straight into the result, and `threads` workers take whole chunks, so
+    the result is bitwise the same for any thread count.
 
     Returns (values, mask): values[m, k, j] is the flat intensity of
     model m at scale k for scheme j, shape (models, scales, schemes, n),
@@ -383,6 +386,10 @@ def _evaluate_pixels(config, pump_state, lams, thetas, models, scales, schemes, 
     other = ",".join(s for s in schemes if s != "ff")
     if "nonresonant" in models and other:
         raise ConfigError(f"model.schemes: the nonresonant model has only ff, not {other}")
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise TypeError("threads must be an integer") from None
     if threads < 1:
         raise ValueError("threads must be >= 1")
     n = lams.size * thetas.size
@@ -407,16 +414,33 @@ def _evaluate_pixels(config, pump_state, lams, thetas, models, scales, schemes, 
     return out, mask
 
 
+def _mirror_map(thetas):
+    """(first, inverse) over the distinct |theta| of `thetas`, ascending:
+    thetas[first] holds one angle of each magnitude, and angle j has the
+    magnitude of thetas[first[inverse[j]]].
+
+    The stack is isotropic and the pump at normal incidence, so a pixel
+    at -theta has the bits of the pixel at theta: the kernels read sin
+    theta only through sign-symmetric expressions, and numpy's cos is
+    even and its sin odd, bit for bit.  A grid's columns at angles of one
+    magnitude are therefore one column, evaluated and written once.
+    """
+    _, first, inverse = np.unique(np.abs(thetas), return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def frequency_angular_spectra(config, models, threads=1):
     """{model: raw SpectrumGrid} over the configured wavelength/angle axes
     for every model in `models`, from one pass over the pixels.
 
     For each pixel the idler is solved from energy conservation and
     transverse matching, its kinematics serve every model, and failures
-    are recorded in each grid's error mask.  `models` is a nonempty
-    sequence of distinct model names, checked before any pixel runs.
-    The grids are raw (unnormalized); call `.normalized()` for the
-    unit-max version.
+    are recorded in each grid's error mask.  The pass runs on the
+    distinct |theta| of the angle axis only (`_mirror_map`), and each
+    grid column is gathered from the one of its magnitude, with the bits
+    of evaluating every angle.  `models` is a nonempty sequence of
+    distinct model names, checked before any pixel runs.  The grids are
+    raw (unnormalized); call `.normalized()` for the unit-max version.
     """
     if isinstance(models, str) or not models or len(set(models)) != len(models):
         raise ValueError("models must be a nonempty sequence of distinct model names")
@@ -425,17 +449,19 @@ def frequency_angular_spectra(config, models, threads=1):
             raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
     lams = config.signal_wavelengths()
     thetas = config.internal_angles()
-    shape = (lams.size, thetas.size)
-    pump_state = _pump_state(config)
+    first, inverse = _mirror_map(thetas)
     values, mask = _evaluate_pixels(
-        config, pump_state, lams, thetas, models, (config.beta_plus,), config.schemes, threads
+        config, _pump_state(config), lams, np.abs(thetas[first]), models, (config.beta_plus,),
+        config.schemes, threads,
     )
+    values = values.reshape(*values.shape[:-1], lams.size, first.size)[..., inverse]
+    mask = mask.reshape(*mask.shape[:-1], lams.size, first.size)[..., inverse]
     return {
         model: SpectrumGrid(
             signal_wavelengths_nm=lams,
             internal_angles_rad=thetas,
-            intensity={s: v.reshape(shape) for s, v in zip(config.schemes, values[m, 0])},
-            mask=mask[m, 0].reshape(shape),
+            intensity=dict(zip(config.schemes, values[m, 0])),
+            mask=mask[m, 0],
         )
         for m, model in enumerate(models)
     }

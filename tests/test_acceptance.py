@@ -99,9 +99,10 @@ def test_criterion_2_beta_fourth_order_accuracy():
 LOW_GAIN_BOUND = 1e-13
 
 
-def _low_gain_limit_error(configs, scales, strength, scheme):
-    """Max |extrapolated rigorous - P S| / peak(P S), each divided by the
-    squared strength, over the pixels no run masked.
+def _low_gain_limit_error(configs, scales, strength, schemes):
+    """Max |extrapolated rigorous - P S| over `schemes`, each divided by
+    the squared strength, over the pixels no run masked, relative to the
+    largest P S peak of `schemes`.
 
     `configs` and `scales` give the two runs, at `strength` and twice
     it: the config and job scale of each (one config and two beta
@@ -115,17 +116,17 @@ def _low_gain_limit_error(configs, scales, strength, scheme):
     pump_states = [spectra._pump_state(config) for config in configs]
     values, mask = spectra._evaluate_pixels(
         configs[0], pump_states[0], lams, thetas, ("rigorous", "simplified"), scales[:1],
-        (scheme,), 1,
+        schemes, 1,
     )
     values_2, mask_2 = spectra._evaluate_pixels(
-        configs[1], pump_states[1], lams, thetas, ("rigorous",), scales[1:], (scheme,), 1
+        configs[1], pump_states[1], lams, thetas, ("rigorous",), scales[1:], schemes, 1
     )
-    (rig, ps), (rig_2,) = values[:, 0, 0], values_2[:, 0, 0]
+    (rig, ps), (rig_2,) = values[:, 0], values_2[:, 0]
     keep = ~(mask.any(axis=(0, 1)) | mask_2[0, 0])
     assert keep.mean() > 0.8
-    limit = ps[keep] / strength ** 2
+    limit = ps[:, keep] / strength ** 2
     extrapolated = (
-        4.0 * rig[keep] / strength ** 2 - rig_2[keep] / (2.0 * strength) ** 2
+        4.0 * rig[:, keep] / strength ** 2 - rig_2[:, keep] / (2.0 * strength) ** 2
     ) / 3.0
     return np.max(np.abs(extrapolated - limit)) / np.max(limit)
 
@@ -137,7 +138,7 @@ def test_low_gain_limit_is_pointwise_p_times_s(scheme, polarization):
     # so beta+ is 1e-4 times the complex pump enhancement.
     cfg = parse_config(EXPERIMENT_CONFIG)._replace_keeping_stack(polarization=polarization)
     beta = 1e-4
-    err = _low_gain_limit_error((cfg, cfg), (beta, 2.0 * beta), beta, scheme)
+    err = _low_gain_limit_error((cfg, cfg), (beta, 2.0 * beta), beta, (scheme,))
     assert err <= LOW_GAIN_BOUND
     report("1b", f"{scheme}/{polarization}: Richardson limit of rigorous = P x S to {err:.1e}")
 
@@ -151,9 +152,49 @@ def test_low_gain_limit_is_pointwise_p_times_s_on_the_chi2_route():
     cfg = parse_config(text)
     cfg_2 = cfg._replace_keeping_stack(pump_field_v_per_m=6e4)
     for scheme in ("ff", "bb", "fb", "bf"):
-        err = _low_gain_limit_error((cfg, cfg_2), (None, None), 3e4, scheme)
+        err = _low_gain_limit_error((cfg, cfg_2), (None, None), 3e4, (scheme,))
         assert err <= LOW_GAIN_BOUND
         report("1b", f"chi2 route, {scheme}: Richardson limit of rigorous = P x S to {err:.1e}")
+
+
+def test_low_gain_limit_is_pointwise_p_times_s_on_random_stacks():
+    # The low-gain claim as a property of the formalism: 40 stacks from
+    # seed 2026, 12 x 6 pixels each, every scheme, s and p.  Air, n = 1.45
+    # or LiNbO3 (o) above; LiNbO3 (e or o) or n = 2.2 as the film; seven
+    # substrates, index-matched ones included; 1-30 um; pump 700-900 nm.
+    # On an index-matched substrate a scheme can carry almost nothing
+    # (here P S peaks near 1e-41 for fb where ff peaks near 1e-8), so the
+    # error is relative to the largest scheme's peak, as in the exchange
+    # anchor.
+    rng = np.random.default_rng(2026)
+    superstrates = ("air", "constant:1.45", "linbo3_o")
+    films = ("linbo3_e", "linbo3_o", "constant:2.2")
+    substrates = (
+        "air", "constant:1.45", "linbo3_e", "linbo3_o", "constant:2.2", "silicon", "constant:3.0"
+    )
+    worst = 0.0
+    for _ in range(40):
+        pump_nm = rng.uniform(700.0, 900.0)
+        text = config_text(
+            superstrate=rng.choice(superstrates),
+            film=rng.choice(films),
+            substrate=rng.choice(substrates),
+            thickness_um=repr(rng.uniform(1.0, 30.0)),
+            wavelength_nm=repr(pump_nm),
+            lambda_min_nm=repr(1.3 * pump_nm),
+            lambda_max_nm=repr(2.9 * pump_nm),
+            lambda_count=96,
+            theta_min_rad=-0.3,
+            theta_max_rad=0.3,
+            theta_count=48,
+        )
+        polarization = rng.choice(("s", "p"))
+        cfg = parse_config(text)._replace_keeping_stack(polarization=polarization)
+        beta = 1e-4
+        err = _low_gain_limit_error((cfg, cfg), (beta, 2.0 * beta), beta, tuple(SCHEMES))
+        assert err <= LOW_GAIN_BOUND, text
+        worst = max(worst, err)
+    report("1b", f"40 random stacks: Richardson limit of rigorous = P x S to {worst:.1e}")
 
 
 def test_criterion_3_high_gain_breakdown():
@@ -230,7 +271,6 @@ def test_criterion_4_nonresonant_collapse():
 # gain, below threshold over most of the grid, and above it.
 ANCHOR_BETAS = (1e-3, 0.5, 2.0)
 ANCHOR_BOUND = 1e-13
-MIRROR_BOUND = 1e-12
 
 
 @pytest.mark.parametrize("beta", ANCHOR_BETAS)
@@ -266,25 +306,32 @@ def test_matched_stack_ff_is_two_mode_squeezed_vacuum_at_every_gain(beta):
 @pytest.mark.parametrize("beta", ANCHOR_BETAS)
 def test_intensity_is_mirror_symmetric_in_angle_at_every_gain(beta):
     # The stack and the normal-incidence pump are symmetric under
-    # theta -> -theta, and the angle grid is symmetric about 0.
+    # theta -> -theta.  `frequency_angular_spectra` evaluates each |theta|
+    # once on that ground, so the check runs the kernels on an exactly
+    # symmetric axis, -0 and +0 included, and asks for the same bits.
+    from spdc_etalon import spectra
+
     cfg = parse_config(config_text(lambda_count=96, theta_count=48, beta_plus=beta))
-    thetas = cfg.internal_angles()
-    assert np.max(np.abs(thetas + thetas[::-1])) <= 1e-15
-    worst = {}
-    for model in ("simplified", "rigorous"):
-        grid = frequency_angular_spectra(cfg, (model,))[model]
-        assert np.array_equal(grid.mask, grid.mask[:, ::-1])
-        keep = ~grid.mask
-        assert keep.any()
-        for scheme in cfg.schemes:
-            arr = grid.intensity[scheme]
-            err = np.max(np.abs(arr - arr[:, ::-1])[keep]) / np.max(arr[keep])
-            assert err <= MIRROR_BOUND, (model, scheme)
-            worst[model] = max(worst.get(model, 0.0), err)
+    pos = np.linspace(0.0, 0.5, 24)
+    thetas = np.concatenate([-pos[::-1], pos])
+    assert np.signbit(thetas[23]) and thetas[23] == thetas[24] == 0.0
+    models = ("simplified", "rigorous")
+    values, mask = spectra._evaluate_pixels(
+        cfg, spectra._pump_state(cfg), cfg.signal_wavelengths(), thetas, models,
+        (cfg.beta_plus,), cfg.schemes, 1,
+    )
+    values = values.reshape(*values.shape[:-1], -1, thetas.size)
+    mask = mask.reshape(*mask.shape[:-1], -1, thetas.size)
+    for m, model in enumerate(models):
+        assert mask[m].any() and not mask[m].all(), model
+        assert mask[m].tobytes() == mask[m][..., ::-1].tobytes(), model
+        for j, scheme in enumerate(cfg.schemes):
+            arr = values[m, 0, j]
+            assert arr.tobytes() == arr[:, ::-1].tobytes(), (model, scheme)
     report(
         "4c",
-        f"mirror symmetry at beta = {beta:g}: I(lambda, theta) = I(lambda, -theta) to "
-        f"simplified {worst['simplified']:.1e}, rigorous {worst['rigorous']:.1e} of the peak",
+        f"mirror symmetry at beta = {beta:g}: I(lambda, theta) = I(lambda, -theta) bit for "
+        "bit, simplified and rigorous",
     )
 
 

@@ -1200,6 +1200,35 @@ def test_grid_writer_matches_reference_formatter(tmp_path, monkeypatch, rng, blo
     assert written_lines(out) == reference_lines(config, "grid", columns, rows)
 
 
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_gathered_column_writes_the_bytes_of_its_gathered_values(
+    tmp_path, monkeypatch, rng, block_rows
+):
+    # A (values, index) column has the cells of values[..., index], each
+    # distinct cell formatted once and copied to the rows that read it.
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    lams = np.linspace(1100.0, 2400.0, 37)[:, None]
+    thetas = rng.uniform(-0.5, 0.5, 23)[None, :]
+    index = rng.permutation(np.concatenate([np.arange(9), rng.integers(0, 9, 14)]))
+    values = rng.uniform(0.0, 1.0, (lams.size, 9))
+    # 100000000.5 is a tie of the 9th digit, which printf formats.
+    values[0, :5] = [np.nan, np.inf, -np.inf, -0.0, 100000000.5]
+    values[1, :2] = [-np.nan, 0.0]
+    mask = rng.random(values.shape) < 0.3
+    columns = ["lambda", "theta", "v", "masked"]
+    config = parse_config(SMALL)
+    gathered, plain = tmp_path / "gathered.csv", tmp_path / "plain.csv"
+    cli._write_csv(
+        gathered, config, "grid", columns, [lams, thetas, (values, index), (mask, index)]
+    )
+    cli._write_csv(
+        plain, config, "grid", columns, [lams, thetas, values[..., index], mask[..., index]]
+    )
+    assert gathered.read_bytes() == plain.read_bytes()
+    assert b",100000000," in plain.read_bytes() and b",-0," in plain.read_bytes()
+
+
 def oracle_values(rng):
     """Doubles that probe every branch of the '%.9g' kernel."""
     parts = [random_doubles(rng, 150_000)]

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,7 +180,7 @@ def test_library_refuses_unknown_schemes_before_any_pixel(model, monkeypatch):
         frequency_angular_spectra(cfg, (model,))
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2"])
 @pytest.mark.parametrize(
     "sweep",
     [
@@ -193,7 +197,13 @@ def test_sweeps_refuse_fewer_than_one_thread_before_any_pixel(sweep, threads, mo
         raise AssertionError("a pixel was built")
 
     monkeypatch.setattr(spectra, "_build_batch", no_pixel)
-    with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+    # A worker count is an integer: 1.5 would pass the < 1 test and run,
+    # and "2" would fail the comparison with a bare TypeError.
+    if isinstance(threads, int):
+        error, message = ValueError, r"^threads must be >= 1$"
+    else:
+        error, message = TypeError, r"^threads must be an integer$"
+    with pytest.raises(error, match=message):
         sweep(cfg, threads)
 
 
@@ -395,6 +405,110 @@ def test_build_batch_keeps_the_bits_of_per_pixel_kinematics(tmp_path, route, ang
     if angles == "one":
         expected -= {"grazing", "critical angle", "pole"}
     assert {reason for reason, any_hit in hit.items() if any_hit} >= expected
+
+
+# Angle axes for the mirror map: WIDE_GRID hits every mask reason, an
+# asymmetric axis has angles with no mirror, and an odd count puts an
+# angle at exactly 0.  None is exactly symmetric (README's is not either).
+MIRROR_AXES = {
+    "wide": WIDE_GRID,
+    "asymmetric": dict(lambda_count=96, theta_min_rad=-0.2, theta_count=71),
+    "odd": dict(lambda_count=96, theta_count=47),
+}
+
+
+@pytest.mark.parametrize("route", ["1e-3", "2.0", "chi2"])
+@pytest.mark.parametrize("axis", list(MIRROR_AXES))
+def test_grids_have_the_bits_of_evaluating_every_angle(axis, route):
+    # The sweep evaluates each distinct |theta| once and gathers the
+    # columns; `_evaluate_pixels` on the whole axis is the reference.
+    text = config_text(**MIRROR_AXES[axis])
+    if route == "chi2":
+        text = text.replace("beta_plus = 1e-3", "field_v_per_m = 5e7").replace(
+            "thickness_um = 10.15", "thickness_um = 10.15\nchi2_pm_per_v = 30.0"
+        )
+    else:
+        text = text.replace("beta_plus = 1e-3", f"beta_plus = {route}")
+    cfg = parse_config(text)
+    lams, thetas = cfg.signal_wavelengths(), cfg.internal_angles()
+    assert np.unique(np.abs(thetas)).size < thetas.size
+    for config, models in ((cfg, GRID_MODELS[:2]), (_ff_only(cfg), GRID_MODELS[2:])):
+        grids = frequency_angular_spectra(config, models)
+        values, mask = spectra._evaluate_pixels(
+            config, spectra._pump_state(config), lams, thetas, models, (config.beta_plus,),
+            config.schemes, 1,
+        )
+        for m, model in enumerate(models):
+            shape = grids[model].mask.shape
+            assert grids[model].mask.any() and not grids[model].mask.all()
+            _assert_same_bits(grids[model].mask, mask[m, 0].reshape(shape), model)
+            for j, scheme in enumerate(config.schemes):
+                _assert_same_bits(
+                    grids[model].intensity[scheme], values[m, 0, j].reshape(shape),
+                    f"{model} {scheme}",
+                )
+
+
+# argv: the test to run, then the numpy dispatch targets the environment
+# disables.  The child checks that numpy runs without them, then runs
+# the test.
+BASELINE_CHILD = """
+import sys
+import pytest
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[t] for t in sys.argv[2:]), "dispatch targets still on"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_grids_have_the_bits_of_evaluating_every_angle_under_baseline_dispatch():
+    # The mirror map rests on numpy's cos being even and its sin odd, bit
+    # for bit.  Which SIMD kernels numpy dispatches to changes the bits of
+    # exp and of complex products, so rerun the check with every dispatch
+    # target this CPU has switched off (about 3 s on a 2-core x86-64).
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    targets = [
+        t for t in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__[t]
+    ]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+        PYTHONPATH=str(Path(spectra.__file__).parents[1]),
+    )
+    test = f"{Path(__file__).resolve()}::test_grids_have_the_bits_of_evaluating_every_angle"
+    proc = subprocess.run(
+        [sys.executable, "-c", BASELINE_CHILD, test, *targets],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert f"{len(MIRROR_AXES) * 3} passed" in proc.stdout
+
+
+def test_grid_sweep_builds_each_distinct_angle_once(monkeypatch):
+    # The README axis, np.linspace(-0.5, 0.5, 256), is not bitwise
+    # symmetric: 96 angles differ from their mirror in the last bits, so
+    # it has 176 distinct |theta|, and the sweep builds 512 x 176 pixels.
+    cfg = parse_config(EXPERIMENT_CONFIG)
+    pixels = []
+    build_batch = spectra._build_batch
+
+    def counting(config, lams, thetas, lo, hi, pump_state):
+        pixels.append(hi - lo)
+        return build_batch(config, lams, thetas, lo, hi, pump_state)
+
+    monkeypatch.setattr(spectra, "_build_batch", counting)
+    frequency_angular_spectra(cfg, ("simplified",))
+    assert sum(pixels) == 512 * 176
+    assert len(pixels) == 3
 
 
 @pytest.mark.parametrize("command", ["spectrum", "compare"])
