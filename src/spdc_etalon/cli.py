@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import errno
-import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -52,8 +51,7 @@ COMMANDS = tuple(_FLAGS)
 
 # Cell spelling: floats are printf '%.9g' (9 significant digits; 'nan',
 # 'inf', '-inf' and '-0' as printf writes them, see `_format_g9`), the bool
-# mask is 0/1, and integers and strings go through these printf specs.
-_CELL_SPECS = {"i": "%d", "O": "%s"}
+# mask is 0/1, and any other cell is its str ('%s'; '%d' for an integer).
 # Rows formatted per write: bounds the memory of the byte buffers behind
 # one write, whatever the row count.
 _BLOCK_ROWS = 8192
@@ -206,7 +204,7 @@ def _cells(col):
         return _format_g9(col)
     if col.dtype.kind == "b":
         return col.reshape(-1, 1).view(np.uint8) + np.uint8(ord("0"))
-    return _text_cells(_CELL_SPECS[col.dtype.kind], col.ravel())
+    return _text_cells("%s", col.ravel())
 
 
 def _column(values):
@@ -243,82 +241,70 @@ def _write_csv(path, config, command, columns, data):
     """Write one CSV to `path`, as it stands: `run` passes the `.part`
     path of a `_staged` block, which removes it if anything fails.
 
-    `data` holds one column per name in `columns`: an array, or a tuple
-    `(values, index)` whose cells are those of `values[..., index]`, with
-    `values` of two or more dimensions.  The columns broadcast to one
-    shape, whose elements are the rows in C order.  A column smaller than
-    that shape (a grid axis) has each element formatted once, and so does
-    a tuple's `values`: its cells are copied to the rows that `index`
-    gives them.  Rows are written about `_BLOCK_ROWS` at a time: each
-    block is one uint8 array with a NUL-padded slot per cell and ',' and
-    '\\n' at fixed columns, written without its NUL bytes.  Text cells
-    must not contain NUL.
+    `data` holds one column per name in `columns`, each a pair `(values,
+    index)`: `values` is 2-D with one row per block of rows (a wavelength
+    of a grid, a row of a 1-D table), or a single row that serves every
+    block, and `index` is 1-D, so the cell at place c of block r is
+    `values[r, index[c]]` (`values[0, index[c]]` for a single row).  A
+    plain 1-D array or list is the pair `(col[:, None], [0])`.  A
+    single-row `values` is formatted once, the others block by block, and
+    each column's cells reach the rows through one gather by its index.
+    Blocks are written about `_BLOCK_ROWS` rows at a time: each is one
+    uint8 array with a NUL-padded slot per cell and ',' and '\\n' at fixed
+    columns, written without its NUL bytes.  Text cells must not contain
+    NUL.
     """
     if len(data) != len(columns):
         raise ValueError("need one data column per column name")
-    index = {k: col[1] for k, col in enumerate(data) if isinstance(col, tuple)}
-    data = [_column(col[0] if k in index else col) for k, col in enumerate(data)]
-    shapes = [col.shape for col in data]
-    for k, gather in index.items():
-        shapes[k] = shapes[k][:-1] + gather.shape
-    shape = np.broadcast_shapes(*shapes)
-    outer, inner = shape[0], math.prod(shape[1:])
-    small = {}
-    for k, col in enumerate(data):
-        if k in index:
-            continue
-        col = col.reshape((1,) * (len(shape) - col.ndim) + col.shape)
-        if col.size < outer * inner:
-            small[k] = _cells(col).reshape(*col.shape, -1)
-        data[k] = col
+    data = [col if isinstance(col, tuple) else (_column(col)[:, None], [0]) for col in data]
+    blocks, inner = max(len(values) for values, _ in data), len(data[0][1])
+    if any(len(values) not in (1, blocks) or len(index) != inner for values, index in data):
+        raise ValueError("every column needs the same blocks and cells per block")
+    kept = {
+        k: _cells(v).reshape(1, v.shape[1], -1) for k, (v, _) in enumerate(data) if len(v) == 1
+    }
     step = max(1, _BLOCK_ROWS // inner)
     with open(path, "wb") as fh:
         header = "\n".join([*_header_lines(config, command), ",".join(columns)]) + "\n"
         fh.write(header.encode("utf-8"))
         layout = None
-        for lo in range(0, outer, step):
-            hi = min(lo + step, outer)
-            rows = (hi - lo) * inner
-            cells = []
-            for k, col in enumerate(data):
-                if k in small:
-                    cells.append(small[k] if col.shape[0] == 1 else small[k][lo:hi])
-                    continue
-                cells.append(_cells(col[lo:hi]).reshape(hi - lo, *col.shape[1:], -1))
+        for lo in range(0, blocks, step):
+            hi = min(lo + step, blocks)
+            cells = [
+                kept[k] if k in kept else _cells(v[lo:hi]).reshape(hi - lo, v.shape[1], -1)
+                for k, (v, _) in enumerate(data)
+            ]
             widths = [c.shape[-1] for c in cells]
-            if layout != (rows, widths):
+            if layout != (hi - lo, widths):
                 # Reused while the layout holds: a fresh buffer per block
                 # costs page faults and separator writes.
-                layout = (rows, widths)
-                buf = np.empty((rows, sum(widths) + len(widths)), np.uint8)
+                layout = (hi - lo, widths)
+                buf = np.empty((hi - lo, inner, sum(widths) + len(widths)), np.uint8)
                 ends = np.cumsum(widths) + np.arange(len(widths))
-                buf[:, ends] = ord(",")
-                buf[:, -1] = ord("\n")
-            grid = buf.reshape(hi - lo, *shape[1:], -1)
-            for k, (c, end, w) in enumerate(zip(cells, ends, widths)):
+                buf[..., ends] = ord(",")
+                buf[..., -1] = ord("\n")
+            for (_, index), c, end, w in zip(data, cells, ends, widths):
                 # Copied as one V{w} item per cell, not byte by byte.
-                slots = c.view(f"V{w}")
-                if k in index:
-                    slots = slots[..., index[k], :]
-                grid[..., end - w : end].view(f"V{w}")[...] = slots
+                buf[..., end - w : end].view(f"V{w}")[..., 0] = c.view(f"V{w}")[:, index, 0]
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _grid_table(grid):
-    """(columns, data) of a grid, wavelength-major: one row per
-    (wavelength, angle) pixel.
+    """(columns, data) of a grid, wavelength-major: one block of rows per
+    wavelength, one row per angle in each.
 
-    The grid's columns at angles of one magnitude are one column
-    (`spectra._mirror_map`), so the intensities and the mask go to the
-    writer at the distinct |theta| only, each with the index that spreads
-    it over the angles.
+    The wavelength reaches every row of its block through a zero index,
+    and the one row of angles serves every block.  The grid's columns at
+    angles of one magnitude are one column (`spectra._mirror_map`), so the
+    intensities and the mask go to the writer at the distinct |theta|
+    only, each with the index that spreads it over the angles.
     """
     first, inverse = _mirror_map(grid.internal_angles_rad)
     return (
         ["lambda_nm", "theta_deg", *grid.intensity, "masked"],
         [
-            grid.signal_wavelengths_nm[:, None],
-            np.degrees(grid.internal_angles_rad)[None, :],
+            (grid.signal_wavelengths_nm[:, None], np.zeros(inverse.size, np.intp)),
+            (np.degrees(grid.internal_angles_rad)[None, :], np.arange(inverse.size)),
             *((v[:, first], inverse) for v in grid.intensity.values()),
             (grid.mask[:, first], inverse),
         ],

@@ -27,7 +27,7 @@ from spdc_etalon.cli import COMMANDS, main
 from spdc_etalon.config import DETECTION_SCHEMES, MODELS
 from spdc_etalon.materials import POLARIZATIONS
 from spdc_etalon.simplified import SCHEMES
-from conftest import EXPERIMENT_CONFIG, config_text
+from conftest import EXPERIMENT_CONFIG, config_text, run_under_baseline_dispatch
 
 SMALL = config_text(lambda_count=48, theta_count=8)
 
@@ -850,6 +850,25 @@ def test_spectrum_golden_bytes_pin_the_pump_phase_order(tmp_path):
     )
 
 
+def test_golden_bytes_hold_under_baseline_dispatch_and_another_openblas_core():
+    # The goldens were recorded with numpy's AVX-512 kernels and OpenBLAS's
+    # SkylakeX core.  Baseline SIMD dispatch changes the bits of exp,
+    # log10 and complex products, and another core those of the solves,
+    # by a few 1e-12 relative; no 9-digit cell may move.  The six golden
+    # tests are named, so this one does not run itself (adds about 2 s).
+    tests = [
+        f"{Path(__file__).resolve()}::{name}"
+        for name in (
+            "test_every_command_golden_bytes",
+            "test_every_command_golden_bytes_on_other_routes",
+            "test_spectrum_golden_bytes_pin_the_pump_phase_order",
+        )
+    ]
+    proc = run_under_baseline_dispatch(tests, OPENBLAS_CORETYPE="Haswell")
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert f"{2 + len(GOLDEN_ROUTES)} passed" in proc.stdout
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, config_text(lambda_count=1))
     assert main(["spectrum", "--config", str(cfg_path)]) == 2
@@ -1189,8 +1208,10 @@ def test_grid_writer_matches_reference_formatter(tmp_path, monkeypatch, rng, blo
     columns = ["lambda", "theta", "v", "masked"]
     config = parse_config(SMALL)
     out = tmp_path / "grid.csv"
+    axis = np.arange(thetas.size)
     cli._write_csv(
-        out, config, "grid", columns, [lams[:, None], thetas[None, :], values, mask]
+        out, config, "grid", columns,
+        [(lams[:, None], 0 * axis), (thetas[None, :], axis), (values, axis), (mask, axis)],
     )
     rows = (
         [lam, theta, values[i, j], mask[i, j]]
@@ -1219,14 +1240,52 @@ def test_gathered_column_writes_the_bytes_of_its_gathered_values(
     columns = ["lambda", "theta", "v", "masked"]
     config = parse_config(SMALL)
     gathered, plain = tmp_path / "gathered.csv", tmp_path / "plain.csv"
+    axis = np.arange(thetas.size)
+    lams, thetas = (lams, 0 * axis), (thetas, axis)
     cli._write_csv(
         gathered, config, "grid", columns, [lams, thetas, (values, index), (mask, index)]
     )
     cli._write_csv(
-        plain, config, "grid", columns, [lams, thetas, values[..., index], mask[..., index]]
+        plain, config, "grid", columns,
+        [lams, thetas, (values[..., index], axis), (mask[..., index], axis)],
     )
     assert gathered.read_bytes() == plain.read_bytes()
     assert b",100000000," in plain.read_bytes() and b",-0," in plain.read_bytes()
+
+
+def test_each_distinct_cell_is_formatted_once(tmp_path, monkeypatch):
+    # README grid: 512 wavelengths and 256 angles, of which 176 distinct
+    # |theta|, so each wavelength, each angle and each distinct intensity
+    # cell reaches '%.9g' once.  A 1-D table formats each float cell once.
+    formatted = []
+    format_g9 = cli._format_g9
+
+    def counting(x):
+        formatted.append(np.size(x))
+        return format_g9(x)
+
+    monkeypatch.setattr(cli, "_format_g9", counting)
+    cfg_path = write_config(tmp_path, EXPERIMENT_CONFIG)
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+    assert main(["spectrum", "--model", "simplified", *argv]) == 0
+    assert sum(formatted) == 512 + 256 + 4 * 512 * 176
+    formatted.clear()
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    assert main(["transmission", *argv]) == 0
+    assert sum(formatted) == 48 * 2  # lambda_nm and transmission; masked is bool
+
+
+def test_columns_must_share_blocks_and_cells_per_block(tmp_path):
+    # A column of other block count (not 1) or index length would be cut
+    # or broadcast silently if it reached the buffer.
+    config = parse_config(SMALL)
+    axis = np.arange(3)
+    for data in (
+        [(np.zeros((4, 3)), axis), (np.zeros((2, 3)), axis)],
+        [(np.zeros((4, 3)), axis), (np.zeros((4, 3)), axis[:2])],
+    ):
+        with pytest.raises(ValueError, match="same blocks"):
+            cli._write_csv(tmp_path / "t.csv", config, "grid", ["a", "b"], data)
 
 
 def oracle_values(rng):
@@ -1289,10 +1348,11 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
     columns = ["lambda", "theta", "ff", "bb", "fb", "bf", "masked"]
 
     def peak(n_lams):
-        lams = np.linspace(1100.0, 2400.0, n_lams)[:, None]
-        thetas = np.linspace(-30.0, 30.0, 64)[None, :]
-        values = [rng.random((n_lams, 64)) for _ in range(4)]
-        mask = rng.random((n_lams, 64)) < 0.1
+        axis = np.arange(64)
+        lams = (np.linspace(1100.0, 2400.0, n_lams)[:, None], 0 * axis)
+        thetas = (np.linspace(-30.0, 30.0, 64)[None, :], axis)
+        values = [(rng.random((n_lams, 64)), axis) for _ in range(4)]
+        mask = (rng.random((n_lams, 64)) < 0.1, axis)
         tracemalloc.start()
         try:
             cli._write_csv(tmp_path / "m.csv", config, "grid", columns, [lams, thetas, *values, mask])

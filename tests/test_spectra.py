@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -24,7 +21,7 @@ from spdc_etalon import (
     refractive_index,
     transmission_curve,
 )
-from conftest import EXPERIMENT_CONFIG, config_text
+from conftest import EXPERIMENT_CONFIG, config_text, run_under_baseline_dispatch
 
 MATCHED_OVERRIDES = dict(superstrate="linbo3_e", substrate="linbo3_e")
 
@@ -449,46 +446,13 @@ def test_grids_have_the_bits_of_evaluating_every_angle(axis, route):
                 )
 
 
-# argv: the test to run, then the numpy dispatch targets the environment
-# disables.  The child checks that numpy runs without them, then runs
-# the test.
-BASELINE_CHILD = """
-import sys
-import pytest
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
-assert not any(__cpu_features__[t] for t in sys.argv[2:]), "dispatch targets still on"
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
-"""
-
-
 def test_grids_have_the_bits_of_evaluating_every_angle_under_baseline_dispatch():
     # The mirror map rests on numpy's cos being even and its sin odd, bit
     # for bit.  Which SIMD kernels numpy dispatches to changes the bits of
     # exp and of complex products, so rerun the check with every dispatch
     # target this CPU has switched off (about 3 s on a 2-core x86-64).
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    targets = [
-        t for t in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__[t]
-    ]
-    if not targets:
-        pytest.skip("numpy dispatches to no SIMD target on this CPU")
-    root = Path(__file__).resolve().parents[1]
-    env = dict(
-        os.environ,
-        NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-        PYTHONPATH=str(Path(spectra.__file__).parents[1]),
-    )
     test = f"{Path(__file__).resolve()}::test_grids_have_the_bits_of_evaluating_every_angle"
-    proc = subprocess.run(
-        [sys.executable, "-c", BASELINE_CHILD, test, *targets],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_under_baseline_dispatch([test])
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert f"{len(MIRROR_AXES) * 3} passed" in proc.stdout
 
@@ -517,9 +481,12 @@ def test_material_lookups_scale_with_wavelengths_not_pixels(tmp_path, monkeypatc
     # the signal and for the idler; a run shares at most one wavelength
     # with the previous chunk.  The pump's indices come with its interface
     # coefficients (`layerstack._indices`), so the film's is not looked up
-    # again.
+    # again.  The sweep runs on the distinct |theta| only, so the chunks
+    # are counted over those, and a smaller chunk makes boundaries that
+    # split a wavelength's row.
     from spdc_etalon import cli
 
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", 10_000)
     cfg = _wide_config(tmp_path, "s")
     cfg_path = tmp_path / "wide.ini"
     cfg_path.write_text(config_text(**WIDE_GRID), encoding="utf-8")
@@ -535,10 +502,13 @@ def test_material_lookups_scale_with_wavelengths_not_pixels(tmp_path, monkeypatc
     out = tmp_path / "out.csv"
     assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     n_lam, n_theta = cfg.lambda_count, cfg.theta_count
-    chunks = -(-n_lam * n_theta // spectra._CHUNK_PIXELS)
-    assert chunks == 2
-    # Three materials, signal and idler: 6 lookups per wavelength.
-    assert 6 * n_lam <= points["index_with_mask"] <= 6 * (n_lam + chunks - 1)
+    n_distinct = spectra._mirror_map(cfg.internal_angles())[0].size
+    chunks = -(-n_lam * n_distinct // spectra._CHUNK_PIXELS)
+    assert chunks == 4
+    assert all(k * spectra._CHUNK_PIXELS % n_distinct for k in range(1, chunks))
+    # Three materials, signal and idler: 6 lookups per wavelength, and
+    # each boundary that splits a row looks its wavelength up again.
+    assert points["index_with_mask"] == 6 * (n_lam + chunks - 1)
     assert points["refractive_index"] == 0
     assert points["index_with_mask"] < n_lam * n_theta / 20
 
