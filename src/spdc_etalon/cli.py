@@ -28,6 +28,7 @@ from .config import DETECTION_SCHEMES, MODELS, _parse_field, parse_config, seria
 from .errors import ConfigError, SpdcEtalonError
 from .simplified import SCHEMES
 from .spectra import (
+    SpectrumGrid,
     compare_grids,
     detection_spectrum,
     frequency_angular_spectra,
@@ -247,8 +248,9 @@ def _write_csv(path, config, command, columns, data):
     block, and `index` is 1-D, so the cell at place c of block r is
     `values[r, index[c]]` (`values[0, index[c]]` for a single row).  A
     plain 1-D array or list is the pair `(col[:, None], [0])`.  A
-    single-row `values` is formatted once, the others block by block, and
-    each column's cells reach the rows through one gather by its index.
+    `values` of one row or at most `_BLOCK_ROWS` cells is formatted once,
+    the others block by block, and each column's cells reach the rows
+    through one gather by its index.
     Blocks are written about `_BLOCK_ROWS` rows at a time: each is one
     uint8 array with a NUL-padded slot per cell and ',' and '\\n' at fixed
     columns, written without its NUL bytes.  Text cells must not contain
@@ -261,7 +263,8 @@ def _write_csv(path, config, command, columns, data):
     if any(len(values) not in (1, blocks) or len(index) != inner for values, index in data):
         raise ValueError("every column needs the same blocks and cells per block")
     kept = {
-        k: _cells(v).reshape(1, v.shape[1], -1) for k, (v, _) in enumerate(data) if len(v) == 1
+        k: _cells(v).reshape(len(v), v.shape[1], -1)
+        for k, (v, _) in enumerate(data) if len(v) == 1 or v.size <= _BLOCK_ROWS
     }
     step = max(1, _BLOCK_ROWS // inner)
     with open(path, "wb") as fh:
@@ -271,7 +274,8 @@ def _write_csv(path, config, command, columns, data):
         for lo in range(0, blocks, step):
             hi = min(lo + step, blocks)
             cells = [
-                kept[k] if k in kept else _cells(v[lo:hi]).reshape(hi - lo, v.shape[1], -1)
+                _cells(v[lo:hi]).reshape(hi - lo, v.shape[1], -1) if k not in kept
+                else kept[k] if len(v) == 1 else kept[k][lo:hi]
                 for k, (v, _) in enumerate(data)
             ]
             widths = [c.shape[-1] for c in cells]
@@ -290,23 +294,27 @@ def _write_csv(path, config, command, columns, data):
 
 
 def _grid_table(grid):
-    """(columns, data) of a grid, wavelength-major: one block of rows per
-    wavelength, one row per angle in each.
+    """(columns, data) of a raw grid, unit-max normalized, wavelength-major:
+    one block of rows per wavelength, one row per angle in each.
 
     The wavelength reaches every row of its block through a zero index,
     and the one row of angles serves every block.  The grid's columns at
     angles of one magnitude are one column (`spectra._mirror_map`), so the
-    intensities and the mask go to the writer at the distinct |theta|
-    only, each with the index that spreads it over the angles.
+    intensities and the mask are normalized and written at the distinct
+    |theta| only, each with the index that spreads it over the angles.
     """
     first, inverse = _mirror_map(grid.internal_angles_rad)
+    distinct = SpectrumGrid(
+        grid.signal_wavelengths_nm, grid.internal_angles_rad[first],
+        {k: v[:, first] for k, v in grid.intensity.items()}, grid.mask[:, first],
+    ).normalized()
     return (
         ["lambda_nm", "theta_deg", *grid.intensity, "masked"],
         [
             (grid.signal_wavelengths_nm[:, None], np.zeros(inverse.size, np.intp)),
             (np.degrees(grid.internal_angles_rad)[None, :], np.arange(inverse.size)),
-            *((v[:, first], inverse) for v in grid.intensity.values()),
-            (grid.mask[:, first], inverse),
+            *((v, inverse) for v in distinct.intensity.values()),
+            (distinct.mask, inverse),
         ],
     )
 
@@ -332,13 +340,12 @@ def run(command, config, out_path, threads=1):
     lines = []
     if command == "spectrum":
         grids = frequency_angular_spectra(config, (config.model,), threads=threads)
-        tables = {out_path: _grid_table(grids[config.model].normalized())}
+        tables = {out_path: _grid_table(grids[config.model])}
     elif command == "compare":
         grids = frequency_angular_spectra(config, ("simplified", "rigorous"), threads=threads)
-        simplified, rigorous = grids["simplified"], grids["rigorous"]
-        r2 = [compare_grids(simplified, rigorous, scheme=s) for s in config.schemes]
+        r2 = [compare_grids(grids["simplified"], grids["rigorous"], s) for s in config.schemes]
         tables = {
-            out_path.with_name(f"{out_path.stem}_{name}.csv"): _grid_table(grid.normalized())
+            out_path.with_name(f"{out_path.stem}_{name}.csv"): _grid_table(grid)
             for name, grid in grids.items()
         }
         summary = out_path.with_name(out_path.stem + "_summary.csv")

@@ -12,9 +12,6 @@ a lossless stack is unitary):
   flux-normalized, 2 sqrt(n_a c_a n_b c_b) / (n_a c_a + n_b c_b) for
   s polarization, which makes them direction-independent and gives
   each lossless interface a unitary 2x2 scattering block.
-* Total internal reflection is handled by analytic continuation: the
-  transmitted-angle cosine becomes +i |cos|, so |r| = 1 beyond the
-  critical angle and fields decay outward.
 
 The array kernels check nothing: the sweep engines mask the pixels
 they cannot evaluate.  At normal incidence, `spectra._normal_incidence`
@@ -61,11 +58,6 @@ class LayerStack:
             raise ValueError("chi2_pm_per_v must be finite")
 
 
-def _complex_cos(sin_sq):
-    """cos(theta) from sin^2(theta), continued to +i decay above TIR."""
-    return np.sqrt((1.0 + 0j) - sin_sq)
-
-
 def _indices(stack, wavelength_nm):
     """Range-checked (n1, n2, n3) of the stack's three regions."""
     regions = (stack.superstrate, stack.film, stack.substrate)
@@ -73,13 +65,14 @@ def _indices(stack, wavelength_nm):
 
 
 def coefficient_arrays(indices, trig, polarization):
-    """Flux-normalized (t1, r1, t2, r2) of the film mode.
+    """Flux-normalized float64 (t1, r1, t2, r2) of the film mode.
 
     `indices` holds (n1, n2, n3) and `trig` the (cos, sin) of the
-    internal angle, scalars or arrays that broadcast.  Nothing is range
-    checked here: the pump's caller, `spectra._pump_state`, passes the
-    checked indices of `_indices`, and the sweep engines and the
-    transmission curve mask the pixels whose indices are invalid.
+    internal angle, scalars or arrays that broadcast.  Nothing is checked:
+    beyond an interface's critical angle its t and r are nan, the pump's
+    caller, `spectra._pump_state`, passes the checked indices of
+    `_indices`, and the sweep engines and the transmission curve mask the
+    pixels whose indices are invalid or whose angles are beyond critical.
     """
     n1, n2, n3 = indices
     c2, s2 = trig
@@ -88,13 +81,13 @@ def coefficient_arrays(indices, trig, polarization):
     n2c2, n2s2 = n2 * c2, n2 * s2
 
     def interface(n):
-        """(t, r) where the film meets the region of index n; each
-        product is formed once, and r = (a - b) / (a + b)."""
-        c = _complex_cos((n2s2 / n) ** 2)
+        """(t, r) where the film meets the region of index n; each product is
+        formed once, and x / (a + b) is x * (1 / (a + b)), as numpy's complex / rounds."""
+        c = np.sqrt(1.0 - (n2s2 / n) ** 2)
         nc = n * c
         a, b = (n2c2, nc) if polarization == "s" else (n * c2, n2 * c)
-        den = a + b
-        return 2.0 * np.sqrt((nc + 0j) * n2c2) / den, (a - b) / den
+        inv = 1.0 / (a + b)
+        return 2.0 * np.sqrt(nc * n2c2) * inv, (a - b) * inv
 
     (t1, r1), (t2, r2) = interface(n1), interface(n3)
     return t1, r1, t2, r2

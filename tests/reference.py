@@ -30,6 +30,10 @@ on here as independent references (textbook single-interface
 coefficients, the single-pass phase L k_parallel, the wavevector's
 (parallel, perpendicular) parts and the first-order interaction
 matrix).  `interface_coeffs` is written here from `fresnel`.
+`complex_coefficient_arrays` is the library's `coefficient_arrays` as
+first written, in complex arithmetic with the total-internal-reflection
+continuation; below the critical angle the float64 kernel must give
+the bits of its real part.
 `interaction_params` returns the full record of one pixel's
 interaction, strengths, gain terms and mismatches, as an
 `InteractionRecord`.
@@ -119,6 +123,27 @@ def interface_coeffs(stack, mode):
         c_out = _complex_cos((n * np.sin(theta) / n_out) ** 2)
         coeffs += [t * np.sqrt(n_out * c_out / (n * np.cos(theta))), r]
     return InterfaceCoeffs(*(complex(c) for c in coeffs))
+
+
+def complex_coefficient_arrays(indices, trig, polarization):
+    """Flux-normalized (t1, r1, t2, r2) of the film mode in complex
+    arithmetic, as the library's `coefficient_arrays` was first written:
+    the transmitted-angle cosine is continued to +i |cos| beyond the
+    critical angle (|r| = 1 there), and each coefficient is divided by
+    a + b.  Below the critical angle every value is real."""
+    n1, n2, n3 = indices
+    c2, s2 = trig
+    n2c2, n2s2 = n2 * c2, n2 * s2
+
+    def interface(n):
+        c = _complex_cos((n2s2 / n) ** 2)
+        nc = n * c
+        a, b = (n2c2, nc) if polarization == "s" else (n * c2, n2 * c)
+        den = a + b
+        return 2.0 * np.sqrt((nc + 0j) * n2c2) / den, (a - b) / den
+
+    (t1, r1), (t2, r2) = interface(n1), interface(n3)
+    return t1, r1, t2, r2
 
 
 def wavevector_components(mode, n):

@@ -244,7 +244,7 @@ def test_filter_function_matches_oracle(rng):
     for cfg, _pump, signal in _pixels(rng, count=10):
         batch = _batch(cfg, signal)
         if batch.mask[0]:
-            continue  # beyond the critical angle: |r| = 1 can hit a pole
+            continue  # e.g. beyond the critical angle, where the coefficients are nan
         enh_s = enhancement_arrays(*batch.coeffs_s, batch.phi_s, batch.den_s)
         enh_i = enhancement_arrays(*batch.coeffs_i, batch.phi_i, batch.den_i)
         beta_p, beta_m = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))

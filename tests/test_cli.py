@@ -1256,7 +1256,10 @@ def test_gathered_column_writes_the_bytes_of_its_gathered_values(
 def test_each_distinct_cell_is_formatted_once(tmp_path, monkeypatch):
     # README grid: 512 wavelengths and 256 angles, of which 176 distinct
     # |theta|, so each wavelength, each angle and each distinct intensity
-    # cell reaches '%.9g' once.  A 1-D table formats each float cell once.
+    # cell reaches '%.9g' once.  The wavelengths (512 cells, at most
+    # `_BLOCK_ROWS`) and the angles (one row) are each one call; each
+    # scheme's intensities are one call per block of 8192 // 256 = 32
+    # wavelengths.  A 1-D table formats each float cell once.
     formatted = []
     format_g9 = cli._format_g9
 
@@ -1269,6 +1272,7 @@ def test_each_distinct_cell_is_formatted_once(tmp_path, monkeypatch):
     argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
     assert main(["spectrum", "--model", "simplified", *argv]) == 0
     assert sum(formatted) == 512 + 256 + 4 * 512 * 176
+    assert formatted == [512, 256] + [32 * 176] * (4 * 512 // 32)
     formatted.clear()
     cfg_path.write_text(SMALL, encoding="utf-8")
     assert main(["transmission", *argv]) == 0

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import config_text
-from reference import InterfaceCoeffs, Mode, fresnel, propagation_phase
+from reference import (
+    InterfaceCoeffs,
+    Mode,
+    complex_coefficient_arrays,
+    fresnel,
+    propagation_phase,
+)
 from spdc_etalon import (
     LayerStack,
     MaterialModel,
@@ -120,6 +126,39 @@ def test_interface_coeffs_experiment_stack():
     assert np.real(r2) < 0 < np.real(r1)
     assert t1 == pytest.approx(2.0 * np.sqrt(n2) / (1.0 + n2), rel=1e-12)
     assert t2 == pytest.approx(2.0 * np.sqrt(n2 * n3) / (n2 + n3), rel=1e-12)
+
+
+@pytest.mark.parametrize("pol", ["s", "p"])
+def test_coefficients_have_the_bits_of_the_complex_formula(rng, pol):
+    # Below the critical angle the complex formula's coefficients are
+    # real, and the float64 kernel gives the bits of their real parts:
+    # numpy divides by a complex of zero imaginary part as a product with
+    # its reciprocal, as the kernel does.  Random stacks, angles of either
+    # sign up to each stack's critical angle (grazing when the film is
+    # the thinnest region), and normal incidence.
+    n1, n2, n3 = rng.uniform(1.0, 4.0, (3, 100_000))
+    critical = np.arcsin(np.minimum(np.minimum(n1, n3) / n2, 1.0))
+    theta = rng.uniform(-1.0, 1.0, n2.size) * critical
+    theta[:100] = 0.0
+    trig = (np.cos(theta), np.sin(theta))
+    mine = coefficient_arrays((n1, n2, n3), trig, pol)
+    oracle = complex_coefficient_arrays((n1, n2, n3), trig, pol)
+    for name, x, z in zip(("t1", "r1", "t2", "r2"), mine, oracle):
+        assert x.dtype == np.float64, name
+        assert not np.imag(z).any(), name
+        assert x.tobytes() == np.real(z).tobytes(), name
+
+
+@pytest.mark.parametrize("pol", ["s", "p"])
+def test_coefficients_are_nan_beyond_the_critical_angle(pol):
+    # An n = 2.2 film between air and n = 1.8: the critical angles are
+    # 0.472 rad at interface 1 and 0.958 rad at interface 2.
+    theta = np.array([0.0, 0.4, 0.8, 1.2])
+    with np.errstate(invalid="ignore"):
+        t1, r1, t2, r2 = coefficient_arrays((1.0, 2.2, 1.8), (np.cos(theta), np.sin(theta)), pol)
+    for coeffs, beyond in (((t1, r1), [False, False, True, True]), ((t2, r2), [False] * 3 + [True])):
+        for c in coeffs:
+            assert np.array_equal(np.isnan(c), beyond)
 
 
 def test_interface_unitarity_below_tir(rng):

@@ -326,11 +326,16 @@ def test_one_pass_grids_equal_single_model_grids(monkeypatch, beta):
 
 # A 300 x 131 grid from 700 to 4500 nm and from -pi/2 to pi/2 hits every
 # mask reason: signals at or below the 788 nm pump, silicon's 4000 nm
-# range edge (and idlers past it near the pump), grazing and pole pixels
-# at +-pi/2 (where r1 r2 e^{2 i phi} -> 1), and critical angles beyond
-# about 0.5 rad.  131 angles do not divide `_CHUNK_PIXELS`, so a chunk
-# boundary falls inside a wavelength's row; 39300 pixels make two chunks.
+# range edge (and idlers past it near the pump), grazing pixels at
+# +-pi/2, critical angles and poles.  The superstrate's n = 2.12 crosses
+# the LiNbO3 film's near 2125 nm: at shorter wavelengths the film/
+# superstrate interface has a critical angle (about 1.3 rad), at longer
+# ones both interfaces are sub-critical at any angle, so at +-pi/2 both
+# reflections tend to -1 and r1 r2 e^{2 i phi} -> 1, a pole.  131 angles
+# do not divide `_CHUNK_PIXELS`, so a chunk boundary falls inside a
+# wavelength's row; 39300 pixels make two chunks.
 WIDE_GRID = dict(
+    superstrate="constant:2.12",
     lambda_min_nm=700.0,
     lambda_max_nm=4500.0,
     lambda_count=300,
@@ -402,6 +407,55 @@ def test_build_batch_keeps_the_bits_of_per_pixel_kinematics(tmp_path, route, ang
     if angles == "one":
         expected -= {"grazing", "critical angle", "pole"}
     assert {reason for reason, any_hit in hit.items() if any_hit} >= expected
+
+
+@pytest.mark.parametrize("route", ["s", "p"])
+def test_kept_pixels_have_the_coefficients_of_the_complex_formula(tmp_path, monkeypatch, route):
+    # Every coefficient a sweep keeps has the bits of the complex
+    # formula's real part, whose imaginary part is zero there.  Beyond an
+    # interface's critical angle, where the complex formula continued to
+    # |r| = 1, the float64 kernel gives nan, and the pixel is masked.
+    from reference import complex_coefficient_arrays
+
+    cfg = _wide_config(tmp_path, route)
+    lams, thetas = cfg.signal_wavelengths(), cfg.internal_angles()
+    pump_state = spectra._pump_state(cfg)
+    calls = []
+    kernel = spectra.coefficient_arrays
+
+    def recording(indices, trig, polarization):
+        calls.append((indices, trig, kernel(indices, trig, polarization)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spectra, "coefficient_arrays", recording)
+    with np.errstate(all="ignore"):
+        batch = spectra._build_batch(cfg, lams, thetas, 0, lams.size * thetas.size, pump_state)
+    kept = ~batch.mask
+    assert kept.any() and len(calls) == 2  # the signal, then the idler
+    for indices, trig, coeffs in calls:
+        with np.errstate(all="ignore"):
+            oracle = complex_coefficient_arrays(indices, trig, cfg.polarization)
+        sin_film = indices[1] * trig[1]
+        for k, (x, z) in enumerate(zip(coeffs, oracle)):
+            assert not np.imag(z[kept]).any()
+            assert x[kept].tobytes() == np.real(z[kept]).tobytes()
+            beyond = np.abs(sin_film) > indices[0 if k < 2 else 2]
+            assert np.isnan(x[beyond]).all() and batch.mask[beyond].all()
+        assert (np.abs(sin_film) > indices[0]).any()
+
+
+def test_coefficients_keep_their_bits_under_baseline_dispatch():
+    # Which SIMD kernels numpy dispatches to changes the bits of complex
+    # arithmetic; the float64 kernel must match the complex formula with
+    # every dispatch target switched off too.
+    tests = [
+        f"{Path(__file__).resolve()}::test_kept_pixels_have_the_coefficients_of_the_complex_formula",
+        f"{Path(__file__).resolve().with_name('test_layerstack.py')}"
+        "::test_coefficients_have_the_bits_of_the_complex_formula",
+    ]
+    proc = run_under_baseline_dispatch(tests)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "4 passed" in proc.stdout
 
 
 # Angle axes for the mirror map: WIDE_GRID hits every mask reason, an
