@@ -140,11 +140,11 @@ class RunConfig:
                 materials[key] = material_from_spec(getattr(self, key))
             except ConfigError as exc:
                 raise ConfigError(f"stack.{key}: {exc}") from None
-        return LayerStack(
-            **materials,
-            thickness_nm=self.thickness_um * 1e3,
-            chi2_pm_per_v=self.chi2_pm_per_v or 0.0,
-        )
+        chi2 = self.chi2_pm_per_v or 0.0
+        try:
+            return LayerStack(**materials, thickness_nm=self.thickness_um * 1e3, chi2_pm_per_v=chi2)
+        except ValueError as exc:  # a thickness_um that overflows in nm
+            raise ConfigError(f"stack: {exc}") from None
 
     def build_stack(self):
         """The LayerStack, resolved once per config: a `tabulated:` table

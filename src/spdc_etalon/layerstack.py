@@ -13,13 +13,14 @@ a lossless stack is unitary):
   s polarization, which makes them direction-independent and gives
   each lossless interface a unitary 2x2 scattering block.
 
-The array kernels check nothing: the sweep engines mask the pixels
-they cannot evaluate.  At normal incidence, `spectra._normal_incidence`
-forms the coefficients, phase and round-trip denominator from the same
-kernels, for the Airy transmission curve (which masks) and for the
-pump, one point per run, whose `_pump_enhancement` raises
-ResonancePoleError where the denominator vanishes and SpdcEtalonError
-where its result is not finite, with no RuntimeWarning first.
+The array kernels check nothing, and nothing here sets numpy's error
+state: the entries of `spectra` ignore every floating-point error, and
+the sweep engines mask the pixels they cannot evaluate.  At normal
+incidence, `spectra._normal_incidence` forms the coefficients, phase
+and round-trip denominator from the same kernels, for the Airy
+transmission curve (which masks) and for the pump, one point per run,
+whose `_pump_enhancement` raises ResonancePoleError where the
+denominator vanishes and SpdcEtalonError where its result is not finite.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class LayerStack:
 
     def __post_init__(self):
         if not 0 < self.thickness_nm < np.inf:
-            raise ValueError("film thickness must be positive and finite")
+            raise ValueError("film thickness in nm must be positive and finite")
         if not np.isfinite(self.chi2_pm_per_v):
             raise ValueError("chi2_pm_per_v must be finite")
 
@@ -98,32 +99,27 @@ def round_trip_denominator(r1, r2, phase):
     return 1.0 - r1 * r2 * np.exp(2j * np.asarray(phase, dtype=float))
 
 
-def _check_pole(den, what, labels, values):
-    """`values`, unless `den` vanishes (nan does not) or a value is not finite."""
-    if np.any(np.abs(den) < POLE_TOLERANCE):
-        raise ResonancePoleError(
-            "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
-            f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
-        )
-    if not all(np.isfinite(v).all() for v in values):
-        found = ", ".join(f"{k} {np.asarray(v).tolist()}" for k, v in zip(labels, values))
-        raise SpdcEtalonError(f"{what} is not finite: {found}")
-    return values
-
-
 def _pump_enhancement(coeffs, phase_p, den):
     """Forward and backward pump amplitudes inside the film, per unit E0,
     from the pump's (t1, r1, t2, r2), phase and round-trip denominator
     as `spectra._normal_incidence` returns them.
 
     The backward amplitude is exactly the forward one after one
-    reflection at interface 2 plus a single-pass phase.
+    reflection at interface 2 plus a single-pass phase.  The pole is
+    tested before dividing; a nan `den` is no pole, but is not finite.
     """
+    if np.any(np.abs(den) < POLE_TOLERANCE):
+        raise ResonancePoleError(
+            "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
+            f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
+        )
     t1, _, _, r2 = coeffs
-    with np.errstate(all="ignore"):
-        forward = t1 / den
-        backward = r2 * np.exp(1j * phase_p) * forward
-    return _check_pole(den, "pump enhancement", ("forward", "backward"), (forward, backward))
+    forward = t1 / den
+    backward = r2 * np.exp(1j * phase_p) * forward
+    if not (np.isfinite(forward).all() and np.isfinite(backward).all()):
+        found = f"forward {np.asarray(forward).tolist()}, backward {np.asarray(backward).tolist()}"
+        raise SpdcEtalonError(f"pump enhancement is not finite: {found}")
+    return forward, backward
 
 
 def enhancement_arrays(t1, r1, t2, r2, phase, den):

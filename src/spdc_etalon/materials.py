@@ -139,11 +139,13 @@ def _evaluate(model, wavelength_nm):
 def refractive_index(model, wavelength_nm):
     """Real refractive index of `model` at a vacuum wavelength in nm.
 
-    Accepts scalars or arrays.  Raises MaterialRangeError when any
-    query is not positive, falls outside the model's validity range or
-    gets a non-physical index; tabulated models never extrapolate.
+    Accepts scalars or arrays, ignoring floating-point errors.  Raises
+    MaterialRangeError when any query is not positive, falls outside
+    the model's validity range or gets a non-physical index (with no
+    RuntimeWarning first); tabulated models never extrapolate.
     """
-    n, valid = index_with_mask(model, wavelength_nm)
+    with np.errstate(all="ignore"):
+        n, valid = index_with_mask(model, wavelength_nm)
     if np.all(valid):
         return n
     lam = np.asarray(wavelength_nm, dtype=float)

@@ -1,7 +1,9 @@
 """Sweep engines: frequency-angular grids, gain/agreement curves, 1D
 detection spectra, and the Airy transmission curve.  The pump and the
 transmission curve share one normal-incidence kernel, `_normal_incidence`,
-and each front-end evaluates the pump once per run.
+and each front-end evaluates the pump once per run.  Each front-end runs
+under a fresh np.errstate(all="ignore") per call, as each pool worker
+does (threads do not inherit it); no kernel sets one.
 
 Every sweep evaluates its pixels in fixed-size chunks, each chunk by one
 worker, then runs deterministic reductions, so results are bitwise
@@ -180,7 +182,7 @@ def _normal_incidence(config, wavelength_nm, indices):
     """((t1, r1, t2, r2), phase, round-trip denominator) of the config's
     stack at normal incidence, with `indices` the (n1, n2, n3) at
     `wavelength_nm`: the pump's and the transmission curve's optics.
-    Nothing is checked; callers set the errstate."""
+    Nothing is checked, under the errstate of the entry that calls it."""
     coeffs = coefficient_arrays(indices, (np.cos(0.0), np.sin(0.0)), config.polarization)
     # Keep this evaluation order of L k: the golden outputs pin its bits.
     phase = config.build_stack().thickness_nm * 2.0 * np.pi * indices[1] / wavelength_nm
@@ -190,9 +192,8 @@ def _normal_incidence(config, wavelength_nm, indices):
 def _pump_state(config):
     """Pump-side constants: enhancement amplitudes and parallel wavevector."""
     lam_p = config.pump_wavelength_nm
-    with np.errstate(all="ignore"):
-        indices = _indices(config.build_stack(), lam_p)
-        e_fwd, e_bwd = _pump_enhancement(*_normal_incidence(config, lam_p, indices))
+    indices = _indices(config.build_stack(), lam_p)
+    e_fwd, e_bwd = _pump_enhancement(*_normal_incidence(config, lam_p, indices))
     return e_fwd, e_bwd, 2.0 * np.pi * indices[1] / lam_p
 
 
@@ -442,29 +443,30 @@ def frequency_angular_spectra(config, models, threads=1):
     distinct model names, checked before any pixel runs.  The grids are
     raw (unnormalized); call `.normalized()` for the unit-max version.
     """
-    if isinstance(models, str) or not models or len(set(models)) != len(models):
-        raise ValueError("models must be a nonempty sequence of distinct model names")
-    for model in models:
-        if model not in _EVALUATORS:
-            raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
-    lams = config.signal_wavelengths()
-    thetas = config.internal_angles()
-    first, inverse = _mirror_map(thetas)
-    values, mask = _evaluate_pixels(
-        config, _pump_state(config), lams, np.abs(thetas[first]), models, (config.beta_plus,),
-        config.schemes, threads,
-    )
-    values = values.reshape(*values.shape[:-1], lams.size, first.size)[..., inverse]
-    mask = mask.reshape(*mask.shape[:-1], lams.size, first.size)[..., inverse]
-    return {
-        model: SpectrumGrid(
-            signal_wavelengths_nm=lams,
-            internal_angles_rad=thetas,
-            intensity=dict(zip(config.schemes, values[m, 0])),
-            mask=mask[m, 0],
+    with np.errstate(all="ignore"):
+        if isinstance(models, str) or not models or len(set(models)) != len(models):
+            raise ValueError("models must be a nonempty sequence of distinct model names")
+        for model in models:
+            if model not in _EVALUATORS:
+                raise ValueError(f"model must be one of {sorted(_EVALUATORS)}")
+        lams = config.signal_wavelengths()
+        thetas = config.internal_angles()
+        first, inverse = _mirror_map(thetas)
+        values, mask = _evaluate_pixels(
+            config, _pump_state(config), lams, np.abs(thetas[first]), models, (config.beta_plus,),
+            config.schemes, threads,
         )
-        for m, model in enumerate(models)
-    }
+        values = values.reshape(*values.shape[:-1], lams.size, first.size)[..., inverse]
+        mask = mask.reshape(*mask.shape[:-1], lams.size, first.size)[..., inverse]
+        return {
+            model: SpectrumGrid(
+                signal_wavelengths_nm=lams,
+                internal_angles_rad=thetas,
+                intensity=dict(zip(config.schemes, values[m, 0])),
+                mask=mask[m, 0],
+            )
+            for m, model in enumerate(models)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -526,46 +528,46 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     columns beta_scale, beta_plus_abs, beta_over_half_delta,
     re_gamma_plus and r_squared in that order.
     """
-    if beta_values is None:
-        beta_values = np.geomspace(
-            config.gain_beta_min, config.gain_beta_max, config.gain_beta_count
-        )
-    beta_values = np.asarray(beta_values, dtype=float)
-    finite_positive = np.isfinite(beta_values) & (beta_values > 0)
-    if beta_values.ndim != 1 or not beta_values.size or not finite_positive.all():
-        raise ValueError("beta values must be a nonempty 1-D array of finite positive numbers")
-
-    stack = config.build_stack()
-    pump_state = _pump_state(config)
-    e_fwd, _, kp_par = pump_state
-    lam_deg = 2.0 * config.pump_wavelength_nm
-    n_deg = refractive_index(stack.film, lam_deg)
-    ks_deg = 2.0 * np.pi * n_deg / lam_deg
-    delta_deg = stack.thickness_nm * (kp_par - 2.0 * ks_deg)
-    half_delta = abs(delta_deg) / 2.0
-
-    lams = config.signal_wavelengths()
-    models = ("rigorous", "simplified")
-    (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
-        config, pump_state, lams, np.zeros(1), models, beta_values, ("ff",), threads
-    )
-    rows = []
-    for k, scale in enumerate(beta_values):
-        scale_mask = rig_mask[k] | smp_mask[k]
-        if scale_mask.all():
-            raise ZeroVarianceError(
-                f"every pixel of the gain curve is masked at beta_scale {scale:.9g}; "
-                "no R-squared can be formed there"
+    with np.errstate(all="ignore"):
+        if beta_values is None:
+            beta_values = np.geomspace(
+                config.gain_beta_min, config.gain_beta_max, config.gain_beta_count
             )
-        rr = r_squared(smp[k, 0], rig[k, 0], mask=scale_mask)
-        beta_abs = abs(scale * e_fwd)
-        gamma = gain_term(beta_abs, delta_deg)
-        # A phase-matched film has delta 0 here: the ratio is inf.
-        with np.errstate(divide="ignore"):
+        beta_values = np.asarray(beta_values, dtype=float)
+        finite_positive = np.isfinite(beta_values) & (beta_values > 0)
+        if beta_values.ndim != 1 or not beta_values.size or not finite_positive.all():
+            raise ValueError("beta values must be a nonempty 1-D array of finite positive numbers")
+
+        stack = config.build_stack()
+        pump_state = _pump_state(config)
+        e_fwd, _, kp_par = pump_state
+        lam_deg = 2.0 * config.pump_wavelength_nm
+        n_deg = refractive_index(stack.film, lam_deg)
+        ks_deg = 2.0 * np.pi * n_deg / lam_deg
+        delta_deg = stack.thickness_nm * (kp_par - 2.0 * ks_deg)
+        half_delta = abs(delta_deg) / 2.0
+
+        lams = config.signal_wavelengths()
+        models = ("rigorous", "simplified")
+        (rig, smp), (rig_mask, smp_mask) = _evaluate_pixels(
+            config, pump_state, lams, np.zeros(1), models, beta_values, ("ff",), threads
+        )
+        rows = []
+        for k, scale in enumerate(beta_values):
+            scale_mask = rig_mask[k] | smp_mask[k]
+            if scale_mask.all():
+                raise ZeroVarianceError(
+                    f"every pixel of the gain curve is masked at beta_scale {scale:.9g}; "
+                    "no R-squared can be formed there"
+                )
+            rr = r_squared(smp[k, 0], rig[k, 0], mask=scale_mask)
+            beta_abs = abs(scale * e_fwd)
+            gamma = gain_term(beta_abs, delta_deg)
+            # A phase-matched film has delta 0 here: the ratio is inf.
             ratio = np.divide(beta_abs, half_delta)
-        rows.append((scale, beta_abs, ratio, np.real(gamma), rr))
-    columns = ("beta_scale", "beta_plus_abs", "beta_over_half_delta", "re_gamma_plus", "r_squared")
-    return dict(zip(columns, np.array(rows, dtype=float).T))
+            rows.append((scale, beta_abs, ratio, np.real(gamma), rr))
+        keys = ("beta_scale", "beta_plus_abs", "beta_over_half_delta", "re_gamma_plus", "r_squared")
+        return dict(zip(keys, np.array(rows, dtype=float).T))
 
 
 def detection_spectrum(config, threads=1):
@@ -581,40 +583,40 @@ def detection_spectrum(config, threads=1):
     and the split scheme by its square root.  Returns (wavelengths_nm,
     rates, mask).
     """
-    scheme = config.detection_scheme
-    needed = _DETECTED_SCHEMES[scheme]
-    lams = config.signal_wavelengths()
-    schemes = tuple(sorted(set(needed + ("ff",))))
-    values, mask = _evaluate_pixels(
-        config, _pump_state(config), lams, np.zeros(1), ("simplified",), (config.beta_plus,),
-        schemes, threads,
-    )
-    values = dict(zip(schemes, values[0, 0]))
-    mask = mask[0, 0]
-
-    lam_p = config.pump_wavelength_nm
     with np.errstate(all="ignore"):
+        scheme = config.detection_scheme
+        needed = _DETECTED_SCHEMES[scheme]
+        lams = config.signal_wavelengths()
+        schemes = tuple(sorted(set(needed + ("ff",))))
+        values, mask = _evaluate_pixels(
+            config, _pump_state(config), lams, np.zeros(1), ("simplified",), (config.beta_plus,),
+            schemes, threads,
+        )
+        values = dict(zip(schemes, values[0, 0]))
+        mask = mask[0, 0]
+
+        lam_p = config.pump_wavelength_nm
         lam_i = np.where(lams > lam_p, _idler_wavelength(lam_p, lams), np.nan)
-    if config.envelope_center_nm is None:
-        weight = np.ones_like(lams)
-    else:
-        envelope = (config.envelope_center_nm, config.envelope_fwhm_nm, config.envelope_amplitude)
-        weight = _envelope(lams, *envelope) * _envelope(lam_i, *envelope)
-    weight = np.where(np.isfinite(weight), weight, 0.0)
+        if config.envelope_center_nm is None:
+            weight = np.ones_like(lams)
+        else:
+            envelope = config.envelope_center_nm, config.envelope_fwhm_nm, config.envelope_amplitude
+            weight = _envelope(lams, *envelope) * _envelope(lam_i, *envelope)
+        weight = np.where(np.isfinite(weight), weight, 0.0)
 
-    forward = values["ff"] * weight
-    peak = _masked_peak((forward,), mask, "forward spectrum is empty; cannot normalize")
+        forward = values["ff"] * weight
+        peak = _masked_peak((forward,), mask, "forward spectrum is empty; cannot normalize")
 
-    base = np.zeros_like(forward)
-    for s in needed:
-        base = base + values[s] * weight
-    rate = base / peak
-    if scheme == "backward":
-        rate = rate * config.efficiency_ratio
-    elif scheme == "forward_backward":
-        rate = rate * float(np.sqrt(config.efficiency_ratio))
-    rate = np.where(mask, 0.0, rate)
-    return lams, rate, mask
+        base = np.zeros_like(forward)
+        for s in needed:
+            base = base + values[s] * weight
+        rate = base / peak
+        if scheme == "backward":
+            rate = rate * config.efficiency_ratio
+        elif scheme == "forward_backward":
+            rate = rate * float(np.sqrt(config.efficiency_ratio))
+        rate = np.where(mask, 0.0, rate)
+        return lams, rate, mask
 
 
 def transmission_curve(config):
@@ -625,11 +627,11 @@ def transmission_curve(config):
     non-finite values are masked (transmission zero there); with none
     left, ZeroVarianceError.
     """
-    lams = config.signal_wavelengths()
-    indices, ok = _masked_indices(config.build_stack(), lams)
     with np.errstate(all="ignore"):
+        lams = config.signal_wavelengths()
+        indices, ok = _masked_indices(config.build_stack(), lams)
         (t1, _, t2, _), phase, den = _normal_incidence(config, lams, indices)
         trans = np.abs(t1 * t2 * np.exp(1j * phase) / den) ** 2
         mask = ~ok | (np.abs(den) < POLE_TOLERANCE) | ~np.isfinite(trans)
-    _masked_peak((trans,), mask, "cannot report an all-zero or all-masked transmission curve")
-    return lams, np.where(mask, 0.0, trans), mask
+        _masked_peak((trans,), mask, "cannot report an all-zero or all-masked transmission curve")
+        return lams, np.where(mask, 0.0, trans), mask

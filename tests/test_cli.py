@@ -112,6 +112,23 @@ def test_parse_missing_required_key():
         parse_config(SMALL.replace("waist_um = 5.0", ""))
 
 
+def test_malformed_config_exits_2(tmp_path, capsys):
+    # configparser's own error, under the config error prefix.
+    cfg_path = write_config(tmp_path, SMALL + "\n[stack]\nfilm = silicon\n")
+    assert main(["transmission", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: malformed config: While reading from '<string>' [line 20]: "
+        "section 'stack' already exists\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_missing_required_section_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL[: SMALL.index("[grid]")])  # its last section
+    assert main(["transmission", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: missing required section [grid]\n"
+
+
 def test_parse_bad_number_reports_path():
     with pytest.raises(ConfigError, match="grid.theta_count"):
         parse_config(config_text(theta_count="many"))
@@ -511,6 +528,22 @@ def test_spectrum_nonresonant_model_has_only_ff(tmp_path, capsys, flags, named):
     err = capsys.readouterr().err
     assert err == f"config error: model.schemes: the nonresonant model has only ff, {named}\n"
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_threads_below_one_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL)
+    argv = ["transmission", "--config", str(cfg_path), "--threads", "0"]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "config error: --threads: must be >= 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_output_path_key_is_used_without_out(tmp_path, capsys):
+    out = tmp_path / "from_config.csv"
+    cfg_path = write_config(tmp_path, SMALL + f"\n[output]\npath = {out}\n")
+    assert main(["transmission", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from_config.csv", "run.ini"]
 
 
 def test_spectrum_rerun_is_byte_identical(tmp_path):
@@ -1026,6 +1059,89 @@ def test_every_command_exits_clean_or_with_one_stderr_line(tmp_path, name):
         assert (data[:, 2] == np.inf).all() and np.isfinite(np.delete(data, 2, axis=1)).all()
 
 
+def hostile_text(detection=(), **overrides):
+    """A 16 x 8 README-stack config with `overrides`, and a [detection]
+    section of the envelope's (center, fwhm, amplitude) if given."""
+    text = config_text(lambda_count=16, theta_count=8, **overrides)
+    if detection:
+        keys = ("envelope_center_nm", "envelope_fwhm_nm", "envelope_amplitude")
+        text += "\n[detection]\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, detection))
+    return text
+
+
+# Extreme finite values, with the exit code of each command in
+# `COMMANDS` order.  Each ended in exit 1 on some command before the
+# entries ignored floating-point errors as one policy: a traceback, or a
+# RuntimeWarning raised as an error.  A 1e308 Sellmeier term gives an
+# index of 1e154 at the pump and grid wavelengths (the transmission
+# curve masks what overflows) and an infinite one at the gain curve's
+# degenerate wavelength.
+HOSTILE_CONFIGS = {
+    "thickness_overflows_in_nm": (hostile_text(thickness_um="1e306"), (2, 2, 2, 2, 2)),
+    "subnormal_thickness": (hostile_text(thickness_um="1e-320"), (0, 0, 0, 0, 0)),
+    "huge_sellmeier_superstrate": (
+        hostile_text(superstrate="sellmeier:1:1e308:0"), (3, 3, 3, 0, 3)
+    ),
+    "huge_sellmeier_film": (hostile_text(film="sellmeier:1:1e308:0"), (3, 3, 3, 0, 3)),
+    "negative_sellmeier_superstrate": (hostile_text(superstrate="sellmeier:-5::"), (3,) * 5),
+    "far_narrow_envelope": (hostile_text(("1e308", "1e-320", "1.0")), (0, 0, 0, 0, 3)),
+    "huge_envelope_amplitude": (hostile_text(("1500", "100", "1e308")), (0, 0, 0, 0, 3)),
+}
+
+
+def check_exit(code, expected, err, work, case):
+    """A run's exit code is `expected`; it wrote one stderr line if it
+    failed, none if not, and left no `.part` file in `work`."""
+    assert code == expected, case
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), case
+        assert err.startswith(("config error: ", "numerical error: ")), case
+    else:
+        assert err == "", case
+    assert not list(work.glob("*.part")), case
+
+
+@pytest.mark.parametrize("name", HOSTILE_CONFIGS)
+def test_hostile_configs_exit_clean_or_with_one_stderr_line(tmp_path, capsys, name):
+    cfg_path = write_config(tmp_path, HOSTILE_CONFIGS[name][0])
+    for command, expected in zip(COMMANDS, HOSTILE_CONFIGS[name][1]):
+        out = tmp_path / f"{command}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        check_exit(code, expected, capsys.readouterr().err, tmp_path, (name, command))
+
+
+# For each command, a hostile config that ended in exit 1 on it.
+HOSTILE_PROCESS_RUNS = {
+    "spectrum": "thickness_overflows_in_nm",
+    "compare": "thickness_overflows_in_nm",
+    "gain-curve": "subnormal_thickness",
+    "detection": "huge_envelope_amplitude",
+    "transmission": "negative_sellmeier_superstrate",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_hostile_config_exits_clean_or_with_one_stderr_line_in_a_process(tmp_path, command):
+    name = HOSTILE_PROCESS_RUNS[command]
+    cfg_path = write_config(tmp_path, HOSTILE_CONFIGS[name][0])
+    proc = run_cli_process(command, "--config", cfg_path, "--out", tmp_path / "out.csv")
+    expected = HOSTILE_CONFIGS[name][1][COMMANDS.index(command)]
+    check_exit(proc.returncode, expected, proc.stderr, tmp_path, (name, proc.stderr))
+
+
+def test_thickness_that_overflows_in_nm_is_a_config_error(tmp_path, capsys):
+    # 1e306 um is finite and positive, but 1e309 nm is not.  The hostile
+    # config tests run every command on it; this pins the message.
+    text = HOSTILE_CONFIGS["thickness_overflows_in_nm"][0]
+    message = "stack: film thickness in nm must be positive and finite"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(text)
+    assert main(["spectrum", "--config", str(write_config(tmp_path, text))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("lambda_min", ["-100", "0", "-0.0"])
 def test_non_positive_wavelength_bound_is_a_config_error(tmp_path, capsys, lambda_min):
     text = config_text(lambda_count=48, theta_count=8, lambda_min_nm=lambda_min)
@@ -1451,13 +1567,21 @@ def test_scheme_subset_columns(tmp_path):
 # What the property test draws each config key from: (usual values,
 # hostile values).  Usual values vary the physics (stacks, thicknesses,
 # waists, 2-point grids, grazing angles, complex and negative beta);
-# hostile ones (a 1e308 index, zero thickness, a negative waist, a pump
-# outside every material range, a 1e12 beta) are drawn one time in ten.
+# hostile ones (a 1e308 index or Sellmeier term, a negative Sellmeier
+# offset, a zero, subnormal or overflowing thickness, a negative waist, a
+# pump outside every material range, a 1e12 beta, a far and narrow or a
+# 1e308 detection envelope) are drawn one time in ten.
 PROPERTY_KEYS = {
-    ("stack", "superstrate"): (("air", "silicon", "linbo3_o", "constant:1.5"), ("constant:1e308",)),
-    ("stack", "film"): (("linbo3_e", "linbo3_o", "silicon", "constant:2.2"), ("constant:1e308",)),
+    ("stack", "superstrate"): (
+        ("air", "silicon", "linbo3_o", "constant:1.5"),
+        ("constant:1e308", "sellmeier:1:1e308:0", "sellmeier:-5::"),
+    ),
+    ("stack", "film"): (
+        ("linbo3_e", "linbo3_o", "silicon", "constant:2.2"),
+        ("constant:1e308", "sellmeier:1:1e308:0"),
+    ),
     ("stack", "substrate"): (("air", "silicon", "linbo3_e", "constant:3.4"), ("constant:1e308",)),
-    ("stack", "thickness_um"): (("1e-3", "0.4", "10.15", "5e4"), ("0",)),
+    ("stack", "thickness_um"): (("1e-3", "0.4", "10.15", "5e4"), ("0", "1e-320", "1e306")),
     ("pump", "wavelength_nm"): (("775", "788", "1064"), ("300", "1e4")),
     ("pump", "waist_um"): (("1e-3", "5.0", "1e5"), ("-1",)),
     ("grid", "lambda_min_nm"): (("450", "1100", "1500"), ()),
@@ -1474,8 +1598,9 @@ PROPERTY_KEYS = {
 PROPERTY_BETAS = (("1e-3", "-0.5", "0.3+0.4j", "2"), ("1e12", "-1e-300"))
 PROPERTY_CHI2_FIELDS = ((("30", "5e7"), ("-5", "5e7")), (("1e6", "1e20"),))
 PROPERTY_DETECTION = {
-    "envelope_center_nm": (("1576", "3000"), ()),
-    "envelope_fwhm_nm": (("1", "400"), ()),
+    "envelope_center_nm": (("1576", "3000"), ("1e308",)),
+    "envelope_fwhm_nm": (("1", "400"), ("1e-320",)),
+    "envelope_amplitude": (("1", "0.5"), ("1e308",)),
     "efficiency_ratio": (("0.4", "1e300"), ()),
     "scheme": (DETECTION_SCHEMES, ()),
 }

@@ -16,6 +16,9 @@ from spdc_etalon import (
     MaterialModel,
     ResonancePoleError,
     SpdcEtalonError,
+    detection_spectrum,
+    frequency_angular_spectra,
+    gain_and_agreement_curve,
     material_from_spec,
     parse_config,
     refractive_index,
@@ -197,11 +200,12 @@ def test_propagation_phase_experiment_frozen(experiment_stack):
 
 
 def pump_amplitudes(coeffs, phase):
-    """`_pump_enhancement` with the round-trip denominator its caller,
-    `spectra._normal_incidence`, forms under the pump's errstate."""
+    """`_pump_enhancement` with the round-trip denominator that
+    `spectra._normal_incidence` forms, under the errstate of the entries
+    that evaluate the pump."""
     with np.errstate(all="ignore"):
         den = round_trip_denominator(coeffs.r1, coeffs.r2, phase)
-    return _pump_enhancement(coeffs, phase, den)
+        return _pump_enhancement(coeffs, phase, den)
 
 
 def test_pump_enhancement_no_etalon():
@@ -342,10 +346,31 @@ def test_linear_transmission_symmetric_resonance():
 
 def test_non_finite_result_is_an_error_without_a_warning():
     # An infinite phase leaves the round-trip denominator nan: not a
-    # pole, but no finite pump amplitude to return.
+    # pole, but no finite pump amplitude to return.  The entries ignore
+    # floating-point errors; the pump's own check raises.
     coeffs = InterfaceCoeffs(0.9, 0.2, 0.9, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SpdcEtalonError, match="^pump enhancement is not finite: ") as err:
             pump_amplitudes(coeffs, np.inf)
+    assert type(err.value) is SpdcEtalonError
+
+
+@pytest.mark.parametrize("entry", ["spectra", "gain", "detection"])
+def test_entries_report_a_non_finite_pump_without_a_warning(entry):
+    # An index of 1e308 overflows the pump's phase.  Each entry that
+    # evaluates the pump raises the pump's error, not a RuntimeWarning,
+    # even when the caller has asked numpy to raise on every error, and
+    # leaves the caller's error state as it was.
+    config = parse_config(config_text(lambda_count=16, theta_count=8, film="constant:1e308"))
+    run = {
+        "spectra": lambda: frequency_angular_spectra(config, ("simplified",)),
+        "gain": lambda: gain_and_agreement_curve(config),
+        "detection": lambda: detection_spectrum(config),
+    }[entry]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(SpdcEtalonError, match="^pump enhancement is not finite: ") as err:
+            run()
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
     assert type(err.value) is SpdcEtalonError

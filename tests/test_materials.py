@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,10 +91,20 @@ def test_refractive_index_keeps_each_range_message():
         refractive_index(ln, np.array([788.0, 300.0]))
     # n^2 = -1 inside an unbounded range: the index itself is not physical.
     imaginary = MaterialModel.sellmeier((), (), offset=-1.0, name="imaginary")
-    with np.errstate(invalid="ignore"):
-        for lam in (1000.0, np.array([900.0, 1000.0])):
-            with pytest.raises(MaterialRangeError, match="imaginary.*non-physical index"):
-                refractive_index(imaginary, lam)
+    for lam in (1000.0, np.array([900.0, 1000.0])):
+        with pytest.raises(MaterialRangeError, match="imaginary.*non-physical index"):
+            refractive_index(imaginary, lam)
+
+
+@pytest.mark.parametrize("spec", ["sellmeier:-5::", "sellmeier:1:1e308:0"])
+def test_non_physical_index_raises_without_a_warning_first(spec):
+    # n^2 = -5 has no real root, and a 1e308 term overflows n^2 to inf at
+    # 1500 nm: the index check raises, under any caller's error state.
+    model = material_from_spec(spec)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(MaterialRangeError, match="non-physical index"):
+            refractive_index(model, 1500.0)
 
 
 def test_silicon_preset_is_tabulated_and_sane():

@@ -1018,6 +1018,13 @@ def test_r_squared_zero_variance_error():
         r_squared(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
 
+@pytest.mark.parametrize("shapes", [((4,), (3,)), ((4,), (4, 1)), ((2, 3), (3, 2))])
+def test_r_squared_refuses_arrays_of_different_shapes(shapes):
+    a, b = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=r"^arrays must have the same shape$"):
+        r_squared(a, b)
+
+
 def test_r_squared_mask_excludes_entries():
     b = np.array([0.0, 0.5, 1.0, 0.5])
     a = np.array([0.0, 0.5, 1.0, 99.0])
@@ -1310,3 +1317,26 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
     if beta == 2.0:
         above = np.abs(gamma[live].real) > 0
         assert 0 < above.mean() < 1
+
+
+def test_a_callers_error_state_does_not_reach_inside_an_entry():
+    # A 1e-320 um film: its delta at the degenerate point is subnormal,
+    # and beta over delta / 2 overflows.  Each entry ignores floating-point
+    # errors, so a caller that asks numpy to raise on every one gets the
+    # bits of a caller that ignores them all, and no warning.
+    config = parse_config(config_text(lambda_count=16, theta_count=8, thickness_um="1e-320"))
+
+    def arrays():
+        grids = frequency_angular_spectra(config, ("simplified", "rigorous"), threads=2)
+        return [
+            *(a for g in grids.values() for a in (*g.intensity.values(), g.mask)),
+            *gain_and_agreement_curve(config).values(),
+            *detection_spectrum(config),
+            *transmission_curve(config),
+        ]
+
+    with np.errstate(all="ignore"):
+        expected = [a.tobytes() for a in arrays()]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert [a.tobytes() for a in arrays()] == expected
