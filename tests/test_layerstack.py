@@ -356,21 +356,21 @@ def test_non_finite_result_is_an_error_without_a_warning():
     assert type(err.value) is SpdcEtalonError
 
 
-@pytest.mark.parametrize("entry", ["spectra", "gain", "detection"])
+@pytest.mark.parametrize(
+    "entry",
+    [lambda cfg: frequency_angular_spectra(cfg, ("simplified",)), gain_and_agreement_curve,
+     detection_spectrum],
+    ids=["spectra", "gain", "detection"],
+)
 def test_entries_report_a_non_finite_pump_without_a_warning(entry):
     # An index of 1e308 overflows the pump's phase.  Each entry that
     # evaluates the pump raises the pump's error, not a RuntimeWarning,
     # even when the caller has asked numpy to raise on every error, and
     # leaves the caller's error state as it was.
     config = parse_config(config_text(lambda_count=16, theta_count=8, film="constant:1e308"))
-    run = {
-        "spectra": lambda: frequency_angular_spectra(config, ("simplified",)),
-        "gain": lambda: gain_and_agreement_curve(config),
-        "detection": lambda: detection_spectrum(config),
-    }[entry]
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         with pytest.raises(SpdcEtalonError, match="^pump enhancement is not finite: ") as err:
-            run()
+            entry(config)
         assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
     assert type(err.value) is SpdcEtalonError
