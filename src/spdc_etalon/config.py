@@ -64,7 +64,7 @@ class RunConfig:
     pump_field_v_per_m: float | None = _key("pump", "field_v_per_m", "float", None)
     model: str = _key("model", "kind", "text", "simplified", rule=MODELS)
     schemes: tuple = _key("model", "schemes", "schemes", SCHEMES)
-    polarization: str = _key("model", "polarization", "text", "s")
+    polarization: str = _key("model", "polarization", "text", "s", rule=POLARIZATIONS)
     envelope_center_nm: float | None = _key("detection", "envelope_center_nm", "float", None)
     envelope_fwhm_nm: float | None = _key(
         "detection", "envelope_fwhm_nm", "float", None, rule="positive"
@@ -101,8 +101,6 @@ class RunConfig:
             raise ConfigError("grid: theta_min_rad must be < theta_max_rad")
         if self.theta_min_rad < -np.pi / 2 or self.theta_max_rad > np.pi / 2:
             raise ConfigError("grid: theta_min_rad and theta_max_rad must lie in [-pi/2, pi/2]")
-        if self.polarization not in POLARIZATIONS:
-            raise ConfigError("model.polarization: must be 's' or 'p'")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ConfigError(f"model.schemes: entries must be among {SCHEMES}")
         if len(set(self.schemes)) != len(self.schemes):
@@ -210,8 +208,9 @@ def parse_config(text):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+    except configparser.Error as exc:  # its message can span lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config: {message}") from None
 
     sections = {section for section, _ in _SCHEMA}
     for section in parser.sections():

@@ -1,10 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The rigorous kernel raises none of them at the oscillation threshold:
+an exactly singular system gives a nan scattering matrix, which the
+sweeps mask.
+"""
 
 __all__ = [
     "SpdcEtalonError",
     "MaterialRangeError",
     "ResonancePoleError",
-    "NearSingularError",
     "ZeroVarianceError",
     "ConfigError",
 ]
@@ -20,10 +24,6 @@ class MaterialRangeError(SpdcEtalonError):
 
 class ResonancePoleError(SpdcEtalonError):
     """Etalon round-trip denominator vanished (gain-free divergence)."""
-
-
-class NearSingularError(SpdcEtalonError):
-    """Scattering-matrix solve near the parametric-oscillation threshold."""
 
 
 class ZeroVarianceError(SpdcEtalonError):

@@ -17,6 +17,11 @@ batch axes broadcast: a sweep puts its beta jobs on a leading axis,
 (jobs, pixels), against per-pixel delta and boundary entries of shape
 (1, pixels) or (pixels,), so work that does not depend on beta runs
 once per pixel.
+
+The model diverges at the parametric-oscillation threshold.  The
+kernel has one failure contract for it: no condition check, and a nan
+U where (I - rho w) is exactly singular, which the sweeps mask like any
+other non-finite result.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from __future__ import annotations
 from contextlib import suppress
 
 import numpy as np
-
-from .errors import NearSingularError
 
 __all__ = [
     "gain_term",
@@ -40,7 +43,6 @@ SPEED_OF_LIGHT_M_S = 2.99792458e8
 # sweeps mask pixels at or below it.
 KPAR_FLOOR = 1e-12
 SINHC_SERIES_CUTOFF = 1e-4
-CONDITION_LIMIT = 1e12
 
 
 def gain_term(beta, delta):
@@ -191,7 +193,9 @@ def _solve(system, rhs):
     Where the batched call raises LinAlgError, each matrix is solved
     again on its own, and a matrix that raises keeps a nan solution.
     LAPACK solves the matrices of a batched call one by one, so each
-    other matrix keeps the bits the whole call gives it.
+    other matrix keeps the bits the whole call gives it.  This is the
+    kernel's only singularity handling: nothing estimates a condition
+    number, so a near-singular matrix keeps its LAPACK solution.
     """
     try:
         return np.linalg.solve(system, rhs)
@@ -207,7 +211,7 @@ def _solve(system, rhs):
     return solved.reshape(shape)
 
 
-def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
+def scattering_matrix(w, tau1, tau2, rho):
     """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
 
     The operands come in the formats `interaction_matrix` and
@@ -227,13 +231,10 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
     (pixels, 4) boundary entries, which are read and conjugated once per
     pixel, not once per job.  U has shape (..., 4, 4).
 
-    Uses a direct linear solve rather than an explicit inverse.  With
-    `check_condition` a condition number above 1e12 in (I - rho w)
-    raises NearSingularError (parametric-oscillation threshold);
-    sweeps disable the check and mask bad pixels instead.  Without the
-    check, each (I - rho w) that LAPACK finds exactly singular gets a nan
-    U, which sweeps mask, and every other matrix keeps the bits of the
-    batched solve (see `_solve`).
+    Uses a direct linear solve rather than an explicit inverse, with no
+    condition check: each (I - rho w) that LAPACK finds exactly singular
+    gets a nan U, which the sweeps mask, and every other matrix, however
+    ill-conditioned, keeps the bits of the batched solve (see `_solve`).
     """
     operands = dict(zip(_TRAILING, (np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho))))
     for name, trailing in _TRAILING.items():
@@ -271,13 +272,6 @@ def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
         tau2_w[generic] = (tau2_g @ w_g).reshape(-1, 16)
     system = system.reshape(batch + (4, 4))
     np.subtract(np.eye(4, dtype=complex), system, out=system)
-    if check_condition:
-        cond = np.linalg.cond(system)
-        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
-            raise NearSingularError(
-                "(I - rho w) is near-singular (condition number "
-                f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
-            )
     # Dense tau1 at its own batch shape, with leading axes of 1 up to the
     # rank of the system: numpy < 2 reads a right-hand side one rank below
     # the system as a stack of vectors.

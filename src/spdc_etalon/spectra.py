@@ -329,7 +329,7 @@ def _eval_rigorous(batch, schemes, scales, values):
         )
         # delta keeps an explicit scale axis of 1; see `interaction_matrix`.
         w = interaction_matrix(*batch.betas(scales, px), batch.delta[px][None])
-        u = scattering_matrix(w, *boundary, check_condition=False)
+        u = scattering_matrix(w, *boundary)
         del w
         probs = pair_probabilities(u, schemes)
         # Freed before the next block allocates, so that block can reuse
@@ -507,7 +507,7 @@ def r_squared(candidate, reference, mask=None):
     return float(1.0 - np.sum((a - b) ** 2) / var)
 
 
-def compare_grids(grid_a, grid_b, scheme="ff"):
+def compare_grids(grid_a, grid_b, scheme):
     """R-squared between two grids for one scheme, merging their masks."""
     mask = grid_a.mask | grid_b.mask
     return r_squared(grid_a.intensity[scheme], grid_b.intensity[scheme], mask=mask)

@@ -59,9 +59,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from spdc_etalon import NearSingularError, ResonancePoleError, gain_term, refractive_index
+from spdc_etalon import ResonancePoleError, gain_term, refractive_index
 from spdc_etalon.layerstack import POLE_TOLERANCE, coefficient_arrays, round_trip_denominator
-from spdc_etalon.rigorous import CONDITION_LIMIT, KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
+from spdc_etalon.rigorous import KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
 from spdc_etalon.simplified import _pump_profile
 from spdc_etalon.spectra import _idler_wavelength, _masked_indices, _PixelBatch
 
@@ -451,24 +451,17 @@ def coupled_mode_propagator(beta, delta, steps=4000):
     return y
 
 
-def scattering_matrix(w, tau1, tau2, rho, check_condition=True):
+def scattering_matrix(w, tau1, tau2, rho):
     """Scattering matrix U = tau2 w (I - rho w)^-1 tau1 - rho^dagger.
 
-    Uses a direct linear solve rather than an explicit inverse.  With
-    `check_condition` a condition number above 1e12 in (I - rho w)
-    raises NearSingularError (parametric-oscillation threshold);
-    sweeps disable the check and mask bad pixels instead.
+    Uses a direct linear solve rather than an explicit inverse, with no
+    condition check; an exactly singular (I - rho w) raises LAPACK's
+    LinAlgError for the whole call, where the library gives that
+    matrix a nan U.
     """
     w = np.asarray(w, dtype=complex)
     system = np.asarray(rho, dtype=complex) @ w
     np.subtract(np.eye(4, dtype=complex), system, out=system)
-    if check_condition:
-        cond = np.linalg.cond(system)
-        if np.any(~np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
-            raise NearSingularError(
-                "(I - rho w) is near-singular (condition number "
-                f"> {CONDITION_LIMIT:g}); at or past the oscillation threshold"
-            )
     solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
     del system
     return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)

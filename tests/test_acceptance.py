@@ -374,7 +374,7 @@ def test_criterion_5_analytic_identities_suite(rng):
 
     coeffs, phi = _random_lossless_boundaries(rng, n_draws)
     tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi * 0.7)
-    u = scattering_matrix(w0, tau1, tau2, rho, check_condition=False)
+    u = scattering_matrix(w0, tau1, tau2, rho)
     probs = pair_probabilities(u, SCHEMES)
     for arr in probs.values():
         assert np.all(np.abs(arr) <= 1e-20)

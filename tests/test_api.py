@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "LayerStack",
     "MaterialModel",
     "MaterialRangeError",
-    "NearSingularError",
     "ResonancePoleError",
     "RunConfig",
     "SCHEMES",
@@ -57,7 +56,7 @@ REL = 1e-13
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
     assert sorted(spdc_etalon.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdc_etalon, name) is not None

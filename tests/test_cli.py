@@ -2,6 +2,7 @@ import configparser
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -214,7 +215,7 @@ VALIDATE_RULES = {
         "grid: theta_min_rad must be < theta_max_rad",
     ),
     "model": ({"model": "exact"}, f"model.kind: must be one of {MODELS}"),
-    "polarization": ({"polarization": "x"}, "model.polarization: must be 's' or 'p'"),
+    "polarization": ({"polarization": "x"}, f"model.polarization: must be one of {POLARIZATIONS}"),
     "field-without-chi2": (
         {"beta_plus": None, "pump_field_v_per_m": 5e7},
         "pump.field_v_per_m requires stack.chi2_pm_per_v to be set",
@@ -1075,7 +1076,8 @@ def hostile_text(detection=(), **overrides):
 # RuntimeWarning raised as an error.  A 1e308 Sellmeier term gives an
 # index of 1e154 at the pump and grid wavelengths (the transmission
 # curve masks what overflows) and an infinite one at the gain curve's
-# degenerate wavelength.
+# degenerate wavelength.  The two malformed configs exited 2, but with
+# configparser's message over several stderr lines.
 HOSTILE_CONFIGS = {
     "thickness_overflows_in_nm": (hostile_text(thickness_um="1e306"), (2, 2, 2, 2, 2)),
     "subnormal_thickness": (hostile_text(thickness_um="1e-320"), (0, 0, 0, 0, 0)),
@@ -1086,6 +1088,8 @@ HOSTILE_CONFIGS = {
     "negative_sellmeier_superstrate": (hostile_text(superstrate="sellmeier:-5::"), (3,) * 5),
     "far_narrow_envelope": (hostile_text(("1e308", "1e-320", "1.0")), (0, 0, 0, 0, 3)),
     "huge_envelope_amplitude": (hostile_text(("1500", "100", "1e308")), (0, 0, 0, 0, 3)),
+    "key_above_first_section": ("thickness_um = 1\n" + hostile_text(), (2,) * 5),
+    "line_without_equals": (hostile_text() + "\nthis line has no equals\n", (2,) * 5),
 }
 
 
@@ -1112,23 +1116,45 @@ def test_hostile_configs_exit_clean_or_with_one_stderr_line(tmp_path, capsys, na
         check_exit(code, expected, capsys.readouterr().err, tmp_path, (name, command))
 
 
-# For each command, a hostile config that ended in exit 1 on it.
+# For each command, the hostile configs that ended in exit 1 on it, or
+# printed more than one stderr line.
 HOSTILE_PROCESS_RUNS = {
-    "spectrum": "thickness_overflows_in_nm",
-    "compare": "thickness_overflows_in_nm",
-    "gain-curve": "subnormal_thickness",
-    "detection": "huge_envelope_amplitude",
-    "transmission": "negative_sellmeier_superstrate",
+    "spectrum": ("thickness_overflows_in_nm",),
+    "compare": ("thickness_overflows_in_nm",),
+    "gain-curve": ("subnormal_thickness",),
+    "detection": ("huge_envelope_amplitude",),
+    "transmission": (
+        "negative_sellmeier_superstrate", "key_above_first_section", "line_without_equals"
+    ),
 }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_hostile_config_exits_clean_or_with_one_stderr_line_in_a_process(tmp_path, command):
-    name = HOSTILE_PROCESS_RUNS[command]
-    cfg_path = write_config(tmp_path, HOSTILE_CONFIGS[name][0])
-    proc = run_cli_process(command, "--config", cfg_path, "--out", tmp_path / "out.csv")
-    expected = HOSTILE_CONFIGS[name][1][COMMANDS.index(command)]
-    check_exit(proc.returncode, expected, proc.stderr, tmp_path, (name, proc.stderr))
+    for name in HOSTILE_PROCESS_RUNS[command]:
+        cfg_path = write_config(tmp_path, HOSTILE_CONFIGS[name][0])
+        proc = run_cli_process(command, "--config", cfg_path, "--out", tmp_path / "out.csv")
+        expected = HOSTILE_CONFIGS[name][1][COMMANDS.index(command)]
+        check_exit(proc.returncode, expected, proc.stderr, tmp_path, (name, proc.stderr))
+
+
+@pytest.mark.parametrize(
+    "name, line, text",
+    [
+        ("key_above_first_section", 1, "thickness_um = 1"),
+        ("line_without_equals", None, "this line has no equals"),
+    ],
+)
+def test_malformed_config_message_keeps_line_number_and_text(name, line, text):
+    # configparser spreads these messages over lines; the one-line
+    # message still names the line and quotes it.
+    config = HOSTILE_CONFIGS[name][0]
+    line = line or len(config.splitlines())
+    with pytest.raises(ConfigError) as err:
+        parse_config(config)
+    message = str(err.value)
+    assert message.startswith("malformed config: ") and "\n" not in message
+    assert re.search(rf"\bline\W*{line}\b", message) and repr(text + "\n") in message
 
 
 def test_thickness_that_overflows_in_nm_is_a_config_error(tmp_path, capsys):

@@ -619,7 +619,7 @@ def _unblocked_rigorous_grid(cfg):
         (beta_p,), (beta_m,) = batch.betas([cfg.beta_plus])
         boundary = boundary_matrices(batch.coeffs_s, batch.coeffs_i, batch.phi_s, batch.phi_i)
         w = interaction_matrix(beta_p, beta_m, batch.delta)
-        u = scattering_matrix(*dense_operands(w, *boundary), check_condition=False)
+        u = scattering_matrix(*dense_operands(w, *boundary))
         probs = pair_probabilities(u, cfg.schemes)
         values = {s: probs[s] * batch.gauss for s in cfg.schemes}
     mask = batch.mask.copy()
@@ -1307,7 +1307,6 @@ def test_scattering_matrix_preserves_commutators_for_real_beta(small_config, bet
         u = scattering_matrix(
             interaction_matrix(b, b, batch.delta),
             *boundary_matrices(batch.coeffs_s, batch.coeffs_i, batch.phi_s, batch.phi_i),
-            check_condition=False,
         )
     g = np.diag([1.0, -1.0, 1.0, -1.0])
     live = ~batch.mask
