@@ -456,7 +456,10 @@ def main(argv=None):
         if args.threads < 1:
             raise ConfigError("--threads: must be >= 1")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.startswith("malformed config: "):  # configparser names the text '<string>'
+            message = message.replace(repr("<string>"), repr(args.config), 1)
+        print(f"config error: {message}", file=sys.stderr)
         return 2
 
     out_path = _out_path(config, args, f"{args.command.replace('-', '_')}.csv")
@@ -465,7 +468,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SpdcEtalonError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except SpdcEtalonError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -32,6 +32,10 @@ __all__ = ["RunConfig", "parse_config", "serialize_config"]
 
 MODELS = tuple(_EVALUATORS)
 DETECTION_SCHEMES = tuple(_DETECTED_SCHEMES)
+# The largest value of an int field, each a point count: a complex128
+# axis that long fits in addressable bytes.  From 2**60 - 64 points up,
+# np.linspace and np.geomspace raise ValueError, not MemoryError.
+MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 def _key(section, key, kind, default=MISSING, rule=None):
@@ -89,6 +93,8 @@ class RunConfig:
                 raise ConfigError(f"{section}.{key}: must be finite")
             if rule == "positive" and value <= 0:
                 raise ConfigError(f"{section}.{key}: must be positive")
+            if kind == "int" and value > MAX_COUNT:
+                raise ConfigError(f"{section}.{key}: must be at most {MAX_COUNT}")
             if isinstance(rule, tuple) and value not in rule:
                 raise ConfigError(f"{section}.{key}: must be one of {rule}")
         if self.lambda_count < 2 or self.theta_count < 2:

@@ -19,8 +19,8 @@ the sweep engines mask the pixels they cannot evaluate.  At normal
 incidence, `spectra._normal_incidence` forms the coefficients, phase
 and round-trip denominator from the same kernels, for the Airy
 transmission curve (which masks) and for the pump, one point per run,
-whose `_pump_enhancement` raises ResonancePoleError where the
-denominator vanishes and SpdcEtalonError where its result is not finite.
+whose `_pump_enhancement` raises SpdcEtalonError where the denominator
+vanishes or its result is not finite.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonancePoleError, SpdcEtalonError
+from .errors import SpdcEtalonError
 from .materials import POLARIZATIONS, refractive_index
 
 __all__ = ["LayerStack"]
@@ -109,7 +109,7 @@ def _pump_enhancement(coeffs, phase_p, den):
     tested before dividing; a nan `den` is no pole, but is not finite.
     """
     if np.any(np.abs(den) < POLE_TOLERANCE):
-        raise ResonancePoleError(
+        raise SpdcEtalonError(
             "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
             f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
         )

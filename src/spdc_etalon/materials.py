@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MaterialRangeError
+from .errors import ConfigError, SpdcEtalonError
 
 __all__ = [
     "MaterialModel",
@@ -140,9 +140,9 @@ def refractive_index(model, wavelength_nm):
     """Real refractive index of `model` at a vacuum wavelength in nm.
 
     Accepts scalars or arrays, ignoring floating-point errors.  Raises
-    MaterialRangeError when any query is not positive, falls outside
-    the model's validity range or gets a non-physical index (with no
-    RuntimeWarning first); tabulated models never extrapolate.
+    SpdcEtalonError when any query is not positive, falls outside the
+    model's validity range or gets a non-physical index inside it (with
+    no RuntimeWarning first); tabulated models never extrapolate.
     """
     with np.errstate(all="ignore"):
         n, valid = index_with_mask(model, wavelength_nm)
@@ -152,13 +152,13 @@ def refractive_index(model, wavelength_nm):
     bounds = model.valid_range_nm
     what = f"material {model.name or model.kind!r}"
     if np.any(lam <= 0):
-        raise MaterialRangeError(f"{what}: wavelength must be positive")
+        raise SpdcEtalonError(f"{what}: wavelength must be positive")
     if bounds is not None and (np.any(lam < bounds[0]) or np.any(lam > bounds[1])):
-        raise MaterialRangeError(
+        raise SpdcEtalonError(
             f"{what}: wavelength {np.min(lam):g}-{np.max(lam):g} nm outside validity "
             f"range {bounds[0]:g}-{bounds[1]:g} nm"
         )
-    raise MaterialRangeError(
+    raise SpdcEtalonError(
         f"{what}: model produced a non-physical index inside its declared validity range"
     )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ZeroVarianceError
+from .errors import ConfigError, SpdcEtalonError
 from .layerstack import (
     POLE_TOLERANCE,
     coefficient_arrays,
@@ -96,10 +96,10 @@ class SpectrumGrid:
 
 def _masked_peak(arrays, mask, empty):
     """The largest value of `arrays` outside `mask`; a sweep with no positive
-    one has nothing to report, and raises ZeroVarianceError(`empty`)."""
+    one has nothing to report, and raises SpdcEtalonError(`empty`)."""
     peak = max([0.0, *(float(np.max(a, where=~mask, initial=0.0)) for a in arrays)])
     if peak <= 0:
-        raise ZeroVarianceError(empty)
+        raise SpdcEtalonError(empty)
     return peak
 
 
@@ -478,8 +478,8 @@ def r_squared(candidate, reference, mask=None):
     """Coefficient of determination on unit-max-normalized data.
 
     `reference` is the trusted side.  Masked entries are excluded, and
-    a mask must have the arrays' shape (ValueError otherwise); a
-    constant reference raises ZeroVarianceError.
+    a mask must have the arrays' shape (ValueError otherwise).  No
+    unmasked pair or a constant reference raises SpdcEtalonError.
     """
     a = np.asarray(candidate, dtype=float)
     b = np.asarray(reference, dtype=float)
@@ -494,7 +494,7 @@ def r_squared(candidate, reference, mask=None):
     a = a[keep]
     b = b[keep]
     if a.size == 0:
-        raise ZeroVarianceError("no unmasked data to compare")
+        raise SpdcEtalonError("no unmasked data to compare")
     a_peak = np.max(np.abs(a))
     b_peak = np.max(np.abs(b))
     if a_peak > 0:
@@ -503,7 +503,7 @@ def r_squared(candidate, reference, mask=None):
         b = b / b_peak
     var = np.sum((b - np.mean(b)) ** 2)
     if var == 0:
-        raise ZeroVarianceError("reference array has zero variance")
+        raise SpdcEtalonError("reference array has zero variance")
     return float(1.0 - np.sum((a - b) ** 2) / var)
 
 
@@ -522,7 +522,7 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
     the degenerate collinear operating point, so the threshold sits
     exactly at |beta+| = |delta/2|.  A scale at which every pixel is
     masked (far past threshold the rigorous model overflows) raises
-    ZeroVarianceError naming the first such scale.
+    SpdcEtalonError naming the first such scale.
 
     Returns {column: 1-D float64 array, one entry per scale}, with the
     columns beta_scale, beta_plus_abs, beta_over_half_delta,
@@ -556,7 +556,7 @@ def gain_and_agreement_curve(config, beta_values=None, threads=1):
         for k, scale in enumerate(beta_values):
             scale_mask = rig_mask[k] | smp_mask[k]
             if scale_mask.all():
-                raise ZeroVarianceError(
+                raise SpdcEtalonError(
                     f"every pixel of the gain curve is masked at beta_scale {scale:.9g}; "
                     "no R-squared can be formed there"
                 )
@@ -625,7 +625,7 @@ def transmission_curve(config):
 
     Wavelengths outside a material's range, resonance poles and
     non-finite values are masked (transmission zero there); with none
-    left, ZeroVarianceError.
+    left, or none positive, SpdcEtalonError.
     """
     with np.errstate(all="ignore"):
         lams = config.signal_wavelengths()

@@ -22,7 +22,10 @@ entries each).
 
 `coupled_mode_propagator` integrates the forward coupled-mode equations
 numerically, so it checks the interaction matrix's closed form without
-sharing any of it.
+sharing any of it.  `round_trip_scattering_matrix` builds U from it
+and an explicit sum of cavity round trips, so it shares no rigorous
+formula with the library: only the interface entries of
+`boundary_matrices`.
 
 `fresnel`, `propagation_phase`, `wavevector_components` and
 `low_gain_interaction_matrix` were public library functions; they live
@@ -59,7 +62,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from spdc_etalon import ResonancePoleError, gain_term, refractive_index
+from spdc_etalon import SpdcEtalonError, gain_term, refractive_index
 from spdc_etalon.layerstack import POLE_TOLERANCE, coefficient_arrays, round_trip_denominator
 from spdc_etalon.rigorous import KPAR_FLOOR, SPEED_OF_LIGHT_M_S, _coupling_prefactor
 from spdc_etalon.simplified import _pump_profile
@@ -245,7 +248,7 @@ def interaction_params(stack, pump_mode, signal_mode, idler_mode, pump_field_amp
 def _checked_denominator(r1, r2, phase):
     den = 1.0 - r1 * r2 * np.exp(2j * phase)
     if np.any(np.abs(den) < POLE_TOLERANCE):
-        raise ResonancePoleError(
+        raise SpdcEtalonError(
             "etalon round-trip denominator vanished (|1 - r1 r2 e^{2 i phi}| < "
             f"{POLE_TOLERANCE:g}); the linear cavity model diverges here"
         )
@@ -465,6 +468,35 @@ def scattering_matrix(w, tau1, tau2, rho):
     solved = np.linalg.solve(system, np.asarray(tau1, dtype=complex))
     del system
     return np.asarray(tau2, dtype=complex) @ w @ solved - _swap_conj_transpose(rho)
+
+
+def round_trip_scattering_matrix(beta_plus, beta_minus, delta, tau1, tau2, rho, steps):
+    """U = tau2 w sum_n (rho w)^n tau1 - rho^dagger, with no linear solve.
+
+    Each block of w is `coupled_mode_propagator` at `steps` RK4 steps,
+    the forward one at beta+ and the backward one at beta-; tau1, tau2
+    and rho are the library's structured boundary entries.  The series
+    doubles its partial sum, sum_{n<2m} = sum_{n<m} + (rho w)^m
+    sum_{n<m}, until a doubling changes no entry.  It converges only
+    where the spectral radius of rho w is below 1; U is nan elsewhere
+    (past the cavity's oscillation threshold).
+    """
+    w = np.stack(
+        [coupled_mode_propagator(beta, delta, steps) for beta in (beta_plus, beta_minus)], axis=-3
+    )
+    w, tau1, tau2, rho = dense_operands(w, tau1, tau2, rho)
+    trip = rho @ w
+    converges = np.max(np.abs(np.linalg.eigvals(trip)), axis=-1) < 1.0
+    power, total = trip[converges], np.broadcast_to(tau1, trip.shape)[converges]
+    while True:
+        total, last = total + power @ total, total
+        power = power @ power
+        if np.array_equal(total, last):
+            break
+    u = np.full(trip.shape, np.nan, dtype=complex)
+    tau2, w, rho = (np.broadcast_to(m, trip.shape)[converges] for m in (tau2, w, rho))
+    u[converges] = tau2 @ w @ total - _swap_conj_transpose(rho)
+    return u
 
 
 def pixel_axes(lams, thetas, lo, hi):

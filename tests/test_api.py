@@ -25,13 +25,10 @@ PUBLIC_NAMES = [
     "ConfigError",
     "LayerStack",
     "MaterialModel",
-    "MaterialRangeError",
-    "ResonancePoleError",
     "RunConfig",
     "SCHEMES",
     "SpdcEtalonError",
     "SpectrumGrid",
-    "ZeroVarianceError",
     "__version__",
     "boundary_matrices",
     "compare_grids",
@@ -56,7 +53,7 @@ REL = 1e-13
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 26
+    assert len(PUBLIC_NAMES) == 23
     assert sorted(spdc_etalon.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdc_etalon, name) is not None
@@ -64,6 +61,24 @@ def test_public_surface_is_pinned():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     counts = re.findall(r"The package exports (\d+) names", readme)
     assert counts == [str(len(spdc_etalon.__all__))]
+
+
+def test_two_failure_types_and_main_catches_no_other():
+    # One type per CLI exit code: ConfigError exits 2, SpdcEtalonError 3.
+    assert spdc_etalon.SpdcEtalonError.__subclasses__() == [spdc_etalon.ConfigError]
+    # Beside them, `cli.main` catches an unreadable config, an unwritable
+    # output and an allocation failure (exit 2).  No floating-point or
+    # LAPACK error reaches it: the sweep entries ignore the one, and the
+    # solve suppresses the other matrix by matrix.
+    source = (Path(spdc_etalon.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    main = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "main")
+    caught = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update(ast.unparse(kind) for kind in kinds)
+    expected = {"ConfigError", "SpdcEtalonError", "OSError", "UnicodeDecodeError", "MemoryError"}
+    assert caught == expected
 
 
 def test_every_public_name_is_read_by_src():

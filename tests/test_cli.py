@@ -18,6 +18,7 @@ import spdc_etalon
 from spdc_etalon import (
     ConfigError,
     RunConfig,
+    SpdcEtalonError,
     cli,
     detection_spectrum,
     parse_config,
@@ -25,7 +26,7 @@ from spdc_etalon import (
     spectra,
 )
 from spdc_etalon.cli import COMMANDS, main
-from spdc_etalon.config import DETECTION_SCHEMES, MODELS
+from spdc_etalon.config import DETECTION_SCHEMES, MAX_COUNT, MODELS
 from spdc_etalon.materials import POLARIZATIONS
 from spdc_etalon.simplified import SCHEMES
 from conftest import EXPERIMENT_CONFIG, config_text, run_under_baseline_dispatch
@@ -114,11 +115,12 @@ def test_parse_missing_required_key():
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
-    # configparser's own error, under the config error prefix.
+    # configparser's own error, under the config error prefix, naming
+    # the config file.
     cfg_path = write_config(tmp_path, SMALL + "\n[stack]\nfilm = silicon\n")
     assert main(["transmission", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (
-        "config error: malformed config: While reading from '<string>' [line 20]: "
+        f"config error: malformed config: While reading from {str(cfg_path)!r} [line 20]: "
         "section 'stack' already exists\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
@@ -643,7 +645,6 @@ def test_transmission_command(tmp_path):
 def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     # Silicon ends at 4000 nm: those rows are masked like `spectrum` masks
     # its pixels, the rest equal the range-checked Airy transmittance.
-    from spdc_etalon import MaterialRangeError
     from spdc_etalon.layerstack import POLE_TOLERANCE, _indices
 
     cfg_path = write_config(tmp_path, config_text(lambda_max_nm=4500.0, lambda_count=301))
@@ -667,7 +668,8 @@ def test_transmission_masks_wavelengths_outside_a_material_range(tmp_path):
     assert masked.any() and not masked.all()
     assert np.all(trans[masked] == 0.0)
     assert np.array_equal(trans[~masked], np.array([float(f"{t:.9g}") for t in ref[~pole]]))
-    with pytest.raises(MaterialRangeError):
+    range_message = "'silicon'.*4500-4500 nm outside validity range 650-4000"
+    with pytest.raises(SpdcEtalonError, match=range_message):
         _indices(stack, 4500.0)
 
 
@@ -909,23 +911,57 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("counts", [(10**30, 8), (2**32, 2**32)])
-def test_exit_code_grid_too_large(tmp_path, capsys, monkeypatch, counts):
-    # Pixel counts that do not fit an array index are a config error.
+def counts_text(lambda_count=16, theta_count=8, gain_count=None):
+    """A README-stack config with these grid counts and gain-curve count."""
+    text = config_text(lambda_count=lambda_count, theta_count=theta_count)
+    return text if gain_count is None else f"{text}\n[gain_curve]\ncount = {gain_count}\n"
+
+
+# Counts no array can hold, with the error line of each.  A count above
+# MAX_COUNT exited 1 with a traceback: from 2**60 - 64 points up,
+# np.linspace and np.geomspace raise ValueError, not MemoryError.
+TOO_LARGE = {
+    "pixels": (
+        counts_text(2**32, 2**32), "grid: lambda_count * theta_count pixels cannot be indexed"
+    ),
+    "lambda-1e30": (counts_text(10**30, 8), f"grid.lambda_count: must be at most {MAX_COUNT}"),
+    "lambda-2**61": (counts_text(2**61, 2), f"grid.lambda_count: must be at most {MAX_COUNT}"),
+    "theta-2**61": (counts_text(2, 2**61), f"grid.theta_count: must be at most {MAX_COUNT}"),
+    **{
+        f"gain-{label}": (
+            counts_text(gain_count=count), f"gain_curve.count: must be at most {MAX_COUNT}"
+        )
+        for label, count in (
+            ("2**59", 2**59), ("2**60", 2**60), ("10**20", 10**20), ("10**30", 10**30)
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", TOO_LARGE)
+def test_exit_code_grid_too_large(tmp_path, capsys, monkeypatch, name):
     # The run itself is replaced, so no test can allocate the grid.
     def no_run(*args, **kwargs):
         raise AssertionError("a config that large must not reach the run")
 
+    text, message = TOO_LARGE[name]
     monkeypatch.setattr(cli, "run", no_run)
-    cfg_path = write_config(
-        tmp_path, config_text(lambda_count=counts[0], theta_count=counts[1])
-    )
+    cfg_path = write_config(tmp_path, text)
     out = tmp_path / "out.csv"
-    for command in ("transmission", "spectrum"):
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    for command in COMMANDS:
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("config error: grid:") and "Traceback" not in err
-        assert not out.exists() and not out.with_suffix(".csv.part").exists()
+        check_exit(code, 2, err, tmp_path, (name, command))
+        assert err == f"config error: {message}\n", (name, command)
+        assert not out.exists()
+
+
+def test_largest_count_is_a_valid_config():
+    # The bound sits below the 2**60 - 64 points that np.linspace and
+    # np.geomspace refuse with ValueError.
+    assert MAX_COUNT < 2**60 - 64
+    config = parse_config(counts_text(MAX_COUNT, 2, gain_count=MAX_COUNT))
+    assert config.lambda_count == config.gain_beta_count == MAX_COUNT
 
 
 @pytest.mark.parametrize("where", ["sweep", "writer"])
@@ -1145,9 +1181,10 @@ def test_hostile_config_exits_clean_or_with_one_stderr_line_in_a_process(tmp_pat
         ("line_without_equals", None, "this line has no equals"),
     ],
 )
-def test_malformed_config_message_keeps_line_number_and_text(name, line, text):
+def test_malformed_config_message_keeps_line_number_and_text(tmp_path, capsys, name, line, text):
     # configparser spreads these messages over lines; the one-line
-    # message still names the line and quotes it.
+    # message still names the line and quotes it, and the CLI's names
+    # the config file where `parse_config`'s names the text '<string>'.
     config = HOSTILE_CONFIGS[name][0]
     line = line or len(config.splitlines())
     with pytest.raises(ConfigError) as err:
@@ -1155,6 +1192,10 @@ def test_malformed_config_message_keeps_line_number_and_text(name, line, text):
     message = str(err.value)
     assert message.startswith("malformed config: ") and "\n" not in message
     assert re.search(rf"\bline\W*{line}\b", message) and repr(text + "\n") in message
+    cfg_path = write_config(tmp_path, config)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 2
+    named = message.replace(repr("<string>"), repr(str(cfg_path)))
+    assert named != message and capsys.readouterr().err == f"config error: {named}\n"
 
 
 def test_thickness_that_overflows_in_nm_is_a_config_error(tmp_path, capsys):

@@ -14,7 +14,6 @@ from reference import (
 from spdc_etalon import (
     LayerStack,
     MaterialModel,
-    ResonancePoleError,
     SpdcEtalonError,
     detection_spectrum,
     frequency_angular_spectra,
@@ -235,7 +234,7 @@ def test_pump_enhancement_hand_value():
 
 def test_pump_enhancement_pole_error():
     coeffs = InterfaceCoeffs(t1=0.1, r1=1.0, t2=0.1, r2=1.0)
-    with pytest.raises(ResonancePoleError):
+    with pytest.raises(SpdcEtalonError, match=r"^etalon round-trip denominator vanished \(\|"):
         pump_amplitudes(coeffs, 0.0)
 
 

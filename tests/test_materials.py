@@ -8,7 +8,7 @@ from reference import Mode, wavevector_components
 from spdc_etalon import (
     ConfigError,
     MaterialModel,
-    MaterialRangeError,
+    SpdcEtalonError,
     material_from_spec,
     refractive_index,
 )
@@ -61,9 +61,9 @@ def test_tabulated_linear_interpolation():
 
 def test_tabulated_rejects_out_of_range_queries():
     model = MaterialModel.tabulated([1000.0, 1200.0], [1.5, 1.7])
-    with pytest.raises(MaterialRangeError):
+    with pytest.raises(SpdcEtalonError, match="999.9-999.9 nm outside validity range 1000-1200"):
         refractive_index(model, 999.9)
-    with pytest.raises(MaterialRangeError):
+    with pytest.raises(SpdcEtalonError, match="1200.1-1200.1 nm outside validity range 1000-1200"):
         refractive_index(model, 1200.1)
 
 
@@ -76,23 +76,23 @@ def test_tabulated_requires_increasing_wavelengths():
 
 def test_range_error_names_model_and_bounds():
     ln = material_from_spec("linbo3_e")
-    with pytest.raises(MaterialRangeError, match="linbo3_e"):
+    with pytest.raises(SpdcEtalonError, match="linbo3_e"):
         refractive_index(ln, 300.0)
-    with pytest.raises(MaterialRangeError, match="5000"):
+    with pytest.raises(SpdcEtalonError, match="5000"):
         refractive_index(ln, 9000.0)
 
 
 def test_refractive_index_keeps_each_range_message():
     ln = material_from_spec("linbo3_e")
     for lam in (0.0, -1.0, np.array([788.0, -5.0])):
-        with pytest.raises(MaterialRangeError, match="linbo3_e.*wavelength must be positive"):
+        with pytest.raises(SpdcEtalonError, match="linbo3_e.*wavelength must be positive"):
             refractive_index(ln, lam)
-    with pytest.raises(MaterialRangeError, match="300-788 nm outside validity range 400-5000"):
+    with pytest.raises(SpdcEtalonError, match="300-788 nm outside validity range 400-5000"):
         refractive_index(ln, np.array([788.0, 300.0]))
     # n^2 = -1 inside an unbounded range: the index itself is not physical.
     imaginary = MaterialModel.sellmeier((), (), offset=-1.0, name="imaginary")
     for lam in (1000.0, np.array([900.0, 1000.0])):
-        with pytest.raises(MaterialRangeError, match="imaginary.*non-physical index"):
+        with pytest.raises(SpdcEtalonError, match="imaginary.*non-physical index"):
             refractive_index(imaginary, lam)
 
 
@@ -103,7 +103,7 @@ def test_non_physical_index_raises_without_a_warning_first(spec):
     model = material_from_spec(spec)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        with pytest.raises(MaterialRangeError, match="non-physical index"):
+        with pytest.raises(SpdcEtalonError, match="non-physical index"):
             refractive_index(model, 1500.0)
 
 
@@ -116,7 +116,7 @@ def test_silicon_preset_is_tabulated_and_sane():
     assert 3.6 < n788 < 3.8
     assert 3.4 < n1576 < 3.55
     assert n788 > n1576
-    with pytest.raises(MaterialRangeError):
+    with pytest.raises(SpdcEtalonError, match="'silicon'.*649-649 nm outside validity range 650"):
         refractive_index(si, 649.0)
 
 

@@ -4,6 +4,7 @@ import pytest
 import reference
 from conftest import config_text
 from reference import InterfaceCoeffs, Mode
+from test_acceptance import _random_lossless_boundaries
 from spdc_etalon import (
     boundary_matrices,
     gain_term,
@@ -247,6 +248,36 @@ def test_scattering_matrix_matches_explicit_inverse(rng):
         w, tau1, tau2, rho = reference.dense_operands(w, tau1, tau2, rho)
         alt = tau2 @ np.linalg.inv(np.linalg.inv(w) - rho) @ tau1 - rho.conj().T
         assert np.max(np.abs(u - alt)) < 1e-11
+
+
+# Seed and size of the independent round-trip oracle's pixels.
+ROUND_TRIP_SEED, ROUND_TRIP_PIXELS = 2026, 200
+ROUND_TRIP_BOUND = 1e-12
+
+
+def test_scattering_matrix_equals_coupled_mode_round_trip_oracle_for_real_beta():
+    # reference.round_trip_scattering_matrix shares with the library only
+    # the boundary entries: w from the coupled-mode ODE (2000 RK4 steps),
+    # the cavity as a sum of round trips instead of a solve.  Random
+    # lossless interfaces, delta in +-6, real beta+ with |beta+| up to
+    # 0.6 max(|delta|/2, 0.3), and beta- = 0.7 beta+.
+    rng = np.random.default_rng(ROUND_TRIP_SEED)
+    coeffs, phi = _random_lossless_boundaries(rng, ROUND_TRIP_PIXELS)
+    delta = rng.uniform(-6.0, 6.0, ROUND_TRIP_PIXELS)
+    cap = 0.6 * np.maximum(np.abs(delta) / 2.0, 0.3)
+    beta_plus = rng.uniform(-1.0, 1.0, ROUND_TRIP_PIXELS) * cap
+    beta_minus = 0.7 * beta_plus
+    tau1, tau2, rho = boundary_matrices(coeffs, coeffs, phi, phi * 0.7)
+    oracle = reference.round_trip_scattering_matrix(
+        beta_plus, beta_minus, delta, tau1, tau2, rho, steps=2000
+    )
+    u = scattering_matrix(interaction_matrix(beta_plus, beta_minus, delta), tau1, tau2, rho)
+    # The series diverges past the cavity's oscillation threshold.
+    converged = ~np.isnan(oracle).any(axis=(-2, -1))
+    assert converged.sum() >= 0.95 * ROUND_TRIP_PIXELS
+    u, oracle = u[converged], oracle[converged]
+    err = np.max(np.abs(u - oracle), axis=(-2, -1))
+    assert np.all(err <= ROUND_TRIP_BOUND * np.max(np.abs(oracle), axis=(-2, -1)))
 
 
 # ---- scattering_matrix against the generic BLAS oracle ---------------------

@@ -11,7 +11,6 @@ from spdc_etalon import spectra
 from spdc_etalon import (
     ConfigError,
     SpdcEtalonError,
-    ZeroVarianceError,
     compare_grids,
     detection_spectrum,
     frequency_angular_spectra,
@@ -1014,7 +1013,7 @@ def test_r_squared_hand_computed_case():
 
 
 def test_r_squared_zero_variance_error():
-    with pytest.raises(ZeroVarianceError):
+    with pytest.raises(SpdcEtalonError, match="^reference array has zero variance$"):
         r_squared(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
 
