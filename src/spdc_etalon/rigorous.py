@@ -22,10 +22,19 @@ The model diverges at the parametric-oscillation threshold.  The
 kernel has one failure contract for it: no condition check, and a nan
 U where (I - rho w) is exactly singular, which the sweeps mask like any
 other non-finite result.
+
+The kernel's BLAS/LAPACK calls, the batched 4x4 solve and products of
+`scattering_matrix`, take turns under one private lock; every
+elementwise step runs outside it.  OpenBLAS's complex small-matrix path
+runs no faster on two threads at once than on one thread doing both
+shares, so concurrent callers, the sweep workers among them, lose
+nothing by taking turns and keep the other cores for their elementwise
+steps; the lock changes no arithmetic.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import suppress
 
 import numpy as np
@@ -43,6 +52,10 @@ SPEED_OF_LIGHT_M_S = 2.99792458e8
 # sweeps mask pixels at or below it.
 KPAR_FLOOR = 1e-12
 SINHC_SERIES_CUTOFF = 1e-4
+# Held around each BLAS/LAPACK call of `scattering_matrix` (see the
+# module docstring).  Not re-entrant: `_solve` runs under it and must not
+# take it again.
+_BLAS_LOCK = threading.Lock()
 
 
 def gain_term(beta, delta):
@@ -235,6 +248,13 @@ def scattering_matrix(w, tau1, tau2, rho):
     condition check: each (I - rho w) that LAPACK finds exactly singular
     gets a nan U, which the sweeps mask, and every other matrix, however
     ill-conditioned, keeps the bits of the batched solve (see `_solve`).
+
+    Two steps run under the module's BLAS lock, one caller at a time:
+    the solve with the product (tau2 w) X after it, and the two dense
+    products of the non-finite fallback.  The lock holds for every
+    caller and costs none of them: the kernel promises the same bits
+    for any thread count, and OpenBLAS's complex 4x4 path runs two
+    threads' shares no slower one after the other than at once.
     """
     operands = dict(zip(_TRAILING, (np.asarray(m, dtype=complex) for m in (w, tau1, tau2, rho))))
     for name, trailing in _TRAILING.items():
@@ -268,8 +288,11 @@ def scattering_matrix(w, tau1, tau2, rho):
             m_g = np.broadcast_to(operands[name], batch + _TRAILING[name])[generic]
             m[:, entries] = m_g.reshape(len(m), -1)
         w_g, tau2_g, rho_g = dense.reshape(3, -1, 4, 4)
-        system[generic] = (rho_g @ w_g).reshape(-1, 16)
-        tau2_w[generic] = (tau2_g @ w_g).reshape(-1, 16)
+        with _BLAS_LOCK:
+            rho_w_g = rho_g @ w_g
+            tau2_w_g = tau2_g @ w_g
+        system[generic] = rho_w_g.reshape(-1, 16)
+        tau2_w[generic] = tau2_w_g.reshape(-1, 16)
     system = system.reshape(batch + (4, 4))
     np.subtract(np.eye(4, dtype=complex), system, out=system)
     # Dense tau1 at its own batch shape, with leading axes of 1 up to the
@@ -277,10 +300,10 @@ def scattering_matrix(w, tau1, tau2, rho):
     # the system as a stack of vectors.
     rhs = np.zeros((1,) * (len(batch) - tau1.ndim + 1) + tau1.shape[:-1] + (16,), dtype=complex)
     rhs[..., _DIAGONAL] = tau1
-    solved = _solve(system, rhs.reshape(rhs.shape[:-1] + (4, 4)))
-    del rhs
-    u = np.matmul(tau2_w.reshape(batch + (4, 4)), solved, out=system)
-    del tau2_w, solved
+    with _BLAS_LOCK:
+        solved = _solve(system, rhs.reshape(rhs.shape[:-1] + (4, 4)))
+        u = np.matmul(tau2_w.reshape(batch + (4, 4)), solved, out=system)
+    del rhs, tau2_w, solved
     # rho^dagger at rho's own shape: conj(rho[k ^ 2]) at [k, k ^ 2], and
     # the 0 - 0j that conjugating a zero entry gives everywhere else.
     rho_dagger = np.full(rho.shape[:-1] + (16,), complex(0.0, -0.0))

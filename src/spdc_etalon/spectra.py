@@ -60,8 +60,10 @@ __all__ = [
 
 # Pixels per kinematics batch.  Every sweep evaluates its pixels in
 # chunks of this size, whatever the thread count, so memory is bounded
-# by the chunk, not the grid.
-_CHUNK_PIXELS = 32768
+# by the chunk, not the grid.  8192 makes the README grid's 90,112
+# distinct-angle pixels 11 chunks, enough for two workers to finish
+# together (32768 made 3, and one worker waited for the other).
+_CHUNK_PIXELS = 8192
 # Unmasked pixels per rigorous solve.  The rigorous model's working set
 # (about 1.3 KB per pixel) is bounded by this block, not by the chunk.
 _RIGOROUS_BLOCK = 2048

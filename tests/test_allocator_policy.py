@@ -73,8 +73,8 @@ def test_policy_changes_no_output_byte(tmp_path, command, flags, text):
 
 @pytest.mark.skipif(not glibc(), reason="the policy applies on glibc only")
 def test_policy_at_least_halves_the_minor_faults_of_a_spectrum(tmp_path):
-    # The README grid: 4 chunks of 32768 pixels, each of which used to
-    # fault its freed temporaries back in (about 23k faults against 5k).
+    # The README grid: its 512 x 176 distinct-angle pixels make 11 chunks
+    # of 8192, each of which used to fault its freed temporaries back in.
     config = tmp_path / "run.ini"
     config.write_text(EXPERIMENT_CONFIG, encoding="utf-8")
     faults = {}

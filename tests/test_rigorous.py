@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -512,6 +514,62 @@ def test_job_axis_bits_equal_one_job_per_call_and_oracle(m, jobs, scales):
             assert_same_bits(u[k], scattering_matrix(w_k, *boundary))
     finite = np.isfinite(expected).all(axis=(-2, -1))
     assert finite.all() if scales == "gain" else not finite.any()
+
+
+# ---- concurrent callers ---------------------------------------------------
+
+
+def _calls_in_threads(sets, *orders):
+    """[(set index, U)] of each order's scattering_matrix calls, one
+    thread per order, all started at once.  A thread that took the
+    kernel's lock again would hang, so the threads are joined with a
+    timeout and one still running fails the test."""
+    results = [[] for _ in orders]
+    errors = []
+    start = threading.Barrier(len(orders))
+
+    def caller(order, out):
+        try:
+            start.wait(timeout=30)
+            with np.errstate(all="ignore"):
+                out.extend((n, scattering_matrix(*sets[n])) for n in order)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=caller, args=args, daemon=True) for args in zip(orders, results)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return results
+
+
+def test_concurrent_callers_get_the_bits_of_serial_calls(rng):
+    # Two threads call scattering_matrix 20 times each, cycling through
+    # the operand sets in opposite orders, while the BLAS steps take
+    # turns: one set has an exactly singular (I - rho w), solved by
+    # `_solve`'s per-matrix fallback under the lock, and one has infinite
+    # entries, whose products take the dense fallback.  Every U has the
+    # bits of the same call made alone.
+    plain = _random_structured(rng, 512, 0.0)
+    singular = _random_structured(rng, 512, 0.0)
+    singular[0][7] = W_ZERO_GAIN
+    singular[3][7, 0] = singular[3][7, 2] = 1.0
+    overflow = _random_structured(rng, 512, 0.05)
+    assert np.isinf(overflow[0]).any()
+    sets = (plain, singular, overflow)
+    alone = dict(_calls_in_threads(sets, range(3))[0])
+    assert np.isnan(alone[1][7]).all()
+    assert np.isfinite(np.delete(alone[1], 7, axis=0)).all()
+    orders = [k % 3 for k in range(20)], [(2 - k) % 3 for k in range(20)]
+    for calls in _calls_in_threads(sets, *orders):
+        assert len(calls) == 20
+        for n, u in calls:
+            assert_same_bits(u, alone[n])
 
 
 # ---- pair_probabilities ---------------------------------------------------

@@ -525,7 +525,7 @@ def test_grid_sweep_builds_each_distinct_angle_once(monkeypatch):
     monkeypatch.setattr(spectra, "_build_batch", counting)
     frequency_angular_spectra(cfg, ("simplified",))
     assert sum(pixels) == 512 * 176
-    assert len(pixels) == 3
+    assert len(pixels) == -(-512 * 176 // spectra._CHUNK_PIXELS)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "compare"])
@@ -791,11 +791,13 @@ def test_gain_curve_runs_every_beta_in_each_rigorous_call(monkeypatch, block):
 
 
 def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
-    # One default chunk of pixels.  The rigorous working set is a few
+    # One chunk of 32768 pixels, which holds more live pixels than the
+    # largest block compared below.  The rigorous working set is a few
     # complex 4x4 matrices per pixel of a block; growing the chunk may
     # only add the kinematics batch (a few hundred bytes per pixel).
     cfg = parse_config(config_text(lambda_count=256, theta_count=128))
-    chunk = spectra._CHUNK_PIXELS
+    chunk = 32768
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     assert cfg.lambda_count * cfg.theta_count == chunk
     matrix_bytes = 4 * 4 * 16
 
@@ -816,6 +818,7 @@ def test_rigorous_memory_grows_with_the_block_not_the_chunk(monkeypatch):
     assert max(rows) == spectra._RIGOROUS_BLOCK
     monkeypatch.undo()
 
+    monkeypatch.setattr(spectra, "_CHUNK_PIXELS", chunk)
     by_block = {}
     for block in (4096, 8192):
         monkeypatch.setattr(spectra, "_RIGOROUS_BLOCK", block)
