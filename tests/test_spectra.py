@@ -263,11 +263,18 @@ def assert_grids_equal(grid, reference):
 
 @pytest.mark.parametrize(
     "chunk, counts",
-    [(1, (12, 8)), (7, (12, 8)), (4096, (96, 48)), (spectra._CHUNK_PIXELS, (96, 48))],
+    [
+        (1, (12, 8)),
+        (7, (12, 8)),
+        (4096, (96, 48)),
+        (32768, (96, 48)),
+        (spectra._CHUNK_PIXELS, (96, 48)),
+    ],
 )
 def test_grid_chunk_size_and_threads_do_not_change_bits(monkeypatch, chunk, counts):
     # Chunk size 1 and 7 run on a tiny grid to keep the per-chunk
-    # overhead small; 4096 splits the small grid into two chunks.
+    # overhead small; 4096 splits the small grid into two chunks; 32768
+    # (an earlier default) and the current default each hold it whole.
     cfg = parse_config(config_text(lambda_count=counts[0], theta_count=counts[1]))
     configs = {m: _model_config(cfg, m) for m in GRID_MODELS}
     reference = {m: frequency_angular_spectra(configs[m], (m,))[m] for m in GRID_MODELS}
